@@ -96,8 +96,6 @@ class ExperimentConfig:
     lengths: list = field(default_factory=lambda: [128, 256, 512])
     kind: str = "gaussian"
     coupled: bool = False
-    workers: int = 1
-    tolerance_overrides: dict = field(default_factory=dict)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -421,12 +419,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="besov-rough", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"besov-rough {__version__}")
-    parser.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("BESOV_ROUGH_WORKERS", "1")),
-        help="upper bound on internal parallelism (results are"
-             " worker-count independent)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("norm", help="one-parameter Besov seminorm of a path")

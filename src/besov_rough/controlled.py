@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.stats import linregress
 
-from .errors import NonContractionError, RegimeError
+from .errors import RegimeError
 from .grid import GridPath, TwoParamField
 from .norms import (
     INF,
@@ -30,7 +30,12 @@ from .norms import (
     _q_sum,
 )
 from .rough import RoughPath, rough_metric
-from .young import VectorField, field_distance_proxy, _probe_cloud
+from .young import (
+    VectorField,
+    field_distance_proxy,
+    _adaptive_picard,
+    _probe_cloud,
+)
 
 __all__ = [
     "ControlledPath",
@@ -327,62 +332,36 @@ def rde_solve(
     alpha, p, q = params.as_tuple
     grid = X.grid
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    m = len(y0)
     base = X.base_path().values
     dx_all = np.diff(base, axis=0)
     xx_all = X.level(2).band(1).reshape(grid.n - 1, X.n, X.n)
-    Y = np.empty((grid.n, m))
-    Y[0] = y0
-    a = 0
-    span = grid.n_cells
-    iterations, subintervals = [], []
-    halvings = 0
     p2 = p / 2 if p != INF else INF
     q2 = q / 2 if q != INF else INF
-    while a < grid.n_cells:
-        span = min(span, grid.n_cells - a)
-        b = a + span
-        sub_grid = X.restrict(a, b).grid
-        ya = Y[a]
+
+    def start(a, b, ya):
         f_ya = F(ya)
         seed = ya[None, :] + np.einsum("mn,bn->bm", f_ya, base[a:b + 1] - base[a])
-        cur = seed
-        cur_p = np.repeat(f_ya[None, :, :], span + 1, axis=0)
-        converged = False
-        prev_dist = None
-        for it in range(1, max_iter + 1):
-            fv = F.values_along(cur)          # (span+1, m, n)
-            dfv = F.d_along(cur)              # (span+1, m, n, m)
-            wp = np.einsum("bajc,bck->bajk", dfv, fv)
-            incs = np.einsum("bmn,bn->bm", fv[:-1], dx_all[a:b]) + np.einsum(
-                "bmjk,bkj->bm", wp[:-1], xx_all[a:b]
-            )
-            nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
-            dist = _dyadic_gauge_path(fv - cur_p, sub_grid, alpha, p, q)
-            dist += _dyadic_gauge_remainder(
-                nxt - cur, fv - cur_p, base[a:b + 1] - base[a],
-                sub_grid, alpha, p2, q2,
-            )
-            cur, cur_p = nxt, fv
-            if dist < tol * max(1.0, float(np.abs(cur).max())):
-                converged = True
-                break
-            if prev_dist is not None and prev_dist > 0 \
-                    and dist / prev_dist >= 0.5 and it >= 3:
-                break
-            prev_dist = dist
-        if not converged:
-            halvings += 1
-            if halvings > max_halvings or span == 1:
-                raise NonContractionError(
-                    f"no contraction on [{a}, {b}] after {halvings - 1} halvings"
-                )
-            span = max(1, span // 2)
-            continue
-        Y[a:b + 1] = cur
-        iterations.append(it)
-        subintervals.append((a, b))
-        a = b
+        return seed, np.repeat(f_ya[None, :, :], b - a + 1, axis=0)
+
+    def sweep(a, b, ya, state, sub_grid):
+        cur, cur_p = state
+        fv = F.values_along(cur)          # (span+1, m, n)
+        dfv = F.d_along(cur)              # (span+1, m, n, m)
+        wp = np.einsum("bajc,bck->bajk", dfv, fv)
+        incs = np.einsum("bmn,bn->bm", fv[:-1], dx_all[a:b]) + np.einsum(
+            "bmjk,bkj->bm", wp[:-1], xx_all[a:b]
+        )
+        nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
+        dist = _dyadic_gauge_path(fv - cur_p, sub_grid, alpha, p, q)
+        dist += _dyadic_gauge_remainder(
+            nxt - cur, fv - cur_p, base[a:b + 1] - base[a],
+            sub_grid, alpha, p2, q2,
+        )
+        return (nxt, fv), nxt, dist
+
+    Y, iterations, subintervals, halvings = _adaptive_picard(
+        grid, y0, start, sweep, tol, max_iter, max_halvings
+    )
     yp = F.values_along(Y)
     cp = ControlledPath(X, Y, yp)
     t0 = subintervals[0][1] * grid.mesh if subintervals else grid.horizon

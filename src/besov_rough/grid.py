@@ -181,12 +181,6 @@ class TwoParamField:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_dense(cls, grid: UniformGrid, dense: np.ndarray) -> "TwoParamField":
-        dense = np.asarray(dense, dtype=np.float64)
-        m = 1 if dense.ndim == 2 else dense.shape[2]
-        return cls(grid, m, dense=dense)
-
-    @classmethod
     def from_germ(
         cls,
         grid: UniformGrid,
@@ -348,7 +342,8 @@ def delta2(field: TwoParamField, i: int, u: int, j: int) -> np.ndarray:
 def load_path_csv(path, tol: float = 1e-12) -> GridPath:
     """Read a path from CSV with header ``t,v0,...,v{m-1}``.
 
-    Times must be strictly increasing and dyadic to within tol*T.
+    Times must be strictly increasing and dyadic to within tol*T; every value
+    must be finite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -362,6 +357,8 @@ def load_path_csv(path, tol: float = 1e-12) -> GridPath:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise GridFormatError(f"{path}:{lineno}: ragged row")
             try:
                 rows.append([float(x) for x in row])
             except ValueError as exc:
@@ -369,8 +366,11 @@ def load_path_csv(path, tol: float = 1e-12) -> GridPath:
     if not rows:
         raise GridFormatError(f"{path}: no data rows")
     data = np.asarray(rows)
-    if data.shape[1] != len(header):
-        raise GridFormatError(f"{path}: ragged rows")
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        raise GridFormatError(
+            f"{path}: non-finite value in data row {bad[0, 0] + 1}"
+        )
     times, values = data[:, 0], data[:, 1:]
     n = len(times)
     level = (n - 1).bit_length() - 1
@@ -400,7 +400,7 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
     """Read an upper-triangular germ from CSV rows ``i,j,v0,...``.
 
     Missing pairs default to zero; the node count is inferred from the largest
-    index and must be 2^L + 1.
+    index and must be 2^L + 1.  Every value must be finite.
     """
     entries = []
     max_idx = 0
@@ -432,6 +432,10 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
         if len(vals) != m:
             raise GridFormatError(f"{path}: inconsistent value dimension")
         dense[i, j] = vals
+    bad = np.argwhere(~np.isfinite(dense))
+    if len(bad):
+        i, j = bad[0, :2]
+        raise GridFormatError(f"{path}: non-finite value at pair ({i}, {j})")
     return TwoParamField(grid, m, dense=dense)
 
 

@@ -187,22 +187,35 @@ def _q_sum(ratios: np.ndarray, q: float, log_weight: bool) -> float:
     return float((w * np.sum(ratios**q)) ** (1.0 / q))
 
 
-def _dyadic_ratio_profile(obj, p, denom, max_level=None):
-    """Per-level ratios Omega_p(., tau_n)/denom(tau_n) for n = 1..level.
+def _ratios_from_norms(s: np.ndarray, grid, denom) -> np.ndarray:
+    """Per-level ratios Omega(tau_n)/denom(tau_n) for n = 1..level.
 
-    Omega is the running sup of the per-shift norms, so it is nondecreasing
-    in tau by construction.
+    Omega is the running sup of the per-shift norms s, so it is
+    nondecreasing in tau by construction.
     """
-    level = obj.grid.level if max_level is None else min(max_level, obj.grid.level)
-    horizon = obj.grid.horizon
-    s = band_lp_norms(obj, p, 1 << (level - 1)) if level >= 1 else np.zeros(0)
-    running = np.maximum.accumulate(s) if len(s) else s
+    running = np.maximum.accumulate(s)
     ratios = []
-    for n in range(1, level + 1):
-        tau = horizon * 2.0 ** (-n)
-        k = 1 << (level - n)
+    for n in range(1, grid.level + 1):
+        tau = grid.horizon * 2.0 ** (-n)
+        k = 1 << (grid.level - n)
         ratios.append(running[k - 1] / denom(tau))
     return np.asarray(ratios)
+
+
+def _dyadic_ratio_profile(obj, p, denom):
+    """Per-level ratios Omega_p(., tau_n)/denom(tau_n) for n = 1..level."""
+    level = obj.grid.level
+    s = band_lp_norms(obj, p, 1 << (level - 1)) if level >= 1 else np.zeros(0)
+    return _ratios_from_norms(s, obj.grid, denom)
+
+
+def _power_denominator(gamma: float, modulus=None):
+    """tau -> tau^gamma, or `modulus` when given (endpoint norms)."""
+    if modulus is not None:
+        return modulus
+    if not gamma > 0:
+        raise RegimeError(f"gamma must be positive, got {gamma}")
+    return lambda tau: tau**gamma
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +237,10 @@ def besov_seminorm(
                dyadic tau levels, weight log 2 per level.
     """
     _check_nontrivial(alpha, p)
-    grid = f.grid
     if form == "dyadic":
-        ratios = []
-        v = f.values
-        for n in range(1, grid.level + 1):
-            k = 1 << (grid.level - n)
-            s = _band_lp(_mags(v[k:] - v[:-k]), grid.mesh, p)
-            ratios.append((2.0**n / grid.horizon) ** alpha * s)
+        horizon = f.grid.horizon
+        ratios = [(2.0**n / horizon) ** alpha * s
+                  for n, s in enumerate(_dyadic_shift_norms(f, p), start=1)]
         return _q_sum(np.asarray(ratios), q, log_weight=False)
     if form == "integral":
         ratios = _dyadic_ratio_profile(f, p, lambda tau: tau**alpha)
@@ -239,16 +248,22 @@ def besov_seminorm(
     raise ValueError(f"unknown form {form!r}")
 
 
-def besov_level_table(f: GridPath, alpha: float, p: float, q: float):
-    """Per-level table [(n, h, lp_increment_norm)] behind the dyadic form."""
+def _dyadic_shift_norms(f: GridPath, p: float) -> list:
+    """|f(. + 2^-n T) - f|_{L^p} for n = 1..level."""
     grid = f.grid
-    rows = []
     v = f.values
+    norms = []
     for n in range(1, grid.level + 1):
         k = 1 << (grid.level - n)
-        s = _band_lp(_mags(v[k:] - v[:-k]), grid.mesh, p)
-        rows.append({"n": n, "h": grid.horizon * 2.0**-n, "lp_increment_norm": s})
-    return rows
+        norms.append(_band_lp(_mags(v[k:] - v[:-k]), grid.mesh, p))
+    return norms
+
+
+def besov_level_table(f: GridPath, alpha: float, p: float, q: float):
+    """Per-level table [(n, h, lp_increment_norm)] behind the dyadic form."""
+    horizon = f.grid.horizon
+    return [{"n": n, "h": horizon * 2.0**-n, "lp_increment_norm": s}
+            for n, s in enumerate(_dyadic_shift_norms(f, p), start=1)]
 
 
 def besov_metric(f: GridPath, g: GridPath, alpha: float, p: float, q: float) -> float:
@@ -285,29 +300,14 @@ def two_param_norm(
     p: float,
     q: float,
     modulus=None,
-    band_norms: np.ndarray | None = None,
 ) -> float:
     """|A|_{B^gamma_pq}: dtau/tau discretization with Omega_p(A, tau).
 
     `modulus`, when given, replaces tau^gamma as the denominator (endpoint
-    norms).  `band_norms` allows reuse of precomputed per-shift norms.
+    norms).
     """
-    if modulus is None and not gamma > 0:
-        raise RegimeError(f"gamma must be positive, got {gamma}")
-    denom = (lambda tau: tau**gamma) if modulus is None else modulus
-    if band_norms is None:
-        ratios = _dyadic_ratio_profile(A, p, denom)
-    else:
-        running = np.maximum.accumulate(band_norms)
-        grid = A.grid
-        ratios = []
-        for n in range(1, grid.level + 1):
-            k = 1 << (grid.level - n)
-            if k > len(running):
-                continue
-            ratios.append(running[k - 1] / denom(grid.horizon * 2.0**-n))
-        ratios = np.asarray(ratios)
-    return _q_sum(ratios, q, log_weight=True)
+    denom = _power_denominator(gamma, modulus)
+    return _q_sum(_dyadic_ratio_profile(A, p, denom), q, log_weight=True)
 
 
 def two_param_metric(
@@ -337,7 +337,7 @@ def delta2_norm(
     lower bound on the continuum sup.
     """
     grid = A.grid
-    denom = (lambda tau: tau**gamma) if modulus is None else modulus
+    denom = _power_denominator(gamma, modulus)
     thetas = np.arange(1 << theta_level, dtype=float) / (1 << theta_level)
     max_shift = 1 << (grid.level - 1) if grid.level >= 1 else 0
     s = np.zeros(max_shift)
@@ -348,7 +348,7 @@ def delta2_norm(
         for u in offs:
             best = max(best, _band_lp(_mags(A.delta2_bands(u, k)), grid.mesh, p))
         s[k - 1] = best
-    return two_param_norm(A, gamma, p, q, modulus=modulus, band_norms=s)
+    return _q_sum(_ratios_from_norms(s, grid, denom), q, log_weight=True)
 
 
 def holder_seminorm(obj, beta: float) -> float:

@@ -148,14 +148,6 @@ class TensorElement:
         return cls(n, [np.ones(1) if k == 0 else np.zeros(n**k)
                        for k in range(depth + 1)])
 
-    @classmethod
-    def from_vector(cls, v, depth: int) -> "TensorElement":
-        """exp-free embedding 1 + v of a level-1 vector."""
-        v = np.asarray(v, dtype=float)
-        levels = [np.ones(1), v] + [np.zeros(len(v) ** k)
-                                    for k in range(2, depth + 1)]
-        return cls(len(v), levels)
-
     def _batched(self):
         return [lv[None, :] for lv in self.levels]
 
@@ -272,10 +264,6 @@ class RoughPath:
 
     def base_path(self) -> GridPath:
         return self._base
-
-    def element(self, i: int, j: int) -> TensorElement:
-        levels = [lv[0] for lv in self.pairs_levels(np.array([i]), np.array([j]))]
-        return TensorElement(self.n, levels)
 
     def restrict(self, a: int, b: int) -> "RoughPath":
         span = b - a

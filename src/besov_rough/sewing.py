@@ -17,7 +17,15 @@ from scipy.stats import linregress
 
 from .errors import RegimeError
 from .grid import GridPath, TwoParamField
-from .norms import INF, EndpointModulus, _band_lp, _mags, _q_sum, two_param_norm
+from .norms import (
+    INF,
+    EndpointModulus,
+    _band_lp,
+    _dyadic_ratio_profile,
+    _mags,
+    _q_sum,
+    two_param_norm,
+)
 
 __all__ = [
     "SewingInput",
@@ -285,17 +293,8 @@ def small_oscillation_check(R: TwoParamField, p2: float) -> dict:
     """
     grid = R.grid
     crit = max(1.0, 1.0 / p2)
-    mesh = grid.mesh
-    max_shift = 1 << (grid.level - 1)
-    s = np.zeros(max_shift)
-    for k in range(1, max_shift + 1):
-        s[k - 1] = _band_lp(_mags(R.band(k)), mesh, p2)
-    running = np.maximum.accumulate(s)
-    taus, profile = [], []
-    for n in range(1, grid.level + 1):
-        tau = grid.horizon * 2.0**-n
-        k = 1 << (grid.level - n)
-        taus.append(tau)
-        profile.append(float(running[k - 1] / tau**crit))
+    profile = [float(r) for r in
+               _dyadic_ratio_profile(R, p2, lambda tau: tau**crit)]
+    taus = [grid.horizon * 2.0**-n for n in range(1, grid.level + 1)]
     decreasing = profile[-1] <= profile[0] + 1e-12
     return {"taus": taus, "profile": profile, "decreasing": bool(decreasing)}

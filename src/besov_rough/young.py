@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonContractionError, RegimeError
-from .grid import GridPath, TwoParamField
+from .grid import GridPath, TwoParamField, UniformGrid
 from .norms import BesovParams, INF, besov_seminorm, lp_norm
 from .sewing import SewingInput, SewingResult, sew
 
@@ -94,7 +94,7 @@ class VectorField:
     """
 
     def __init__(self, fun, dfun, d2fun=None, order=1, delta=1.0, name="field",
-                 state_dim=1, fun_batch=None, dfun_batch=None, d2fun_batch=None):
+                 state_dim=1, fun_batch=None, dfun_batch=None):
         self.fun = fun
         self.dfun = dfun
         self.d2fun = d2fun
@@ -104,7 +104,6 @@ class VectorField:
         self.state_dim = state_dim
         self._fun_batch = fun_batch
         self._dfun_batch = dfun_batch
-        self._d2fun_batch = d2fun_batch
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.fun(np.asarray(y, dtype=float))
@@ -148,11 +147,6 @@ class VectorField:
             return self._dfun_batch(Y)
         return np.stack([self.dfun(y) for y in Y])
 
-    def d2_along(self, Y: np.ndarray) -> np.ndarray:
-        if self._d2fun_batch is not None:
-            return self._d2fun_batch(Y)
-        return np.stack([self.d2fun(y) for y in Y])
-
 
 def _mk_field(fun, dfun, d2fun, order, delta, name, state_dim, **batch):
     return VectorField(fun, dfun, d2fun=d2fun, order=order, delta=delta,
@@ -178,7 +172,6 @@ def linear_field(matrices) -> VectorField:
         fun, dfun, d2fun, 3, 1.0, "linear", m,
         fun_batch=lambda Y: np.einsum("abj,kb->kaj", mats, Y),
         dfun_batch=lambda Y: np.broadcast_to(dmat, (len(Y),) + dmat.shape).copy(),
-        d2fun_batch=lambda Y: np.zeros((len(Y), m, mats.shape[2], m, m)),
     )
 
 
@@ -361,6 +354,58 @@ def _require_young_field(F: VectorField, params: BesovParams):
             raise RegimeError("critical Young regime needs a C^2 field")
 
 
+def _adaptive_picard(grid, y0, start, sweep, tol, max_iter, max_halvings):
+    """Picard iteration on adaptive dyadic subintervals, shared by the Young
+    ODE and the RDE solver.
+
+    Spans start at the whole grid.  On [a, b], ``start(a, b, y_a)`` gives the
+    first iterate and ``sweep(a, b, y_a, state, sub_grid)`` one Picard sweep
+    as ``(state, path, gauge)``.  A subinterval converges once
+    gauge < tol * max(1, sup|path|); it is halved when the gauge ratio of
+    consecutive sweeps reaches 1/2 from the third sweep on, or when max_iter
+    sweeps end without convergence.  The span never grows back.  At most
+    `max_halvings` halvings are allowed since the last converged subinterval;
+    the total is returned.
+    """
+    Y = np.empty((grid.n, len(y0)))
+    Y[0] = y0
+    a = 0
+    span = grid.n_cells
+    iterations, subintervals = [], []
+    halvings = stretch = 0
+    while a < grid.n_cells:
+        span = min(span, grid.n_cells - a)
+        b = a + span
+        sub_grid = UniformGrid(span * grid.mesh, span.bit_length() - 1)
+        ya = Y[a]
+        state = start(a, b, ya)
+        converged = False
+        prev_gauge = None
+        for it in range(1, max_iter + 1):
+            state, path, gauge = sweep(a, b, ya, state, sub_grid)
+            if gauge < tol * max(1.0, float(np.abs(path).max())):
+                converged = True
+                break
+            if it >= 3 and prev_gauge > 0 and gauge / prev_gauge >= 0.5:
+                break
+            prev_gauge = gauge
+        if not converged:
+            halvings += 1
+            stretch += 1
+            if stretch > max_halvings or span == 1:
+                raise NonContractionError(
+                    f"no contraction on [{a}, {b}] after {stretch - 1} halvings"
+                )
+            span //= 2
+            continue
+        Y[a:b + 1] = path
+        iterations.append(it)
+        subintervals.append((a, b))
+        stretch = 0
+        a = b
+    return Y, iterations, subintervals, halvings
+
+
 def young_ode_solve(
     F: VectorField,
     X: GridPath,
@@ -378,52 +423,22 @@ def young_ode_solve(
     if not params.young_ok:
         raise RegimeError(f"(alpha,p,q)={params.as_tuple} outside the Young regime")
     _require_young_field(F, params)
-    grid = X.grid
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    m = len(y0)
     dX = np.diff(X.values, axis=0)
-    Y = np.empty((grid.n, m))
-    Y[0] = y0
-    a = 0
-    span = grid.n_cells
-    iterations, subintervals = [], []
-    halvings = 0
-    while a < grid.n_cells:
-        span = min(span, grid.n_cells - a)
-        b = a + span
-        sub = X.restrict(a, b)
-        ya = Y[a]
-        cur = np.repeat(ya[None, :], span + 1, axis=0)
-        converged = False
-        prev_dist = None
-        for it in range(1, max_iter + 1):
-            fvals = F.values_along(cur)  # (span+1, m, n)
-            incs = 0.5 * np.einsum(
-                "kmn,kn->km", fvals[:-1] + fvals[1:], dX[a:b]
-            )
-            nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
-            dist = _solver_metric(nxt, cur, sub.grid, params)
-            cur = nxt
-            if dist < tol * max(1.0, float(np.abs(cur).max())):
-                converged = True
-                break
-            if prev_dist is not None and prev_dist > 0 and dist / prev_dist >= 0.5 \
-                    and it >= 3:
-                break
-            prev_dist = dist
-        if not converged:
-            halvings += 1
-            if halvings > max_halvings or span == 1:
-                raise NonContractionError(
-                    f"no contraction on [{a}, {b}] after {halvings - 1} halvings"
-                )
-            span = max(1, span // 2)
-            continue
-        Y[a:b + 1] = cur
-        iterations.append(it)
-        subintervals.append((a, b))
-        a = b
-    path = GridPath(grid, Y)
+
+    def start(a, b, ya):
+        return np.repeat(ya[None, :], b - a + 1, axis=0)
+
+    def sweep(a, b, ya, cur, sub_grid):
+        fvals = F.values_along(cur)  # (span+1, m, n)
+        incs = 0.5 * np.einsum("kmn,kn->km", fvals[:-1] + fvals[1:], dX[a:b])
+        nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
+        return nxt, nxt, _solver_metric(nxt, cur, sub_grid, params)
+
+    Y, iterations, subintervals, halvings = _adaptive_picard(
+        X.grid, y0, start, sweep, tol, max_iter, max_halvings
+    )
+    path = GridPath(X.grid, Y)
     bound = {
         "sup": float(np.abs(Y).max()),
         "seminorm": besov_seminorm(path, params.alpha, params.p, params.q,

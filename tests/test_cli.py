@@ -67,6 +67,42 @@ def test_malformed_csv_exit_1(tmp_path, capsys):
     assert "dyadic" in err["message"]
 
 
+def _single_json_error(capsys) -> dict:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["norm", "--alpha", "0.5", "--p", "2", "--q", "2"], "nan"),
+    (["var", "--p", "2"], "inf"),
+])
+def test_non_finite_csv_exit_1(tmp_path, capsys, argv, bad):
+    g = UniformGrid(1.0, 3)
+    vals = [repr(float(x)) for x in np.sin(g.times())]
+    vals[4] = bad
+    path = tmp_path / "path.csv"
+    path.write_text("t,v0\n" + "".join(
+        f"{t!r},{v}\n" for t, v in zip(g.times().tolist(), vals)))
+    assert main(argv + ["--input", str(path)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io"
+    assert "non-finite" in err["message"]
+
+
+def test_young_ode_non_contraction_exit_3(tmp_path, capsys):
+    # cell increments of +-10: every one-cell Picard step has a factor ~5
+    g = UniformGrid(1.0, 6)
+    drv = tmp_path / "spiky.csv"
+    save_path_csv(drv, GridPath(g, 10.0 * (np.arange(g.n) % 2)))
+    code = main(["young-ode", "--driver", str(drv), "--field", "builtin:linear",
+                 "--y0", "1.0", "--alpha", "0.9", "--p", "inf", "--q", "inf",
+                 "--out", str(tmp_path / "sol.csv")])
+    assert code == 3
+    assert _single_json_error(capsys)["error"] == "numerical"
+
+
 def test_regime_violation_exit_2(sin_csv, capsys):
     code = main(["norm", "--input", sin_csv, "--alpha", "1.5", "--p", "2",
                  "--q", "2"])
@@ -197,6 +233,25 @@ def test_mc_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text('{"experiment": "bm-ynp", "bogus": 3}')
     code = main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("workers", 2), ("tolerance_overrides", {"01": 0.1}),
+])
+def test_mc_removed_keys_rejected(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bm-ynp", key: value}))
+    code = main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and key in err["message"]
+
+
+def test_workers_flag_removed(sin_csv, capsys):
+    code = main(["--workers", "2", "norm", "--input", sin_csv, "--alpha", "0.5",
+                 "--p", "2", "--q", "2"])
+    assert code == 1
+    assert _single_json_error(capsys)["error"] == "io"
 
 
 def test_config_roundtrip():

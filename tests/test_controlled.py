@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from besov_rough._rng import rng_for
-from besov_rough.errors import RegimeError
+from besov_rough.errors import NonContractionError, RegimeError
 from besov_rough.grid import GridPath, UniformGrid
 from besov_rough.norms import INF, BesovParams
 from besov_rough.rough import brownian_lift, canonical_lift, geometric_lift
@@ -303,6 +303,22 @@ def test_rde_refinement_consistent():
 
 
 # -- Davie residual ---------------------------------------------------------------------
+
+def test_rde_brownian_golden():
+    # pinned adaptive policy: three halvings from the whole grid to 32 cells
+    X = brownian_lift(2, UniformGrid(1.0, 8), 7)
+    sol = rde_solve(rotation_field(), X, (1.0, 0.5))
+    assert sol.iterations == [15, 13, 12, 13, 13, 13, 13, 12]
+    assert sol.subintervals == [(32 * i, 32 * (i + 1)) for i in range(8)]
+    assert sol.report["halvings"] == 3
+
+
+def test_rde_non_contraction_over_budget():
+    X = brownian_lift(2, UniformGrid(1.0, 8), 7)
+    with pytest.raises(NonContractionError,
+                       match=r"no contraction on \[0, 64\] after 2 halvings"):
+        rde_solve(rotation_field(), X, (1.0, 0.5), max_halvings=2)
+
 
 def test_davie_zero_field():
     X = _scalar_lift(8)

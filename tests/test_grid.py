@@ -146,6 +146,26 @@ def test_path_csv_rejects_wrong_header(tmp_path):
         load_path_csv(p)
 
 
+@pytest.mark.parametrize("row", ["0.5,2.0,3.0", "0.5"])
+def test_path_csv_rejects_ragged_rows(tmp_path, row):
+    p = tmp_path / "ragged.csv"
+    p.write_text(f"t,v0\n0.0,1.0\n{row}\n1.0,3.0\n")
+    with pytest.raises(GridFormatError, match=r":3: ragged row"):
+        load_path_csv(p)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_loaders_reject_non_finite(tmp_path, bad):
+    p = tmp_path / "path.csv"
+    p.write_text(f"t,v0\n0.0,1.0\n0.5,{bad}\n1.0,3.0\n")
+    with pytest.raises(GridFormatError, match="non-finite"):
+        load_path_csv(p)
+    germ = tmp_path / "germ.csv"
+    germ.write_text(f"i,j,c0\n0,1,1.0\n1,2,{bad}\n0,2,0.5\n")
+    with pytest.raises(GridFormatError, match=r"non-finite value at pair \(1, 2\)"):
+        load_germ_csv(germ)
+
+
 def test_germ_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     g = UniformGrid(1.0, 3)

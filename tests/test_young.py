@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from besov_rough._rng import rng_for
-from besov_rough.errors import RegimeError
+from besov_rough.errors import NonContractionError, RegimeError
 from besov_rough.grid import GridPath, UniformGrid
 from besov_rough.norms import INF, BesovParams, besov_seminorm
 from besov_rough.signals import heaviside, smooth_random
@@ -213,6 +213,33 @@ def test_ode_refinement_consistent():
     sol_coarse = young_ode_solve(scalar_linear_field(), coarse, 1.0, SMOOTH)
     diff = np.abs(sol_fine.path.subsample(2).values - sol_coarse.path.values)
     assert diff.max() < 20 * coarse.grid.mesh ** 2  # second-order germ
+
+
+def _late_burst_driver():
+    # smooth on [0, 1/2], a fast large oscillation after it
+    g = _grid(10)
+    t = g.times()
+    return GridPath(g, 0.5 * np.sin(t) + 2.0 * (t > 0.5) * np.sin(60 * (t - 0.5)))
+
+
+def test_ode_halving_budget_is_per_stretch():
+    # one halving before [0, 512] converges, then six in a row from 512 on:
+    # seven in total, at most six since a converged subinterval
+    x = _late_burst_driver()
+    full = young_ode_solve(scalar_linear_field(), x, 1.0, SMOOTH)
+    assert full.bound["halvings"] == 7
+    assert full.subintervals[:2] == [(0, 512), (512, 520)]
+    tight = young_ode_solve(scalar_linear_field(), x, 1.0, SMOOTH, max_halvings=6)
+    assert tight.bound["halvings"] == 7
+    assert tight.subintervals == full.subintervals
+    assert np.array_equal(tight.path.values, full.path.values)
+
+
+def test_ode_non_contraction_over_budget():
+    with pytest.raises(NonContractionError,
+                       match=r"no contraction on \[512, 528\] after 5 halvings"):
+        young_ode_solve(scalar_linear_field(), _late_burst_driver(), 1.0, SMOOTH,
+                        max_halvings=5)
 
 
 # -- stability probe -----------------------------------------------------------------
