@@ -2,16 +2,18 @@
 lifts, Monte Carlo experiments, and the acceptance-suite runner.
 
 Exit codes: 0 success, 1 I/O or format error, 2 regime violation,
-3 numerical failure (non-contraction).  Errors are emitted as one JSON
-object on stderr.
+3 numerical failure (non-contraction), 4 an acceptance criterion failed.
+Errors are emitted as one JSON object on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -45,6 +47,8 @@ from .young import (
     young_ode_solve,
 )
 from .rough import (
+    MAX_DIM,
+    MAX_LEVEL,
     RoughPath,
     brownian_lift,
     canonical_lift,
@@ -61,7 +65,7 @@ from .controlled import (
     rough_integral,
 )
 from .stochlab import bm_besov_statistic, fbm_besov_statistic, pprod_bdg_experiment
-from .acceptance import run_suite
+from .acceptance import CRITERIA, run_suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,37 +79,84 @@ def _fnum(x: str) -> float:
     return float(x)
 
 
+def _grid_level(x: str) -> int:
+    level = int(x)
+    if level < 1:
+        raise argparse.ArgumentTypeError(f"grid level must be >= 1, got {level}")
+    return level
+
+
+def _positive_float(x: str) -> float:
+    value = float(x)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"need a finite positive number, got {x}")
+    return value
+
+
+def _vector(x: str) -> np.ndarray:
+    try:
+        values = np.array([float(v) for v in x.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need comma-separated numbers, got {x!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"non-finite entry in {x!r}")
+    return values
+
+
+def _has_type(value, hint) -> bool:
+    """JSON value check against a config annotation: floats must be finite,
+    ints and bools are not interchangeable, lists are checked per item."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if hint is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 @dataclass
 class ExperimentConfig:
-    """Monte Carlo experiment configuration; JSON round-trips losslessly and
-    unknown keys are rejected."""
+    """Monte Carlo experiment configuration; JSON round-trips losslessly.
+    Unknown keys, wrongly typed values and non-finite numbers are rejected."""
 
     experiment: str
     seed: int = 2024
     samples: int = 200
     level: int = 10
     p: float = 4.0
-    ns: list = field(default_factory=lambda: [4, 6, 8])
+    ns: list[int] = field(default_factory=lambda: [4, 6, 8])
     H: float = 0.4
     dim: int = 2
     gamma0: float = 0.45
     gamma1: float = 0.6
-    p_tuple: list = field(default_factory=lambda: [8.0, 8.0, 4.0])
-    q_tuple: list = field(default_factory=lambda: [8.0, 8.0, 4.0])
-    r_tuple: list = field(default_factory=lambda: [8.0, 8.0, 4.0])
-    lengths: list = field(default_factory=lambda: [128, 256, 512])
+    p_tuple: list[float] = field(default_factory=lambda: [8.0, 8.0, 4.0])
+    q_tuple: list[float] = field(default_factory=lambda: [8.0, 8.0, 4.0])
+    r_tuple: list[float] = field(default_factory=lambda: [8.0, 8.0, 4.0])
+    lengths: list[int] = field(default_factory=lambda: [128, 256, 512])
     kind: str = "gaussian"
     coupled: bool = False
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise GridFormatError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise GridFormatError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in data:
             raise GridFormatError("config must name an 'experiment'")
+        hints = typing.get_type_hints(cls)
+        for key, value in data.items():
+            if not _has_type(value, hints[key]):
+                raise GridFormatError(
+                    f"config key {key!r} must be a finite {hints[key]},"
+                    f" got {value!r}")
         return cls(**data)
 
     def to_json(self) -> str:
@@ -142,12 +193,25 @@ def _field_from_spec(spec: str, m: int, n: int) -> VectorField:
 
 # ---------------------------------------------------------------------------
 # rough path directory format
+#
+# A directory holds meta.json and one k.csv per level k = 1..N.  In the
+# "signature" layout, k.csv is a path CSV whose row t holds X^(k)_{0,t}; the
+# other increments follow from Chen's relation X_st = X_0s^{-1} (x) X_0t, so
+# the files are O(n).  Signature-backed paths are written this way.  In the
+# "pairwise" layout, k.csv holds rows i,j,c0,... for every pair i < j.
+# Explicit-field paths are written this way, because their levels need not
+# satisfy Chen's relation (a fault injected into one must survive a save).
+# A meta.json without a "format" key is pairwise.
+
+_FORMATS = ("signature", "pairwise")
 
 
 def save_rough_dir(path: str, X: RoughPath) -> None:
     os.makedirs(path, exist_ok=True)
+    signature = X._sig is not None
     alpha, p, q = X.params.as_tuple
     meta = {
+        "format": "signature" if signature else "pairwise",
         "n": X.n,
         "N": X.depth,
         "level": X.grid.level,
@@ -158,12 +222,19 @@ def save_rough_dir(path: str, X: RoughPath) -> None:
     }
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
+    nn = X.grid.n
+    if signature:
+        prefix = X.pairs_levels(np.zeros(nn - 1, dtype=np.intp),
+                                np.arange(1, nn))
+        for k in range(1, X.depth + 1):
+            rows = np.vstack([np.zeros((1, X.n**k)), prefix[k]])
+            save_path_csv(os.path.join(path, f"{k}.csv"), GridPath(X.grid, rows))
+        return
     for k in range(1, X.depth + 1):
         fieldk = X.level(k)
         with open(os.path.join(path, f"{k}.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "j"] + [f"c{c}" for c in range(X.n**k)])
-            nn = X.grid.n
             for off in range(1, nn):
                 band = fieldk.band(off)
                 for i in range(nn - off):
@@ -171,19 +242,65 @@ def save_rough_dir(path: str, X: RoughPath) -> None:
                                     + [repr(float(v)) for v in band[i]])
 
 
-def load_rough_dir(path: str) -> RoughPath:
+def _read_meta(path: str) -> dict:
+    """meta.json of a rough-path directory, with every key type-checked."""
+    fname = os.path.join(path, "meta.json")
     try:
-        with open(os.path.join(path, "meta.json")) as fh:
+        with open(fname) as fh:
             meta = json.load(fh)
     except OSError as exc:
         raise GridFormatError(f"{path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise GridFormatError(f"{fname}: expected a JSON object")
+    checks = {
+        "n": (lambda v: _has_type(v, int) and 1 <= v <= MAX_DIM,
+              f"an integer in 1..{MAX_DIM}"),
+        "N": (lambda v: _has_type(v, int) and 1 <= v <= MAX_LEVEL,
+              f"an integer in 1..{MAX_LEVEL}"),
+        "level": (lambda v: _has_type(v, int) and v >= 0,
+                  "a nonnegative integer"),
+        "horizon": (lambda v: _has_type(v, float) and v > 0,
+                    "a finite positive number"),
+        "alpha": (lambda v: _has_type(v, float), "a finite number"),
+        "p": (lambda v: v is None or _has_type(v, float),
+              "a finite number or null"),
+        "q": (lambda v: v is None or _has_type(v, float),
+              "a finite number or null"),
+    }
+    for key, (ok, what) in checks.items():
+        if key not in meta:
+            raise GridFormatError(f"{fname}: missing key {key!r}")
+        if not ok(meta[key]):
+            raise GridFormatError(
+                f"{fname}: {key!r} must be {what}, got {meta[key]!r}")
+    meta.setdefault("format", "pairwise")
+    if meta["format"] not in _FORMATS:
+        raise GridFormatError(
+            f"{fname}: unknown format {meta['format']!r}; known: {_FORMATS}")
+    return meta
+
+
+def load_rough_dir(path: str) -> RoughPath:
+    meta = _read_meta(path)
     grid = UniformGrid(meta["horizon"], meta["level"])
     params = BesovParams(
         meta["alpha"],
         INF if meta["p"] is None else meta["p"],
         INF if meta["q"] is None else meta["q"],
     )
-    n, depth = int(meta["n"]), int(meta["N"])
+    n, depth = meta["n"], meta["N"]
+    if meta["format"] == "signature":
+        sig = [np.ones((grid.n, 1))]
+        for k in range(1, depth + 1):
+            fname = os.path.join(path, f"{k}.csv")
+            prefix = load_path_csv(fname)
+            if prefix.grid != grid or prefix.dim != n**k:
+                raise GridFormatError(f"{fname}: level shape mismatch")
+            if np.any(prefix.values[0] != 0.0):
+                raise GridFormatError(
+                    f"{fname}: first row must be zero (X_00 is the identity)")
+            sig.append(prefix.values)
+        return RoughPath.from_signature(grid, params, sig)
     levels = []
     for k in range(1, depth + 1):
         fname = os.path.join(path, f"{k}.csv")
@@ -259,10 +376,9 @@ def _cmd_sew(args) -> int:
 
 def _cmd_young_ode(args) -> int:
     driver = load_path_csv(args.driver)
-    y0 = np.array([float(x) for x in args.y0.split(",")])
-    fieldspec = _field_from_spec(args.field, len(y0), driver.dim)
+    fieldspec = _field_from_spec(args.field, len(args.y0), driver.dim)
     params = _params_from_args(args)
-    sol = young_ode_solve(fieldspec, driver, y0, params)
+    sol = young_ode_solve(fieldspec, driver, args.y0, params)
     save_path_csv(args.out, sol.path)
     print(f"solved in {sum(sol.iterations)} sweeps over"
           f" {len(sol.subintervals)} subintervals")
@@ -275,6 +391,9 @@ def _cmd_lift(args) -> int:
     if args.kind == "bm":
         if args.N < 2:
             raise GridFormatError("Brownian lifts start at level 2")
+        if args.flavor == "geometric":
+            raise GridFormatError(
+                "Brownian lifts take --flavor ito or stratonovich")
         X = brownian_lift(args.n, grid, args.seed, flavor=args.flavor,
                           params=params)
     elif args.kind == "fbm":
@@ -332,9 +451,8 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_rde(args) -> int:
     X = load_rough_dir(args.driver)
-    y0 = np.array([float(x) for x in args.y0.split(",")])
-    fieldspec = _field_from_spec(args.field, len(y0), X.n)
-    sol = rde_solve(fieldspec, X, y0)
+    fieldspec = _field_from_spec(args.field, len(args.y0), X.n)
+    sol = rde_solve(fieldspec, X, args.y0)
     save_path_csv(args.out, sol.path)
     dav = davie_residual(sol.controlled, fieldspec)
     report = {
@@ -405,11 +523,16 @@ def _cmd_mc(args) -> int:
 
 def _cmd_accept(args) -> int:
     ids = set(args.ids.split(",")) if args.ids else None
+    valid = [cid for cid, _, _ in CRITERIA]
+    if ids and not ids <= set(valid):
+        raise GridFormatError(
+            f"unknown criterion ids {sorted(ids - set(valid))};"
+            f" valid ids: {','.join(valid)}")
     results = run_suite(ids=ids)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(results, fh, indent=2, default=str)
-    return 0 if all(r["passed"] for r in results) else 3
+    return 0 if all(r["passed"] for r in results) else 4
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +573,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--driver", required=True)
     sp.add_argument("--field", required=True,
                     help="builtin:<linear|rotation|sigmoid> or coeffs.json")
-    sp.add_argument("--y0", required=True)
+    sp.add_argument("--y0", type=_vector, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--p", type=_fnum, required=True)
     sp.add_argument("--q", type=_fnum, required=True)
@@ -460,10 +583,11 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("lift", help="construct a rough path lift")
     sp.add_argument("--kind", choices=("bm", "fbm", "canonical"), required=True)
     sp.add_argument("--H", type=float, default=0.4)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--N", type=int, default=2)
-    sp.add_argument("--level", type=int, default=10)
-    sp.add_argument("--horizon", type=float, default=1.0)
+    sp.add_argument("--n", type=int, default=2, choices=range(1, MAX_DIM + 1))
+    sp.add_argument("--N", type=int, default=2,
+                    choices=range(1, MAX_LEVEL + 1))
+    sp.add_argument("--level", type=_grid_level, default=10)
+    sp.add_argument("--horizon", type=_positive_float, default=1.0)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--flavor", choices=("ito", "stratonovich", "geometric"),
                     default="ito")
@@ -476,7 +600,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("extend", help="Lyons extension of a stored rough path")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=int, required=True,
+                    choices=range(1, MAX_LEVEL + 1))
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_extend)
 
@@ -491,7 +616,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("rde", help="solve a level-2 rough differential equation")
     sp.add_argument("--driver", required=True)
     sp.add_argument("--field", required=True)
-    sp.add_argument("--y0", required=True)
+    sp.add_argument("--y0", type=_vector, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--report")
     sp.set_defaults(fn=_cmd_rde)
@@ -521,7 +646,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except (GridFormatError, OSError, json.JSONDecodeError) as exc:
+    except (GridFormatError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         _emit_error("io", exc)
         return 1
     except RegimeError as exc:

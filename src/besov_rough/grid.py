@@ -400,14 +400,15 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
     """Read an upper-triangular germ from CSV rows ``i,j,v0,...``.
 
     Missing pairs default to zero; the node count is inferred from the largest
-    index and must be 2^L + 1.  Every value must be finite.
+    index and must be 2^L + 1.  Every value must be finite.  Only the first
+    line may be a header (starting with ``i``).
     """
     entries = []
     max_idx = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].strip().startswith("i"):
+            if not row or (lineno == 1 and row[0].strip().startswith("i")):
                 continue
             try:
                 i, j = int(row[0]), int(row[1])

@@ -5,10 +5,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from besov_rough import acceptance
 from besov_rough.cli import ExperimentConfig, load_rough_dir, main, save_rough_dir
-from besov_rough.grid import GridPath, UniformGrid, save_path_csv
+from besov_rough.grid import GridPath, TwoParamField, UniformGrid, save_path_csv
 from besov_rough.norms import BesovParams, INF
-from besov_rough.rough import brownian_lift, chen_residual
+from besov_rough.rough import RoughPath, brownian_lift, chen_residual, lyons_extend
 
 
 @pytest.fixture
@@ -173,15 +174,164 @@ def test_lift_rde_extend_pipeline(planar_csv, tmp_path, capsys):
 
 
 def test_rough_dir_roundtrip(tmp_path):
+    # signature-backed paths round-trip bit-exactly through the O(n) layout
+    g = UniformGrid(1.0, 5)
+    params = BesovParams(0.45, 32.0, INF)
+    ito = brownian_lift(2, g, 3, "ito", params)
+    cases = {
+        "ito": ito,
+        "stratonovich": brownian_lift(2, g, 3, "stratonovich", params),
+        "extended": lyons_extend(ito, 3),
+    }
+    ii, jj = np.triu_indices(g.n, k=1)
+    for name, lift in cases.items():
+        save_rough_dir(str(tmp_path / name), lift)
+        meta = json.loads((tmp_path / name / "meta.json").read_text())
+        assert meta["format"] == "signature"
+        assert (tmp_path / name / "1.csv").read_text().count("\n") == g.n + 1
+        back = load_rough_dir(str(tmp_path / name))
+        assert back.params == lift.params and back.depth == lift.depth
+        for k in range(1, lift.depth + 1):
+            assert np.array_equal(back.level(k).pairs(ii, jj),
+                                  lift.level(k).pairs(ii, jj))
+
+
+def _write_pairwise_dir(path, X):
+    """The pairwise layout as earlier versions wrote it (no "format" key)."""
+    path.mkdir()
+    alpha, p, _ = X.params.as_tuple
+    meta = {"n": X.n, "N": X.depth, "level": X.grid.level,
+            "horizon": X.grid.horizon, "alpha": alpha, "p": p, "q": None}
+    (path / "meta.json").write_text(json.dumps(meta))
+    ii, jj = np.triu_indices(X.grid.n, k=1)
+    for k in range(1, X.depth + 1):
+        lines = ["i,j," + ",".join(f"c{c}" for c in range(X.n**k))]
+        for i, j, row in zip(ii, jj, X.level(k).pairs(ii, jj)):
+            lines.append(f"{i},{j}," + ",".join(repr(float(v)) for v in row))
+        (path / f"{k}.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_pairwise_dir_matches_signature_pipeline(tmp_path):
+    g = UniformGrid(1.0, 6)
+    lift = brownian_lift(2, g, 11, "ito", BesovParams(0.45, 32.0, INF))
+    _write_pairwise_dir(tmp_path / "old", lift)
+    save_rough_dir(str(tmp_path / "new"), lift)
+    for name in ("old", "new"):
+        d = tmp_path / name
+        assert main(["extend", "--input", str(d), "--N", "3",
+                     "--out", str(tmp_path / f"{name}3")]) == 0
+        assert main(["rde", "--driver", str(d), "--field", "builtin:rotation",
+                     "--y0", "1.0,0.5", "--out", str(d / "sol.csv"),
+                     "--report", str(d / "rep.json")]) == 0
+    for out in ("sol.csv", "rep.json"):
+        assert ((tmp_path / "old" / out).read_bytes()
+                == (tmp_path / "new" / out).read_bytes())
+    # a field-backed extension is written pairwise, a signature one is not
+    assert json.loads((tmp_path / "old3" / "meta.json").read_text())[
+        "format"] == "pairwise"
+    old3 = load_rough_dir(str(tmp_path / "old3"))
+    new3 = load_rough_dir(str(tmp_path / "new3"))
+    ii, jj = np.triu_indices(g.n, k=1)
+    for k in (1, 2, 3):
+        assert np.abs(old3.level(k).pairs(ii, jj)
+                      - new3.level(k).pairs(ii, jj)).max() <= 1e-12
+
+
+def test_field_backed_dir_keeps_chen_defect(tmp_path):
     g = UniformGrid(1.0, 5)
     lift = brownian_lift(2, g, 3, "ito", BesovParams(0.45, 32.0, INF))
-    save_rough_dir(str(tmp_path / "rp"), lift)
+    dense = lift.level(2).to_dense().copy()
+    dense[3, 11] += 1e-3
+    faulty = RoughPath.from_fields(
+        g, lift.params, lift.base_path(),
+        [lift.level(1).materialize(), TwoParamField(g, 4, dense=dense)])
+    save_rough_dir(str(tmp_path / "rp"), faulty)
+    meta = json.loads((tmp_path / "rp" / "meta.json").read_text())
+    assert meta["format"] == "pairwise"
     back = load_rough_dir(str(tmp_path / "rp"))
-    assert back.params == lift.params
-    ii, jj = np.triu_indices(g.n, k=1)
-    for k in (1, 2):
-        assert np.abs(back.level(k).pairs(ii, jj)
-                      - lift.level(k).pairs(ii, jj)).max() < 1e-12
+    assert chen_residual(back) == chen_residual(faulty)
+    assert chen_residual(back) == pytest.approx(1e-3, rel=1e-6)
+
+
+def _edit_meta(**changes):
+    def edit(d):
+        meta = json.loads((d / "meta.json").read_text())
+        for key, value in changes.items():
+            if value is KeyError:
+                del meta[key]
+            else:
+                meta[key] = value
+        (d / "meta.json").write_text(json.dumps(meta))
+    return edit
+
+
+def _edit_level2(edit_row):
+    def edit(d):
+        lines = (d / "2.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        for r, row in enumerate(rows):
+            edit_row(r, row)
+        (d / "2.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    return edit
+
+
+def _nonzero_first_row(r, row):
+    if r == 1:
+        row[2] = "1e-9"
+
+
+def _drop_last_column(r, row):
+    row.pop()
+
+
+@pytest.mark.parametrize("corrupt", [
+    _edit_level2(_nonzero_first_row),
+    _edit_level2(_drop_last_column),
+    _edit_meta(level=4),
+    _edit_meta(horizon=2.0),
+    _edit_meta(format="dense"),
+    _edit_meta(horizon=KeyError),
+    _edit_meta(alpha=KeyError),
+    _edit_meta(alpha=float("nan")),
+    _edit_meta(p=float("inf")),
+    _edit_meta(n="2"),
+    _edit_meta(N=2.0),
+    _edit_meta(level=True),
+], ids=["first-row", "width", "level", "grid", "format", "no-horizon",
+        "no-alpha", "nan-alpha", "inf-p", "str-n", "float-N", "bool-level"])
+def test_malformed_signature_dir_exit_1(tmp_path, capsys, corrupt):
+    g = UniformGrid(1.0, 5)
+    d = tmp_path / "rp"
+    save_rough_dir(str(d), brownian_lift(2, g, 3, "ito",
+                                         BesovParams(0.45, 32.0, INF)))
+    corrupt(d)
+    code = main(["rde", "--driver", str(d), "--field", "builtin:rotation",
+                 "--y0", "1.0,0.5", "--out", str(tmp_path / "sol.csv")])
+    assert code == 1
+    assert _single_json_error(capsys)["error"] == "io"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5"], ["--n", "0"], ["--N", "5"], ["--N", "0"], ["--level", "-1"],
+    ["--level", "0"], ["--horizon", "nan"], ["--horizon", "-1"],
+    ["--flavor", "geometric"],
+])
+def test_lift_argument_errors_exit_1(tmp_path, capsys, argv):
+    code = main(["lift", "--kind", "bm", "--level", "3",
+                 "--out", str(tmp_path / "rp")] + argv)
+    assert code == 1
+    assert _single_json_error(capsys)["error"] == "io"
+    assert not (tmp_path / "rp").exists()
+
+
+@pytest.mark.parametrize("y0", ["1.0,abc", "1.0,nan", ""])
+def test_rde_bad_y0_exit_1(tmp_path, capsys, y0):
+    d = tmp_path / "rp"
+    save_rough_dir(str(d), brownian_lift(2, UniformGrid(1.0, 4), 3))
+    code = main(["rde", "--driver", str(d), "--field", "builtin:rotation",
+                 "--y0", y0, "--out", str(tmp_path / "sol.csv")])
+    assert code == 1
+    assert _single_json_error(capsys)["error"] == "io"
 
 
 def test_integrate_command(tmp_path, planar_csv):
@@ -254,6 +404,28 @@ def test_workers_flag_removed(sin_csv, capsys):
     assert _single_json_error(capsys)["error"] == "io"
 
 
+@pytest.mark.parametrize("text", [
+    '{"experiment": "bm-ynp", "p": NaN}',
+    '{"experiment": "bm-ynp", "H": Infinity}',
+    '{"experiment": "bm-ynp", "p_tuple": [8.0, -Infinity, 4.0]}',
+    '{"experiment": "bm-ynp", "samples": "30"}',
+    '{"experiment": "bm-ynp", "seed": true}',
+    '{"experiment": "bm-ynp", "level": 7.0}',
+    '{"experiment": "bm-ynp", "ns": [3, 4.5]}',
+    '{"experiment": "pprod-bdg", "coupled": 1}',
+    '{"experiment": 3}',
+    '[{"experiment": "bm-ynp"}]',
+    '5',
+])
+def test_mc_malformed_config_exit_1(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert _single_json_error(capsys)["error"] == "io"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_roundtrip():
     cfg = ExperimentConfig(experiment="pprod-bdg", samples=11,
                            lengths=[64, 128])
@@ -270,3 +442,17 @@ def test_accept_subset(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
+
+
+def test_accept_unknown_id_exit_1(capsys):
+    assert main(["accept", "--ids", "01,99"]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io"
+    assert "99" in err["message"] and "01,02" in err["message"]
+
+
+def test_accept_failing_criterion_exit_4(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [("01", "always fails", lambda: {"passed": False})])
+    assert main(["accept", "--ids", "01"]) == 4
+    assert "[FAIL] 01" in capsys.readouterr().out
