@@ -140,7 +140,7 @@ def criterion_05_vp_sandwich() -> dict:
 def criterion_06_sewing_rate() -> dict:
     grid = UniformGrid(1.0, 12)
     s = GridPath(grid, np.sin(grid.times()))
-    germ = product_germ(s, s, mode="lazy")
+    germ = product_germ(s, s)
     result = sew(SewingInput(germ=germ, gamma=2.0, p2=INF, q2=INF),
                  diagnostics=True)
     cert = rate_certificate(result, n_range=(3, 10))
@@ -185,7 +185,7 @@ def criterion_09_chen_exactness() -> dict:
         ),
     }
     lift = canonical_lift(smooth, 2)
-    dense = lift.level(2).materialize().to_dense().copy()
+    dense = lift.level(2).to_dense()
     dense[256, 512, 0] += 1e-3
     corrupted = RoughPath.from_fields(
         grid, lift.params, lift.base_path(),

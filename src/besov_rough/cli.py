@@ -27,6 +27,7 @@ from .grid import (
     UniformGrid,
     load_germ_csv,
     load_path_csv,
+    save_field_csv,
     save_path_csv,
 )
 from .norms import (
@@ -186,9 +187,20 @@ def _field_from_spec(spec: str, m: int, n: int) -> VectorField:
         raise GridFormatError(f"unknown builtin field {name!r}")
     with open(spec) as fh:
         data = json.load(fh)
-    if data.get("kind") != "linear":
-        raise GridFormatError("coeffs.json must carry kind='linear' and matrices")
-    return linear_field([np.asarray(a, dtype=float) for a in data["matrices"]])
+    linear = isinstance(data, dict) and data.get("kind") == "linear"
+    mats = data.get("matrices") if linear else None
+    ok = _has_type(mats, list[list[list[float]]]) and mats
+    size = len(mats[0]) if ok else 0
+    if size == 0 or any(len(a) != size or any(len(row) != size for row in a)
+                        for a in mats):
+        raise GridFormatError(
+            f"{spec}: coeffs.json must carry kind='linear' and 'matrices', a"
+            " nonempty list of square matrices of one size with finite entries")
+    if len(mats) != n or size != m:
+        raise RegimeError(
+            f"{spec}: need {n} matrices of size {m}x{m} for a {m}-d state and"
+            f" {n}-d driver, got {len(mats)} of size {size}")
+    return linear_field([np.asarray(a, dtype=float) for a in mats])
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +243,7 @@ def save_rough_dir(path: str, X: RoughPath) -> None:
             save_path_csv(os.path.join(path, f"{k}.csv"), GridPath(X.grid, rows))
         return
     for k in range(1, X.depth + 1):
-        fieldk = X.level(k)
-        with open(os.path.join(path, f"{k}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j"] + [f"c{c}" for c in range(X.n**k)])
-            for off in range(1, nn):
-                band = fieldk.band(off)
-                for i in range(nn - off):
-                    writer.writerow([i, i + off]
-                                    + [repr(float(v)) for v in band[i]])
+        save_field_csv(os.path.join(path, f"{k}.csv"), X.level(k))
 
 
 def _read_meta(path: str) -> dict:

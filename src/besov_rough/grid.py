@@ -26,12 +26,6 @@ __all__ = [
     "GridFormatError",
 ]
 
-# Dense storage is mandatory below this level (see TwoParamField.auto_mode);
-# lazily evaluated germ closures take over on finer grids to avoid O(n^2)
-# memory.
-EAGER_LEVEL_LIMIT = 12
-
-
 class GridFormatError(ValueError):
     """Malformed path/germ input (non-dyadic times, bad shape, bad header)."""
 
@@ -146,14 +140,13 @@ def _check_same(a, b):
 class TwoParamField:
     """Two-parameter array A[i][j] in R^m on grid pairs i <= j.
 
-    Two storage modes that agree entrywise:
-
-    * eager -- a dense (n, n, m) array (entries below the diagonal ignored),
-    * lazy  -- a vectorized germ closure ``germ(ii, jj) -> (len, m)`` evaluated
-      on demand, which keeps O(n) memory for fine grids.
-
-    ``auto`` mode materializes eagerly below level 12 and stays lazy above.
-    Band access (all entries A[i, i+k]) is the workhorse for every norm.
+    The field is a vectorized germ ``germ(ii, jj) -> (len, m)``, evaluated
+    on demand, so fine grids keep O(n) memory.  Array data enters through
+    ``dense=``, an (n, n, m) array read at the requested pairs (entries
+    below the diagonal are never read).  The diagonal is whatever the germ
+    gives there: zero for increment-type germs, the stored diagonal for
+    array data.  Band access (all entries A[i, i+k]) is the workhorse for
+    every norm.
     """
 
     def __init__(
@@ -165,9 +158,6 @@ class TwoParamField:
     ):
         if (dense is None) == (germ is None):
             raise ValueError("exactly one of dense/germ must be given")
-        self.grid = grid
-        self.dim = dim
-        self._germ = germ
         if dense is not None:
             dense = np.asarray(dense, dtype=np.float64)
             if dense.ndim == 2:
@@ -177,54 +167,24 @@ class TwoParamField:
                     f"dense must have shape ({grid.n}, {grid.n}, {dim}),"
                     f" got {dense.shape}"
                 )
-        self._dense = dense
 
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def from_germ(
-        cls,
-        grid: UniformGrid,
-        dim: int,
-        germ: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        mode: str = "auto",
-    ) -> "TwoParamField":
-        field = cls(grid, dim, germ=germ)
-        if mode == "eager" or (mode == "auto" and grid.level < EAGER_LEVEL_LIMIT):
-            return field.materialize()
-        if mode not in ("auto", "lazy"):
-            raise ValueError(f"unknown mode {mode!r}")
-        return field
+            def germ(ii, jj):
+                return dense[ii, jj]
 
-    @property
-    def is_lazy(self) -> bool:
-        return self._dense is None
+        self.grid = grid
+        self.dim = dim
+        self._germ = germ
 
     def materialize(self) -> "TwoParamField":
-        """Eager copy; agrees entrywise with the lazy evaluator."""
-        if self._dense is not None:
-            return self
-        n = self.grid.n
-        dense = np.zeros((n, n, self.dim))
-        for k in range(1, n):
-            idx = np.arange(n - k)
-            dense[idx, idx + k] = self._germ(idx, idx + k)
-        return TwoParamField(self.grid, self.dim, dense=dense)
+        """Array-backed copy; agrees entrywise with this field."""
+        return TwoParamField(self.grid, self.dim, dense=self.to_dense())
 
     # -- access ------------------------------------------------------------
     def band(self, k: int) -> np.ndarray:
-        """All entries A[i, i+k] for i = 0..n-1-k, shape (n-k, m).
-
-        The zero band is the stored diagonal in dense mode and zero for
-        germ-backed fields (increment-type germs vanish on the diagonal).
-        """
+        """All entries A[i, i+k] for i = 0..n-1-k, shape (n-k, m)."""
         n = self.grid.n
         if not 0 <= k < n:
             raise IndexError(f"band offset {k} out of range for n={n}")
-        if k == 0 and self._dense is None:
-            return np.zeros((n, self.dim))
-        if self._dense is not None:
-            idx = np.arange(n - k)
-            return self._dense[idx, idx + k]
         idx = np.arange(n - k)
         return np.asarray(self._germ(idx, idx + k), dtype=np.float64).reshape(
             n - k, self.dim
@@ -236,15 +196,9 @@ class TwoParamField:
         jj = np.asarray(jj, dtype=np.intp)
         if np.any(ii > jj):
             raise IndexError("pairs requires ii <= jj")
-        if self._dense is not None:
-            return self._dense[ii, jj]
-        out = np.asarray(self._germ(ii, jj), dtype=np.float64).reshape(
+        return np.asarray(self._germ(ii, jj), dtype=np.float64).reshape(
             len(ii), self.dim
         )
-        if np.any(ii == jj):
-            out = out.copy()
-            out[ii == jj] = 0.0
-        return out
 
     def at(self, i: int, j: int) -> np.ndarray:
         return self.pairs(np.array([i]), np.array([j]))[0]
@@ -269,17 +223,20 @@ class TwoParamField:
         return top - left - right
 
     def to_dense(self) -> np.ndarray:
-        return self.materialize()._dense
+        """(n, n, m) array of the entries on and above the diagonal, zero
+        below it."""
+        n = self.grid.n
+        dense = np.zeros((n, n, self.dim))
+        for k in range(n):
+            idx = np.arange(n - k)
+            dense[idx, idx + k] = self.band(k)
+        return dense
 
     def restrict(self, i0: int, i1: int) -> "TwoParamField":
         span = i1 - i0
         if span <= 0 or span & (span - 1):
             raise ValueError(f"restriction span {span} is not a power of two")
         sub = UniformGrid(span * self.grid.mesh, span.bit_length() - 1)
-        if self._dense is not None:
-            return TwoParamField(
-                sub, self.dim, dense=self._dense[i0 : i1 + 1, i0 : i1 + 1]
-            )
         germ = self._germ
         return TwoParamField(
             sub, self.dim, germ=lambda ii, jj: germ(ii + i0, jj + i0)
@@ -290,10 +247,6 @@ class TwoParamField:
         if isinstance(other, TwoParamField):
             if other.grid != self.grid or other.dim != self.dim:
                 raise ValueError("field mismatch")
-            if self._dense is not None and other._dense is not None:
-                return TwoParamField(
-                    self.grid, self.dim, dense=f(self._dense, other._dense)
-                )
             a, b = self, other
             return TwoParamField(
                 self.grid,
@@ -310,25 +263,20 @@ class TwoParamField:
 
     def __mul__(self, scalar):
         c = float(scalar)
-        if self._dense is not None:
-            return TwoParamField(self.grid, self.dim, dense=self._dense * c)
         germ = self._germ
         return TwoParamField(self.grid, self.dim, germ=lambda ii, jj: c * germ(ii, jj))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        mode = "lazy" if self.is_lazy else "eager"
-        return (
-            f"TwoParamField(level={self.grid.level}, m={self.dim}, {mode})"
-        )
+        return f"TwoParamField(level={self.grid.level}, m={self.dim})"
 
 
-def delta(path: GridPath, mode: str = "auto") -> TwoParamField:
+def delta(path: GridPath) -> TwoParamField:
     """Increment field of a path: result[i][j] = f_j - f_i."""
     values = path.values
-    return TwoParamField.from_germ(
-        path.grid, path.dim, lambda ii, jj: values[jj] - values[ii], mode=mode
+    return TwoParamField(
+        path.grid, path.dim, germ=lambda ii, jj: values[jj] - values[ii]
     )
 
 
@@ -399,11 +347,13 @@ def save_path_csv(path, grid_path: GridPath) -> None:
 def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
     """Read an upper-triangular germ from CSV rows ``i,j,v0,...``.
 
-    Missing pairs default to zero; the node count is inferred from the largest
-    index and must be 2^L + 1.  Every value must be finite.  Only the first
-    line may be a header (starting with ``i``).
+    Missing pairs default to zero; the node count n is inferred from the
+    largest index and must be 2^L + 1, and the file must hold at least n - 1
+    rows, so memory stays in proportion to the file.  A pair may appear only
+    once and every value must be finite.  Only the first line may be a header
+    (starting with ``i``).
     """
-    entries = []
+    keys, rows = [], []
     max_idx = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -419,25 +369,43 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
                 raise GridFormatError(f"{path}:{lineno}: need 0 <= i <= j")
             if not vals:
                 raise GridFormatError(f"{path}:{lineno}: missing values")
-            entries.append((i, j, vals))
+            if rows and len(vals) != len(rows[0]):
+                raise GridFormatError(
+                    f"{path}:{lineno}: inconsistent value dimension")
+            keys.append((i, j))
+            rows.append(vals)
             max_idx = max(max_idx, j)
-    if not entries:
+    if not rows:
         raise GridFormatError(f"{path}: no germ rows")
     level = max_idx.bit_length() - 1
-    if max_idx != 1 << level:
+    if max_idx < 1 or max_idx != 1 << level:
         raise GridFormatError(f"{path}: max index {max_idx} is not a power of two")
-    m = len(entries[0][2])
-    grid = UniformGrid(horizon, level)
-    dense = np.zeros((grid.n, grid.n, m))
-    for i, j, vals in entries:
-        if len(vals) != m:
-            raise GridFormatError(f"{path}: inconsistent value dimension")
-        dense[i, j] = vals
-    bad = np.argwhere(~np.isfinite(dense))
+    if max_idx > len(rows):
+        raise GridFormatError(
+            f"{path}: max index {max_idx} needs at least {max_idx} rows,"
+            f" got {len(rows)}")
+    n = max_idx + 1
+    flat = np.array([i * n + j for i, j in keys], dtype=np.int64)
+    order = np.argsort(flat, kind="stable")
+    flat, values = flat[order], np.array(rows)[order]
+    dup = np.flatnonzero(flat[1:] == flat[:-1])
+    if len(dup):
+        i, j = divmod(int(flat[dup[0]]), n)
+        raise GridFormatError(f"{path}: pair ({i}, {j}) given twice")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if len(bad):
-        i, j = bad[0, :2]
+        i, j = divmod(int(flat[bad[0]]), n)
         raise GridFormatError(f"{path}: non-finite value at pair ({i}, {j})")
-    return TwoParamField(grid, m, dense=dense)
+    grid = UniformGrid(horizon, level)
+    m = values.shape[1]
+
+    def germ(ii, jj):
+        want = ii * n + jj
+        pos = np.minimum(np.searchsorted(flat, want), len(flat) - 1)
+        hit = flat[pos] == want
+        return np.where(hit[:, None], values[pos], 0.0)
+
+    return TwoParamField(grid, m, germ=germ)
 
 
 def save_field_csv(path, field: TwoParamField) -> None:

@@ -270,19 +270,25 @@ def besov_metric(f: GridPath, g: GridPath, alpha: float, p: float, q: float) -> 
     """Complete-metric distance on B^alpha_pq, split by the (p, q) cases."""
     _check_same_shape(f, g)
     diff = f - g
-    base = lp_norm(diff, p)
     ratios = _dyadic_ratio_profile(diff, p, lambda tau: tau**alpha)
+    return _metric_sum(ratios, p, q, base=lp_norm(diff, p))
+
+
+def _metric_sum(ratios: np.ndarray, p: float, q: float, base: float = 0.0
+                ) -> float:
+    """The (p, q) case split of the complete metrics: base^min(1, p) plus the
+    log-weighted ell^q sum of the ratios raised to min(1, p, q).
+
+    Each case keeps its own arithmetic (the sum of ratios^q is not rooted
+    and re-raised), so the reported values stay bit-stable.
+    """
     if p >= 1 and q >= 1:
         return base + _q_sum(ratios, q, log_weight=True)
-    integral = float(math.log(2.0) * np.sum(ratios**q)) if q != INF else float(
-        ratios.max()
-    )
-    if q <= p < 1:
-        return base**p + integral
-    if q < 1 <= p:
-        return base + integral
-    # 0 < p < 1 and q > p
-    return base**p + integral ** (p / q)
+    head = base if p >= 1 else base**p
+    if q == INF:  # here p < 1: the ell^inf sum is the max, to the power p
+        return head + _q_sum(ratios, q, log_weight=True) ** p
+    integral = float(math.log(2.0) * np.sum(ratios**q))
+    return head + (integral if q <= p else integral ** (p / q))
 
 
 def _check_same_shape(f, g):
@@ -313,18 +319,10 @@ def two_param_norm(
 def two_param_metric(
     A: TwoParamField, B: TwoParamField, gamma: float, p: float, q: float, modulus=None
 ) -> float:
-    """Complete-metric distance on the two-parameter space (three cases)."""
-    diff = A - B
-    if p >= 1 and q >= 1:
-        return two_param_norm(diff, gamma, p, q, modulus=modulus)
-    denom = (lambda tau: tau**gamma) if modulus is None else modulus
-    ratios = _dyadic_ratio_profile(diff, p, denom)
-    integral = float(math.log(2.0) * np.sum(ratios**q)) if q != INF else float(
-        ratios.max()
-    )
-    if q < 1 and q <= p:
-        return integral
-    return integral ** (p / q)
+    """Complete-metric distance on the two-parameter space, split by the
+    (p, q) cases as in `besov_metric` with no L^p term."""
+    denom = _power_denominator(gamma, modulus)
+    return _metric_sum(_dyadic_ratio_profile(A - B, p, denom), p, q)
 
 
 def delta2_norm(

@@ -243,7 +243,7 @@ class RoughPath:
         return out
 
     def level(self, k: int) -> TwoParamField:
-        """Level-k component as a lazy TwoParamField with n^k entries."""
+        """Level-k component as a TwoParamField with n^k entries."""
         if not 1 <= k <= self.depth:
             raise IndexError(f"level {k} outside 1..{self.depth}")
         if self._fields is not None:

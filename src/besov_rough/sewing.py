@@ -146,7 +146,7 @@ def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
     """Compensated-sum field over the dyadic partition P_n.
 
     Defined on pairs (i, j) whose index difference is divisible by 2^n (so
-    all partition points are grid nodes); other pairs raise.  Always lazy.
+    all partition points are grid nodes); other pairs raise.
     """
     if n < 0:
         raise ValueError("partition level must be nonnegative")

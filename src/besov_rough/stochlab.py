@@ -89,16 +89,16 @@ def paraproduct(F, g: DiscreteMartingale) -> TwoParamField:
     """
     grid = g.grid()
     if isinstance(F, GridPath):
-        F = delta(F, mode="eager")
+        F = delta(F)
     if F.grid != grid:
         raise ValueError("F must live on the martingale's embedded grid")
-    dense = F.to_dense()  # (J+1, J+1, m)
+    dense = F.to_dense()  # (J+1, J+1, m), zero below the diagonal
     dg = g.increments
     weighted = dense[:, :-1, :] * dg[None, :, None]
     csum = np.concatenate(
         [np.zeros((grid.n, 1, F.dim)), np.cumsum(weighted, axis=1)], axis=1
     )
-    # Pi[s, t] = sum_{j < t} F[s, j] dg_j, and F[s, j] = 0 below the diagonal
+    # Pi[s, t] = sum_{j < t} F[s, j] dg_j
     return TwoParamField(grid, F.dim, dense=csum)
 
 
@@ -106,8 +106,11 @@ def square_function(g: DiscreteMartingale) -> TwoParamField:
     """S_{s,t} = (sum_{s < j <= t} dg_j^2)^{1/2}."""
     grid = g.grid()
     quad = np.concatenate([[0.0], np.cumsum(g.increments**2)])
-    dense = np.sqrt(np.maximum(quad[None, :] - quad[:, None], 0.0))
-    return TwoParamField(grid, 1, dense=dense[:, :, None])
+
+    def germ(ii, jj):
+        return np.sqrt(np.maximum(quad[jj] - quad[ii], 0.0))[:, None]
+
+    return TwoParamField(grid, 1, germ=germ)
 
 
 def gaussian_abs_moment(p: float, dim: int = 1) -> float:

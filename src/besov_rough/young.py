@@ -237,7 +237,7 @@ class YoungIntegralResult:
         return self.sewing.input.endpoint
 
 
-def product_germ(f: GridPath, g: GridPath, mode: str = "lazy") -> TwoParamField:
+def product_germ(f: GridPath, g: GridPath) -> TwoParamField:
     """Left-point germ f_s (g_t - g_s), one component per (i, j) pair of
     coordinates of f and g."""
     if f.grid != g.grid:
@@ -248,7 +248,7 @@ def product_germ(f: GridPath, g: GridPath, mode: str = "lazy") -> TwoParamField:
     def germ(ii, jj):
         return np.einsum("ka,kb->kab", fv[ii], gv[jj] - gv[ii]).reshape(len(ii), dim)
 
-    return TwoParamField.from_germ(f.grid, dim, germ, mode=mode)
+    return TwoParamField(f.grid, dim, germ=germ)
 
 
 def young_integral(
@@ -260,7 +260,7 @@ def young_integral(
     (delta I) - f dg, against the omega modulus in the critical case.
     """
     regime.case  # validates
-    germ = product_germ(f, g, mode="lazy")
+    germ = product_germ(f, g)
     result = sew(regime.sewing_input(germ), diagnostics=diagnostics)
     return YoungIntegralResult(
         integral=result.integral,

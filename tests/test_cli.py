@@ -334,6 +334,74 @@ def test_rde_bad_y0_exit_1(tmp_path, capsys, y0):
     assert _single_json_error(capsys)["error"] == "io"
 
 
+ROTATION = [[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]
+
+
+def _rde_with_coeffs(tmp_path, text, y0="1.0,0.5"):
+    d = tmp_path / "rp"
+    save_rough_dir(str(d), brownian_lift(2, UniformGrid(1.0, 4), 3))
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(text)
+    out = tmp_path / "sol.csv"
+    code = main(["rde", "--driver", str(d), "--field", str(coeffs),
+                 "--y0", y0, "--out", str(out)])
+    return code, out
+
+
+def test_rde_coeffs_file_matches_builtin(tmp_path, capsys):
+    code, out = _rde_with_coeffs(
+        tmp_path, json.dumps({"kind": "linear", "matrices": ROTATION}))
+    assert code == 0
+    ref = tmp_path / "ref.csv"
+    assert main(["rde", "--driver", str(tmp_path / "rp"), "--field",
+                 "builtin:rotation", "--y0", "1.0,0.5", "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"kind": "linear"}',
+    '{"kind": "quadratic", "matrices": %s}' % json.dumps(ROTATION),
+    '{"kind": "linear", "matrices": "abc"}',
+    '{"kind": "linear", "matrices": []}',
+    '{"kind": "linear", "matrices": ["abc", "def"]}',
+    '{"kind": "linear", "matrices": [[[0, -1], ["1", 0]], [[1, 0], [0, -1]]]}',
+    '{"kind": "linear", "matrices": [[[0, -1], [1]], [[1, 0], [0, -1]]]}',
+    '{"kind": "linear", "matrices": [[[0, -1, 0], [1, 0, 0]], [[1, 0], [0, -1]]]}',
+    '{"kind": "linear", "matrices": [[[NaN, -1], [1, 0]], [[1, 0], [0, -1]]]}',
+    '{"kind": "linear", "matrices": [[[0, -1], [1, 0]], [[1]]]}',
+], ids=["list", "no-matrices", "kind", "str-matrices", "empty", "str-entry",
+        "str-number", "ragged", "non-square", "nan", "mixed-sizes"])
+def test_rde_malformed_coeffs_exit_1(tmp_path, capsys, text):
+    code, out = _rde_with_coeffs(tmp_path, text)
+    assert code == 1
+    assert _single_json_error(capsys)["error"] == "io"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("matrices, y0", [
+    (ROTATION + [[[1.0, 0.0], [0.0, 1.0]]], "1.0,0.5"),
+    ([[[1.0]], [[2.0]]], "1.0,0.5"),
+    (ROTATION, "1.0,0.5,2.0"),
+], ids=["three-channels", "one-by-one", "state-dim"])
+def test_rde_coeffs_dimension_mismatch_exit_2(tmp_path, capsys, matrices, y0):
+    code, out = _rde_with_coeffs(
+        tmp_path, json.dumps({"kind": "linear", "matrices": matrices}), y0)
+    assert code == 2
+    assert _single_json_error(capsys)["error"] == "regime"
+    assert not out.exists()
+
+
+def test_sew_far_index_germ_exit_1(tmp_path, capsys):
+    # an 18-byte germ file naming node 4096 is rejected before any allocation
+    germ = tmp_path / "far.csv"
+    germ.write_text("i,j,v0\n0,4096,1.0\n")
+    code = main(["sew", "--germ", str(germ), "--gamma", "2", "--p2", "inf",
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "4096 rows" in _single_json_error(capsys)["message"]
+
+
 def test_integrate_command(tmp_path, planar_csv):
     rp = tmp_path / "rp"
     main(["lift", "--kind", "canonical", "--flavor", "geometric", "--input",

@@ -76,8 +76,8 @@ def test_delta2_product_germ_identity():
     g = UniformGrid(1.0, 4)
     fv = rng.standard_normal(g.n)
     gv = rng.standard_normal(g.n)
-    A = TwoParamField.from_germ(
-        g, 1, lambda ii, jj: (fv[ii] * (gv[jj] - gv[ii]))[:, None]
+    A = TwoParamField(
+        g, 1, germ=lambda ii, jj: (fv[ii] * (gv[jj] - gv[ii]))[:, None]
     )
     for (i, u, j) in [(0, 3, 9), (2, 5, 16), (1, 1, 4)]:
         expected = -(fv[u] - fv[i]) * (gv[j] - gv[u])
@@ -92,24 +92,18 @@ def test_delta2_index_order_rejected():
 
 
 def test_lazy_eager_agree():
+    # a germ and its array-backed materialize() copy agree entrywise
     rng = np.random.default_rng(1)
     g = UniformGrid(1.0, 5)
     fv = rng.standard_normal((g.n, 2))
     f = GridPath(g, fv)
-    lazy = delta(f, mode="lazy")
-    eager = delta(f, mode="eager")
-    assert lazy.is_lazy and not eager.is_lazy
-    for k in (1, 7, g.n - 1):
+    lazy = delta(f)
+    eager = lazy.materialize()
+    for k in (0, 1, 7, g.n - 1):
         assert np.array_equal(lazy.band(k), eager.band(k))
     ii = np.array([0, 3, 5])
     jj = np.array([4, 3, 30])
     assert np.array_equal(lazy.pairs(ii, jj), eager.pairs(ii, jj))
-
-
-def test_auto_mode_eager_below_level_12():
-    g = UniformGrid(1.0, 5)
-    f = GridPath(g, np.sin(g.times()))
-    assert not delta(f).is_lazy  # materialized on coarse grids
 
 
 def test_field_restrict_matches():
@@ -175,3 +169,29 @@ def test_germ_csv_roundtrip(tmp_path):
     back = load_germ_csv(p)
     assert back.grid.level == 3
     assert np.allclose(back.to_dense(), A.to_dense())
+
+
+def test_germ_csv_sparse_rows(tmp_path):
+    # missing pairs read as zero; a stored diagonal entry is kept
+    p = tmp_path / "germ.csv"
+    p.write_text("i,j,c0\n0,4,2.5\n1,1,-1.0\n2,3,0.5\n3,4,1.5\n")
+    A = load_germ_csv(p)
+    assert A.grid.level == 2
+    assert np.array_equal(A.band(0)[:, 0], [0.0, -1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(A.band(1)[:, 0], [0.0, 0.0, 0.5, 1.5])
+    assert np.array_equal(A.band(4)[:, 0], [2.5])
+    assert np.array_equal(A.pairs([0, 2, 1], [2, 3, 1])[:, 0], [0.0, 0.5, -1.0])
+
+
+@pytest.mark.parametrize("text, match", [
+    # 18 bytes naming node 4096: a level-12 grid would need 4096 rows
+    ("i,j,v0\n0,4096,1.0\n", "needs at least 4096 rows, got 1"),
+    ("i,j,v0\n0,1,1.0\n1,2,2.0\n0,2,3.0\n1,2,2.0\n",
+     r"pair \(1, 2\) given twice"),
+    ("i,j,v0\n0,0,1.0\n", "max index 0 is not a power of two"),
+], ids=["far-index", "duplicate", "diagonal-only"])
+def test_germ_csv_rejects(tmp_path, text, match):
+    p = tmp_path / "germ.csv"
+    p.write_text(text)
+    with pytest.raises(GridFormatError, match=match):
+        load_germ_csv(p)

@@ -20,8 +20,10 @@ from besov_rough.norms import (
     holder_seminorm,
     interpolation_check,
     lp_modulus,
+    lp_norm,
     oscillation_variation,
     pvariation,
+    two_param_metric,
     two_param_norm,
 )
 from besov_rough.signals import (
@@ -194,11 +196,28 @@ def test_metric_zero_and_symmetry():
     rng = rng_for(4, "metric")
     f = GridPath(GRID, rng.standard_normal(GRID.n))
     g = GridPath(GRID, rng.standard_normal(GRID.n))
-    for (p, q) in [(2.0, 2.0), (0.7, 0.5), (2.0, 0.5), (0.5, 2.0)]:
+    for (p, q) in [(2.0, 2.0), (0.7, 0.5), (2.0, 0.5), (0.5, 2.0), (0.5, INF),
+                   (2.0, INF)]:
         assert besov_metric(f, f, 0.4, p, q) == 0.0
         assert besov_metric(f, g, 0.4, p, q) == pytest.approx(
             besov_metric(g, f, 0.4, p, q)
         )
+
+
+def test_metric_q_inf_below_p_one():
+    # p < 1, q = inf: the ratio term is (max ratio)^p, zero for equal inputs
+    rng = rng_for(4, "metric")
+    f = GridPath(GRID, rng.standard_normal(GRID.n))
+    g = GridPath(GRID, rng.standard_normal(GRID.n))
+    A, B = delta(f), delta(g)
+    assert two_param_metric(A, A, 0.4, 0.5, INF) == 0.0
+    ratio_max = two_param_norm(A - B, 0.4, 0.5, INF)
+    assert two_param_metric(A, B, 0.4, 0.5, INF) == ratio_max**0.5
+    diff = f - g
+    assert besov_metric(f, g, 0.4, 0.5, INF) == (
+        lp_norm(diff, 0.5) ** 0.5
+        + besov_seminorm(diff, 0.4, 0.5, INF, form="integral") ** 0.5
+    )
 
 
 def test_metric_heaviside_brute_force():
@@ -234,8 +253,8 @@ def test_two_param_of_increment_matches_integral_form():
 def test_two_param_power_field():
     g = GRID
     tt = g.times()
-    A = TwoParamField.from_germ(
-        g, 1, lambda ii, jj: ((tt[jj] - tt[ii]) ** 2)[:, None]
+    A = TwoParamField(
+        g, 1, germ=lambda ii, jj: ((tt[jj] - tt[ii]) ** 2)[:, None]
     )
     assert two_param_norm(A, 2.0, INF, INF) == pytest.approx(1.0)
     assert two_param_norm(delta(_const()), 1.0, 2.0, 2.0) == 0.0
@@ -246,8 +265,8 @@ def test_delta2_norm_of_product_germ():
     f = smooth_random(GRID, rng)
     g2 = smooth_random(GRID, rng)
     fv, gv = f.values[:, 0], g2.values[:, 0]
-    A = TwoParamField.from_germ(
-        GRID, 1, lambda ii, jj: (fv[ii] * (gv[jj] - gv[ii]))[:, None]
+    A = TwoParamField(
+        GRID, 1, germ=lambda ii, jj: (fv[ii] * (gv[jj] - gv[ii]))[:, None]
     )
     val = delta2_norm(A, 2.0, INF, INF)
     assert 0 < val < math.inf
@@ -378,7 +397,7 @@ def test_interpolation_check_stable():
     for level in (8, 10, 12):
         g = UniformGrid(1.0, level)
         f = pw_linear_random(g, rng_for(12, "interp"), dim=1)
-        A = delta(f, mode="lazy")
+        A = delta(f)
         reports[level] = interpolation_check(
             A, alpha=0.35, gamma=0.45, p=2.0, r=4.0, q=2.0, delta=0.3
         )

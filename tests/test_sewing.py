@@ -22,7 +22,7 @@ GRID = UniformGrid(1.0, 10)
 
 def _young_germ(grid=GRID, f=np.sin, g=np.sin):
     t = grid.times()
-    return product_germ(GridPath(grid, f(t)), GridPath(grid, g(t)), mode="lazy")
+    return product_germ(GridPath(grid, f(t)), GridPath(grid, g(t)))
 
 
 def test_input_validation():
@@ -44,7 +44,7 @@ def test_dyadic_riemann_trivial_partition():
 
 def test_dyadic_riemann_telescopes_on_increments():
     f = smooth_random(GRID, rng_for(0, "sew"))
-    A = delta(f, mode="lazy")
+    A = delta(f)
     for n in (1, 3):
         rs = dyadic_riemann(A, n)
         step = 1 << n
@@ -58,7 +58,7 @@ def test_dyadic_riemann_telescopes_on_increments():
 def test_dyadic_riemann_left_sum_converges():
     # f = g = t: I_P A over (0, T) tends to the left Riemann sum of t dt
     t = GRID.times()
-    germ = product_germ(GridPath(GRID, t), GridPath(GRID, t), mode="lazy")
+    germ = product_germ(GridPath(GRID, t), GridPath(GRID, t))
     full = np.array([0]), np.array([GRID.n - 1])
     vals = [
         dyadic_riemann(germ, n).pairs(*full)[0, 0] for n in (2, 5, GRID.level)
@@ -70,7 +70,7 @@ def test_dyadic_riemann_left_sum_converges():
 
 def test_sew_increment_germ_is_exact():
     f = smooth_random(GRID, rng_for(1, "sew"))
-    result = sew(SewingInput(germ=delta(f, mode="lazy"), gamma=2.0, p2=INF,
+    result = sew(SewingInput(germ=delta(f), gamma=2.0, p2=INF,
                              q2=INF))
     expected = f.values - f.values[0]
     assert np.allclose(result.integral.values, expected, atol=1e-13)
@@ -103,7 +103,7 @@ def test_remainder_bound_against_delta2():
     rng = rng_for(2, "sew")
     f = smooth_random(GRID, rng)
     g = smooth_random(GRID, rng)
-    germ = product_germ(f, g, mode="lazy")
+    germ = product_germ(f, g)
     result = sew(SewingInput(germ=germ, gamma=2.0, p2=INF, q2=INF),
                  diagnostics=False)
     lhs = two_param_norm(result.remainder, 2.0, INF, INF)
@@ -116,7 +116,7 @@ def test_sew_idempotent():
     first = sew(SewingInput(germ=germ, gamma=2.0, p2=INF, q2=INF),
                 diagnostics=False)
     again = sew(
-        SewingInput(germ=delta(first.integral, mode="lazy"), gamma=2.0,
+        SewingInput(germ=delta(first.integral), gamma=2.0,
                     p2=INF, q2=INF),
         diagnostics=False,
     )
@@ -128,8 +128,8 @@ def test_sew_linear():
     rng = rng_for(3, "sew")
     f1, g1 = smooth_random(GRID, rng), smooth_random(GRID, rng)
     f2, g2 = smooth_random(GRID, rng), smooth_random(GRID, rng)
-    A = product_germ(f1, g1, mode="lazy")
-    B = product_germ(f2, g2, mode="lazy")
+    A = product_germ(f1, g1)
+    B = product_germ(f2, g2)
     combo = A * 2.0 + B * (-0.5)
     direct = sew(SewingInput(germ=combo, gamma=2.0, p2=INF, q2=INF),
                  diagnostics=False).integral.values
@@ -145,14 +145,13 @@ def test_sew_linear():
 def test_refinement_consistency():
     fine = UniformGrid(1.0, 12)
     t = fine.times()
-    germ_fine = product_germ(GridPath(fine, np.sin(t)), GridPath(fine, np.sin(t)),
-                             mode="lazy")
+    germ_fine = product_germ(GridPath(fine, np.sin(t)), GridPath(fine, np.sin(t)))
     res_fine = sew(SewingInput(germ=germ_fine, gamma=2.0, p2=INF, q2=INF),
                    diagnostics=False)
     coarse = UniformGrid(1.0, 10)
     tc = coarse.times()
     germ_coarse = product_germ(GridPath(coarse, np.sin(tc)),
-                               GridPath(coarse, np.sin(tc)), mode="lazy")
+                               GridPath(coarse, np.sin(tc)))
     res_coarse = sew(SewingInput(germ=germ_coarse, gamma=2.0, p2=INF, q2=INF),
                      diagnostics=False)
     diff = np.abs(res_fine.integral.subsample(2).values
@@ -195,7 +194,7 @@ def test_endpoint_sew_bounded():
     t = GRID.times()
     h = heaviside(GRID)
     g = GridPath(GRID, np.sin(2 * t))
-    germ = product_germ(h, g, mode="lazy")
+    germ = product_germ(h, g)
     inp = SewingInput(germ=germ, gamma=1.0, p2=2.0, q2=1.0, endpoint=True)
     result = sew(inp)
     assert result.remainder_norm < math.inf
@@ -206,9 +205,7 @@ def test_endpoint_sew_bounded():
 
 
 def test_small_oscillation_zero_field():
-    zero = TwoParamField.from_germ(
-        GRID, 1, lambda ii, jj: np.zeros((len(ii), 1)), mode="lazy"
-    )
+    zero = TwoParamField(GRID, 1, germ=lambda ii, jj: np.zeros((len(ii), 1)))
     osc = small_oscillation_check(zero, 2.0)
     assert all(v == 0.0 for v in osc["profile"])
 

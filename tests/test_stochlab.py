@@ -52,7 +52,7 @@ def test_bad_kind_rejected():
 
 def test_paraproduct_constant_martingale():
     g = DiscreteMartingale(np.zeros(65), "gaussian")
-    F = delta(_mart().as_path(), mode="eager")
+    F = delta(_mart().as_path())
     pi = paraproduct(F, g)
     assert np.abs(pi.to_dense()).max() == 0.0
 
