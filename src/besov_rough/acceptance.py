@@ -76,7 +76,7 @@ def criterion_02_norm_form_equivalence() -> dict:
             worst = 1.0
             for k in range(50):
                 rng = rng_for(SEED, f"equiv-cell{ci}", k)
-                lo = (0.0 if p == INF else 1.0 / p) + 0.05
+                lo = 1.0 / p + 0.05
                 alpha = lo + (0.95 - lo) * rng.random()
                 f = pw_linear_random(grid, rng, breaks_level=4)
                 dy = besov_seminorm(f, alpha, p, q, form="dyadic")
@@ -188,7 +188,7 @@ def criterion_09_chen_exactness() -> dict:
     dense = lift.level(2).to_dense()
     dense[256, 512, 0] += 1e-3
     corrupted = RoughPath.from_fields(
-        grid, lift.params, lift.base_path(),
+        grid, lift.params,
         [lift.level(1).materialize(), TwoParamField(grid, 4, dense=dense)],
     )
     fault = chen_residual(corrupted)

@@ -312,12 +312,7 @@ def load_rough_dir(path: str) -> RoughPath:
         if fieldk.grid != grid or fieldk.dim != n**k:
             raise GridFormatError(f"{fname}: level shape mismatch")
         levels.append(fieldk)
-    base_vals = np.vstack(
-        [np.zeros((1, n)), levels[0].pairs(np.zeros(grid.n - 1, dtype=int),
-                                           np.arange(1, grid.n))]
-    )
-    base = GridPath(grid, base_vals)
-    return RoughPath.from_fields(grid, params, base, levels)
+    return RoughPath.from_fields(grid, params, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +358,17 @@ def _cmd_sew(args) -> int:
     inp = SewingInput(germ=germ, gamma=args.gamma, p2=args.p2, q2=args.q2,
                       endpoint=args.endpoint)
     result = sew(inp, diagnostics=True)
-    cert = rate_certificate(result)
+    try:
+        slope = rate_certificate(result)["slope"]
+    except ValueError:  # fewer than two diagnostic levels carry a rate
+        slope = None
     out = {
         "integral_path": [list(map(float, row))
                           for row in result.integral.values],
         "remainder_norm": result.remainder_norm,
         "levels": result.levels,
-        "slope": None if cert["slope"] == -INF else cert["slope"],
-        "expected_slope": cert["expected"],
+        "slope": None if slope == -INF else slope,
+        "expected_slope": -(inp.gamma - inp.critical_exponent),
     }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
@@ -634,7 +632,6 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_mc)
 
     sp = sub.add_parser("accept", help="run the acceptance suite")
-    sp.add_argument("--suite", default="primary", choices=("primary",))
     sp.add_argument("--ids", help="comma-separated criterion ids, e.g. 01,07")
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_accept)

@@ -26,6 +26,7 @@ from .norms import (
     two_param_metric,
     two_param_norm,
     _band_lp,
+    _dyadic_band_norms,
     _mags,
     _q_sum,
 )
@@ -73,10 +74,6 @@ class ControlledPath:
     def value_shape(self):
         return self.Y.shape[1:]
 
-    @property
-    def flat_dim(self) -> int:
-        return int(np.prod(self.value_shape, dtype=int)) if self.value_shape else 1
-
     def y_path(self) -> GridPath:
         return GridPath(self.X.grid, self.Y.reshape(self.X.grid.n, -1))
 
@@ -87,18 +84,27 @@ class ControlledPath:
     def remainder(self) -> TwoParamField:
         """Lazy cache of R[i][j] = dY - Y'_i dX[i][j] (recomputable exactly)."""
         if self._remainder is None:
-            grid = self.X.grid
-            yflat = self.Y.reshape(grid.n, -1)
-            ypflat = self.Yp.reshape(grid.n, -1, self.X.n)
-            base = self.X.base_path().values
-
-            def germ(ii, jj):
-                dx = base[jj] - base[ii]
-                lead = np.einsum("bmn,bn->bm", ypflat[ii], dx)
-                return yflat[jj] - yflat[ii] - lead
-
-            self._remainder = TwoParamField(grid, self.flat_dim, germ=germ)
+            n = self.X.grid.n
+            self._remainder = _expansion_remainder(
+                self.X, self.Y.reshape(n, -1), self.Yp.reshape(n, -1, self.X.n))
         return self._remainder
+
+
+def _expansion_remainder(X: RoughPath, v, a, b=None) -> TwoParamField:
+    """The Davie-type remainder v_t - v_s - a_s dX_st - b_s XX_st as a lazy
+    field; v is (nodes, m), a is (nodes, m, n) and b, when given, is
+    (nodes, m, n, n), contracted as sum_{j,k} b[., j, k] XX[k, j]."""
+    base = X.base_path().values
+    xx_field = X.level(2) if b is not None else None
+
+    def germ(ii, jj):
+        lead = np.einsum("bmn,bn->bm", a[ii], base[jj] - base[ii])
+        if b is not None:
+            xx = xx_field.pairs(ii, jj).reshape(len(ii), X.n, X.n)
+            lead = lead + np.einsum("bmjk,bkj->bm", b[ii], xx)
+        return v[jj] - v[ii] - lead
+
+    return TwoParamField(X.grid, v.shape[1], germ=germ)
 
 
 def controlled_norm(cp: ControlledPath, params: BesovParams | None = None) -> float:
@@ -106,8 +112,7 @@ def controlled_norm(cp: ControlledPath, params: BesovParams | None = None) -> fl
     params = params or cp.X.params
     alpha, p, q = params.as_tuple
     part1 = besov_seminorm(cp.yp_path(), alpha, p, q, form="integral")
-    part2 = two_param_norm(cp.remainder, 2 * alpha, p / 2,
-                           q / 2 if q != INF else INF)
+    part2 = two_param_norm(cp.remainder, 2 * alpha, p / 2, q / 2)
     return part1 + part2
 
 
@@ -120,8 +125,7 @@ def controlled_distance(
     params = params or cp1.X.params
     alpha, p, q = params.as_tuple
     d1 = besov_metric(cp1.yp_path(), cp2.yp_path(), alpha, p, q)
-    d2 = two_param_metric(cp1.remainder, cp2.remainder, 2 * alpha, p / 2,
-                          q / 2 if q != INF else INF)
+    d2 = two_param_metric(cp1.remainder, cp2.remainder, 2 * alpha, p / 2, q / 2)
     return d1 + d2
 
 
@@ -131,14 +135,14 @@ def remainder_bounds_check(cp: ControlledPath, beta: float | None = None) -> dic
     beta must lie in (alpha + 1/p, 2*alpha]; ratios are reported for fitting.
     """
     alpha, p, q = cp.X.params.as_tuple
-    inv_p = 0.0 if p == INF else 1.0 / p
+    inv_p = 1.0 / p
     if beta is None:
         beta = 2 * alpha
     if not alpha + inv_p < beta <= 2 * alpha + 1e-12:
         raise RegimeError(f"beta must be in (alpha+1/p, 2 alpha], got {beta}")
     x_norm = besov_seminorm(cp.X.base_path(), alpha, p, q, form="integral")
     yp_norm = besov_seminorm(cp.yp_path(), alpha, p, q, form="integral")
-    r_beta = two_param_norm(cp.remainder, beta, p / 2, q / 2 if q != INF else INF)
+    r_beta = two_param_norm(cp.remainder, beta, p / 2, q / 2)
     holder_lhs = holder_seminorm(cp.remainder, beta - 2 * inv_p)
     holder_rhs = r_beta + yp_norm * x_norm
     y_norm = besov_seminorm(cp.y_path(), alpha, p, q, form="integral")
@@ -165,7 +169,7 @@ def _level2_modulus(params: BesovParams):
     alpha, _, q = params.as_tuple
     if alpha > 1.0 / 3.0 + 1e-12:
         return 3 * alpha, None
-    mod = EndpointModulus(r=q / 3 if q != INF else INF, exponent=1.0)
+    mod = EndpointModulus(r=q / 3, exponent=1.0)
     return 1.0, mod
 
 
@@ -210,21 +214,11 @@ def rough_integral(
     if not report:
         return result
 
-    xx_field = X.level(2)
-
-    def germ(ii, jj):
-        dxp = base[jj] - base[ii]
-        xx = xx_field.pairs(ii, jj).reshape(len(ii), X.n, X.n)
-        a = np.einsum("bmn,bn->bm", y[ii], dxp) + np.einsum(
-            "bmjk,bkj->bm", yp[ii], xx
-        )
-        return z[jj] - z[ii] - a
-
-    rem = TwoParamField(grid, z.shape[1], germ=germ)
+    rem = _expansion_remainder(X, z, y, yp)
     gamma, mod = _level2_modulus(params)
     alpha, p, q = params.as_tuple
     if mod is None:
-        norm = two_param_norm(rem, gamma, p / 3, q / 3 if q != INF else INF)
+        norm = two_param_norm(rem, gamma, p / 3, q / 3)
         rep = {"remainder_norm": norm, "endpoint": False}
     else:
         norm = two_param_norm(rem, gamma, p / 3, INF, modulus=mod.omega)
@@ -335,8 +329,8 @@ def rde_solve(
     base = X.base_path().values
     dx_all = np.diff(base, axis=0)
     xx_all = X.level(2).band(1).reshape(grid.n - 1, X.n, X.n)
-    p2 = p / 2 if p != INF else INF
-    q2 = q / 2 if q != INF else INF
+    p2 = p / 2
+    q2 = q / 2
 
     def start(a, b, ya):
         f_ya = F(ya)
@@ -365,7 +359,7 @@ def rde_solve(
     yp = F.values_along(Y)
     cp = ControlledPath(X, Y, yp)
     t0 = subintervals[0][1] * grid.mesh if subintervals else grid.horizon
-    inv_p = 0.0 if p == INF else 1.0 / p
+    inv_p = 1.0 / p
     report = {
         "halvings": halvings,
         "smallness_monitor": t0 ** (alpha - inv_p),
@@ -396,37 +390,22 @@ def davie_residual(
     fv = F.values_along(Y)
     dfv = F.d_along(Y)
     wp = np.einsum("bajc,bck->bajk", dfv, fv)
-    base = X.base_path().values
-    xx_field = X.level(2)
-    yflat = Y.reshape(grid.n, -1)
-
-    def germ(ii, jj):
-        dx = base[jj] - base[ii]
-        xx = xx_field.pairs(ii, jj).reshape(len(ii), X.n, X.n)
-        lead = np.einsum("bmn,bn->bm", fv[ii], dx) + np.einsum(
-            "bmjk,bkj->bm", wp[ii], xx
-        )
-        return yflat[jj] - yflat[ii] - lead
-
-    D = TwoParamField(grid, yflat.shape[1], germ=germ)
+    D = _expansion_remainder(X, Y.reshape(grid.n, -1), fv, wp)
     endpoint = alpha <= 1.0 / 3.0 + 1e-12
     if endpoint:
         norm = two_param_norm(D, 1.0, p / 3, INF)
         profile = _osc_profile(D, p / 3)
     else:
-        norm = two_param_norm(D, 3 * alpha, p / 3, q / 3 if q != INF else INF)
+        norm = two_param_norm(D, 3 * alpha, p / 3, q / 3)
         profile = None
     if h_range is None:
         h_range = (grid.mesh * 4, grid.horizon / 8)
     hs, sups = [], []
-    for lev in range(1, grid.level + 1):
+    for lev, sup in enumerate(_dyadic_band_norms(D, INF), start=1):
         h = grid.horizon * 2.0**-lev
-        if h_range[0] - 1e-15 <= h <= h_range[1] + 1e-15:
-            k = 1 << (grid.level - lev)
-            sup = float(_mags(D.band(k)).max())
-            if sup > 0:
-                hs.append(h)
-                sups.append(sup)
+        if h_range[0] - 1e-15 <= h <= h_range[1] + 1e-15 and sup > 0:
+            hs.append(h)
+            sups.append(float(sup))
     if len(hs) >= 2:
         fit = linregress(np.log(hs), np.log(sups))
         slope, r2 = float(fit.slope), float(fit.rvalue**2)

@@ -96,6 +96,14 @@ class GridPath:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    def band(self, k: int) -> np.ndarray:
+        """Increments f[i+k] - f[i] for i = 0..n-1-k, shape (n-k, m): band k
+        of the increment field delta(f), as in `TwoParamField.band`."""
+        n = self.grid.n
+        if not 0 <= k < n:
+            raise IndexError(f"band offset {k} out of range for n={n}")
+        return self.values[k:] - self.values[: n - k]
+
     def component(self, j: int) -> "GridPath":
         return GridPath(self.grid, self.values[:, j])
 

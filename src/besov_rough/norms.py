@@ -143,23 +143,25 @@ def _band_lp(mag: np.ndarray, mesh: float, p: float) -> float:
 
 
 def band_lp_norms(obj, p: float, max_shift: int) -> np.ndarray:
-    """Per-shift L^p increment norms s_k, k = 1..max_shift.
-
-    `obj` is a GridPath (increments f_{i+k} - f_i) or a TwoParamField
-    (band entries A[i, i+k]).
+    """Per-shift L^p increment norms s_k, k = 1..max_shift, of the bands
+    `obj.band(k)`: the increments f_{i+k} - f_i of a GridPath, or the entries
+    A[i, i+k] of a TwoParamField.
     """
     mesh = obj.grid.mesh
     out = np.zeros(max_shift)
-    if isinstance(obj, GridPath):
-        v = obj.values
-        for k in range(1, max_shift + 1):
-            out[k - 1] = _band_lp(_mags(v[k:] - v[:-k]), mesh, p)
-    elif isinstance(obj, TwoParamField):
-        for k in range(1, max_shift + 1):
-            out[k - 1] = _band_lp(_mags(obj.band(k)), mesh, p)
-    else:
-        raise TypeError(f"expected GridPath or TwoParamField, got {type(obj)}")
+    for k in range(1, max_shift + 1):
+        out[k - 1] = _band_lp(_mags(obj.band(k)), mesh, p)
     return out
+
+
+def _dyadic_band_norms(obj, p: float) -> np.ndarray:
+    """L^p norms of the bands at the dyadic shifts 2^{level-n}, n = 1..level
+    (|f(. + 2^-n T) - f|_{L^p} for a path)."""
+    grid = obj.grid
+    return np.array([
+        _band_lp(_mags(obj.band(1 << (grid.level - n))), grid.mesh, p)
+        for n in range(1, grid.level + 1)
+    ])
 
 
 def lp_norm(f: GridPath, p: float) -> float:
@@ -240,7 +242,7 @@ def besov_seminorm(
     if form == "dyadic":
         horizon = f.grid.horizon
         ratios = [(2.0**n / horizon) ** alpha * s
-                  for n, s in enumerate(_dyadic_shift_norms(f, p), start=1)]
+                  for n, s in enumerate(_dyadic_band_norms(f, p), start=1)]
         return _q_sum(np.asarray(ratios), q, log_weight=False)
     if form == "integral":
         ratios = _dyadic_ratio_profile(f, p, lambda tau: tau**alpha)
@@ -248,22 +250,11 @@ def besov_seminorm(
     raise ValueError(f"unknown form {form!r}")
 
 
-def _dyadic_shift_norms(f: GridPath, p: float) -> list:
-    """|f(. + 2^-n T) - f|_{L^p} for n = 1..level."""
-    grid = f.grid
-    v = f.values
-    norms = []
-    for n in range(1, grid.level + 1):
-        k = 1 << (grid.level - n)
-        norms.append(_band_lp(_mags(v[k:] - v[:-k]), grid.mesh, p))
-    return norms
-
-
 def besov_level_table(f: GridPath, alpha: float, p: float, q: float):
     """Per-level table [(n, h, lp_increment_norm)] behind the dyadic form."""
     horizon = f.grid.horizon
-    return [{"n": n, "h": horizon * 2.0**-n, "lp_increment_norm": s}
-            for n, s in enumerate(_dyadic_shift_norms(f, p), start=1)]
+    return [{"n": n, "h": horizon * 2.0**-n, "lp_increment_norm": float(s)}
+            for n, s in enumerate(_dyadic_band_norms(f, p), start=1)]
 
 
 def besov_metric(f: GridPath, g: GridPath, alpha: float, p: float, q: float) -> float:
@@ -356,18 +347,8 @@ def holder_seminorm(obj, beta: float) -> float:
     """
     grid = obj.grid
     best = 0.0
-    if isinstance(obj, GridPath):
-        v = obj.values
-        for k in range(1, grid.n):
-            m = _mags(v[k:] - v[:-k]).max()
-            best = max(best, m / (k * grid.mesh) ** beta)
-    elif isinstance(obj, TwoParamField):
-        for k in range(1, grid.n):
-            band = obj.band(k)
-            if band.size:
-                best = max(best, _mags(band).max() / (k * grid.mesh) ** beta)
-    else:
-        raise TypeError(f"expected GridPath or TwoParamField, got {type(obj)}")
+    for k, sup in enumerate(band_lp_norms(obj, INF, grid.n - 1), start=1):
+        best = max(best, sup / (k * grid.mesh) ** beta)
     return float(best)
 
 

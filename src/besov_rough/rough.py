@@ -218,8 +218,12 @@ class RoughPath:
         return cls(grid, n, depth, params, sig=sig, base=base)
 
     @classmethod
-    def from_fields(cls, grid, params, base: GridPath, fields) -> "RoughPath":
-        n = base.dim
+    def from_fields(cls, grid, params, fields) -> "RoughPath":
+        """Explicit-field rough path; the base path is X^(1)_{0,t}."""
+        n = fields[0].dim
+        first = fields[0].pairs(np.zeros(grid.n - 1, dtype=np.intp),
+                                np.arange(1, grid.n))
+        base = GridPath(grid, np.vstack([np.zeros((1, n)), first]))
         return cls(grid, n, len(fields), params, fields=fields, base=base)
 
     # -- internals ------------------------------------------------------------
@@ -277,8 +281,7 @@ class RoughPath:
             sig = _mul_levels(ones, seg, self.n, self.depth)
             return RoughPath.from_signature(sub, self.params, sig)
         fields = [f.restrict(a, b) for f in self._fields]
-        return RoughPath.from_fields(sub, self.params, self._base.restrict(a, b),
-                                     fields)
+        return RoughPath.from_fields(sub, self.params, fields)
 
 
 def canonical_lift(x: GridPath, depth: int, params: BesovParams | None = None
@@ -396,7 +399,7 @@ def dilate(X: RoughPath, lam: float) -> RoughPath:
         sig[0] = X._sig[0].copy()
         return RoughPath.from_signature(X.grid, X.params, sig)
     fields = [lam ** (k + 1) * f for k, f in enumerate(X._fields)]
-    return RoughPath.from_fields(X.grid, X.params, lam * X._base, fields)
+    return RoughPath.from_fields(X.grid, X.params, fields)
 
 
 def rough_besov_norm(X: RoughPath, params: BesovParams | None = None) -> float:
@@ -405,8 +408,7 @@ def rough_besov_norm(X: RoughPath, params: BesovParams | None = None) -> float:
     alpha, p, q = params.as_tuple
     total = 0.0
     for k in range(1, X.depth + 1):
-        nk = two_param_norm(X.level(k), k * alpha, p / k,
-                            q / k if q != INF else INF)
+        nk = two_param_norm(X.level(k), k * alpha, p / k, q / k)
         total += nk ** (1.0 / k)
     return total
 
@@ -420,9 +422,7 @@ def rough_metric(X: RoughPath, Y: RoughPath, params: BesovParams | None = None
     alpha, p, q = params.as_tuple
     total = 0.0
     for k in range(1, X.depth + 1):
-        total += two_param_metric(
-            X.level(k), Y.level(k), k * alpha, p / k, q / k if q != INF else INF
-        )
+        total += two_param_metric(X.level(k), Y.level(k), k * alpha, p / k, q / k)
     return total
 
 
@@ -513,8 +513,7 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
 
             fields = [cur.level(k) for k in range(1, m_lev + 1)]
             fields.append(TwoParamField(cur.grid, n ** (m_lev + 1), germ=germ_new))
-            cur = RoughPath.from_fields(cur.grid, cur.params, cur.base_path(),
-                                        fields)
+            cur = RoughPath.from_fields(cur.grid, cur.params, fields)
     return cur
 
 
@@ -525,7 +524,7 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
 def rough_embedding_report(X: RoughPath) -> dict:
     """Per-level Hoelder norms against the rough Besov norm (ratio report)."""
     alpha, p, _ = X.params.as_tuple
-    beta = alpha - (0.0 if p == INF else 1.0 / p)
+    beta = alpha - 1.0 / p
     total = rough_besov_norm(X)
     levels = []
     for k in range(1, X.depth + 1):
@@ -542,9 +541,9 @@ def rough_interpolation_report(X: RoughPath, j: int, k: int) -> dict:
     if not 1 <= j < k <= X.depth:
         raise ValueError("need 1 <= j < k <= depth")
     alpha, p, q = X.params.as_tuple
-    lhs = two_param_norm(X.level(k), j * alpha, p / j, q / j if q != INF else INF)
+    lhs = two_param_norm(X.level(k), j * alpha, p / j, q / j)
     total = rough_besov_norm(X)
-    t_pow = X.grid.horizon ** ((k - j) * (alpha - (0.0 if p == INF else 1.0 / p)))
+    t_pow = X.grid.horizon ** ((k - j) * (alpha - 1.0 / p))
     rhs = t_pow * total**k
     return {"lhs": lhs, "rhs": rhs, "ratio": 0.0 if rhs == 0 else lhs / rhs}
 
@@ -554,7 +553,7 @@ def campanato_scaling(X: RoughPath, k: int, min_pow: int = 2) -> dict:
     window width; the Campanato-type bound predicts slope >= k(alpha - 1/p)
     up to discretization slack."""
     alpha, p, _ = X.params.as_tuple
-    beta = alpha - (0.0 if p == INF else 1.0 / p)
+    beta = alpha - 1.0 / p
     field = X.level(k)
     grid = X.grid
     widths, values = [], []

@@ -8,7 +8,6 @@ differences, whose decay rate certifies the regularity hypothesis.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -21,9 +20,11 @@ from .norms import (
     INF,
     EndpointModulus,
     _band_lp,
+    _dyadic_band_norms,
     _dyadic_ratio_profile,
     _mags,
     _q_sum,
+    _ratios_from_norms,
     two_param_norm,
 )
 
@@ -176,25 +177,20 @@ def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
 
 
 def _diff_level_norm(cache, grid, n, p2, q2, denom) -> float:
-    """Norm of I_{P_{n+1}}A - I_{P_n}A over admissible shifts h = j*2^{n+1}."""
+    """Norm of I_{P_{n+1}}A - I_{P_n}A over admissible shifts h = j*2^{n+1}.
+
+    The other shifts enter the profile as 0, which leaves its running sup
+    unchanged; levels finer than 2^{n+1} cells see no admissible shift and
+    are dropped.
+    """
     step = 1 << (n + 1)
-    max_j = (grid.n_cells // 2) // step
-    if max_j < 1:
-        return math.nan
-    mesh = grid.mesh
-    band_norms = {}
-    for j in range(1, max_j + 1):
-        h = j * step
+    s = np.zeros(grid.n_cells // 2)
+    for h in range(step, len(s) + 1, step):
+        j = h // step
         d = cache.riemann_band(h, j) - cache.riemann_band(h, 2 * j)
-        band_norms[h] = _band_lp(_mags(d), mesh, p2)
-    ratios = []
-    for lev in range(1, grid.level + 1):
-        k_max = 1 << (grid.level - lev)
-        avail = [v for h, v in band_norms.items() if h <= k_max]
-        if not avail:
-            continue
-        ratios.append(max(avail) / denom(grid.horizon * 2.0**-lev))
-    return _q_sum(np.asarray(ratios), q2, log_weight=True)
+        s[h - 1] = _band_lp(_mags(d), grid.mesh, p2)
+    ratios = _ratios_from_norms(s, grid, denom)[: grid.level - n - 1]
+    return _q_sum(ratios, q2, log_weight=True)
 
 
 def sew(input: SewingInput, diagnostics: bool = True) -> SewingResult:
@@ -227,8 +223,7 @@ def sew(input: SewingInput, diagnostics: bool = True) -> SewingResult:
         cache = _BandCache(A)
         for n in range(0, grid.level - 1):
             norm = _diff_level_norm(cache, grid, n, input.p2, input.q2, denom)
-            if not math.isnan(norm):
-                levels.append({"n": n, "diff_norm": norm})
+            levels.append({"n": n, "diff_norm": norm})
     return SewingResult(input=input, integral=integral, remainder=remainder,
                         levels=levels)
 
@@ -248,7 +243,8 @@ def rate_certificate(
     Expected slope is -(gamma - max(1, 1/p2)); a germ that is already an
     increment has all-zero differences and reports slope -inf.  In the
     endpoint case the expected slope is 0 and the report carries a
-    boundedness flag instead.
+    boundedness flag instead.  Any other germ with fewer than two levels of
+    positive norm has no slope and raises ValueError.
     """
     inp = result.input
     gamma = inp.gamma if gamma is None else gamma
@@ -264,16 +260,16 @@ def rate_certificate(
     vals = np.array([r["diff_norm"] for r in rows], dtype=float)
     # already-additive germ: remainder identically zero up to roundoff, all
     # successive differences are float noise -> -inf sentinel
-    grid = result.input.germ.grid
-    rem_scale = max(
-        float(_mags(result.remainder.band(1 << (grid.level - lev))).max())
-        for lev in range(1, grid.level + 1)
-    )
+    rem_scale = float(_dyadic_band_norms(result.remainder, INF).max())
     ia_scale = float(np.abs(result.integral.values).max())
     if rem_scale <= 1e-12 * max(1.0, ia_scale):
         return {"slope": -INF, "expected": expected, "r2": 1.0, "levels": rows,
                 "bounded": True}
     keep = vals > _ZERO_FLOOR
+    if keep.sum() < 2:
+        raise ValueError(
+            "a rate needs two diagnostic levels with a positive norm,"
+            f" got {int(keep.sum())}")
     fit = linregress(ns[keep], np.log2(vals[keep]))
     bounded = bool(vals.max() <= 2.0 * max(vals[0], _ZERO_FLOOR))
     return {

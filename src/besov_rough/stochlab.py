@@ -281,8 +281,8 @@ def fbm_besov_statistic(
 
 def _check_holder_triple(name, triple):
     a, b, c = triple
-    lhs = (0.0 if a == INF else 1.0 / a) + (0.0 if b == INF else 1.0 / b)
-    rhs = 0.0 if c == INF else 1.0 / c
+    lhs = 1.0 / a + 1.0 / b
+    rhs = 1.0 / c
     if abs(lhs - rhs) > 1e-9:
         raise RegimeError(
             f"Hoelder triple mismatch for {name}: 1/{a} + 1/{b} != 1/{c}"
@@ -313,7 +313,7 @@ def pprod_bdg_experiment(
     r0, r1, r = r_tuple
     for name, triple in (("p", p_tuple), ("q", q_tuple), ("r", r_tuple)):
         _check_holder_triple(name, triple)
-    if gamma1 <= (0.0 if p1 == INF else 1.0 / p1):
+    if gamma1 <= 1.0 / p1:
         raise RegimeError(f"need gamma1 > 1/p1, got {gamma1} <= 1/{p1}")
     gamma = gamma0 + gamma1
     out = {"lengths": {}, "config": {

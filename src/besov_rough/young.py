@@ -34,9 +34,7 @@ __all__ = [
 
 
 def _harmonic(a: float, b: float) -> float:
-    if a == INF and b == INF:
-        return INF
-    inv = (0.0 if a == INF else 1.0 / a) + (0.0 if b == INF else 1.0 / b)
+    inv = 1.0 / a + 1.0 / b
     return INF if inv == 0.0 else 1.0 / inv
 
 
@@ -75,7 +73,7 @@ class YoungRegime:
             return "b"
         raise RegimeError(
             f"Young regime violated: gamma={self.gamma}, max(1,1/p2)="
-            f"{crit}, 1/q2={0.0 if q2 == INF else 1.0 / q2}"
+            f"{crit}, 1/q2={1.0 / q2}"
         )
 
     def sewing_input(self, germ: TwoParamField) -> SewingInput:
@@ -148,11 +146,6 @@ class VectorField:
         return np.stack([self.dfun(y) for y in Y])
 
 
-def _mk_field(fun, dfun, d2fun, order, delta, name, state_dim, **batch):
-    return VectorField(fun, dfun, d2fun=d2fun, order=order, delta=delta,
-                       name=name, state_dim=state_dim, **batch)
-
-
 def linear_field(matrices) -> VectorField:
     """f(y)[:, j] = A_j y for a list of (m, m) matrices, one per driver channel."""
     mats = np.stack([np.asarray(a, dtype=float) for a in matrices], axis=-1)
@@ -168,8 +161,8 @@ def linear_field(matrices) -> VectorField:
     def d2fun(y):
         return np.zeros((m, mats.shape[2], m, m))
 
-    return _mk_field(
-        fun, dfun, d2fun, 3, 1.0, "linear", m,
+    return VectorField(
+        fun, dfun, d2fun=d2fun, order=3, delta=1.0, name="linear", state_dim=m,
         fun_batch=lambda Y: np.einsum("abj,kb->kaj", mats, Y),
         dfun_batch=lambda Y: np.broadcast_to(dmat, (len(Y),) + dmat.shape).copy(),
     )
@@ -218,8 +211,9 @@ def sigmoid_field(m: int = 1, n: int = 1, gain: float = 1.0) -> VectorField:
         s = 1.0 - np.tanh(np.einsum("ajb,kb->kaj", w, Y)) ** 2
         return s[:, :, :, None] * w[None, :, :, :]
 
-    return _mk_field(fun, dfun, d2fun, 3, 1.0, "sigmoid", m,
-                     fun_batch=fun_batch, dfun_batch=dfun_batch)
+    return VectorField(fun, dfun, d2fun=d2fun, order=3, delta=1.0,
+                       name="sigmoid", state_dim=m,
+                       fun_batch=fun_batch, dfun_batch=dfun_batch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line.  Run with `pytest -s tests/test_acceptance.py` to see the
-lines as they complete, or via `besov-rough accept --suite primary`.
+lines as they complete, or via `besov-rough accept`.
 """
 import time
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -138,6 +139,32 @@ def test_sew_command(tmp_path, capsys):
     assert len(data["integral_path"]) == g.n
 
 
+def _no_nan(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,1,1.0"],
+    ["0,1,1.0", "0,2,3.0", "1,2,1.5"],
+    # 5 nodes, not additive: a single diagnostic level
+    [f"{i},{j},{(j - i) ** 2 / 2 + i!r}" for i in range(5)
+     for j in range(i + 1, 5)],
+], ids=["2-nodes", "3-nodes", "5-nodes"])
+def test_sew_small_germ_null_slope(tmp_path, capsys, rows):
+    germ_file = tmp_path / "germ.csv"
+    germ_file.write_text("\n".join(["i,j,v0"] + rows) + "\n")
+    out = tmp_path / "result.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sew", "--germ", str(germ_file), "--gamma", "2.0",
+                     "--p2", "inf", "--q2", "inf", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads(out.read_text(), parse_constant=_no_nan)
+    assert data["slope"] is None
+    assert data["expected_slope"] == -1.0
+
+
 def test_young_ode_command(sin_csv, tmp_path):
     out = tmp_path / "sol.csv"
     code = main(["young-ode", "--driver", sin_csv, "--field", "builtin:linear",
@@ -243,7 +270,7 @@ def test_field_backed_dir_keeps_chen_defect(tmp_path):
     dense = lift.level(2).to_dense().copy()
     dense[3, 11] += 1e-3
     faulty = RoughPath.from_fields(
-        g, lift.params, lift.base_path(),
+        g, lift.params,
         [lift.level(1).materialize(), TwoParamField(g, 4, dense=dense)])
     save_rough_dir(str(tmp_path / "rp"), faulty)
     meta = json.loads((tmp_path / "rp" / "meta.json").read_text())
@@ -506,7 +533,7 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_accept_subset(capsys):
-    code = main(["accept", "--suite", "primary", "--ids", "01,03"])
+    code = main(["accept", "--ids", "01,03"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2

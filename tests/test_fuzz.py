@@ -28,7 +28,7 @@ FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
 GRID = UniformGrid(1.0, 3)
 LIFT = brownian_lift(2, GRID, 5, "ito", BesovParams(0.45, 32.0, INF))
 # explicit-field copy of LIFT: saved in the pairwise layout
-FIELDS = RoughPath.from_fields(GRID, LIFT.params, LIFT.base_path(),
+FIELDS = RoughPath.from_fields(GRID, LIFT.params,
                                [LIFT.level(k).materialize() for k in (1, 2)])
 
 BAD_TOKENS = ["nan", "inf", "-inf", "1e999", "abc", "", "1.0.0"]

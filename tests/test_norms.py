@@ -12,6 +12,7 @@ from besov_rough.norms import (
     INF,
     BesovParams,
     EndpointModulus,
+    band_lp_norms,
     besov_metric,
     besov_seminorm,
     campanato_ratio,
@@ -26,6 +27,7 @@ from besov_rough.norms import (
     two_param_metric,
     two_param_norm,
 )
+from besov_rough.rough import canonical_lift
 from besov_rough.signals import (
     brownian_path,
     dyadic_time_change,
@@ -248,6 +250,19 @@ def test_two_param_of_increment_matches_integral_form():
         a = two_param_norm(A, gamma, p, q)
         b = besov_seminorm(f, gamma, p, q, form="integral")
         assert a == pytest.approx(b, abs=1e-12)
+    # one band kernel: a path, its increment field (lazy and array-backed)
+    # and the level 1 of its lift give the same bands, so the same norms
+    # bit for bit; f0 = f - f_0 makes the lift's prefix subtraction exact
+    f0 = GridPath(GRID, f.values - f.values[0])
+    forms = [delta(f0), delta(f0).materialize(), canonical_lift(f0, 1).level(1)]
+    for p in (1.0, 2.0, 8.0, INF):
+        ref = band_lp_norms(f0, p, GRID.n - 1)
+        for obj in forms:
+            assert np.array_equal(band_lp_norms(obj, p, GRID.n - 1), ref)
+    for beta in (0.3, 0.7):
+        ref = holder_seminorm(f0, beta)
+        assert all(holder_seminorm(obj, beta) == ref for obj in forms)
+    assert np.array_equal(f0.band(0), np.zeros((GRID.n, 2)))
 
 
 def test_two_param_power_field():

@@ -121,7 +121,7 @@ def test_chen_fault_detected_exactly():
     dense = lift.level(2).materialize().to_dense().copy()
     dense[3, 17, 2] += 1e-3
     corrupted = RoughPath.from_fields(
-        g, lift.params, lift.base_path(),
+        g, lift.params,
         [lift.level(1).materialize(), TwoParamField(g, 4, dense=dense)],
     )
     assert chen_residual(corrupted) == pytest.approx(1e-3, rel=1e-6)
@@ -237,12 +237,24 @@ def test_extension_field_backed_input():
     lift = canonical_lift(GridPath(g, np.column_stack([np.sin(t), t])), 2,
                           params)
     fields = [lift.level(1).materialize(), lift.level(2).materialize()]
-    fb = RoughPath.from_fields(g, params, lift.base_path(), fields)
+    fb = RoughPath.from_fields(g, params, fields)
     ext = lyons_extend(fb, 3)
     ref = lyons_extend(lift, 3)
     ii, jj = np.triu_indices(g.n, k=1)
     assert np.abs(ext.level(3).pairs(ii, jj)
                   - ref.level(3).pairs(ii, jj)).max() < 1e-12
+
+
+def test_field_backed_restriction_base_starts_at_zero():
+    g = UniformGrid(1.0, 5)
+    t = g.times()
+    lift = canonical_lift(GridPath(g, np.column_stack([np.sin(t), t])), 2)
+    fb = RoughPath.from_fields(g, lift.params,
+                               [lift.level(k).materialize() for k in (1, 2)])
+    sub, ref = fb.restrict(8, 16), lift.restrict(8, 16)
+    assert np.all(sub.base_path().values[0] == 0.0)
+    assert np.abs(sub.base_path().values
+                  - ref.base_path().values).max() < 1e-14
 
 
 # -- stochastic constructors --------------------------------------------------------
