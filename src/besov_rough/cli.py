@@ -122,7 +122,8 @@ def _has_type(value, hint) -> bool:
 @dataclass
 class ExperimentConfig:
     """Monte Carlo experiment configuration; JSON round-trips losslessly.
-    Unknown keys, wrongly typed values and non-finite numbers are rejected."""
+    Unknown keys, wrongly typed values and non-finite numbers are rejected;
+    `check_values` rejects values no experiment can run with."""
 
     experiment: str
     seed: int = 2024
@@ -162,6 +163,22 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+    def check_values(self) -> None:
+        """Every key, used by the experiment or not, must hold a value that
+        gives finite rows (not a traceback or a silent nan)."""
+        for key, ok, need in [
+            ("samples", self.samples >= 2, "an integer >= 2"),
+            ("p", self.p > 0, "a number > 0"),
+            ("dim", 1 <= self.dim <= MAX_DIM, f"an integer in 1..{MAX_DIM}"),
+            ("ns", self.ns and all(1 <= n <= self.level for n in self.ns),
+             f"a nonempty list of integers in 1..level = {self.level}"),
+            ("lengths", self.lengths and all(n >= 2 and not n & (n - 1)
+                                             for n in self.lengths),
+             "a nonempty list of powers of two >= 2")]:
+            if not ok:
+                raise GridFormatError(f"config key {key!r} must be {need},"
+                                      f" got {getattr(self, key)!r}")
 
 
 def _params_from_args(args) -> BesovParams:
@@ -484,6 +501,7 @@ def _cmd_mc(args) -> int:
         cfg = ExperimentConfig.from_json(fh.read())
     if args.experiment:
         cfg.experiment = args.experiment
+    cfg.check_values()
     rows = []
     if cfg.experiment == "bm-ynp":
         rep = bm_besov_statistic(cfg.p, cfg.ns, cfg.level, cfg.samples, cfg.seed,

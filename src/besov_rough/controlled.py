@@ -100,8 +100,11 @@ def _expansion_remainder(X: RoughPath, v, a, b=None) -> TwoParamField:
     def germ(ii, jj):
         lead = np.einsum("bmn,bn->bm", a[ii], base[jj] - base[ii])
         if b is not None:
-            xx = xx_field.pairs(ii, jj).reshape(len(ii), X.n, X.n)
-            lead = lead + np.einsum("bmjk,bkj->bm", b[ii], xx)
+            xx = xx_field._values(ii, jj).reshape(-1, X.n, X.n)
+            bb = b[ii]
+            if len(xx) == 1:  # einsum sums one row in another order than two
+                bb, xx = np.repeat(bb, 2, 0), np.repeat(xx, 2, 0)
+            lead = lead + np.einsum("bmjk,bkj->bm", bb, xx)[: len(lead)]
         return v[jj] - v[ii] - lead
 
     return TwoParamField(X.grid, v.shape[1], germ=germ)
@@ -286,11 +289,6 @@ def _require_level2_field(F: VectorField, params: BesovParams):
             raise RegimeError("the critical level-2 regime needs a C^3 field")
 
 
-def _dyadic_gauge_path(diff: np.ndarray, grid, alpha, p, q) -> float:
-    path = GridPath(grid, diff.reshape(grid.n, -1))
-    return besov_seminorm(path, alpha, p, q, form="dyadic")
-
-
 def _dyadic_gauge_remainder(dz, zp, base, grid, alpha, p, q) -> float:
     """Dyadic-shift gauge of the remainder difference field of two iterates.
 
@@ -346,7 +344,8 @@ def rde_solve(
             "bmjk,bkj->bm", wp[:-1], xx_all[a:b]
         )
         nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
-        dist = _dyadic_gauge_path(fv - cur_p, sub_grid, alpha, p, q)
+        diff = GridPath(sub_grid, (fv - cur_p).reshape(b - a + 1, -1))
+        dist = besov_seminorm(diff, alpha, p, q, form="dyadic")
         dist += _dyadic_gauge_remainder(
             nxt - cur, fv - cur_p, base[a:b + 1] - base[a],
             sub_grid, alpha, p2, q2,

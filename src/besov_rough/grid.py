@@ -149,12 +149,13 @@ class TwoParamField:
     """Two-parameter array A[i][j] in R^m on grid pairs i <= j.
 
     The field is a vectorized germ ``germ(ii, jj) -> (len, m)``, evaluated
-    on demand, so fine grids keep O(n) memory.  Array data enters through
-    ``dense=``, an (n, n, m) array read at the requested pairs (entries
-    below the diagonal are never read).  The diagonal is whatever the germ
-    gives there: zero for increment-type germs, the stored diagonal for
-    array data.  Band access (all entries A[i, i+k]) is the workhorse for
-    every norm.
+    on demand, so fine grids keep O(n) memory; ii, jj are two slices (bands:
+    views) or two intp arrays (`pairs`), used only to index (`_indices`
+    converts).  Array data enters through ``dense=``, an (n, n, m) array
+    copied, frozen and read at the requested pairs (never below the
+    diagonal).  The diagonal is whatever the germ gives there: zero for
+    increment-type germs, the stored diagonal for array data.  Band access
+    (all entries A[i, i+k]) is the workhorse for every norm.
     """
 
     def __init__(
@@ -167,7 +168,7 @@ class TwoParamField:
         if (dense is None) == (germ is None):
             raise ValueError("exactly one of dense/germ must be given")
         if dense is not None:
-            dense = np.asarray(dense, dtype=np.float64)
+            dense = np.array(dense, dtype=np.float64)
             if dense.ndim == 2:
                 dense = dense[:, :, None]
             if dense.shape != (grid.n, grid.n, dim):
@@ -175,9 +176,10 @@ class TwoParamField:
                     f"dense must have shape ({grid.n}, {grid.n}, {dim}),"
                     f" got {dense.shape}"
                 )
+            dense.setflags(write=False)
 
             def germ(ii, jj):
-                return dense[ii, jj]
+                return dense[_indices(ii), _indices(jj)]
 
         self.grid = grid
         self.dim = dim
@@ -188,15 +190,16 @@ class TwoParamField:
         return TwoParamField(self.grid, self.dim, dense=self.to_dense())
 
     # -- access ------------------------------------------------------------
+    def _values(self, ii, jj, rows: int = -1) -> np.ndarray:
+        """Germ values at the selectors ii, jj as a (rows, m) array."""
+        return np.asarray(self._germ(ii, jj), float).reshape(rows, self.dim)
+
     def band(self, k: int) -> np.ndarray:
         """All entries A[i, i+k] for i = 0..n-1-k, shape (n-k, m)."""
         n = self.grid.n
         if not 0 <= k < n:
             raise IndexError(f"band offset {k} out of range for n={n}")
-        idx = np.arange(n - k)
-        return np.asarray(self._germ(idx, idx + k), dtype=np.float64).reshape(
-            n - k, self.dim
-        )
+        return self._values(slice(0, n - k), slice(k, n), n - k)
 
     def pairs(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """Entries A[ii, jj] for index arrays with ii <= jj, shape (len, m)."""
@@ -204,9 +207,7 @@ class TwoParamField:
         jj = np.asarray(jj, dtype=np.intp)
         if np.any(ii > jj):
             raise IndexError("pairs requires ii <= jj")
-        return np.asarray(self._germ(ii, jj), dtype=np.float64).reshape(
-            len(ii), self.dim
-        )
+        return self._values(ii, jj, len(ii))
 
     def at(self, i: int, j: int) -> np.ndarray:
         return self.pairs(np.array([i]), np.array([j]))[0]
@@ -222,22 +223,19 @@ class TwoParamField:
 
     def delta2_bands(self, u_off: int, k: int) -> np.ndarray:
         """delta2(i, i+u_off, i+k) for all i, vectorized over the band."""
-        if not 0 <= u_off <= k:
-            raise IndexError("delta2_bands needs 0 <= u_off <= k")
         n = self.grid.n
-        top = self.band(k)
-        left = self.band(u_off)[: n - k]
-        right = self.band(k - u_off)[u_off : u_off + n - k]
-        return top - left - right
+        if not 0 <= u_off <= k < n:
+            raise IndexError("delta2_bands needs 0 <= u_off <= k < n")
+        i, u, j = slice(0, n - k), slice(u_off, u_off + n - k), slice(k, n)
+        return self._values(i, j) - self._values(i, u) - self._values(u, j)
 
     def to_dense(self) -> np.ndarray:
         """(n, n, m) array of the entries on and above the diagonal, zero
         below it."""
         n = self.grid.n
+        ii, jj = np.triu_indices(n)
         dense = np.zeros((n, n, self.dim))
-        for k in range(n):
-            idx = np.arange(n - k)
-            dense[idx, idx + k] = self.band(k)
+        dense[ii, jj] = self.pairs(ii, jj)
         return dense
 
     def restrict(self, i0: int, i1: int) -> "TwoParamField":
@@ -246,20 +244,17 @@ class TwoParamField:
             raise ValueError(f"restriction span {span} is not a power of two")
         sub = UniformGrid(span * self.grid.mesh, span.bit_length() - 1)
         germ = self._germ
-        return TwoParamField(
-            sub, self.dim, germ=lambda ii, jj: germ(ii + i0, jj + i0)
-        )
+        return TwoParamField(sub, self.dim, germ=lambda ii, jj: germ(
+            _shift(ii, i0), _shift(jj, i0)))
 
     # -- linear structure ----------------------------------------------------
     def _combine(self, other, f):
         if isinstance(other, TwoParamField):
             if other.grid != self.grid or other.dim != self.dim:
                 raise ValueError("field mismatch")
-            a, b = self, other
+            a, b = self._values, other._values
             return TwoParamField(
-                self.grid,
-                self.dim,
-                germ=lambda ii, jj: f(a.pairs(ii, jj), b.pairs(ii, jj)),
+                self.grid, self.dim, germ=lambda ii, jj: f(a(ii, jj), b(ii, jj))
             )
         raise TypeError(f"cannot combine TwoParamField with {type(other)}")
 
@@ -278,6 +273,18 @@ class TwoParamField:
 
     def __repr__(self):
         return f"TwoParamField(level={self.grid.level}, m={self.dim})"
+
+
+def _indices(sel) -> np.ndarray:
+    """Index array of a germ selector: a slice becomes its arange."""
+    return np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
+
+
+def _shift(sel, i0: int):
+    """A germ selector moved by i0 nodes; a slice stays a slice."""
+    if isinstance(sel, slice):
+        return slice(sel.start + i0, sel.stop + i0)
+    return sel + i0
 
 
 def delta(path: GridPath) -> TwoParamField:
@@ -408,7 +415,7 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
     m = values.shape[1]
 
     def germ(ii, jj):
-        want = ii * n + jj
+        want = _indices(ii) * n + _indices(jj)
         pos = np.minimum(np.searchsorted(flat, want), len(flat) - 1)
         hit = flat[pos] == want
         return np.where(hit[:, None], values[pos], 0.0)

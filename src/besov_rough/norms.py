@@ -420,9 +420,8 @@ def campanato_ratio(
         r = w * grid.mesh
         for c in range(w, n - w, center_stride):
             lo, hi = c - w, c + w
-            idx = np.arange(lo, hi)
-            stride = max(1, len(idx) // max_window_nodes)
-            sub = v[idx[::stride]]
+            stride = max(1, (hi - lo) // max_window_nodes)
+            sub = v[lo:hi:stride]
             weight = (stride * grid.mesh) ** 2
             diff = sub[:, None, :] - sub[None, :, :]
             dbl = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum()) * weight

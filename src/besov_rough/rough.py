@@ -18,7 +18,7 @@ from scipy.stats import linregress
 
 from ._rng import rng_for
 from .errors import RegimeError
-from .grid import GridPath, TwoParamField, UniformGrid
+from .grid import GridPath, TwoParamField, UniformGrid, _indices
 from .norms import (
     INF,
     BesovParams,
@@ -65,54 +65,56 @@ def _check_caps(n: int, depth: int):
 # batched level arithmetic: levels[k] has shape (B, n^k), k = 0..N
 
 
-def _zeros_levels(batch: int, n: int, depth: int):
-    return [np.zeros((batch, n**k)) for k in range(depth + 1)]
-
-
 def _identity_levels(batch: int, n: int, depth: int):
-    out = _zeros_levels(batch, n, depth)
-    out[0][:] = 1.0
-    return out
+    return [np.full((batch, n**k), float(k == 0)) for k in range(depth + 1)]
 
 
-def _mul_levels(x, y, n: int, depth: int):
-    batch = x[0].shape[0]
-    out = []
-    for k in range(depth + 1):
-        acc = np.zeros((batch, n**k))
-        for a in range(k + 1):
-            acc += np.einsum("bi,bj->bij", x[a], y[k - a]).reshape(batch, -1)
-        out.append(acc)
+def _mul_level(x, y, k: int):
+    """Level k of x (x) y: the terms x[a] (x) y[k-a] added for a = 0..k in
+    that order, from 0; a one-row batch broadcasts.  A factor whose scalar
+    level is exactly 1 enters its term unmultiplied (0 + 1*v is v + 0.0)."""
+    rows = max(len(x[0]), len(y[0]))
+    for a in range(k + 1):
+        u, v = x[a], y[k - a]
+        if a == 0 and (u == 1.0).all():
+            term = v
+        elif a == k and (v == 1.0).all():
+            term = u
+        else:
+            term = u[:, :, None] * v[:, None, :]
+            term = term.reshape(len(term), -1)
+        if a == 0:
+            acc = np.add(term, 0.0, out=np.empty((rows, term.shape[1])))
+        else:
+            acc += term
+    return acc
+
+
+def _mul_levels(x, y, depth: int):
+    return [_mul_level(x, y, k) for k in range(depth + 1)]
+
+
+def _series(a, n: int, depth: int, divisor):
+    """sum of a^j / divisor(j) over j = 0..depth, added in that order, for
+    batched levels a with zero scalar level."""
+    out = power = _identity_levels(len(a[0]), n, depth)
+    for j in range(1, depth + 1):
+        power = _mul_levels(power, a, depth)
+        out = [s + t / divisor(j) for s, t in zip(out, power)]
     return out
 
 
 def _inv_levels(x, n: int, depth: int):
     if not np.allclose(x[0], 1.0):
         raise ValueError("inverse defined for group elements with scalar part 1")
-    batch = x[0].shape[0]
-    minus = [np.zeros((batch, 1))] + [-lv for lv in x[1:]]
-    inv = _identity_levels(batch, n, depth)
-    power = minus
-    for _ in range(depth):
-        for k in range(depth + 1):
-            inv[k] = inv[k] + power[k]
-        power = _mul_levels(power, minus, n, depth)
-    return inv
+    minus = [np.zeros_like(x[0])] + [-lv for lv in x[1:]]
+    return _series(minus, n, depth, lambda j: 1)  # x^-1 = sum (1 - x)^j
 
 
 def _exp_levels(a, n: int, depth: int):
     if np.any(a[0] != 0.0):
         raise ValueError("exp expects zero scalar part")
-    batch = a[0].shape[0]
-    out = _identity_levels(batch, n, depth)
-    power = _identity_levels(batch, n, depth)
-    fact = 1.0
-    for j in range(1, depth + 1):
-        power = _mul_levels(power, a, n, depth)
-        fact *= j
-        for k in range(depth + 1):
-            out[k] = out[k] + power[k] / fact
-    return out
+    return _series(a, n, depth, math.factorial)
 
 
 def _gauge_levels(x, depth: int):
@@ -158,7 +160,7 @@ class TensorElement:
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     if x.n != y.n or x.depth != y.depth:
         raise ValueError("algebra mismatch")
-    out = _mul_levels(x._batched(), y._batched(), x.n, x.depth)
+    out = _mul_levels(x._batched(), y._batched(), x.depth)
     return TensorElement(x.n, [lv[0] for lv in out])
 
 
@@ -240,7 +242,7 @@ class RoughPath:
             inv = self._inv_prefix()
             x = [lv[ii] for lv in inv]
             y = [lv[jj] for lv in self._sig]
-            return _mul_levels(x, y, self.n, self.depth)
+            return _mul_levels(x, y, self.depth)
         out = [np.ones((len(ii), 1))]
         for k in range(1, self.depth + 1):
             out.append(self._fields[k - 1].pairs(ii, jj))
@@ -252,19 +254,13 @@ class RoughPath:
             raise IndexError(f"level {k} outside 1..{self.depth}")
         if self._fields is not None:
             return self._fields[k - 1]
-        sig, n, depth = self._sig, self.n, self.depth
+        sig = self._sig[: k + 1]
 
-        def germ(ii, jj, k=k):
-            inv = self._inv_prefix()
-            batch = len(ii)
-            acc = np.zeros((batch, n**k))
-            for a in range(k + 1):
-                acc += np.einsum(
-                    "bi,bj->bij", inv[a][ii], sig[k - a][jj]
-                ).reshape(batch, -1)
-            return acc
+        def germ(ii, jj):
+            inv = self._inv_prefix()[: k + 1]
+            return _mul_level([lv[ii] for lv in inv], [lv[jj] for lv in sig], k)
 
-        return TwoParamField(self.grid, n**k, germ=germ)
+        return TwoParamField(self.grid, self.n**k, germ=germ)
 
     def base_path(self) -> GridPath:
         return self._base
@@ -277,8 +273,7 @@ class RoughPath:
         if self._sig is not None:
             inv_a = [lv[a : a + 1] for lv in self._inv_prefix()]
             seg = [lv[a : b + 1] for lv in self._sig]
-            ones = [np.repeat(lv, span + 1, axis=0) for lv in inv_a]
-            sig = _mul_levels(ones, seg, self.n, self.depth)
+            sig = _mul_levels(inv_a, seg, self.depth)
             return RoughPath.from_signature(sub, self.params, sig)
         fields = [f.restrict(a, b) for f in self._fields]
         return RoughPath.from_fields(sub, self.params, fields)
@@ -321,14 +316,9 @@ def geometric_lift(x: GridPath, depth: int, params: BesovParams | None = None
         )
     sig = [np.ones((nodes, 1)), v - v[0]]
     for k in range(2, depth + 1):
-        incs = np.zeros((nodes - 1, n**k))
-        for a in range(k):
-            if a == 0:
-                incs += powers[k]
-            else:
-                incs += np.einsum(
-                    "bi,bj->bij", sig[a][:-1], powers[k - a]
-                ).reshape(nodes - 1, -1)
+        # S_{i+1} - S_i is level k of S_i (x) exp(dx_i), with S_i^(k) as 0
+        head = [lv[:-1] for lv in sig] + [np.zeros((nodes - 1, n**k))]
+        incs = _mul_level(head, powers, k)
         sig.append(np.vstack([np.zeros((1, n**k)), np.cumsum(incs, axis=0)]))
     return RoughPath.from_signature(x.grid, params, sig)
 
@@ -461,7 +451,7 @@ def chen_residual(X: RoughPath, sample_budget: int = 10000, seed: int = 20210
         ii, uu, jj = draws[:, 0], draws[:, 1], draws[:, 2]
     left = X.pairs_levels(ii, uu)
     right = X.pairs_levels(uu, jj)
-    prod = _mul_levels(left, right, X.n, X.depth)
+    prod = _mul_levels(left, right, X.depth)
     whole = X.pairs_levels(ii, jj)
     worst = 0.0
     for k in range(1, X.depth + 1):
@@ -485,22 +475,19 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
             )
         n = cur.n
         nodes = cur.grid.n
-        zero = np.zeros(nodes, dtype=np.intp)
-        all_idx = np.arange(nodes, dtype=np.intp)
-        from_zero = cur.pairs_levels(zero, all_idx)  # X^{(j)}_{0, s}
+        from_zero = cur.pairs_levels(np.zeros(nodes, dtype=np.intp),
+                                     np.arange(nodes))  # X^{(j)}_{0, s}
 
-        def germ_A(ii, jj, cur=cur, from_zero=from_zero, m_lev=m_lev, n=n):
+        def germ_A(ii, jj, cur=cur, from_zero=from_zero, m_lev=m_lev):
+            ii, jj = _indices(ii), _indices(jj)
             inc = cur.pairs_levels(ii, jj)
-            batch = len(ii)
-            acc = np.zeros((batch, n ** (m_lev + 1)))
+            acc = 0.0
             for k in range(1, m_lev + 1):
-                acc += np.einsum(
-                    "bi,bj->bij", from_zero[m_lev - k + 1][ii], inc[k]
-                ).reshape(batch, -1)
+                term = from_zero[m_lev - k + 1][ii][:, :, None] * inc[k][:, None, :]
+                acc = acc + term.reshape(len(term), -1)
             return acc
 
-        arange = np.arange(nodes - 1, dtype=np.intp)
-        consec = germ_A(arange, arange + 1)
+        consec = germ_A(slice(0, nodes - 1), slice(1, nodes))
         ia = np.vstack([np.zeros((1, n ** (m_lev + 1))),
                         np.cumsum(consec, axis=0)])
 

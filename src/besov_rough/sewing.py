@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import linregress
 
 from .errors import RegimeError
-from .grid import GridPath, TwoParamField
+from .grid import GridPath, TwoParamField, _indices
 from .norms import (
     INF,
     EndpointModulus,
@@ -39,7 +39,7 @@ __all__ = [
 
 
 class _BandCache:
-    """Band and strided-suffix-sum cache for a germ field.
+    """Strided-suffix-sum cache for a germ field.
 
     suffix(w)[i] = sum of band_w entries at i, i+w, i+2w, ...; compensated
     Riemann sums over cells of width w are then O(1) per pair:
@@ -49,20 +49,12 @@ class _BandCache:
     def __init__(self, field: TwoParamField):
         self.field = field
         self.n = field.grid.n
-        self._bands: dict[int, np.ndarray] = {}
         self._suffix: dict[int, np.ndarray] = {}
-
-    def band(self, k: int) -> np.ndarray:
-        out = self._bands.get(k)
-        if out is None:
-            out = self.field.band(k)
-            self._bands[k] = out
-        return out
 
     def suffix(self, w: int) -> np.ndarray:
         out = self._suffix.get(w)
         if out is None:
-            band = self.band(w)  # length n - w
+            band = self.field.band(w)  # length n - w
             m = band.shape[1]
             rows = -(-self.n // w)  # ceil: cover indices 0..n-1 plus padding
             padded = np.zeros((rows * w + w, m))
@@ -157,6 +149,7 @@ def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
     cache = _BandCache(A)
 
     def germ(ii, jj):
+        ii, jj = _indices(ii), _indices(jj)
         span = jj - ii
         if np.any(span % step):
             raise IndexError(
@@ -164,12 +157,9 @@ def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
                 f" divisible by {step}"
             )
         out = np.zeros((len(ii), A.dim))
-        for diff in np.unique(span):
-            if diff == 0:
-                continue
-            w = int(diff) // step
+        for diff in np.unique(span[span > 0]):
             sel = span == diff
-            s = cache.suffix(w)
+            s = cache.suffix(int(diff) // step)
             out[sel] = s[ii[sel]] - s[jj[sel]]
         return out
 
@@ -210,7 +200,7 @@ def sew(input: SewingInput, diagnostics: bool = True) -> SewingResult:
     integral = GridPath(grid, ia)
 
     def rem_germ(ii, jj):
-        return ia[jj] - ia[ii] - A.pairs(ii, jj)
+        return ia[jj] - ia[ii] - A._values(ii, jj)
 
     remainder = TwoParamField(grid, A.dim, germ=rem_germ)
 

@@ -240,7 +240,7 @@ def product_germ(f: GridPath, g: GridPath) -> TwoParamField:
     dim = f.dim * g.dim
 
     def germ(ii, jj):
-        return np.einsum("ka,kb->kab", fv[ii], gv[jj] - gv[ii]).reshape(len(ii), dim)
+        return np.einsum("ka,kb->kab", fv[ii], gv[jj] - gv[ii]).reshape(-1, dim)
 
     return TwoParamField(f.grid, dim, germ=germ)
 

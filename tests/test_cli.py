@@ -508,6 +508,19 @@ def test_workers_flag_removed(sin_csv, capsys):
     '{"experiment": "bm-ynp", "level": 7.0}',
     '{"experiment": "bm-ynp", "ns": [3, 4.5]}',
     '{"experiment": "pprod-bdg", "coupled": 1}',
+    '{"experiment": "bm-ynp", "samples": 1}',
+    '{"experiment": "bm-ynp", "samples": 0}',
+    '{"experiment": "fbm-ynp", "ns": []}',
+    '{"experiment": "bm-ynp", "ns": [0, 4]}',
+    '{"experiment": "bm-ynp", "level": 5, "ns": [4, 6]}',
+    '{"experiment": "pprod-bdg", "lengths": [100]}',
+    '{"experiment": "pprod-bdg", "lengths": [0]}',
+    '{"experiment": "pprod-bdg", "lengths": [1]}',
+    '{"experiment": "pprod-bdg", "lengths": []}',
+    '{"experiment": "fbm-ynp", "dim": 0}',
+    '{"experiment": "bm-ynp", "dim": 5}',
+    '{"experiment": "bm-ynp", "p": -1.0}',
+    '{"experiment": "bm-ynp", "p": 0}',
     '{"experiment": 3}',
     '[{"experiment": "bm-ynp"}]',
     '5',

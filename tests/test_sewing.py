@@ -205,7 +205,8 @@ def test_endpoint_sew_bounded():
 
 
 def test_small_oscillation_zero_field():
-    zero = TwoParamField(GRID, 1, germ=lambda ii, jj: np.zeros((len(ii), 1)))
+    zero = TwoParamField(
+        GRID, 1, germ=lambda ii, jj: np.zeros_like(GRID.times()[jj])[:, None])
     osc = small_oscillation_check(zero, 2.0)
     assert all(v == 0.0 for v in osc["profile"])
 
