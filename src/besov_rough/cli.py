@@ -69,6 +69,14 @@ from .stochlab import bm_besov_statistic, fbm_besov_statistic, pprod_bdg_experim
 from .acceptance import CRITERIA, run_suite
 
 
+# The largest grid the CLI builds, set by memory: `lift --level`, the MC
+# `level` and the MC `lengths` (at most 2^MAX_GRID_LEVEL) stop here.  At this
+# level the O(n^2) steps (the fBm covariance of `lift --kind fbm` and
+# `fbm-ynp`, the `bm-ynp` window oracle, a `pprod-bdg` paraproduct) and the
+# n = N = 4 signature of `lift --kind bm` each peak below 1 GB.
+MAX_GRID_LEVEL = 12
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise GridFormatError(message)
@@ -82,8 +90,9 @@ def _fnum(x: str) -> float:
 
 def _grid_level(x: str) -> int:
     level = int(x)
-    if level < 1:
-        raise argparse.ArgumentTypeError(f"grid level must be >= 1, got {level}")
+    if not 1 <= level <= MAX_GRID_LEVEL:
+        raise argparse.ArgumentTypeError(
+            f"grid level must be in 1..{MAX_GRID_LEVEL}, got {level}")
     return level
 
 
@@ -171,11 +180,14 @@ class ExperimentConfig:
             ("samples", self.samples >= 2, "an integer >= 2"),
             ("p", self.p > 0, "a number > 0"),
             ("dim", 1 <= self.dim <= MAX_DIM, f"an integer in 1..{MAX_DIM}"),
+            ("level", 1 <= self.level <= MAX_GRID_LEVEL,
+             f"an integer in 1..{MAX_GRID_LEVEL}"),
             ("ns", self.ns and all(1 <= n <= self.level for n in self.ns),
              f"a nonempty list of integers in 1..level = {self.level}"),
-            ("lengths", self.lengths and all(n >= 2 and not n & (n - 1)
-                                             for n in self.lengths),
-             "a nonempty list of powers of two >= 2")]:
+            ("lengths", self.lengths and all(
+                2 <= n <= 1 << MAX_GRID_LEVEL and not n & (n - 1)
+                for n in self.lengths),
+             f"a nonempty list of powers of two in 2..{1 << MAX_GRID_LEVEL}")]:
             if not ok:
                 raise GridFormatError(f"config key {key!r} must be {need},"
                                       f" got {getattr(self, key)!r}")

@@ -25,9 +25,7 @@ from .norms import (
     holder_seminorm,
     two_param_metric,
     two_param_norm,
-    _band_lp,
     _dyadic_band_norms,
-    _mags,
     _q_sum,
 )
 from .rough import RoughPath, rough_metric
@@ -84,49 +82,48 @@ class ControlledPath:
     def remainder(self) -> TwoParamField:
         """Lazy cache of R[i][j] = dY - Y'_i dX[i][j] (recomputable exactly)."""
         if self._remainder is None:
-            n = self.X.grid.n
+            X, n = self.X, self.X.grid.n
             self._remainder = _expansion_remainder(
-                self.X, self.Y.reshape(n, -1), self.Yp.reshape(n, -1, self.X.n))
+                X.grid, X.base_path().values, self.Y.reshape(n, -1),
+                self.Yp.reshape(n, -1, X.n))
         return self._remainder
 
 
-def _expansion_remainder(X: RoughPath, v, a, b=None) -> TwoParamField:
+def _expansion_remainder(grid, base, v, a, b=None, xx_field=None
+                         ) -> TwoParamField:
     """The Davie-type remainder v_t - v_s - a_s dX_st - b_s XX_st as a lazy
-    field; v is (nodes, m), a is (nodes, m, n) and b, when given, is
-    (nodes, m, n, n), contracted as sum_{j,k} b[., j, k] XX[k, j]."""
-    base = X.base_path().values
-    xx_field = X.level(2) if b is not None else None
+    field on `grid`, with dX_st = base_t - base_s; v is (nodes, m), a is
+    (nodes, m, n) and b, when given, is (nodes, m, n, n), contracted with
+    the level-2 field `xx_field` as sum_{j,k} b[., j, k] XX[k, j]."""
+    n = a.shape[2]
 
     def germ(ii, jj):
         lead = np.einsum("bmn,bn->bm", a[ii], base[jj] - base[ii])
         if b is not None:
-            xx = xx_field._values(ii, jj).reshape(-1, X.n, X.n)
+            xx = xx_field._values(ii, jj).reshape(-1, n, n)
             bb = b[ii]
             if len(xx) == 1:  # einsum sums one row in another order than two
                 bb, xx = np.repeat(bb, 2, 0), np.repeat(xx, 2, 0)
             lead = lead + np.einsum("bmjk,bkj->bm", bb, xx)[: len(lead)]
         return v[jj] - v[ii] - lead
 
-    return TwoParamField(X.grid, v.shape[1], germ=germ)
+    return TwoParamField(grid, v.shape[1], germ=germ)
 
 
-def controlled_norm(cp: ControlledPath, params: BesovParams | None = None) -> float:
-    """[Y']_{B^a_pq} + |R|_{B^{2a}_{p/2,q/2}}."""
-    params = params or cp.X.params
-    alpha, p, q = params.as_tuple
+def controlled_norm(cp: ControlledPath) -> float:
+    """[Y']_{B^a_pq} + |R|_{B^{2a}_{p/2,q/2}} at (a, p, q) = cp.X.params."""
+    alpha, p, q = cp.X.params.as_tuple
     part1 = besov_seminorm(cp.yp_path(), alpha, p, q, form="integral")
     part2 = two_param_norm(cp.remainder, 2 * alpha, p / 2, q / 2)
     return part1 + part2
 
 
-def controlled_distance(
-    cp1: ControlledPath, cp2: ControlledPath, params: BesovParams | None = None
-) -> float:
-    """Metric distance of the Gubinelli derivatives plus the remainders."""
+def controlled_distance(cp1: ControlledPath, cp2: ControlledPath) -> float:
+    """Metric distance of the Gubinelli derivatives plus the remainders, at
+    cp1.X.params."""
     if cp1.value_shape != cp2.value_shape or cp1.X.grid != cp2.X.grid:
         raise ValueError("controlled paths not comparable")
-    params = params or cp1.X.params
-    alpha, p, q = params.as_tuple
+    alpha, p, q = cp1.X.params.as_tuple
     d1 = besov_metric(cp1.yp_path(), cp2.yp_path(), alpha, p, q)
     d2 = two_param_metric(cp1.remainder, cp2.remainder, 2 * alpha, p / 2, q / 2)
     return d1 + d2
@@ -217,7 +214,7 @@ def rough_integral(
     if not report:
         return result
 
-    rem = _expansion_remainder(X, z, y, yp)
+    rem = _expansion_remainder(grid, base, z, y, yp, X.level(2))
     gamma, mod = _level2_modulus(params)
     alpha, p, q = params.as_tuple
     if mod is None:
@@ -289,32 +286,22 @@ def _require_level2_field(F: VectorField, params: BesovParams):
             raise RegimeError("the critical level-2 regime needs a C^3 field")
 
 
-def _dyadic_gauge_remainder(dz, zp, base, grid, alpha, p, q) -> float:
-    """Dyadic-shift gauge of the remainder difference field of two iterates.
-
-    dz, zp: differences of values/derivatives; O(n log n), used only as the
-    Picard contraction gauge.
-    """
-    ratios = []
-    for lev in range(1, grid.level + 1):
-        k = 1 << (grid.level - lev)
-        dx = base[k:] - base[:-k]
-        r = dz[k:] - dz[:-k] - np.einsum("bmn,bn->bm", zp[:-k], dx)
-        tau = grid.horizon * 2.0**-lev
-        ratios.append(_band_lp(_mags(r), grid.mesh, p) / tau ** (2 * alpha))
+def _dyadic_gauge_remainder(rem: TwoParamField, alpha, p, q) -> float:
+    """Dyadic-shift gauge of the remainder difference field of two iterates:
+    the plain ell^q sum over tau_n = T 2^-n of |band|_{L^p} / tau_n^(2 alpha);
+    O(n log n), used only as the Picard contraction gauge."""
+    grid = rem.grid
+    ratios = [s / (grid.horizon * 2.0**-n) ** (2 * alpha)
+              for n, s in enumerate(_dyadic_band_norms(rem, p), start=1)]
     return _q_sum(np.asarray(ratios), q, log_weight=False)
 
 
 def rde_solve(
-    F: VectorField,
-    X: RoughPath,
-    y0,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-    max_halvings: int = 12,
+    F: VectorField, X: RoughPath, y0, max_halvings: int = 12
 ) -> RdeResult:
     """Solve dY = F(Y) dX by the controlled Picard map on adaptive
-    subintervals, seeded with the first-order Davie expansion."""
+    subintervals, seeded with the first-order Davie expansion; a subinterval
+    converges at gauge < 1e-9 * max(1, sup |Y|)."""
     params = X.params
     if not params.level2_ok:
         raise RegimeError(
@@ -344,16 +331,16 @@ def rde_solve(
             "bmjk,bkj->bm", wp[:-1], xx_all[a:b]
         )
         nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
-        diff = GridPath(sub_grid, (fv - cur_p).reshape(b - a + 1, -1))
+        dp = fv - cur_p
+        diff = GridPath(sub_grid, dp.reshape(b - a + 1, -1))
         dist = besov_seminorm(diff, alpha, p, q, form="dyadic")
-        dist += _dyadic_gauge_remainder(
-            nxt - cur, fv - cur_p, base[a:b + 1] - base[a],
-            sub_grid, alpha, p2, q2,
-        )
+        rem = _expansion_remainder(sub_grid, base[a:b + 1] - base[a],
+                                   nxt - cur, dp)
+        dist += _dyadic_gauge_remainder(rem, alpha, p2, q2)
         return (nxt, fv), nxt, dist
 
     Y, iterations, subintervals, halvings = _adaptive_picard(
-        grid, y0, start, sweep, tol, max_iter, max_halvings
+        grid, y0, start, sweep, 1e-9, max_halvings
     )
     yp = F.values_along(Y)
     cp = ControlledPath(X, Y, yp)
@@ -375,13 +362,12 @@ def rde_solve(
 def davie_residual(
     cp: ControlledPath,
     F: VectorField,
-    X: RoughPath | None = None,
     h_range: tuple[float, float] | None = None,
 ) -> dict:
-    """Residual D = dY - f(Y_s) dX - Df(Y_s) f(Y_s) XX, its two-parameter norm
-    at (3a, p/3, q/3) (endpoint: the omega profile), and the log-log slope of
-    sup_{|t-s|=h} |D| over dyadic h."""
-    X = X or cp.X
+    """Residual D = dY - f(Y_s) dX - Df(Y_s) f(Y_s) XX on the driver cp.X,
+    its two-parameter norm at (3a, p/3, q/3) (endpoint: the omega profile),
+    and the log-log slope of sup_{|t-s|=h} |D| over dyadic h."""
+    X = cp.X
     grid = X.grid
     params = X.params
     alpha, p, q = params.as_tuple
@@ -389,7 +375,8 @@ def davie_residual(
     fv = F.values_along(Y)
     dfv = F.d_along(Y)
     wp = np.einsum("bajc,bck->bajk", dfv, fv)
-    D = _expansion_remainder(X, Y.reshape(grid.n, -1), fv, wp)
+    D = _expansion_remainder(grid, X.base_path().values, Y.reshape(grid.n, -1),
+                             fv, wp, X.level(2))
     endpoint = alpha <= 1.0 / 3.0 + 1e-12
     if endpoint:
         norm = two_param_norm(D, 1.0, p / 3, INF)
@@ -429,7 +416,7 @@ def rde_stability_probe(
     solutions over the distance of the data."""
     s1 = rde_solve(F1, X1, y1)
     s2 = rde_solve(F2, X2, y2)
-    num = controlled_distance(s1.controlled, s2.controlled, X1.params)
+    num = controlled_distance(s1.controlled, s2.controlled)
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
     y2 = np.atleast_1d(np.asarray(y2, dtype=float))
     cloud = _probe_cloud(s1.controlled.Y, s2.controlled.Y)

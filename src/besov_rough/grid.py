@@ -58,9 +58,6 @@ class UniformGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n) * (self.horizon / (1 << self.level))
 
-    def time(self, i: int) -> float:
-        return i * self.horizon / (1 << self.level)
-
     def refine(self, k: int) -> "UniformGrid":
         """Grid with level + k; contains every node of this grid."""
         if k < 0:
@@ -103,9 +100,6 @@ class GridPath:
         if not 0 <= k < n:
             raise IndexError(f"band offset {k} out of range for n={n}")
         return self.values[k:] - self.values[: n - k]
-
-    def component(self, j: int) -> "GridPath":
-        return GridPath(self.grid, self.values[:, j])
 
     def subsample(self, k: int) -> "GridPath":
         """Pointwise evaluation on the k-times-coarser grid."""
@@ -153,9 +147,11 @@ class TwoParamField:
     views) or two intp arrays (`pairs`), used only to index (`_indices`
     converts).  Array data enters through ``dense=``, an (n, n, m) array
     copied, frozen and read at the requested pairs (never below the
-    diagonal).  The diagonal is whatever the germ gives there: zero for
-    increment-type germs, the stored diagonal for array data.  Band access
-    (all entries A[i, i+k]) is the workhorse for every norm.
+    diagonal); an array built for the field is handed over, frozen in place,
+    through the germ `_frozen_germ(arr)`.  The diagonal is whatever the germ
+    gives there: zero for increment-type germs, the stored diagonal for
+    array data.  Band access (all entries A[i, i+k]) is the workhorse for
+    every norm.
     """
 
     def __init__(
@@ -176,18 +172,15 @@ class TwoParamField:
                     f"dense must have shape ({grid.n}, {grid.n}, {dim}),"
                     f" got {dense.shape}"
                 )
-            dense.setflags(write=False)
-
-            def germ(ii, jj):
-                return dense[_indices(ii), _indices(jj)]
-
+            germ = _frozen_germ(dense)
         self.grid = grid
         self.dim = dim
         self._germ = germ
 
     def materialize(self) -> "TwoParamField":
         """Array-backed copy; agrees entrywise with this field."""
-        return TwoParamField(self.grid, self.dim, dense=self.to_dense())
+        return TwoParamField(self.grid, self.dim,
+                             germ=_frozen_germ(self.to_dense()))
 
     # -- access ------------------------------------------------------------
     def _values(self, ii, jj, rows: int = -1) -> np.ndarray:
@@ -231,11 +224,14 @@ class TwoParamField:
 
     def to_dense(self) -> np.ndarray:
         """(n, n, m) array of the entries on and above the diagonal, zero
-        below it."""
+        below it; filled by one `pairs` call per block of 64 rows, so the
+        germ's temporaries stay small next to the output."""
         n = self.grid.n
-        ii, jj = np.triu_indices(n)
         dense = np.zeros((n, n, self.dim))
-        dense[ii, jj] = self.pairs(ii, jj)
+        for r0 in range(0, n, _DENSE_ROWS):
+            ii, jj = np.triu_indices(min(_DENSE_ROWS, n - r0), m=n - r0)
+            ii, jj = ii + r0, jj + r0
+            dense[ii, jj] = self.pairs(ii, jj)
         return dense
 
     def restrict(self, i0: int, i1: int) -> "TwoParamField":
@@ -275,6 +271,20 @@ class TwoParamField:
         return f"TwoParamField(level={self.grid.level}, m={self.dim})"
 
 
+_DENSE_ROWS = 64
+
+
+def _frozen_germ(dense: np.ndarray):
+    """Germ reading an (n, n, m) float array the caller hands over: the
+    array is frozen in place, not copied as ``dense=`` does."""
+    dense.setflags(write=False)
+
+    def germ(ii, jj):
+        return dense[_indices(ii), _indices(jj)]
+
+    return germ
+
+
 def _indices(sel) -> np.ndarray:
     """Index array of a germ selector: a slice becomes its arange."""
     return np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
@@ -302,11 +312,11 @@ def delta2(field: TwoParamField, i: int, u: int, j: int) -> np.ndarray:
 
 # -- CSV interchange ---------------------------------------------------------
 
-def load_path_csv(path, tol: float = 1e-12) -> GridPath:
+def load_path_csv(path) -> GridPath:
     """Read a path from CSV with header ``t,v0,...,v{m-1}``.
 
-    Times must be strictly increasing and dyadic to within tol*T; every value
-    must be finite.
+    Times must be strictly increasing and dyadic to within 1e-12*T; every
+    value must be finite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -345,8 +355,8 @@ def load_path_csv(path, tol: float = 1e-12) -> GridPath:
     grid = UniformGrid(horizon, level)
     if np.any(np.diff(times) <= 0):
         raise GridFormatError(f"{path}: times not strictly increasing")
-    if np.max(np.abs(times - grid.times())) > tol * horizon:
-        raise GridFormatError(f"{path}: times not dyadic within {tol:g}*T")
+    if np.max(np.abs(times - grid.times())) > 1e-12 * horizon:
+        raise GridFormatError(f"{path}: times not dyadic within 1e-12*T")
     return GridPath(grid, values)
 
 

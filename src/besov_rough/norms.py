@@ -92,23 +92,22 @@ class BesovParams:
 class EndpointModulus:
     """Log-corrected critical modulus: omega_r(h) = h^exponent * ell_r(h).
 
-    ell_r(h) = |log(min(h, 1/2))|^{1/r + epsilon}, ell_inf = 1.  `exponent`
+    ell_r(h) = |log(min(h, 1/2))|^{1/r + 0.1}, ell_inf = 1.  `exponent`
     is max(1, 1/p2) in the sewing endpoint case.
     """
 
     r: float
     exponent: float = 1.0
-    epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.r <= 0 or self.epsilon <= 0:
-            raise RegimeError("EndpointModulus needs r > 0 and epsilon > 0")
+        if self.r <= 0:
+            raise RegimeError("EndpointModulus needs r > 0")
 
     def ell(self, h):
         h = np.asarray(h, dtype=float)
         if self.r == INF:
             return np.ones_like(h)
-        return np.abs(np.log(np.minimum(h, 0.5))) ** (1.0 / self.r + self.epsilon)
+        return np.abs(np.log(np.minimum(h, 0.5))) ** (1.0 / self.r + 0.1)
 
     def omega(self, h):
         h = np.asarray(h, dtype=float)
@@ -308,26 +307,23 @@ def two_param_norm(
 
 
 def two_param_metric(
-    A: TwoParamField, B: TwoParamField, gamma: float, p: float, q: float, modulus=None
+    A: TwoParamField, B: TwoParamField, gamma: float, p: float, q: float
 ) -> float:
     """Complete-metric distance on the two-parameter space, split by the
     (p, q) cases as in `besov_metric` with no L^p term."""
-    denom = _power_denominator(gamma, modulus)
+    denom = _power_denominator(gamma)
     return _metric_sum(_dyadic_ratio_profile(A - B, p, denom), p, q)
 
 
-def delta2_norm(
-    A: TwoParamField, gamma: float, p: float, q: float, theta_level: int = 4,
-    modulus=None,
-) -> float:
+def delta2_norm(A: TwoParamField, gamma: float, p: float, q: float) -> float:
     """|delta^2 A| in the barred two-parameter norm.
 
-    The inner sup over theta is discretized on {j/2^theta_level}; this is a
-    lower bound on the continuum sup.
+    The inner sup over theta is discretized on {j/16}; this is a lower bound
+    on the continuum sup.
     """
     grid = A.grid
-    denom = _power_denominator(gamma, modulus)
-    thetas = np.arange(1 << theta_level, dtype=float) / (1 << theta_level)
+    denom = _power_denominator(gamma)
+    thetas = np.arange(16, dtype=float) / 16
     max_shift = 1 << (grid.level - 1) if grid.level >= 1 else 0
     s = np.zeros(max_shift)
     for k in range(1, max_shift + 1):
@@ -401,13 +397,11 @@ def oscillation_variation(f: GridPath, p: float) -> float:
 # Campanato ratio and inequality reports
 
 
-def campanato_ratio(
-    f: GridPath, beta: float, max_window_nodes: int = 256
-) -> float:
+def campanato_ratio(f: GridPath, beta: float) -> float:
     """Discretized sup over centers and dyadic radii of
     r^{-beta} (2r)^{-2} * double integral of |f_s - f_t| over the window.
 
-    Windows wider than `max_window_nodes` are subsampled with a stride, so the
+    Windows wider than 256 nodes are subsampled with a stride, so the
     reported value is a lower bound on the full double-sum version.
     """
     grid = f.grid
@@ -420,7 +414,7 @@ def campanato_ratio(
         r = w * grid.mesh
         for c in range(w, n - w, center_stride):
             lo, hi = c - w, c + w
-            stride = max(1, (hi - lo) // max_window_nodes)
+            stride = max(1, (hi - lo) // 256)
             sub = v[lo:hi:stride]
             weight = (stride * grid.mesh) ** 2
             diff = sub[:, None, :] - sub[None, :, :]

@@ -26,6 +26,7 @@ from .norms import (
     two_param_metric,
     two_param_norm,
 )
+from .signals import brownian_path
 
 __all__ = [
     "TensorElement",
@@ -335,10 +336,7 @@ def brownian_lift(
     bracket to the second level."""
     params = params or BesovParams(0.45, 32.0, INF)
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, "bm-lift")
-    incs = rng.standard_normal((grid.n_cells, n)) * math.sqrt(grid.mesh)
-    w = np.vstack([np.zeros((1, n)), np.cumsum(incs, axis=0)])
-    path = GridPath(grid, w)
-    lift = canonical_lift(path, 2, params)
+    lift = canonical_lift(brownian_path(grid, rng, n), 2, params)
     if flavor == "ito":
         return lift
     if flavor != "stratonovich":
@@ -366,14 +364,14 @@ def _fbm_chol(H: float, level: int, horizon: float) -> np.ndarray:
     return np.linalg.cholesky(cov + 1e-14 * np.eye(cov.shape[0]))
 
 
-def fbm_path(H: float, grid: UniformGrid, seed, dim: int = 1) -> GridPath:
-    """Fractional Brownian motion by exact-covariance factorization."""
+def fbm_path(H: float, grid: UniformGrid, seed) -> GridPath:
+    """Scalar fractional Brownian motion by exact-covariance factorization."""
     if not 0 < H < 1:
         raise RegimeError(f"Hurst parameter must be in (0,1), got {H}")
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, "fbm")
     chol = _fbm_chol(float(H), grid.level, float(grid.horizon))
-    z = rng.standard_normal((grid.n_cells, dim))
-    vals = np.vstack([np.zeros((1, dim)), chol @ z])
+    z = rng.standard_normal((grid.n_cells, 1))
+    vals = np.vstack([np.zeros((1, 1)), chol @ z])
     return GridPath(grid, vals)
 
 
@@ -392,10 +390,9 @@ def dilate(X: RoughPath, lam: float) -> RoughPath:
     return RoughPath.from_fields(X.grid, X.params, fields)
 
 
-def rough_besov_norm(X: RoughPath, params: BesovParams | None = None) -> float:
-    """sum_k |X^(k)|_{B^{k a}_{p/k, q/k}}^{1/k}."""
-    params = params or X.params
-    alpha, p, q = params.as_tuple
+def rough_besov_norm(X: RoughPath) -> float:
+    """sum_k |X^(k)|_{B^{k a}_{p/k, q/k}}^{1/k} at (a, p, q) = X.params."""
+    alpha, p, q = X.params.as_tuple
     total = 0.0
     for k in range(1, X.depth + 1):
         nk = two_param_norm(X.level(k), k * alpha, p / k, q / k)
@@ -403,30 +400,28 @@ def rough_besov_norm(X: RoughPath, params: BesovParams | None = None) -> float:
     return total
 
 
-def rough_metric(X: RoughPath, Y: RoughPath, params: BesovParams | None = None
-                 ) -> float:
-    """sum_k of the two-parameter metric between the level-k components."""
+def rough_metric(X: RoughPath, Y: RoughPath) -> float:
+    """sum_k of the two-parameter metric between the level-k components, at
+    X.params."""
     if X.depth != Y.depth or X.n != Y.n or X.grid != Y.grid:
         raise ValueError("rough paths not comparable")
-    params = params or X.params
-    alpha, p, q = params.as_tuple
+    alpha, p, q = X.params.as_tuple
     total = 0.0
     for k in range(1, X.depth + 1):
         total += two_param_metric(X.level(k), Y.level(k), k * alpha, p / k, q / k)
     return total
 
 
-def chen_residual(X: RoughPath, sample_budget: int = 10000, seed: int = 20210
-                  ) -> float:
+def chen_residual(X: RoughPath) -> float:
     """Max componentwise residual of X_{st} (x) X_{tu} - X_{su} over triples.
 
-    All triples when the grid has <= 64 cells; otherwise `sample_budget`
-    uniformly random triples with a fixed seed, plus a deterministic sweep of
-    the dyadic midpoint skeleton (i, i + 2^{k-1}, i + 2^k) so that a corrupted
-    entry on an aligned pair is detected with certainty, not with the ~2%
-    probability random triples alone would give.  The additive (max-abs)
-    residual is reported so that an injected perturbation of size eps shows up
-    as a residual of exactly eps.
+    All triples when the grid has <= 64 cells; otherwise 10000 uniformly
+    random triples (seed 20210), plus a deterministic sweep of the dyadic
+    midpoint skeleton (i, i + 2^{k-1}, i + 2^k) so that a corrupted entry on
+    an aligned pair is detected with certainty, not with the ~2% probability
+    random triples alone would give.  The additive (max-abs) residual is
+    reported so that an injected perturbation of size eps shows up as a
+    residual of exactly eps.
     """
     cells = X.grid.n_cells
     if cells <= 64:
@@ -437,8 +432,8 @@ def chen_residual(X: RoughPath, sample_budget: int = 10000, seed: int = 20210
                     idx.append((i, u, j))
         ii, uu, jj = (np.array(t) for t in zip(*idx))
     else:
-        rng = rng_for(seed, "chen-triples")
-        draws = rng.integers(0, cells + 1, size=(sample_budget, 3))
+        rng = rng_for(20210, "chen-triples")
+        draws = rng.integers(0, cells + 1, size=(10000, 3))
         draws.sort(axis=1)
         skel = []
         for k in range(1, X.grid.level + 1):
@@ -535,16 +530,16 @@ def rough_interpolation_report(X: RoughPath, j: int, k: int) -> dict:
     return {"lhs": lhs, "rhs": rhs, "ratio": 0.0 if rhs == 0 else lhs / rhs}
 
 
-def campanato_scaling(X: RoughPath, k: int, min_pow: int = 2) -> dict:
+def campanato_scaling(X: RoughPath, k: int) -> dict:
     """log-log slope of the window-averaged |mean X^{(k)}_{st}| against the
-    window width; the Campanato-type bound predicts slope >= k(alpha - 1/p)
-    up to discretization slack."""
+    window width 2^e cells, e = 2..level-2; the Campanato-type bound
+    predicts slope >= k(alpha - 1/p) up to discretization slack."""
     alpha, p, _ = X.params.as_tuple
     beta = alpha - 1.0 / p
     field = X.level(k)
     grid = X.grid
     widths, values = [], []
-    for e in range(min_pow, grid.level - 1):
+    for e in range(2, grid.level - 1):
         w = 1 << e
         vals = []
         for a in range(0, grid.n - w, w):

@@ -84,7 +84,6 @@ class SewingInput:
     p2: float
     q2: float = INF
     endpoint: bool = False
-    epsilon: float = 0.1
 
     def __post_init__(self):
         crit = max(1.0, 1.0 / self.p2)
@@ -110,9 +109,7 @@ class SewingInput:
     def modulus(self) -> Optional[EndpointModulus]:
         if not self.endpoint:
             return None
-        return EndpointModulus(
-            r=self.q2, exponent=self.critical_exponent, epsilon=self.epsilon
-        )
+        return EndpointModulus(r=self.q2, exponent=self.critical_exponent)
 
 
 @dataclass
@@ -222,25 +219,18 @@ _ZERO_FLOOR = 1e-300
 
 
 def rate_certificate(
-    result: SewingResult,
-    gamma: float | None = None,
-    p2: float | None = None,
-    q2: float | None = None,
-    n_range: tuple[int, int] | None = None,
+    result: SewingResult, n_range: tuple[int, int] | None = None
 ) -> dict:
     """log2-regression of successive-difference norms against the level.
 
-    Expected slope is -(gamma - max(1, 1/p2)); a germ that is already an
-    increment has all-zero differences and reports slope -inf.  In the
-    endpoint case the expected slope is 0 and the report carries a
-    boundedness flag instead.  Any other germ with fewer than two levels of
+    Expected slope is -(gamma - max(1, 1/p2)) at the sewing input's gamma
+    and p2; a germ that is already an increment has all-zero differences
+    and reports slope -inf.  In the endpoint case the expected slope is 0
+    and the report carries a boundedness flag instead.  Any other germ with fewer than two levels of
     positive norm has no slope and raises ValueError.
     """
     inp = result.input
-    gamma = inp.gamma if gamma is None else gamma
-    p2 = inp.p2 if p2 is None else p2
-    q2 = inp.q2 if q2 is None else q2
-    expected = -(gamma - max(1.0, 1.0 / p2))
+    expected = -(inp.gamma - inp.critical_exponent)
     rows = result.levels
     if n_range is not None:
         rows = [r for r in rows if n_range[0] <= r["n"] <= n_range[1]]

@@ -18,10 +18,10 @@ __all__ = [
 ]
 
 
-def heaviside(grid: UniformGrid, jump_at: float = 0.5) -> GridPath:
-    """0 before the jump node, 1 from it on (jump_at must be a grid node)."""
+def heaviside(grid: UniformGrid) -> GridPath:
+    """0 before T/2, 1 from it on."""
     t = grid.times()
-    values = (t >= jump_at * grid.horizon - 1e-15 * grid.horizon).astype(float)
+    values = (t >= 0.5 * grid.horizon - 1e-15 * grid.horizon).astype(float)
     return GridPath(grid, values)
 
 
@@ -68,18 +68,16 @@ def pw_linear_random(
     return GridPath(grid, values)
 
 
-def smooth_random(
-    grid: UniformGrid, rng: np.random.Generator, modes: int = 6, dim: int = 1
-) -> GridPath:
-    """Random trigonometric polynomial; coefficients decay like 1/k^2."""
+def smooth_random(grid: UniformGrid, rng: np.random.Generator) -> GridPath:
+    """Scalar random trigonometric polynomial of 6 modes; coefficients decay
+    like 1/k^2."""
     t = grid.times() / grid.horizon
-    values = np.zeros((grid.n, dim))
-    for j in range(dim):
-        a = rng.standard_normal(modes) / np.arange(1, modes + 1) ** 2
-        b = rng.standard_normal(modes) / np.arange(1, modes + 1) ** 2
-        for k in range(modes):
-            values[:, j] += a[k] * np.sin(2 * np.pi * (k + 1) * t)
-            values[:, j] += b[k] * (np.cos(2 * np.pi * (k + 1) * t) - 1.0)
+    values = np.zeros(grid.n)
+    a = rng.standard_normal(6) / np.arange(1, 7) ** 2
+    b = rng.standard_normal(6) / np.arange(1, 7) ** 2
+    for k in range(6):
+        values += a[k] * np.sin(2 * np.pi * (k + 1) * t)
+        values += b[k] * (np.cos(2 * np.pi * (k + 1) * t) - 1.0)
     return GridPath(grid, values)
 
 

@@ -18,9 +18,10 @@ from scipy.stats import linregress
 
 from ._rng import rng_for
 from .errors import RegimeError
-from .grid import GridPath, TwoParamField, UniformGrid, delta
+from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ, delta
 from .norms import INF, besov_seminorm, two_param_norm
 from .rough import fbm_path, homogeneous_distance_level2
+from .signals import brownian_path
 
 __all__ = [
     "DiscreteMartingale",
@@ -99,7 +100,7 @@ def paraproduct(F, g: DiscreteMartingale) -> TwoParamField:
         [np.zeros((grid.n, 1, F.dim)), np.cumsum(weighted, axis=1)], axis=1
     )
     # Pi[s, t] = sum_{j < t} F[s, j] dg_j
-    return TwoParamField(grid, F.dim, dense=csum)
+    return TwoParamField(grid, F.dim, germ=_frozen_germ(csum))
 
 
 def square_function(g: DiscreteMartingale) -> TwoParamField:
@@ -166,12 +167,11 @@ def bm_besov_statistic(
     ns = sorted(int(n) for n in np.atleast_1d(ns))
     if max(ns) > level:
         raise RegimeError(f"window exponent n={max(ns)} exceeds grid level {level}")
-    mesh = 2.0**-level
+    grid = UniformGrid(1.0, level)
+    mesh = grid.mesh
     table = {n: np.empty(samples) for n in ns}
     for s in range(samples):
-        rng = rng_for(seed, "bm-ynp", s)
-        incs = rng.standard_normal((1 << level, dim)) * math.sqrt(mesh)
-        w = np.vstack([np.zeros((1, dim)), np.cumsum(incs, axis=0)])
+        w = brownian_path(grid, rng_for(seed, "bm-ynp", s), dim).values
         for n in ns:
             k = 1 << (level - n)
             dw, xx = _ito_level2_bands(w, k)

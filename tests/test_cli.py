@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from besov_rough import acceptance
-from besov_rough.cli import ExperimentConfig, load_rough_dir, main, save_rough_dir
+from besov_rough.cli import (
+    MAX_GRID_LEVEL,
+    ExperimentConfig,
+    load_rough_dir,
+    main,
+    save_rough_dir,
+)
 from besov_rough.grid import GridPath, TwoParamField, UniformGrid, save_path_csv
 from besov_rough.norms import BesovParams, INF
 from besov_rough.rough import RoughPath, brownian_lift, chen_residual, lyons_extend
@@ -340,8 +346,8 @@ def test_malformed_signature_dir_exit_1(tmp_path, capsys, corrupt):
 
 @pytest.mark.parametrize("argv", [
     ["--n", "5"], ["--n", "0"], ["--N", "5"], ["--N", "0"], ["--level", "-1"],
-    ["--level", "0"], ["--horizon", "nan"], ["--horizon", "-1"],
-    ["--flavor", "geometric"],
+    ["--level", "0"], ["--level", "13"], ["--level", "40"],
+    ["--horizon", "nan"], ["--horizon", "-1"], ["--flavor", "geometric"],
 ])
 def test_lift_argument_errors_exit_1(tmp_path, capsys, argv):
     code = main(["lift", "--kind", "bm", "--level", "3",
@@ -517,6 +523,10 @@ def test_workers_flag_removed(sin_csv, capsys):
     '{"experiment": "pprod-bdg", "lengths": [0]}',
     '{"experiment": "pprod-bdg", "lengths": [1]}',
     '{"experiment": "pprod-bdg", "lengths": []}',
+    '{"experiment": "pprod-bdg", "lengths": [128, 8192]}',
+    '{"experiment": "pprod-bdg", "lengths": [1099511627776]}',
+    '{"experiment": "bm-ynp", "level": 13}',
+    '{"experiment": "fbm-ynp", "level": 40, "ns": [4]}',
     '{"experiment": "fbm-ynp", "dim": 0}',
     '{"experiment": "bm-ynp", "dim": 5}',
     '{"experiment": "bm-ynp", "p": -1.0}',
@@ -532,6 +542,16 @@ def test_mc_malformed_config_exit_1(tmp_path, capsys, text):
     assert code == 1
     assert _single_json_error(capsys)["error"] == "io"
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_mc_accepts_the_maximum_level(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bm-ynp", "samples": 2,
+                               "level": MAX_GRID_LEVEL,
+                               "ns": [MAX_GRID_LEVEL]}))
+    out = tmp_path / "o.csv"
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_config_roundtrip():

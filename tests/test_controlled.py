@@ -13,6 +13,7 @@ from besov_rough.young import (
     YoungRegime,
     rotation_field,
     scalar_linear_field,
+    sigmoid_field,
     young_integral,
 )
 from besov_rough.controlled import (
@@ -250,6 +251,19 @@ def test_compose_constant_field():
 
 
 # -- RDE solver -----------------------------------------------------------------------
+
+def test_compose_report():
+    g = UniformGrid(1.0, 8)
+    t = g.times()
+    X = geometric_lift(GridPath(g, np.column_stack([np.sin(t), np.cos(2 * t)])),
+                       2, SMOOTH)
+    out, rep = compose_controlled(sigmoid_field(2, 2), _self_controlled(X),
+                                  report=True)
+    assert all(math.isfinite(rep[k]) and rep[k] > 0
+               for k in ("lhs", "rhs", "ratio"))
+    assert rep["ratio"] == rep["lhs"] / rep["rhs"]
+    assert rep["lhs"] == controlled_norm(out)
+
 
 def test_rde_zero_field():
     X = _scalar_lift(8)

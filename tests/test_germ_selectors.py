@@ -2,8 +2,11 @@
 
 `TwoParamField.band(k)` hands the germ two slices and `pairs` hands it two
 index arrays; every germ kind must give the same bits either way, and
-`to_dense()` (one `pairs` call) must equal the band-by-band array.
+`to_dense()` (one `pairs` call per block of rows) must equal the
+band-by-band array.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from besov_rough.grid import (
     GridPath,
     TwoParamField,
     UniformGrid,
+    _frozen_germ,
     delta,
     load_germ_csv,
 )
@@ -75,12 +79,14 @@ def _controlled():
                           rng.standard_normal((GRID.n, 2, 2)))
 
 
-def _expansion(m):
-    cp = _controlled()
+def _expansion(m, X=None):
+    X = X or _controlled().X
+    n = X.grid.n
     rng = np.random.default_rng(5 + m)
-    return _expansion_remainder(cp.X, rng.standard_normal((GRID.n, m)),
-                                rng.standard_normal((GRID.n, m, 2)),
-                                rng.standard_normal((GRID.n, m, 2, 2)))
+    return _expansion_remainder(X.grid, X.base_path().values,
+                                rng.standard_normal((n, m)),
+                                rng.standard_normal((n, m, 2)),
+                                rng.standard_normal((n, m, 2, 2)), X.level(2))
 
 
 def _csv_germ(tmp_path):
@@ -143,6 +149,37 @@ def test_band_equals_pairs_and_dense(tmp_path, kind):
     F = KINDS[kind](tmp_path)
     _assert_bands_match_pairs(F)
     assert _same(F.to_dense(), _band_loop_dense(F))
+
+
+def test_to_dense_over_several_row_blocks():
+    # 129 rows: blocks of 64, 64 and 1 row (a one-pair `pairs` call)
+    grid = UniformGrid(1.0, 7)
+    X = brownian_lift(2, grid, 11, params=PARAMS)
+    for F in (X.level(2), lyons_extend(X, 3).level(3), _expansion(1, X),
+              _expansion(2, X), delta(_path(1, grid=grid)).materialize()):
+        assert _same(F.to_dense(), _band_loop_dense(F))
+
+
+def test_to_dense_peak_memory_near_its_output():
+    F = brownian_lift(2, UniformGrid(1.0, 10), 3).level(2)
+    F.band(1)  # the inverse prefix is built once, outside the measurement
+    nbytes = F.grid.n**2 * F.dim * 8
+    for build in (F.to_dense, F.materialize):  # materialize copies nothing
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nbytes, build
+
+
+def test_frozen_germ_takes_over_its_array():
+    arr = np.random.default_rng(3).standard_normal((GRID.n, GRID.n, 2))
+    F = TwoParamField(GRID, 2, germ=_frozen_germ(arr))
+    assert not arr.flags.writeable
+    idx = np.arange(GRID.n - 2)
+    assert _same(F.band(2), arr[idx, idx + 2])
 
 
 def test_dyadic_riemann_bands_match_pairs():
