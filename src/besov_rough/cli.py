@@ -72,8 +72,8 @@ from .acceptance import CRITERIA, run_suite
 # The largest grid the CLI builds, set by memory: `lift --level`, the MC
 # `level` and the MC `lengths` (at most 2^MAX_GRID_LEVEL) stop here.  At this
 # level the O(n^2) steps (the fBm covariance of `lift --kind fbm` and
-# `fbm-ynp`, the `bm-ynp` window oracle, a `pprod-bdg` paraproduct) and the
-# n = N = 4 signature of `lift --kind bm` each peak below 1 GB.
+# `fbm-ynp`, a `pprod-bdg` paraproduct) and the n = N = 4 signature of
+# `lift --kind bm` each peak below 1 GB.
 MAX_GRID_LEVEL = 12
 
 
@@ -687,6 +687,9 @@ def main(argv=None) -> int:
     except NonContractionError as exc:
         _emit_error("numerical", exc)
         return 3
+    except MemoryError as exc:
+        _emit_error("memory", exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -126,31 +126,52 @@ class EndpointModulus:
 
 
 def _mags(diff: np.ndarray) -> np.ndarray:
-    """Euclidean magnitudes of an (k, m) increment block."""
-    if diff.shape[1] == 1:
-        return np.abs(diff[:, 0])
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Euclidean magnitudes of a (..., k, m) increment block, shape (..., k)."""
+    if diff.shape[-1] == 1:
+        return np.abs(diff[..., 0])
+    return np.sqrt(np.einsum("...ij,...ij->...i", diff, diff))
 
 
-def _band_lp(mag: np.ndarray, mesh: float, p: float) -> float:
-    """L^p over [0, T-h]: left-endpoint weights, last band node excluded."""
-    if p == INF:
-        return float(mag.max()) if len(mag) else 0.0
-    if len(mag) <= 1:
-        return 0.0
-    return float((np.sum(mag[:-1] ** p) * mesh) ** (1.0 / p))
+def _band_lp(mag: np.ndarray, mesh: float, p: float):
+    """L^p over [0, T-h] of each band, the last axis of `mag`: left-endpoint
+    weights, last band node excluded (p = inf: the max over every node)."""
+    return _lp_sum(mag if p == INF else mag[..., :-1], p, mesh)
+
+
+def _lp_sum(x: np.ndarray, p: float, weight: float):
+    """(weight * sum x^p)^(1/p) over the last axis of x, its max for
+    p = inf, 0 over an empty axis: a float for a 1-D x, else one value per
+    row of a stack.
+
+    Two rules make a stack of rows give the bits of one call per row.  The
+    sum runs over the last axis of a C-ordered array: its row sums equal the
+    1-D sums, while over an F-ordered array (a transpose, or what some fancy
+    indexing returns) they differ in the last bit.  The 1/p root is a numpy
+    scalar power per entry: numpy's array power differs from it in the last
+    bit for a few percent of entries.
+    """
+    if x.shape[-1] == 0:
+        out = np.zeros(x.shape[:-1])
+    elif p == INF:
+        out = x.max(axis=-1)
+    else:
+        out = weight * np.add.reduce(np.ascontiguousarray(x**p), axis=-1)
+        e = 1.0 / p
+        if out.ndim:
+            return np.array([v**e for v in out.flat]).reshape(out.shape)
+        out = out**e
+    return out if out.ndim else float(out)
 
 
 def band_lp_norms(obj, p: float, max_shift: int) -> np.ndarray:
     """Per-shift L^p increment norms s_k, k = 1..max_shift, of the bands
     `obj.band(k)`: the increments f_{i+k} - f_i of a GridPath, or the entries
-    A[i, i+k] of a TwoParamField.
+    A[i, i+k] of a TwoParamField.  A band stack of shape (..., n-k, m) gives
+    a (..., max_shift) array, one row per stacked field.
     """
     mesh = obj.grid.mesh
-    out = np.zeros(max_shift)
-    for k in range(1, max_shift + 1):
-        out[k - 1] = _band_lp(_mags(obj.band(k)), mesh, p)
-    return out
+    return np.transpose([_band_lp(_mags(obj.band(k)), mesh, p)
+                         for k in range(1, max_shift + 1)])
 
 
 def _dyadic_band_norms(obj, p: float) -> np.ndarray:
@@ -178,29 +199,26 @@ def lp_modulus(f: GridPath, p: float, tau: float) -> float:
     return float(band_lp_norms(f, p, k_max).max())
 
 
-def _q_sum(ratios: np.ndarray, q: float, log_weight: bool) -> float:
-    ratios = np.asarray(ratios, dtype=float)
-    if ratios.size == 0:
-        return 0.0
-    if q == INF:
-        return float(ratios.max())
+def _q_sum(ratios: np.ndarray, q: float, log_weight: bool):
+    """ell^q sum of the ratios along the last axis, weighted by log 2 when
+    `log_weight`; one value per row of a stack (see `_lp_sum`)."""
     w = math.log(2.0) if log_weight else 1.0
-    return float((w * np.sum(ratios**q)) ** (1.0 / q))
+    return _lp_sum(np.asarray(ratios, dtype=float), q, w)
 
 
 def _ratios_from_norms(s: np.ndarray, grid, denom) -> np.ndarray:
-    """Per-level ratios Omega(tau_n)/denom(tau_n) for n = 1..level.
+    """Per-level ratios Omega(tau_n)/denom(tau_n) for n = 1..level, along the
+    last axis of the per-shift norms s (one row per stacked field).
 
     Omega is the running sup of the per-shift norms s, so it is
     nondecreasing in tau by construction.
     """
-    running = np.maximum.accumulate(s)
-    ratios = []
-    for n in range(1, grid.level + 1):
-        tau = grid.horizon * 2.0 ** (-n)
-        k = 1 << (grid.level - n)
-        ratios.append(running[k - 1] / denom(tau))
-    return np.asarray(ratios)
+    running = np.maximum.accumulate(s, axis=-1)
+    ns = range(1, grid.level + 1)
+    shifts = [(1 << (grid.level - n)) - 1 for n in ns]
+    denoms = np.array([denom(grid.horizon * 2.0 ** (-n)) for n in ns],
+                      dtype=float)
+    return running[..., shifts] / denoms
 
 
 def _dyadic_ratio_profile(obj, p, denom):
@@ -208,6 +226,14 @@ def _dyadic_ratio_profile(obj, p, denom):
     level = obj.grid.level
     s = band_lp_norms(obj, p, 1 << (level - 1)) if level >= 1 else np.zeros(0)
     return _ratios_from_norms(s, obj.grid, denom)
+
+
+def _integral_norm(obj, p: float, q: float, denom):
+    """Log-weighted ell^q sum over tau_n of Omega_p(obj, tau_n)/denom(tau_n),
+    behind `two_param_norm` and the integral `besov_seminorm`.  For a stack
+    of S fields (obj.band(k) of shape (S, n-k, m)) it gives, bit for bit,
+    the S values of S unstacked calls."""
+    return _q_sum(_dyadic_ratio_profile(obj, p, denom), q, log_weight=True)
 
 
 def _power_denominator(gamma: float, modulus=None):
@@ -244,8 +270,7 @@ def besov_seminorm(
                   for n, s in enumerate(_dyadic_band_norms(f, p), start=1)]
         return _q_sum(np.asarray(ratios), q, log_weight=False)
     if form == "integral":
-        ratios = _dyadic_ratio_profile(f, p, lambda tau: tau**alpha)
-        return _q_sum(ratios, q, log_weight=True)
+        return _integral_norm(f, p, q, lambda tau: tau**alpha)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -302,8 +327,7 @@ def two_param_norm(
     `modulus`, when given, replaces tau^gamma as the denominator (endpoint
     norms).
     """
-    denom = _power_denominator(gamma, modulus)
-    return _q_sum(_dyadic_ratio_profile(A, p, denom), q, log_weight=True)
+    return _integral_norm(A, p, q, _power_denominator(gamma, modulus))
 
 
 def two_param_metric(

@@ -361,7 +361,8 @@ def fbm_covariance(H: float, grid: UniformGrid) -> np.ndarray:
 def _fbm_chol(H: float, level: int, horizon: float) -> np.ndarray:
     # O(cells^3) factorization, cached per (H, grid); fine at desk scale.
     cov = fbm_covariance(H, UniformGrid(horizon, level))
-    return np.linalg.cholesky(cov + 1e-14 * np.eye(cov.shape[0]))
+    cov.flat[:: cov.shape[0] + 1] += 1e-14  # jitter the diagonal in place
+    return np.linalg.cholesky(cov)
 
 
 def fbm_path(H: float, grid: UniformGrid, seed) -> GridPath:

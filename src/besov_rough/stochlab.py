@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import gammaln
@@ -18,8 +19,8 @@ from scipy.stats import linregress
 
 from ._rng import rng_for
 from .errors import RegimeError
-from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ, delta
-from .norms import INF, besov_seminorm, two_param_norm
+from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ
+from .norms import INF, _check_nontrivial, _integral_norm, _power_denominator
 from .rough import fbm_path, homogeneous_distance_level2
 from .signals import brownian_path
 
@@ -68,9 +69,8 @@ class DiscreteMartingale:
         else:
             raise ValueError(f"unknown martingale kind {kind!r}; use {_KINDS}")
         values = np.concatenate([[0.0], np.cumsum(dg)])
-        v = values.copy()
-        v.setflags(write=False)
-        return cls(values=v, kind=kind)
+        values.setflags(write=False)
+        return cls(values=values, kind=kind)
 
     def grid(self) -> UniformGrid:
         level = self.length.bit_length() - 1
@@ -89,29 +89,52 @@ def paraproduct(F, g: DiscreteMartingale) -> TwoParamField:
     field delta(f) is used.
     """
     grid = g.grid()
-    if isinstance(F, GridPath):
-        F = delta(F)
     if F.grid != grid:
         raise ValueError("F must live on the martingale's embedded grid")
-    dense = F.to_dense()  # (J+1, J+1, m), zero below the diagonal
-    dg = g.increments
-    weighted = dense[:, :-1, :] * dg[None, :, None]
-    csum = np.concatenate(
-        [np.zeros((grid.n, 1, F.dim)), np.cumsum(weighted, axis=1)], axis=1
-    )
-    # Pi[s, t] = sum_{j < t} F[s, j] dg_j
-    return TwoParamField(grid, F.dim, germ=_frozen_germ(csum))
+    if isinstance(F, GridPath):
+        stack = _increment_stack(F.values.T)
+    else:  # (m, n, n): one component per stacked field, zero below the diagonal
+        stack = np.moveaxis(F.to_dense(), -1, 0)
+    pi = _paraproduct_stack(stack, g.increments)
+    return TwoParamField(grid, len(stack), germ=_frozen_germ(
+        np.ascontiguousarray(np.moveaxis(pi, 0, -1))))
+
+
+def _increment_stack(f: np.ndarray) -> np.ndarray:
+    """F[..., s, j] = f_j - f_s on and above the diagonal, +0.0 below it:
+    `delta(path).to_dense()` for a stack of scalar paths f (..., n)."""
+    n = f.shape[-1]
+    F = f[..., None, :] - f[..., :, None]
+    np.copyto(F, 0.0, where=np.tri(n, n, -1, dtype=bool))  # in place: no copy
+    return F
+
+
+def _paraproduct_stack(F: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Pi[..., s, t] = sum_{j < t} F[..., s, j] dg[..., j] for a stack of
+    (n, n) arrays F, zero below the diagonal, and increments dg (..., n-1).
+
+    The sum is a cumulative sum along the last axis of a new C-ordered
+    (..., n, n) array, so each stacked field gets the bits of its own call.
+    """
+    pi = np.empty(F.shape)
+    pi[..., 0] = 0.0
+    np.multiply(F[..., :-1], dg[..., None, :], out=pi[..., 1:])
+    np.cumsum(pi[..., 1:], axis=-1, out=pi[..., 1:])
+    return pi
 
 
 def square_function(g: DiscreteMartingale) -> TwoParamField:
     """S_{s,t} = (sum_{s < j <= t} dg_j^2)^{1/2}."""
-    grid = g.grid()
-    quad = np.concatenate([[0.0], np.cumsum(g.increments**2)])
+    return TwoParamField(g.grid(), 1, germ=_square_germ(g.increments))
 
-    def germ(ii, jj):
-        return np.sqrt(np.maximum(quad[jj] - quad[ii], 0.0))[:, None]
 
-    return TwoParamField(grid, 1, germ=germ)
+def _square_germ(dg: np.ndarray):
+    """Germ (ii, jj) -> S_{ii, jj} of shape (..., len, 1) of the square
+    function of one martingale, or of a stack, with increments dg (..., J)."""
+    sums = np.cumsum(dg**2, axis=-1)
+    quad = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
+    return lambda ii, jj: np.sqrt(
+        np.maximum(quad[..., jj] - quad[..., ii], 0.0))[..., None]
 
 
 def gaussian_abs_moment(p: float, dim: int = 1) -> float:
@@ -126,26 +149,51 @@ def gaussian_abs_moment(p: float, dim: int = 1) -> float:
 # Brownian / fBm Besov-rough statistics
 
 
-def _ito_level2_bands(w: np.ndarray, k: int):
-    """Level-1 and left-sum level-2 increments over all windows of k cells."""
+def _ito_level2_windows(w: np.ndarray, ks):
+    """Level-1 and left-sum level-2 increments (dw, xx) over all windows of
+    k cells, for each k in ks in turn; the level-2 running sum is built once
+    for every window."""
     dim = w.shape[1]
-    dw_cells = np.diff(w, axis=0)
-    q = np.concatenate(
-        [
-            np.zeros((1, dim, dim)),
-            np.cumsum(np.einsum("bi,bj->bij", w[:-1], dw_cells), axis=0),
-        ],
-        axis=0,
-    )
-    dw = w[k:] - w[:-k]
-    xx = q[k:] - q[:-k] - np.einsum("bi,bj->bij", w[:-k], dw)
-    return dw, xx
+    q = np.cumsum(np.einsum("bi,bj->bij", w[:-1], np.diff(w, axis=0)), axis=0)
+    q = np.concatenate([np.zeros((1, dim, dim)), q])
+    for k in ks:
+        dw = w[k:] - w[:-k]
+        yield dw, q[k:] - q[:-k] - np.einsum("bi,bj->bij", w[:-k], dw)
 
 
-def _window_statistic(d_vals: np.ndarray, p: float, mesh: float, scale: float
-                      ) -> float:
-    # left Riemann sum over [0, 1 - 2^-n]: last window node excluded
-    return float(scale * np.sum(d_vals[:-1] ** p) * mesh)
+def _window_table(paths, ns, level: int, p: float, hurst: float, level2: bool
+                  ) -> dict:
+    """Per-n window statistics 2^{npH} int_0^{1-2^-n} d(X_t, X_{t+2^-n})^p dt
+    of each sample path w (nodes x dim) in `paths`, with d the homogeneous
+    level-2 distance of the left-sum lift, or the level-1 distance."""
+    mesh = UniformGrid(1.0, level).mesh
+    ks = [1 << (level - n) for n in ns]
+    table = {n: [] for n in ns}
+    for w in paths:
+        if level2:
+            d_all = [homogeneous_distance_level2(dw, xx)
+                     for dw, xx in _ito_level2_windows(w, ks)]
+        else:
+            incs = [w[k:] - w[:-k] for k in ks]
+            d_all = [np.sqrt(np.einsum("bi,bi->b", dw, dw)) for dw in incs]
+        for n, d_vals in zip(ns, d_all):
+            # left Riemann sum over [0, 1 - 2^-n]: last window node excluded
+            scale = 2.0 ** (n * p * hurst)
+            table[n].append(float(scale * np.sum(d_vals[:-1] ** p) * mesh))
+    return {n: np.array(vals) for n, vals in table.items()}
+
+
+def _window_exponents(ns, level: int) -> list:
+    ns = sorted(int(n) for n in np.atleast_1d(ns))
+    if max(ns) > level:
+        raise RegimeError(f"window exponent n={max(ns)} exceeds grid level {level}")
+    return ns
+
+
+def _moments(vals: np.ndarray) -> dict:
+    return {"mean": float(vals.mean()), "variance": float(vals.var(ddof=1)),
+            "stderr": float(vals.std(ddof=1) / math.sqrt(len(vals))),
+            "samples": len(vals)}
 
 
 def bm_besov_statistic(
@@ -164,55 +212,46 @@ def bm_besov_statistic(
     independent oracle that simulates the exact law of one dilated window
     (a discrete k-step lift over [0,1], k = 2^{level-n}).
     """
-    ns = sorted(int(n) for n in np.atleast_1d(ns))
-    if max(ns) > level:
-        raise RegimeError(f"window exponent n={max(ns)} exceeds grid level {level}")
+    ns = _window_exponents(ns, level)
     grid = UniformGrid(1.0, level)
-    mesh = grid.mesh
-    table = {n: np.empty(samples) for n in ns}
-    for s in range(samples):
-        w = brownian_path(grid, rng_for(seed, "bm-ynp", s), dim).values
-        for n in ns:
-            k = 1 << (level - n)
-            dw, xx = _ito_level2_bands(w, k)
-            d_vals = homogeneous_distance_level2(dw, xx)
-            table[n][s] = _window_statistic(d_vals, p, mesh, 2.0 ** (n * p / 2))
+    paths = (brownian_path(grid, rng_for(seed, "bm-ynp", s), dim).values
+             for s in range(samples))
+    table = _window_table(paths, ns, level, p, 0.5, level2=True)
     oracle_samples = oracle_samples or max(2000, samples)
     per_n = {}
     for n in ns:
         k = 1 << (level - n)
         om, ose = _one_window_oracle(p, k, dim, seed, oracle_samples)
-        vals = table[n]
         mass = 1.0 - 2.0**-n  # the window integral runs over [0, 1 - 2^-n]
-        per_n[n] = {
-            "mean": float(vals.mean()),
-            "variance": float(vals.var(ddof=1)),
-            "stderr": float(vals.std(ddof=1) / math.sqrt(samples)),
-            "oracle_mean": om,
-            "oracle_stderr": ose,
-            "oracle_mean_window": mass * om,
-            "oracle_stderr_window": mass * ose,
-            "samples": samples,
-        }
+        per_n[n] = {**_moments(table[n]), "oracle_mean": om, "oracle_stderr": ose,
+                    "oracle_mean_window": mass * om,
+                    "oracle_stderr_window": mass * ose}
     slope, r2 = _variance_slope(per_n)
     return {"p": p, "level": level, "per_n": per_n,
             "variance_slope": slope, "variance_r2": r2}
+
+
+_ORACLE_ROWS = 500  # windows drawn at once by the bm-ynp oracle
 
 
 def _one_window_oracle(p, k, dim, seed, draws):
     """Direct Monte Carlo of d(W(0), W(1))^p for a k-step discrete Ito lift.
 
     After dilation by 2^{n/2} the in-run window statistic has exactly this
-    law, so the two estimates share their mean.
+    law, so the two estimates share their mean.  The windows are drawn from
+    one generator in chunks of `_ORACLE_ROWS`, which gives the numbers of a
+    single draw while memory stays at O(draws) floats.
     """
     rng = rng_for(seed, "bm-ynp-oracle", k)
-    incs = rng.standard_normal((draws, k, dim)) / math.sqrt(k)
-    w = np.concatenate(
-        [np.zeros((draws, 1, dim)), np.cumsum(incs, axis=1)], axis=1
-    )
-    dw = w[:, -1, :]
-    xx = np.einsum("bki,bkj->bij", w[:, :-1, :], incs)
-    d_vals = homogeneous_distance_level2(dw, xx) ** p
+    d_vals = np.empty(draws)
+    for r0 in range(0, draws, _ORACLE_ROWS):
+        rows = min(_ORACLE_ROWS, draws - r0)
+        incs = rng.standard_normal((rows, k, dim)) / math.sqrt(k)
+        w = np.concatenate(
+            [np.zeros((rows, 1, dim)), np.cumsum(incs, axis=1)], axis=1
+        )
+        xx = np.einsum("bki,bkj->bij", w[:, :-1, :], incs)
+        d_vals[r0:r0 + rows] = homogeneous_distance_level2(w[:, -1, :], xx) ** p
     return float(d_vals.mean()), float(d_vals.std(ddof=1) / math.sqrt(draws))
 
 
@@ -238,38 +277,21 @@ def fbm_besov_statistic(
     level-2 (left-sum lift of the sampled path) for H in (1/3, 1/2]."""
     if H <= 1.0 / 3.0 or H >= 1.0:
         raise RegimeError(f"supported Hurst range is (1/3, 1), got {H}")
-    ns = sorted(int(n) for n in np.atleast_1d(ns))
-    if max(ns) > level:
-        raise RegimeError(f"window exponent n={max(ns)} exceeds grid level {level}")
+    ns = _window_exponents(ns, level)
     grid = UniformGrid(1.0, level)
-    mesh = grid.mesh
     use_level2 = H <= 0.5
-    table = {n: np.empty(samples) for n in ns}
-    for s in range(samples):
-        rng = rng_for(seed, "fbm-ynp", s)
-        w = np.column_stack(
-            [fbm_path(H, grid, rng).values[:, 0] for _ in range(dim)]
-        )
-        for n in ns:
-            k = 1 << (level - n)
-            if use_level2:
-                dw, xx = _ito_level2_bands(w, k)
-                d_vals = homogeneous_distance_level2(dw, xx)
-            else:
-                dw = w[k:] - w[:-k]
-                d_vals = np.sqrt(np.einsum("bi,bi->b", dw, dw))
-            table[n][s] = _window_statistic(d_vals, p, mesh, 2.0 ** (n * p * H))
-    per_n = {}
-    for n in ns:
-        vals = table[n]
-        per_n[n] = {
-            "mean": float(vals.mean()),
-            "variance": float(vals.var(ddof=1)),
-            "stderr": float(vals.std(ddof=1) / math.sqrt(samples)),
-            "samples": samples,
-        }
-        if not use_level2:
-            per_n[n]["moment_oracle"] = gaussian_abs_moment(p, dim)
+
+    def paths():
+        for s in range(samples):
+            rng = rng_for(seed, "fbm-ynp", s)
+            yield np.column_stack(
+                [fbm_path(H, grid, rng).values[:, 0] for _ in range(dim)])
+
+    table = _window_table(paths(), ns, level, p, H, use_level2)
+    per_n = {n: _moments(table[n]) for n in ns}
+    if not use_level2:
+        for row in per_n.values():
+            row["moment_oracle"] = gaussian_abs_moment(p, dim)
     slope, r2 = _variance_slope(per_n)
     return {"H": H, "p": p, "level": level, "per_n": per_n,
             "variance_slope": slope, "variance_r2": r2, "level2": use_level2}
@@ -277,6 +299,27 @@ def fbm_besov_statistic(
 
 # ---------------------------------------------------------------------------
 # paraproduct BDG experiment
+
+
+_STACK_BYTES = 64 << 20  # size of one stacked (S, n, n) paraproduct chunk
+
+
+def _pprod_norms(grid, f, g, specs):
+    """|Pi(delta f, g)|, |f|, |Sg| and |g| for a chunk of S sample paths f, g
+    (S, n) on `grid`, one value per sample each: the integral norms with the
+    (p, q, denominator) of `specs`, in that order."""
+    n = f.shape[-1]
+    dg = np.diff(g, axis=-1)
+    pi = _paraproduct_stack(_increment_stack(f), dg)
+    sg = _square_germ(dg)
+    bands = (lambda k: np.diagonal(pi, k, 1, 2)[..., None],
+             lambda k: (f[:, k:] - f[:, : n - k])[..., None],
+             lambda k: sg(slice(0, n - k), slice(k, n)),
+             lambda k: (g[:, k:] - g[:, : n - k])[..., None])
+    # the norms read a field through `grid` and `band(k)`: here the
+    # (S, n-k, 1) stack of the S fields' bands
+    return [_integral_norm(SimpleNamespace(grid=grid, band=band), p, q, denom)
+            for band, (p, q, denom) in zip(bands, specs)]
 
 
 def _check_holder_triple(name, triple):
@@ -319,32 +362,31 @@ def pprod_bdg_experiment(
     out = {"lengths": {}, "config": {
         "gamma0": gamma0, "gamma1": gamma1, "kind": kind, "coupled": coupled,
     }}
+    # the regime checks of the four norms, in the order they are taken
+    lhs_denom = _power_denominator(gamma)
+    _check_nontrivial(gamma1, p1)
+    g_denom = _power_denominator(gamma0)
+    _check_nontrivial(gamma0, p0)
+    specs = ((p, q, lhs_denom), (p1, q1, lambda tau: tau**gamma1),
+             (p0, q0, g_denom), (p0, q0, g_denom))
     for length in lengths:
-        ratios = np.empty(samples)
-        bdg_ratios = np.empty(samples)
-        lhs_vals = np.empty(samples)
-        f_vals = np.empty(samples)
-        sg_vals = np.empty(samples)
-        for s in range(samples):
-            rng_f = rng_for(seed, f"pprod-f-{length}", s)
-            rng_g = rng_for(seed, f"pprod-g-{length}", s)
-            f_mart = DiscreteMartingale.generate(kind, length, rng_f)
-            g_mart = (
-                f_mart if coupled
-                else DiscreteMartingale.generate(kind, length, rng_g)
-            )
-            f_path = f_mart.as_path()
-            g_path = g_mart.as_path()
-            A = paraproduct(f_path, g_mart)
-            sq = square_function(g_mart)
-            lhs = two_param_norm(A, gamma, p, q)
-            f_norm = besov_seminorm(f_path, gamma1, p1, q1, form="integral")
-            sg_norm = two_param_norm(sq, gamma0, p0, q0)
-            rhs = f_norm * sg_norm
-            ratios[s] = 0.0 if rhs == 0 else lhs / rhs
-            g_norm = besov_seminorm(g_path, gamma0, p0, q0, form="integral")
-            bdg_ratios[s] = 0.0 if sg_norm == 0 else g_norm / sg_norm
-            lhs_vals[s], f_vals[s], sg_vals[s] = lhs, f_norm, sg_norm
+        lhs_vals, f_vals, sg_vals, g_vals = table = np.empty((4, samples))
+        chunk = max(1, _STACK_BYTES // (8 * (length + 1) ** 2))
+        for s0 in range(0, samples, chunk):
+            idx = range(s0, min(samples, s0 + chunk))
+            f_marts = [DiscreteMartingale.generate(
+                kind, length, rng_for(seed, f"pprod-f-{length}", s)) for s in idx]
+            g_marts = f_marts if coupled else [DiscreteMartingale.generate(
+                kind, length, rng_for(seed, f"pprod-g-{length}", s)) for s in idx]
+            values = _pprod_norms(f_marts[0].grid(),
+                                  np.stack([m.values for m in f_marts]),
+                                  np.stack([m.values for m in g_marts]), specs)
+            for row, vals in zip(table, values):
+                row[s0 : s0 + len(idx)] = vals
+        rhs = f_vals * sg_vals
+        ratios = np.divide(lhs_vals, rhs, out=np.zeros(samples), where=rhs != 0)
+        bdg_ratios = np.divide(g_vals, sg_vals, out=np.zeros(samples),
+                               where=sg_vals != 0)
 
         def lr(values, rr):
             return float(np.mean(values**rr) ** (1.0 / rr)) if rr != INF else float(

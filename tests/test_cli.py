@@ -479,6 +479,22 @@ def test_mc_command_and_determinism(tmp_path):
     assert header == "key,statistic,estimate,stderr,samples"
 
 
+def test_mc_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.22 GiB")
+
+    monkeypatch.setattr("besov_rough.cli.pprod_bdg_experiment", exhausted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "pprod-bdg", "samples": 4,
+                               "lengths": [8]}))
+    out = tmp_path / "o.csv"
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "memory"
+    assert "1.22 GiB" in err["message"]
+    assert not out.exists()
+
+
 def test_mc_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"experiment": "bm-ynp", "bogus": 3}')

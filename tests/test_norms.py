@@ -422,3 +422,68 @@ def test_interpolation_check_stable():
     with pytest.raises(RegimeError):
         interpolation_check(A, alpha=0.5, gamma=0.45, p=2.0, r=4.0, q=2.0,
                             delta=0.3)
+
+
+# -- the stacked band kernel --------------------------------------------------
+# A stack of S fields (band(k) of shape (S, n-k, m)) must give, bit for bit,
+# the numbers of S unstacked calls: the kernels sum over the last axis of
+# C-ordered arrays and take their roots one scalar at a time.
+
+class _Stack:
+    """S paths on one grid, read by the kernels through `grid` and `band`."""
+
+    def __init__(self, paths):
+        self.grid = paths[0].grid
+        self.values = np.stack([f.values for f in paths])
+
+    def band(self, k):
+        n = self.grid.n
+        return self.values[:, k:] - self.values[:, : n - k]
+
+
+def _paths(S, level, dim, seed=0):
+    grid = UniformGrid(1.0, level)
+    return [brownian_path(grid, rng_for(seed, "stack", s), dim)
+            for s in range(S)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("S", [1, 2, 7])
+def test_stacked_band_lp_norms_equal_rows(S, dim):
+    from besov_rough.norms import _integral_norm
+
+    for level in (1, 3, 7):
+        paths = _paths(S, level, dim, seed=level)
+        stack = _Stack(paths)
+        max_shift = 1 << (level - 1)
+        for p in (0.5, 1.0, 2.0, 2.5, 8.0, INF):
+            got = band_lp_norms(stack, p, max_shift)
+            want = np.array([band_lp_norms(f, p, max_shift) for f in paths])
+            assert got.shape == (S, max_shift)
+            assert np.array_equal(got, want)
+            for q in (0.7, 2.0, 8.0, INF):
+                denom = lambda tau: tau**0.4  # noqa: E731
+                got = _integral_norm(stack, p, q, denom)
+                want = [besov_seminorm(f, 0.4, p, q, form="integral")
+                        for f in paths]
+                assert got.tolist() == want
+
+
+def test_q_sum_is_bit_equal_on_any_memory_order():
+    # the per-level ratios come out of fancy indexing, which may hand back an
+    # F-ordered array; its row sums must still be the 1-D sums
+    from besov_rough.norms import _q_sum
+
+    ratios = np.random.default_rng(3).random((20, 8)) * 5.0
+    for q in (0.7, 4.0, 8.0, INF):
+        want = [_q_sum(r.copy(), q, log_weight=True) for r in ratios]
+        for arr in (ratios, np.asfortranarray(ratios)):
+            assert _q_sum(arr, q, log_weight=True).tolist() == want
+
+
+def test_unstacked_kernels_return_floats():
+    f = _paths(1, 6, 2)[0]
+    for value in (lp_norm(f, 2.0), besov_seminorm(f, 0.4, 2.0, 2.0),
+                  besov_seminorm(f, 0.4, 2.0, 2.0, form="integral"),
+                  two_param_norm(delta(f), 0.4, 2.0, INF)):
+        assert type(value) is float

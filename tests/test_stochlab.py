@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from besov_rough import stochlab
 from besov_rough._rng import rng_for
 from besov_rough.errors import RegimeError
-from besov_rough.grid import TwoParamField, delta
+from besov_rough.grid import GridPath, TwoParamField, UniformGrid, delta
+from besov_rough.norms import INF, besov_seminorm, two_param_norm
+from besov_rough.rough import homogeneous_distance_level2
+from besov_rough.signals import brownian_path
 from besov_rough.stochlab import (
     DiscreteMartingale,
     bm_besov_statistic,
@@ -230,3 +234,107 @@ def test_pprod_experiment_nongaussian_kind():
         lengths=(64,), samples=60, seed=17, kind="random-sign",
     )
     assert 0 < out["lengths"][64]["ratio_p99"] < math.inf
+
+
+# -- stacked and chunked paths against their references ---------------------------
+# Each fast path must give the reference numbers bit for bit (==, not approx).
+
+_PQ = [
+    ((8.0, 8.0, 4.0), (8.0, 8.0, 4.0)),
+    ((INF, 2.0, 2.0), (INF, INF, INF)),
+    ((4.0, 4.0, 2.0), (2.0, INF, 2.0)),
+]
+
+
+def _unstacked_pprod_norms(f_mart, g_mart, p_tuple, q_tuple, g0, g1):
+    (p0, p1, p), (q0, q1, q) = p_tuple, q_tuple
+    f_path = f_mart.as_path()
+    return [
+        two_param_norm(paraproduct(f_path, g_mart), g0 + g1, p, q),
+        besov_seminorm(f_path, g1, p1, q1, form="integral"),
+        two_param_norm(square_function(g_mart), g0, p0, q0),
+        besov_seminorm(g_mart.as_path(), g0, p0, q0, form="integral"),
+    ]
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("kind", ["gaussian", "random-sign", "stopped-random-walk"])
+def test_stacked_pprod_norms_equal_unstacked(kind, coupled):
+    g0, g1 = 0.45, 0.6
+    cases = [(1, 2), (2, 2), (7, 4), (1, 16), (2, 64), (7, 128), (2, 512)]
+    for i, (S, length) in enumerate(cases):
+        p_tuple, q_tuple = _PQ[i % len(_PQ)]
+        (p0, p1, p), (q0, q1, q) = p_tuple, q_tuple
+        f_marts = [_mart(kind, length, seed=i, index=s) for s in range(S)]
+        g_marts = f_marts if coupled else [
+            _mart(kind, length, seed=100 + i, index=s) for s in range(S)]
+        gamma0_denom = lambda tau: tau**g0  # noqa: E731
+        specs = ((p, q, lambda tau: tau ** (g0 + g1)),
+                 (p1, q1, lambda tau: tau**g1),
+                 (p0, q0, gamma0_denom), (p0, q0, gamma0_denom))
+        got = stochlab._pprod_norms(
+            f_marts[0].grid(), np.stack([m.values for m in f_marts]),
+            np.stack([m.values for m in g_marts]), specs)
+        want = [_unstacked_pprod_norms(f, g, p_tuple, q_tuple, g0, g1)
+                for f, g in zip(f_marts, g_marts)]
+        assert np.shape(got) == (4, S)
+        assert np.asarray(got).T.tolist() == want
+
+
+def test_paraproduct_matches_running_sum():
+    # Pi[s, t] = sum_{s <= j < t} F[s, j] dg_j, summed left to right
+    g = _mart(seed=21, length=16)
+    dg = g.increments
+    f = _mart("random-sign", 16, seed=22).as_path()
+    two = GridPath(f.grid, np.column_stack([f.values[:, 0], g.values]))
+    for F, dense in ((f, delta(f).to_dense()), (two, delta(two).to_dense()),
+                     (delta(two), delta(two).to_dense())):
+        pi = paraproduct(F, g).to_dense()
+        n = len(g.values)
+        for s in range(n):
+            acc = np.zeros(dense.shape[-1])
+            for t in range(s + 1, n):
+                acc = acc + dense[s, t - 1] * dg[t - 1]
+                assert np.array_equal(pi[s, t], acc)
+
+
+def _per_window_reference(w, k):
+    dim = w.shape[1]
+    q = np.concatenate([
+        np.zeros((1, dim, dim)),
+        np.cumsum(np.einsum("bi,bj->bij", w[:-1], np.diff(w, axis=0)), axis=0),
+    ])
+    dw = w[k:] - w[:-k]
+    return dw, q[k:] - q[:-k] - np.einsum("bi,bj->bij", w[:-k], dw)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hoisted_windows_equal_per_window(dim):
+    w = brownian_path(UniformGrid(1.0, 8), rng_for(23, "win", dim), dim).values
+    ks = [1, 2, 4, 32, 128, 256]
+    for k, (dw, xx) in zip(ks, stochlab._ito_level2_windows(w, ks)):
+        ref_dw, ref_xx = _per_window_reference(w, k)
+        assert np.array_equal(dw, ref_dw) and np.array_equal(xx, ref_xx)
+
+
+def _one_shot_oracle(p, k, dim, seed, draws):
+    rng = rng_for(seed, "bm-ynp-oracle", k)
+    incs = rng.standard_normal((draws, k, dim)) / math.sqrt(k)
+    w = np.concatenate([np.zeros((draws, 1, dim)), np.cumsum(incs, axis=1)],
+                       axis=1)
+    xx = np.einsum("bki,bkj->bij", w[:, :-1, :], incs)
+    d_vals = homogeneous_distance_level2(w[:, -1, :], xx) ** p
+    return float(d_vals.mean()), float(d_vals.std(ddof=1) / math.sqrt(draws))
+
+
+@pytest.mark.parametrize("k, dim, draws", [
+    (16, 2, 2000),   # whole chunks only
+    (32, 3, 1001),   # a one-row last chunk
+    (8, 1, 501),
+    (1, 1, 501),
+    (4, 4, 20),      # a single short chunk
+])
+def test_chunked_oracle_equals_one_shot_draw(k, dim, draws):
+    assert stochlab._ORACLE_ROWS == 500
+    got = stochlab._one_window_oracle(4.0, k, dim, 24, draws)
+    assert got == _one_shot_oracle(4.0, k, dim, 24, draws)
