@@ -387,11 +387,8 @@ CRITERIA = [
 ]
 
 
-def run_suite(ids=None, stream=None) -> list:
+def run_suite(ids=None) -> list:
     """Run the acceptance criteria, printing one line per criterion."""
-    import sys
-
-    stream = stream or sys.stdout
     results = []
     for cid, name, fn in CRITERIA:
         if ids and cid not in ids:
@@ -401,5 +398,5 @@ def run_suite(ids=None, stream=None) -> list:
         res.update(id=cid, name=name, elapsed=round(time.time() - start, 3))
         results.append(res)
         tag = "PASS" if res["passed"] else "FAIL"
-        print(f"[{tag}] {cid} {name} ({res['elapsed']:.2f}s)", file=stream)
+        print(f"[{tag}] {cid} {name} ({res['elapsed']:.2f}s)")
     return results

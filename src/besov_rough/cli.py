@@ -83,9 +83,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fnum(x: str) -> float:
-    if x.lower() in ("inf", "infinity"):
-        return INF
-    return float(x)
+    value = float(x)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"need a number or inf, got {x}")
+    return value
+
+
+def _finite(x: str) -> float:
+    value = float(x)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {x}")
+    return value
 
 
 def _grid_level(x: str) -> int:
@@ -459,6 +467,9 @@ def _cmd_integrate(args) -> int:
     X = load_rough_dir(args.driver)
     y = load_path_csv(args.y)
     yp = load_path_csv(args.yprime)
+    if y.grid != X.grid or yp.grid != X.grid:
+        raise GridFormatError(
+            "--y and --yprime must be sampled on the driver's grid")
     n = X.n
     if y.dim % n or yp.dim != y.dim * n:
         raise GridFormatError(
@@ -578,7 +589,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("norm", help="one-parameter Besov seminorm of a path")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--p", type=_fnum, required=True)
     sp.add_argument("--q", type=_fnum, required=True)
     sp.add_argument("--form", choices=("dyadic", "integral"), default="dyadic")
@@ -587,14 +598,14 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("var", help="p-variation / oscillation variation")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite, required=True)
     sp.add_argument("--oscillation", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_var)
 
     sp = sub.add_parser("sew", help="sew a germ CSV into integral + remainder")
     sp.add_argument("--germ", required=True)
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
     sp.add_argument("--p2", type=_fnum, required=True)
     sp.add_argument("--q2", type=_fnum, default=INF)
     sp.add_argument("--endpoint", action="store_true")
@@ -606,7 +617,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--field", required=True,
                     help="builtin:<linear|rotation|sigmoid> or coeffs.json")
     sp.add_argument("--y0", type=_vector, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--p", type=_fnum, required=True)
     sp.add_argument("--q", type=_fnum, required=True)
     sp.add_argument("--out", required=True)
@@ -614,7 +625,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("lift", help="construct a rough path lift")
     sp.add_argument("--kind", choices=("bm", "fbm", "canonical"), required=True)
-    sp.add_argument("--H", type=float, default=0.4)
+    sp.add_argument("--H", type=_finite, default=0.4)
     sp.add_argument("--n", type=int, default=2, choices=range(1, MAX_DIM + 1))
     sp.add_argument("--N", type=int, default=2,
                     choices=range(1, MAX_LEVEL + 1))
@@ -623,7 +634,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--flavor", choices=("ito", "stratonovich", "geometric"),
                     default="ito")
-    sp.add_argument("--alpha", type=float, default=0.45)
+    sp.add_argument("--alpha", type=_finite, default=0.45)
     sp.add_argument("--p", type=_fnum, default=32.0)
     sp.add_argument("--q", type=_fnum, default=INF)
     sp.add_argument("--input")

@@ -89,23 +89,35 @@ class ControlledPath:
         return self._remainder
 
 
+def _expansion_lead(a, dx, b=None, xx=None) -> np.ndarray:
+    """The controlled increment a dX + b XX, row by row: a is (B, m, n) and
+    dx (B, n); b, when given, is (B, m, n, n) and contracts with the
+    level-2 increments xx (B, n, n) as sum_{j,k} b[., j, k] XX[k, j].
+
+    einsum sums the b term of a one-row batch in another order than that of
+    a longer one, so a one-row batch is doubled and cut back: every row is
+    the same wherever it stands."""
+    lead = np.einsum("bmn,bn->bm", a, dx)
+    if b is not None:
+        if len(b) == 1:
+            b, xx = np.repeat(b, 2, 0), np.repeat(xx, 2, 0)
+        lead = lead + np.einsum("bmjk,bkj->bm", b, xx)[: len(lead)]
+    return lead
+
+
 def _expansion_remainder(grid, base, v, a, b=None, xx_field=None
                          ) -> TwoParamField:
     """The Davie-type remainder v_t - v_s - a_s dX_st - b_s XX_st as a lazy
     field on `grid`, with dX_st = base_t - base_s; v is (nodes, m), a is
     (nodes, m, n) and b, when given, is (nodes, m, n, n), contracted with
-    the level-2 field `xx_field` as sum_{j,k} b[., j, k] XX[k, j]."""
+    the level-2 field `xx_field` as in `_expansion_lead`."""
     n = a.shape[2]
 
     def germ(ii, jj):
-        lead = np.einsum("bmn,bn->bm", a[ii], base[jj] - base[ii])
+        terms = (a[ii], base[jj] - base[ii])
         if b is not None:
-            xx = xx_field._values(ii, jj).reshape(-1, n, n)
-            bb = b[ii]
-            if len(xx) == 1:  # einsum sums one row in another order than two
-                bb, xx = np.repeat(bb, 2, 0), np.repeat(xx, 2, 0)
-            lead = lead + np.einsum("bmjk,bkj->bm", bb, xx)[: len(lead)]
-        return v[jj] - v[ii] - lead
+            terms += (b[ii], xx_field._values(ii, jj).reshape(-1, n, n))
+        return v[jj] - v[ii] - _expansion_lead(*terms)
 
     return TwoParamField(grid, v.shape[1], germ=germ)
 
@@ -204,9 +216,7 @@ def rough_integral(
     base = X.base_path().values
     dx = np.diff(base, axis=0)
     xx_cons = X.level(2).band(1).reshape(grid.n - 1, X.n, X.n)
-    incs = np.einsum("bmn,bn->bm", y[:-1], dx) + np.einsum(
-        "bmjk,bkj->bm", yp[:-1], xx_cons
-    )
+    incs = _expansion_lead(y[:-1], dx, yp[:-1], xx_cons)
     z = np.vstack([np.zeros((1, incs.shape[1])), np.cumsum(incs, axis=0)])
     out_shape = cp.value_shape[:-1]
     z_out = z.reshape((grid.n,) + out_shape)
@@ -233,7 +243,7 @@ def compose_controlled(F: VectorField, cp: ControlledPath, report: bool = False)
     if F.order < 2:
         raise RegimeError("composition requires a C^2 (or better) field")
     values = F.values_along(cp.Y)  # (nodes, m', n')
-    dvals = F.d_along(cp.Y)        # (nodes, m', n', m)
+    dvals = F.dfun(cp.Y)           # (nodes, m', n', m)
     yp_new = np.einsum("bajc,bck->bajk", dvals, cp.Yp)
     out = ControlledPath(cp.X, values, yp_new)
     if not report:
@@ -286,6 +296,13 @@ def _require_level2_field(F: VectorField, params: BesovParams):
             raise RegimeError("the critical level-2 regime needs a C^3 field")
 
 
+def _davie_coefficients(F: VectorField, Y: np.ndarray):
+    """f(Y), (nodes, m, n), and Df(Y) f(Y), (nodes, m, n, n): the first- and
+    second-level coefficients of the Davie expansion."""
+    fv = F.values_along(Y)
+    return fv, np.einsum("bajc,bck->bajk", F.dfun(Y), fv)
+
+
 def _dyadic_gauge_remainder(rem: TwoParamField, alpha, p, q) -> float:
     """Dyadic-shift gauge of the remainder difference field of two iterates:
     the plain ell^q sum over tau_n = T 2^-n of |band|_{L^p} / tau_n^(2 alpha);
@@ -318,18 +335,14 @@ def rde_solve(
     q2 = q / 2
 
     def start(a, b, ya):
-        f_ya = F(ya)
+        f_ya = F.values_along(ya[None])[0]
         seed = ya[None, :] + np.einsum("mn,bn->bm", f_ya, base[a:b + 1] - base[a])
         return seed, np.repeat(f_ya[None, :, :], b - a + 1, axis=0)
 
     def sweep(a, b, ya, state, sub_grid):
         cur, cur_p = state
-        fv = F.values_along(cur)          # (span+1, m, n)
-        dfv = F.d_along(cur)              # (span+1, m, n, m)
-        wp = np.einsum("bajc,bck->bajk", dfv, fv)
-        incs = np.einsum("bmn,bn->bm", fv[:-1], dx_all[a:b]) + np.einsum(
-            "bmjk,bkj->bm", wp[:-1], xx_all[a:b]
-        )
+        fv, wp = _davie_coefficients(F, cur)
+        incs = _expansion_lead(fv[:-1], dx_all[a:b], wp[:-1], xx_all[a:b])
         nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
         dp = fv - cur_p
         diff = GridPath(sub_grid, dp.reshape(b - a + 1, -1))
@@ -372,9 +385,7 @@ def davie_residual(
     params = X.params
     alpha, p, q = params.as_tuple
     Y = cp.Y
-    fv = F.values_along(Y)
-    dfv = F.d_along(Y)
-    wp = np.einsum("bajc,bck->bajk", dfv, fv)
+    fv, wp = _davie_coefficients(F, Y)
     D = _expansion_remainder(grid, X.base_path().values, Y.reshape(grid.n, -1),
                              fv, wp, X.level(2))
     endpoint = alpha <= 1.0 / 3.0 + 1e-12
@@ -421,11 +432,8 @@ def rde_stability_probe(
     y2 = np.atleast_1d(np.asarray(y2, dtype=float))
     cloud = _probe_cloud(s1.controlled.Y, s2.controlled.Y)
     proxy = field_distance_proxy(F1, F2, cloud)
-    d2_gap = max(
-        float(np.abs(F1.d2(y) - F2.d2(y)).max())
-        for y in cloud[:: max(1, len(cloud) // 32)]
-    )
-    proxy += d2_gap
+    sparse = cloud[:: max(1, len(cloud) // 32)]
+    proxy += float(np.abs(F1.d2fun(sparse) - F2.d2fun(sparse)).max())
     den = float(np.linalg.norm(y1 - y2)) + rough_metric(X1, X2) + proxy
     return {
         "output_dist": num,

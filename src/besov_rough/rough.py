@@ -82,8 +82,7 @@ def _mul_level(x, y, k: int):
         elif a == k and (v == 1.0).all():
             term = u
         else:
-            term = u[:, :, None] * v[:, None, :]
-            term = term.reshape(len(term), -1)
+            term = np.einsum("bi,bj->bij", u, v).reshape(rows, -1)
         if a == 0:
             acc = np.add(term, 0.0, out=np.empty((rows, term.shape[1])))
         else:
@@ -479,7 +478,7 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
             inc = cur.pairs_levels(ii, jj)
             acc = 0.0
             for k in range(1, m_lev + 1):
-                term = from_zero[m_lev - k + 1][ii][:, :, None] * inc[k][:, None, :]
+                term = np.einsum("bi,bj->bij", from_zero[m_lev - k + 1][ii], inc[k])
                 acc = acc + term.reshape(len(term), -1)
             return acc
 

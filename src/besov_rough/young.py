@@ -85,49 +85,40 @@ class YoungRegime:
 
 
 class VectorField:
-    """Nonlinearity y -> f(y) in R^{m x n} with analytic derivatives.
+    """Nonlinearity y -> f(y) in R^{m x n} with analytic derivatives, all
+    evaluated on a batch of states Y of shape (B, m): `fun(Y)` is (B, m, n),
+    `dfun(Y)` is (B, m, n, m) and `d2fun(Y)` is (B, m, n, m, m).
 
     `order` is the number of supplied derivatives; `delta` the Hoelder
     exponent of the highest one (class C^{order,delta}).
     """
 
     def __init__(self, fun, dfun, d2fun=None, order=1, delta=1.0, name="field",
-                 state_dim=1, fun_batch=None, dfun_batch=None):
+                 state_dim=1):
         self.fun = fun
         self.dfun = dfun
-        self.d2fun = d2fun
+        self.d2fun = self._no_d2fun if d2fun is None else d2fun
         self.order = order
         self.delta = delta
         self.name = name
         self.state_dim = state_dim
-        self._fun_batch = fun_batch
-        self._dfun_batch = dfun_batch
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return self.fun(np.asarray(y, dtype=float))
-
-    def d(self, y: np.ndarray) -> np.ndarray:
-        return self.dfun(np.asarray(y, dtype=float))
-
-    def d2(self, y: np.ndarray) -> np.ndarray:
-        if self.d2fun is None:
-            raise RegimeError(f"{self.name}: second derivative not supplied")
-        return self.d2fun(np.asarray(y, dtype=float))
+    def _no_d2fun(self, Y):
+        raise RegimeError(f"{self.name}: second derivative not supplied")
 
     def validate(self, rng) -> float:
         """Max relative error of dfun against central differences of fun
         (step 1e-6) at 20 standard normal states; above 1e-5 it raises."""
         step, rtol = 1e-6, 1e-5
+        Y = rng.standard_normal((20, self.state_dim))
+        d_exact = self.dfun(Y)
         worst = 0.0
-        for _ in range(20):
-            y = rng.standard_normal(self.state_dim)
-            d_exact = self.d(y)
-            for b in range(len(y)):
-                e = np.zeros_like(y)
-                e[b] = step
-                fd = (self(y + e) - self(y - e)) / (2 * step)
-                denom = max(1.0, float(np.abs(d_exact[..., b]).max()))
-                worst = max(worst, float(np.abs(fd - d_exact[..., b]).max()) / denom)
+        for b, e in enumerate(step * np.eye(self.state_dim)):
+            fd = (self.fun(Y + e) - self.fun(Y - e)) / (2 * step)
+            exact = d_exact[..., b]
+            denom = np.maximum(1.0, np.abs(exact).max(axis=(1, 2)))
+            err = np.abs(fd - exact).max(axis=(1, 2)) / denom
+            worst = max(worst, float(err.max()))
         if worst > rtol:
             raise RegimeError(
                 f"{self.name}: derivative inconsistent with finite differences"
@@ -136,36 +127,21 @@ class VectorField:
         return worst
 
     def values_along(self, Y: np.ndarray) -> np.ndarray:
-        """f(Y_t) for all nodes, shape (nodes, m, n)."""
-        if self._fun_batch is not None:
-            return self._fun_batch(Y)
-        return np.stack([self.fun(y) for y in Y])
-
-    def d_along(self, Y: np.ndarray) -> np.ndarray:
-        if self._dfun_batch is not None:
-            return self._dfun_batch(Y)
-        return np.stack([self.dfun(y) for y in Y])
+        """f(Y_t) for all nodes, shape (nodes, m, n); the solvers and probes
+        evaluate f through this method."""
+        return self.fun(Y)
 
 
 def linear_field(matrices) -> VectorField:
     """f(y)[:, j] = A_j y for a list of (m, m) matrices, one per driver channel."""
     mats = np.stack([np.asarray(a, dtype=float) for a in matrices], axis=-1)
-    m = mats.shape[0]
+    m, n = mats.shape[0], mats.shape[2]
     dmat = np.transpose(mats, (0, 2, 1))
-
-    def fun(y):
-        return np.einsum("abj,b->aj", mats, y)
-
-    def dfun(y):
-        return dmat
-
-    def d2fun(y):
-        return np.zeros((m, mats.shape[2], m, m))
-
     return VectorField(
-        fun, dfun, d2fun=d2fun, order=3, delta=1.0, name="linear", state_dim=m,
-        fun_batch=lambda Y: np.einsum("abj,kb->kaj", mats, Y),
-        dfun_batch=lambda Y: np.broadcast_to(dmat, (len(Y),) + dmat.shape).copy(),
+        lambda Y: np.einsum("abj,kb->kaj", mats, Y),
+        lambda Y: np.broadcast_to(dmat, (len(Y),) + dmat.shape).copy(),
+        d2fun=lambda Y: np.zeros((len(Y), m, n, m, m)),
+        order=3, delta=1.0, name="linear", state_dim=m,
     )
 
 
@@ -182,39 +158,27 @@ def scalar_linear_field() -> VectorField:
     return linear_field([np.array([[1.0]])])
 
 
-def sigmoid_field(m: int = 1, n: int = 1, gain: float = 1.0) -> VectorField:
-    """Bounded C^3 saturating field: f[a, j] = tanh(gain * w_{aj} . y)."""
+def sigmoid_field(m: int = 1, n: int = 1) -> VectorField:
+    """Bounded C^3 saturating field: f[a, j] = tanh(w_{aj} . y)."""
     w = np.zeros((m, n, m))
     for a in range(m):
         for j in range(n):
             w[a, j, (a + j) % m] = 1.0
-    w = gain * w
 
-    def pre(y):
-        return np.einsum("ajb,b->aj", w, y)
-
-    def fun(y):
-        return np.tanh(pre(y))
-
-    def dfun(y):
-        s = 1.0 - np.tanh(pre(y)) ** 2
-        return s[:, :, None] * w
-
-    def d2fun(y):
-        t = np.tanh(pre(y))
-        s = 1.0 - t**2
-        return (-2.0 * t * s)[:, :, None, None] * w[:, :, :, None] * w[:, :, None, :]
-
-    def fun_batch(Y):
+    def fun(Y):
         return np.tanh(np.einsum("ajb,kb->kaj", w, Y))
 
-    def dfun_batch(Y):
-        s = 1.0 - np.tanh(np.einsum("ajb,kb->kaj", w, Y)) ** 2
-        return s[:, :, :, None] * w[None, :, :, :]
+    def dfun(Y):
+        return (1.0 - fun(Y) ** 2)[:, :, :, None] * w
+
+    def d2fun(Y):
+        t = fun(Y)
+        s = 1.0 - t**2
+        return ((-2.0 * t * s)[:, :, :, None, None] * w[:, :, :, None]
+                * w[:, :, None, :])
 
     return VectorField(fun, dfun, d2fun=d2fun, order=3, delta=1.0,
-                       name="sigmoid", state_dim=m,
-                       fun_batch=fun_batch, dfun_batch=dfun_batch)
+                       name="sigmoid", state_dim=m)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +187,15 @@ def sigmoid_field(m: int = 1, n: int = 1, gain: float = 1.0) -> VectorField:
 
 @dataclass
 class YoungIntegralResult:
-    integral: GridPath
-    remainder_norm: float
     sewing: SewingResult
+
+    @property
+    def integral(self) -> GridPath:
+        return self.sewing.integral
+
+    @property
+    def remainder_norm(self) -> float:
+        return self.sewing.remainder_norm
 
     @property
     def endpoint(self) -> bool:
@@ -251,17 +221,13 @@ def young_integral(
 ) -> YoungIntegralResult:
     """int f dg by sewing the left-point product germ.
 
-    The remainder report is the (gamma, p2, q2) two-parameter norm of
-    (delta I) - f dg, against the omega modulus in the critical case.
+    The result's `remainder_norm`, computed when read, is the (gamma, p2,
+    q2) two-parameter norm of (delta I) - f dg, against the omega modulus in
+    the critical case.
     """
     regime.case  # validates
-    germ = product_germ(f, g)
-    result = sew(regime.sewing_input(germ), diagnostics=diagnostics)
-    return YoungIntegralResult(
-        integral=result.integral,
-        remainder_norm=result.remainder_norm,
-        sewing=result,
-    )
+    sewing = sew(regime.sewing_input(product_germ(f, g)), diagnostics=diagnostics)
+    return YoungIntegralResult(sewing)
 
 
 def besov_composition_check(
@@ -446,12 +412,9 @@ def young_ode_solve(
 def field_distance_proxy(F1: VectorField, F2: VectorField,
                          cloud: np.ndarray) -> float:
     """Max value plus first-derivative gap over a sample cloud."""
-    dv = 0.0
-    dd = 0.0
-    for y in cloud:
-        dv = max(dv, float(np.abs(F1(y) - F2(y)).max()))
-        dd = max(dd, float(np.abs(F1.d(y) - F2.d(y)).max()))
-    return dv + dd
+    dv = np.abs(F1.values_along(cloud) - F2.values_along(cloud)).max()
+    dd = np.abs(F1.dfun(cloud) - F2.dfun(cloud)).max()
+    return float(dv) + float(dd)
 
 
 def _probe_cloud(*paths: np.ndarray) -> np.ndarray:

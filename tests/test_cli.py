@@ -464,6 +464,60 @@ def test_integrate_command(tmp_path, planar_csv):
     assert z.values[-1, 0] == pytest.approx(float(x_end @ x_end) / 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("which", ["y", "yprime"])
+@pytest.mark.parametrize("grid", [UniformGrid(1.0, 5), UniformGrid(2.0, 6)],
+                         ids=["other-level", "other-horizon"])
+def test_integrate_off_grid_integrand_exit_1(tmp_path, capsys, which, grid):
+    rp = tmp_path / "rp"
+    X = brownian_lift(2, UniformGrid(1.0, 6), 5)
+    save_rough_dir(str(rp), X)
+    files = {}
+    for name, dim in (("y", 2), ("yprime", 4)):
+        g = grid if name == which else X.grid
+        files[name] = tmp_path / f"{name}.csv"
+        save_path_csv(files[name], GridPath(g, np.ones((g.n, dim))))
+    code = main(["integrate", "--driver", str(rp), "--y", str(files["y"]),
+                 "--yprime", str(files["yprime"]),
+                 "--out", str(tmp_path / "isol.csv")])
+    assert code == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and "driver's grid" in err["message"]
+    assert not (tmp_path / "isol.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["var", "--p", "nan"],
+    ["var", "--p", "inf"],
+    ["norm", "--alpha", "nan", "--p", "2", "--q", "2"],
+    ["norm", "--alpha", "0.5", "--p", "nan", "--q", "2"],
+    ["norm", "--alpha", "0.5", "--p", "2", "--q", "NaN"],
+    ["sew", "--gamma", "2.0", "--p2", "nan"],
+    ["sew", "--gamma", "2.0", "--p2", "inf", "--q2", "nan"],
+    ["sew", "--gamma", "inf", "--p2", "inf"],
+    ["sew", "--gamma", "nan", "--p2", "inf"],
+    ["young-ode", "--field", "builtin:linear", "--y0", "1.0",
+     "--alpha", "inf", "--p", "inf", "--q", "inf"],
+    ["lift", "--kind", "fbm", "--H", "nan"],
+    ["lift", "--kind", "fbm", "--H", "inf"],
+    ["lift", "--kind", "bm", "--alpha", "nan"],
+])
+def test_non_finite_flag_exit_1(sin_csv, tmp_path, capsys, argv):
+    germ = tmp_path / "germ.csv"
+    germ.write_text("i,j,v0\n0,1,1.0\n")
+    inputs = {"var": ["--input", sin_csv], "norm": ["--input", sin_csv],
+              "sew": ["--germ", str(germ)], "young-ode": ["--driver", sin_csv],
+              "lift": ["--level", "3"]}[argv[0]]
+    out = tmp_path / "out"
+    code = main(argv + inputs + ([] if argv[0] in ("var", "norm")
+                                 else ["--out", str(out)]))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "io"
+    assert not out.exists()
+
+
 def test_mc_command_and_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -18,6 +18,7 @@ from besov_rough.young import (
 )
 from besov_rough.controlled import (
     ControlledPath,
+    _expansion_lead,
     compose_controlled,
     controlled_distance,
     controlled_norm,
@@ -186,6 +187,19 @@ def test_integral_regime_rejected():
         rough_integral(_self_controlled(bad))
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 2), (2, 3)])
+def test_expansion_lead_one_row_is_row_of_doubled(m, n):
+    rng = rng_for(m * 10 + n, "lead")
+    for _ in range(200):
+        a, dx = rng.standard_normal((1, m, n)), rng.standard_normal((1, n))
+        b, xx = rng.standard_normal((1, m, n, n)), rng.standard_normal((1, n, n))
+        doubled = [np.repeat(v, 2, 0) for v in (a, dx, b, xx)]
+        assert np.array_equal(_expansion_lead(a, dx, b, xx)[0],
+                              _expansion_lead(*doubled)[0])
+        assert np.array_equal(_expansion_lead(a, dx)[0],
+                              _expansion_lead(*doubled[:2])[0])
+
+
 # -- composition --------------------------------------------------------------------
 
 def test_compose_linear_field_exact():
@@ -221,9 +235,9 @@ def test_compose_square_taylor_identity():
     yp = rng.standard_normal((g.n, 1, 1))
     cp = ControlledPath(X, y, yp)
     square = VectorField(
-        fun=lambda v: np.array([[v[0] ** 2]]),
-        dfun=lambda v: np.array([[[2.0 * v[0]]]]),
-        d2fun=lambda v: np.array([[[[2.0]]]]),
+        fun=lambda Y: Y[:, :, None] ** 2,
+        dfun=lambda Y: 2.0 * Y[:, :, None, None],
+        d2fun=lambda Y: np.full((len(Y), 1, 1, 1, 1), 2.0),
         order=2, delta=1.0, name="square",
     )
     out = compose_controlled(square, cp)
@@ -240,9 +254,9 @@ def test_compose_constant_field():
                       BesovParams(0.45, 32.0, INF))
     g = X.grid
     const = VectorField(
-        fun=lambda v: np.array([[1.5]]),
-        dfun=lambda v: np.zeros((1, 1, 1)),
-        d2fun=lambda v: np.zeros((1, 1, 1, 1)),
+        fun=lambda Y: np.full((len(Y), 1, 1), 1.5),
+        dfun=lambda Y: np.zeros((len(Y), 1, 1, 1)),
+        d2fun=lambda Y: np.zeros((len(Y), 1, 1, 1, 1)),
         order=3, delta=1.0, name="const",
     )
     cp = ControlledPath(X, np.zeros((g.n, 1)), np.ones((g.n, 1, 1)))
@@ -268,9 +282,9 @@ def test_compose_report():
 def test_rde_zero_field():
     X = _scalar_lift(8)
     zero = VectorField(
-        fun=lambda v: np.zeros((1, 1)),
-        dfun=lambda v: np.zeros((1, 1, 1)),
-        d2fun=lambda v: np.zeros((1, 1, 1, 1)),
+        fun=lambda Y: np.zeros((len(Y), 1, 1)),
+        dfun=lambda Y: np.zeros((len(Y), 1, 1, 1)),
+        d2fun=lambda Y: np.zeros((len(Y), 1, 1, 1, 1)),
         order=3, delta=1.0, name="zero",
     )
     sol = rde_solve(zero, X, 3.0)
@@ -287,8 +301,8 @@ def test_rde_exponential_oracle():
 def test_rde_field_class_checked():
     X = _scalar_lift(8)
     weak = VectorField(
-        fun=lambda v: np.array([[v[0]]]),
-        dfun=lambda v: np.array([[[1.0]]]),
+        fun=lambda Y: Y[:, :, None],
+        dfun=lambda Y: np.ones((len(Y), 1, 1, 1)),
         order=1, delta=1.0, name="c1only",
     )
     with pytest.raises(RegimeError):
@@ -337,9 +351,9 @@ def test_rde_non_contraction_over_budget():
 def test_davie_zero_field():
     X = _scalar_lift(8)
     zero = VectorField(
-        fun=lambda v: np.zeros((1, 1)),
-        dfun=lambda v: np.zeros((1, 1, 1)),
-        d2fun=lambda v: np.zeros((1, 1, 1, 1)),
+        fun=lambda Y: np.zeros((len(Y), 1, 1)),
+        dfun=lambda Y: np.zeros((len(Y), 1, 1, 1)),
+        d2fun=lambda Y: np.zeros((len(Y), 1, 1, 1, 1)),
         order=3, delta=1.0, name="zero",
     )
     sol = rde_solve(zero, X, 1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from besov_rough._rng import rng_for
 from besov_rough.errors import NonContractionError, RegimeError
 from besov_rough.grid import GridPath, UniformGrid
 from besov_rough.norms import INF, BesovParams, besov_seminorm
+from besov_rough.sewing import sew
 from besov_rough.signals import heaviside, smooth_random
 from besov_rough.young import (
     VectorField,
@@ -14,6 +16,7 @@ from besov_rough.young import (
     besov_composition_check,
     ito_lyons_probe_young,
     linear_field,
+    product_germ,
     rotation_field,
     scalar_linear_field,
     sigmoid_field,
@@ -49,12 +52,69 @@ def test_vector_field_validation():
     for field in (scalar_linear_field(), rotation_field(), sigmoid_field(2, 2)):
         assert field.validate(rng) < 1e-5
     bad = VectorField(
-        fun=lambda y: np.array([[y[0] ** 2]]),
-        dfun=lambda y: np.array([[[3.0 * y[0]]]]),  # wrong derivative
+        fun=lambda Y: Y[:, :, None] ** 2,
+        dfun=lambda Y: 3.0 * Y[:, :, None, None],  # wrong derivative
         name="broken",
     )
     with pytest.raises(RegimeError):
         bad.validate(rng)
+
+
+def _looped_validate(field, rng):
+    """The check one state at a time: 20 single draws, one-row batches."""
+    step = 1e-6
+    worst = 0.0
+    for _ in range(20):
+        y = rng.standard_normal(field.state_dim)
+        d_exact = field.dfun(y[None])[0]
+        for b in range(len(y)):
+            e = np.zeros_like(y)
+            e[b] = step
+            fd = (field.fun((y + e)[None])[0]
+                  - field.fun((y - e)[None])[0]) / (2 * step)
+            denom = max(1.0, float(np.abs(d_exact[..., b]).max()))
+            worst = max(worst, float(np.abs(fd - d_exact[..., b]).max()) / denom)
+    return worst
+
+
+def test_batched_validate_equals_per_state_loop():
+    bad = VectorField(
+        fun=lambda Y: Y[:, :, None] ** 2,
+        dfun=lambda Y: 3.0 * Y[:, :, None, None],  # wrong derivative
+        name="broken",
+    )
+    dense = linear_field(list(rng_for(9, "mats").standard_normal((2, 3, 3))))
+    fields = (scalar_linear_field(), rotation_field(), sigmoid_field(2, 2),
+              dense, bad)
+    for k, field in enumerate(fields):
+        looped_rng, rng = rng_for(k, "vf-loop"), rng_for(k, "vf-loop")
+        expected = _looped_validate(field, looped_rng)
+        if field is bad:
+            with pytest.raises(RegimeError,
+                               match=re.escape(f"rel err {expected:.2e} ")):
+                field.validate(rng)
+        else:
+            assert field.validate(rng) == expected
+        # the (20, m) draw is the stream of 20 single draws
+        assert rng.standard_normal() == looped_rng.standard_normal()
+
+
+@pytest.mark.parametrize("field", [
+    scalar_linear_field(), rotation_field(), sigmoid_field(1, 1),
+    sigmoid_field(2, 2), sigmoid_field(3, 2),
+    linear_field(list(rng_for(8, "mats").standard_normal((3, 3, 3)))),
+], ids=["scalar", "rotation", "sigmoid11", "sigmoid22", "sigmoid32", "linear3"])
+def test_builtin_rows_equal_one_row_batches(field):
+    Y = rng_for(7, "rows").standard_normal((50, field.state_dim))
+    for fn in (field.fun, field.dfun, field.d2fun):
+        rows = np.stack([fn(Y[k:k + 1])[0] for k in range(len(Y))])
+        assert np.array_equal(fn(Y), rows)
+
+
+def test_missing_second_derivative_is_a_regime_error():
+    with pytest.raises(RegimeError, match="second derivative not supplied"):
+        VectorField(fun=lambda Y: Y[:, :, None],
+                    dfun=lambda Y: np.ones((len(Y), 1, 1, 1))).d2fun(np.ones((2, 1)))
 
 
 # -- integration ----------------------------------------------------------------
@@ -90,6 +150,22 @@ def test_heaviside_integrand_case_b():
     assert abs(out.integral.values[-1, 0] - exact) < 1e-3
     assert out.endpoint
     assert out.remainder_norm < math.inf
+
+
+def test_young_integral_remainder_norm_is_the_sewing_norm():
+    g = _grid(9)
+    t = g.times()
+    smooth = GridPath(g, np.sin(2 * t))
+    for f, reg in [
+        (GridPath(g, np.cos(3 * t)), YoungRegime(SMOOTH, SMOOTH)),
+        (heaviside(g), YoungRegime(BesovParams(0.5, 2.0, INF),
+                                   BesovParams(0.5, INF, 1.0))),
+    ]:
+        out = young_integral(f, smooth, reg)
+        direct = sew(reg.sewing_input(product_germ(f, smooth)))
+        assert out.remainder_norm == direct.remainder_norm
+        assert np.array_equal(out.integral.values, direct.integral.values)
+        assert out.endpoint == direct.input.endpoint
 
 
 def test_integral_bilinear():
@@ -140,9 +216,9 @@ def test_composition_square():
     g = _grid(8)
     y = smooth_random(g, rng_for(4, "comp"))
     square = VectorField(
-        fun=lambda v: np.array([[v[0] ** 2]]),
-        dfun=lambda v: np.array([[[2.0 * v[0]]]]),
-        d2fun=lambda v: np.array([[[[2.0]]]]),
+        fun=lambda Y: Y[:, :, None] ** 2,
+        dfun=lambda Y: 2.0 * Y[:, :, None, None],
+        d2fun=lambda Y: np.full((len(Y), 1, 1, 1, 1), 2.0),
         order=2,
         delta=1.0,
         name="square",
@@ -185,14 +261,12 @@ def test_ode_affine_exact():
     drv = GridPath(g, np.column_stack([np.sin(t), np.cos(3 * t)]))
     c = np.array([[0.3, -1.2], [0.8, 0.1]])
     const = VectorField(
-        fun=lambda y: c,
-        dfun=lambda y: np.zeros((2, 2, 2)),
-        d2fun=lambda y: np.zeros((2, 2, 2, 2)),
+        fun=lambda Y: np.broadcast_to(c, (len(Y), 2, 2)).copy(),
+        dfun=lambda Y: np.zeros((len(Y), 2, 2, 2)),
+        d2fun=lambda Y: np.zeros((len(Y), 2, 2, 2, 2)),
         order=3,
         delta=1.0,
         name="const",
-        fun_batch=lambda Y: np.broadcast_to(c, (len(Y), 2, 2)).copy(),
-        dfun_batch=lambda Y: np.zeros((len(Y), 2, 2, 2)),
     )
     y0 = np.array([1.0, 2.0])
     sol = young_ode_solve(const, drv, y0, SMOOTH)
