@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import RegimeError
 from .grid import GridPath, TwoParamField
@@ -26,6 +25,7 @@ from .norms import (
     two_param_metric,
     two_param_norm,
     _dyadic_band_norms,
+    _log_fit,
     _q_sum,
 )
 from .rough import RoughPath, rough_metric
@@ -404,8 +404,7 @@ def davie_residual(
             hs.append(h)
             sups.append(float(sup))
     if len(hs) >= 2:
-        fit = linregress(np.log(hs), np.log(sups))
-        slope, r2 = float(fit.slope), float(fit.rvalue**2)
+        slope, r2 = _log_fit(np.log(hs), np.log(sups))
     else:
         slope, r2 = INF, 1.0
     return {"field": D, "norm": norm, "slope": slope, "r2": r2,

@@ -15,6 +15,7 @@ Conventions, fixed so that reported numbers are bit-stable:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import RegimeError
 from .grid import GridPath, TwoParamField
 
 INF = math.inf
+_LOG_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "BesovParams",
@@ -149,18 +151,48 @@ def _lp_sum(x: np.ndarray, p: float, weight: float):
     indexing returns) they differ in the last bit.  The 1/p root is a numpy
     scalar power per entry: numpy's array power differs from it in the last
     bit for a few percent of entries.
+
+    A row whose power sum overflows or underflows, which only large p or
+    extreme magnitudes meet, is recomputed from x scaled by its max; when
+    the max shows that an overflow is possible, the sum runs without the
+    overflow warning.  Every other row keeps the bits of the plain sum.
     """
-    if x.shape[-1] == 0:
+    if x.size == 0:
         out = np.zeros(x.shape[:-1])
     elif p == INF:
         out = x.max(axis=-1)
     else:
-        out = weight * np.add.reduce(np.ascontiguousarray(x**p), axis=-1)
-        e = 1.0 / p
-        if out.ndim:
-            return np.array([v**e for v in out.flat]).reshape(out.shape)
-        out = out**e
+        big = x.max()
+        if big > 1.0 and p * math.log(big) > _LOG_MAX - math.log(
+                x.shape[-1] * max(weight, 1.0)):
+            with np.errstate(over="ignore"):
+                out = _lp_root(x, p, weight)
+            out = _rescale_lost_rows(x, p, weight, out)
+        else:
+            out = _lp_root(x, p, weight)
+            if np.count_nonzero(out) < out.size:
+                out = _rescale_lost_rows(x, p, weight, out)
     return out if out.ndim else float(out)
+
+
+def _lp_root(x: np.ndarray, p: float, weight: float):
+    """The plain (weight * sum x^p)^(1/p) of `_lp_sum`, finite p."""
+    out = weight * np.add.reduce(np.ascontiguousarray(x**p), axis=-1)
+    e = 1.0 / p
+    if out.ndim:
+        return np.array([v**e for v in out.flat]).reshape(out.shape)
+    return out**e
+
+
+def _rescale_lost_rows(x: np.ndarray, p: float, weight: float, out):
+    """`out` with each row whose power sum overflowed to inf or underflowed
+    to 0 recomputed as m * (weight * sum (x/m)^p)^(1/p), m the row max."""
+    top = x.max(axis=-1)
+    lost = (top > 0) & (top < INF) & ((out == 0) | (out == INF))
+    if not lost.any():
+        return out
+    m = np.where(lost, top, 1.0)
+    return np.where(lost, m * _lp_root(x / m[..., None], p, weight), out)
 
 
 def band_lp_norms(obj, p: float, max_shift: int) -> np.ndarray:
@@ -243,6 +275,18 @@ def _power_denominator(gamma: float, modulus=None):
     if not gamma > 0:
         raise RegimeError(f"gamma must be positive, got {gamma}")
     return lambda tau: tau**gamma
+
+
+def _log_fit(x, y):
+    """(slope, r^2) of the least-squares line through (x, y), the log-log
+    rate fits.  The arithmetic is `scipy.stats.linregress`'s, so both come
+    out bit for bit the same; r^2 is nan when y is constant."""
+    sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
+    if sxx == 0.0 or syy == 0.0:
+        r = np.float64(np.nan if sxy == 0 else 0.0)
+    else:
+        r = min(max(sxy / np.sqrt(sxx * syy), -1.0), 1.0)
+    return float(sxy / sxx), float(r**2)
 
 
 # ---------------------------------------------------------------------------

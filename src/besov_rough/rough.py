@@ -14,7 +14,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import linregress
 
 from ._rng import rng_for
 from .errors import RegimeError
@@ -22,6 +21,7 @@ from .grid import GridPath, TwoParamField, UniformGrid, _indices
 from .norms import (
     INF,
     BesovParams,
+    _log_fit,
     holder_seminorm,
     two_param_metric,
     two_param_norm,
@@ -552,11 +552,12 @@ def campanato_scaling(X: RoughPath, k: int) -> dict:
     if len(good) < 2:
         return {"slope": INF, "expected": beta * k, "widths": widths,
                 "values": values}
-    fit = linregress(np.log([w for w, _ in good]), np.log([v for _, v in good]))
+    slope, r2 = _log_fit(np.log([w for w, _ in good]),
+                         np.log([v for _, v in good]))
     return {
-        "slope": float(fit.slope),
+        "slope": slope,
         "expected": beta * k,
-        "r2": float(fit.rvalue**2),
+        "r2": r2,
         "widths": widths,
         "values": values,
     }

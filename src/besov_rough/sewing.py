@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import RegimeError
 from .grid import GridPath, TwoParamField, _indices
@@ -22,6 +21,7 @@ from .norms import (
     _band_lp,
     _dyadic_band_norms,
     _dyadic_ratio_profile,
+    _log_fit,
     _mags,
     _q_sum,
     _ratios_from_norms,
@@ -86,6 +86,9 @@ class SewingInput:
     endpoint: bool = False
 
     def __post_init__(self):
+        if not self.p2 > 0 or not self.q2 > 0:
+            raise RegimeError(
+                f"p2, q2 must be positive (or inf), got {self.p2}, {self.q2}")
         crit = max(1.0, 1.0 / self.p2)
         if self.endpoint:
             if self.q2 > min(1.0, self.p2):
@@ -250,12 +253,12 @@ def rate_certificate(
         raise ValueError(
             "a rate needs two diagnostic levels with a positive norm,"
             f" got {int(keep.sum())}")
-    fit = linregress(ns[keep], np.log2(vals[keep]))
+    slope, r2 = _log_fit(ns[keep], np.log2(vals[keep]))
     bounded = bool(vals.max() <= 2.0 * max(vals[0], _ZERO_FLOOR))
     return {
-        "slope": float(fit.slope),
+        "slope": slope,
         "expected": expected,
-        "r2": float(fit.rvalue**2),
+        "r2": r2,
         "levels": rows,
         "bounded": bounded,
     }

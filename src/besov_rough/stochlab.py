@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import linregress
 
 from ._rng import rng_for
 from .errors import RegimeError
 from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ
-from .norms import INF, _check_nontrivial, _integral_norm, _power_denominator
+from .norms import INF, _check_nontrivial, _integral_norm, _log_fit, _power_denominator
 from .rough import fbm_path, homogeneous_distance_level2
 from .signals import brownian_path
 
@@ -139,6 +137,9 @@ def _square_germ(dg: np.ndarray):
 
 def gaussian_abs_moment(p: float, dim: int = 1) -> float:
     """E |Z|^p for a standard normal vector in R^dim."""
+    # scipy's gammaln, not math.lgamma: the two differ in the last bits
+    from scipy.special import gammaln
+
     return float(
         2.0 ** (p / 2)
         * math.exp(gammaln((p + dim) / 2.0) - gammaln(dim / 2.0))
@@ -260,8 +261,7 @@ def _variance_slope(per_n):
     if len(ns) < 2:
         return INF, 1.0
     v = np.array([per_n[n]["variance"] for n in ns])
-    fit = linregress(np.asarray(ns, dtype=float), np.log2(v))
-    return float(fit.slope), float(fit.rvalue**2)
+    return _log_fit(np.asarray(ns, dtype=float), np.log2(v))
 
 
 def fbm_besov_statistic(

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import besov_rough
 from besov_rough import acceptance
 from besov_rough.cli import (
     MAX_GRID_LEVEL,
@@ -34,6 +38,17 @@ def planar_csv(tmp_path):
     p = tmp_path / "planar.csv"
     save_path_csv(p, GridPath(g, np.column_stack([np.sin(t), np.cos(2 * t)])))
     return str(p)
+
+
+def test_cli_import_leaves_scipy_out():
+    # every CLI run pays its imports; scipy alone took about 1 s of them
+    src = os.path.dirname(os.path.dirname(besov_rough.__file__))
+    code = ("import sys, besov_rough.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "[]"
 
 
 def test_version(capsys):
@@ -169,6 +184,23 @@ def test_sew_small_germ_null_slope(tmp_path, capsys, rows):
     data = json.loads(out.read_text(), parse_constant=_no_nan)
     assert data["slope"] is None
     assert data["expected_slope"] == -1.0
+
+
+@pytest.mark.parametrize("exponents", [
+    ["--p2", "0"],
+    ["--p2", "inf", "--q2", "0"],
+    ["--p2=-inf"],
+    ["--p2", "inf", "--q2", "-1"],
+])
+def test_sew_nonpositive_exponent_exit_2(tmp_path, capsys, exponents):
+    germ_file = tmp_path / "germ.csv"
+    germ_file.write_text("i,j,v0\n0,1,1.0\n0,2,3.0\n1,2,1.5\n")
+    out = tmp_path / "result.json"
+    code = main(["sew", "--germ", str(germ_file), "--gamma", "2.0",
+                 *exponents, "--out", str(out)])
+    assert code == 2
+    assert _single_json_error(capsys)["error"] == "regime"
+    assert not out.exists()
 
 
 def test_young_ode_command(sin_csv, tmp_path):

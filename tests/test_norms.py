@@ -487,3 +487,45 @@ def test_unstacked_kernels_return_floats():
                   besov_seminorm(f, 0.4, 2.0, 2.0, form="integral"),
                   two_param_norm(delta(f), 0.4, 2.0, INF)):
         assert type(value) is float
+
+
+def test_log_fit_is_linregress_bit_for_bit():
+    from scipy.stats import linregress
+
+    from besov_rough.norms import _log_fit
+
+    rng = np.random.default_rng(2021)
+    cases = []
+    for n in range(2, 16):
+        levels = np.arange(1.0, n + 1.0)
+        cases += [(levels, np.full(n, -3.25)), (levels, 0.75 * levels - 2.0),
+                  (np.log(levels + 1.0), -1.5 * np.log(levels + 1.0))]
+        for _ in range(150):
+            x = np.sort(rng.normal(size=n) * 3.0)
+            cases.append((x, rng.normal(size=n)))
+            cases.append((levels, np.log2(rng.random(n) * 10.0 ** -levels)))
+    for x, y in cases:
+        fit = linregress(x, y)
+        got = np.array(_log_fit(x, y))
+        want = np.array([fit.slope, fit.rvalue**2])
+        assert got.tobytes() == want.tobytes(), (x, y)
+
+
+def test_lp_sum_large_p_does_not_overflow():
+    import warnings
+
+    from besov_rough.norms import _lp_sum
+
+    grid = UniformGrid(2 * math.pi, 8)
+    wave = np.sin(grid.times())
+    base = lp_norm(GridPath(grid, wave), 32.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = lp_norm(GridPath(grid, 1e10 * wave), 32.0)
+        rows = _lp_sum(np.abs(np.stack([wave, 1e10 * wave, 1e-20 * wave])),
+                       32.0, grid.mesh)
+    assert math.isfinite(big)
+    assert big == pytest.approx(1e10 * base, rel=1e-12)
+    assert rows[0] == _lp_sum(np.abs(wave), 32.0, grid.mesh)
+    assert rows[1] == pytest.approx(1e10 * base, rel=1e-12)
+    assert rows[2] == pytest.approx(1e-20 * base, rel=1e-12)
