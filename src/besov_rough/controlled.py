@@ -25,6 +25,7 @@ from .norms import (
     two_param_metric,
     two_param_norm,
     _dyadic_band_norms,
+    _lane_sum,
     _log_fit,
     _q_sum,
 )
@@ -94,15 +95,22 @@ def _expansion_lead(a, dx, b=None, xx=None) -> np.ndarray:
     dx (B, n); b, when given, is (B, m, n, n) and contracts with the
     level-2 increments xx (B, n, n) as sum_{j,k} b[., j, k] XX[k, j].
 
-    einsum sums the b term of a one-row batch in another order than that of
-    a longer one, so a one-row batch is doubled and cut back: every row is
-    the same wherever it stands."""
-    lead = np.einsum("bmn,bn->bm", a, dx)
-    if b is not None:
-        if len(b) == 1:
-            b, xx = np.repeat(b, 2, 0), np.repeat(xx, 2, 0)
-        lead = lead + np.einsum("bmjk,bkj->bm", b, xx)[: len(lead)]
-    return lead
+    Both terms add like einsum (`norms._lane_sum`), the b term by columns only
+    for n = 1, or n = 2 with m >= 2 and b contiguous.  einsum sums the b term
+    of a one-row batch in another order than a longer one, so a one-row
+    batch is doubled and cut back: every row is the same wherever it stands."""
+    lead = _lane_sum(a, dx[:, None], "bmn,bn->bm", a, dx)
+    if b is None:
+        return lead
+    if len(b) == 1:
+        b, xx = np.repeat(b, 2, 0), np.repeat(xx, 2, 0)
+    rows, m, n = b.shape[:3]
+    if n == 1 or n == 2 and m > 1 and b.strides[2:] == (16, 8):
+        bxx = _lane_sum(b.reshape(rows, m, n * n), np.swapaxes(xx, 1, 2).reshape(
+            rows, 1, n * n), "bmjk,bkj->bm", b, xx)
+    else:
+        bxx = np.einsum("bmjk,bkj->bm", b, xx)
+    return lead + bxx[: len(lead)]
 
 
 def _expansion_remainder(grid, base, v, a, b=None, xx_field=None
@@ -244,7 +252,7 @@ def compose_controlled(F: VectorField, cp: ControlledPath, report: bool = False)
         raise RegimeError("composition requires a C^2 (or better) field")
     values = F.values_along(cp.Y)  # (nodes, m', n')
     dvals = F.dfun(cp.Y)           # (nodes, m', n', m)
-    yp_new = np.einsum("bajc,bck->bajk", dvals, cp.Yp)
+    yp_new = _chain(dvals, cp.Yp)
     out = ControlledPath(cp.X, values, yp_new)
     if not report:
         return out
@@ -296,11 +304,17 @@ def _require_level2_field(F: VectorField, params: BesovParams):
             raise RegimeError("the critical level-2 regime needs a C^3 field")
 
 
+def _chain(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_c d[., a, j, c] y[., c, k] for (B, m', n', m) d and (B, m, n) y."""
+    return _lane_sum(d[:, :, :, None], np.swapaxes(y, 1, 2)[:, None, None],
+                     "bajc,bck->bajk", d, y)
+
+
 def _davie_coefficients(F: VectorField, Y: np.ndarray):
     """f(Y), (nodes, m, n), and Df(Y) f(Y), (nodes, m, n, n): the first- and
     second-level coefficients of the Davie expansion."""
     fv = F.values_along(Y)
-    return fv, np.einsum("bajc,bck->bajk", F.dfun(Y), fv)
+    return fv, _chain(F.dfun(Y), fv)
 
 
 def _dyadic_gauge_remainder(rem: TwoParamField, alpha, p, q) -> float:

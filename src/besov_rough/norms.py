@@ -14,6 +14,7 @@ Conventions, fixed so that reported numbers are bit-stable:
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -126,12 +127,48 @@ class EndpointModulus:
 # ---------------------------------------------------------------------------
 # shared kernels
 
+_COLUMN_ROWS = 1024  # shorter batches keep einsum, faster there
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Outer products u[:, a] v[:, b] + 0.0 (as einsum writes them) of (B, p)
+    and (B, q) factors in column a*q + b of (B, p*q); one row broadcasts."""
+    rows, p, q = max(len(u), len(v)), u.shape[1], v.shape[1]
+    if p * q > 16:
+        return np.einsum("bi,bj->bij", u, v).reshape(rows, p * q)
+    return _lane_sum(u[:, :, None, None], v[:, None, :, None], "bi,bj->bij",
+                     u, v).reshape(rows, p * q)
+
+
+def _lane_sum(x, y, spec: str, *operands) -> np.ndarray:
+    """einsum(spec, *operands) as sum_t x[..., t] y[..., t], x and y views of
+    the operands broadcasting to (B, ..., T).  From `_COLUMN_ROWS` rows on, a
+    multiply per column pair, with T <= 4 terms added as einsum does along
+    unit strides: even and odd terms in two lanes, the lanes added, then +0.0
+    (einsum starts at +0.0).  Else, or 3-4 terms off unit strides, einsum."""
+    terms = x.shape[-1]
+    if max(len(x), len(y)) < _COLUMN_ROWS or terms > 4 or terms > 2 and (
+            x.strides[-1] != x.itemsize or y.strides[-1] != y.itemsize):
+        return np.einsum(spec, *operands)
+    out = np.empty(np.broadcast(x, y).shape[:-1])
+    top = [[n - 1 for n in z.shape[1:-1]] for z in (x, y)]  # broadcast size 1
+    for i in itertools.product(*map(range, out.shape[1:])):
+        xi, yi = ((slice(None), *map(min, i, last)) for last in top)
+        lanes = [x[(*xi, t)] * y[(*yi, t)] for t in range(min(terms, 2))]
+        for t in range(2, terms):
+            lanes[t - 2] += x[(*xi, t)] * y[(*yi, t)]
+        acc = np.add(*lanes, out=lanes[0]) if terms > 1 else lanes[0]
+        np.add(acc, 0.0, out=out[(slice(None), *i)])
+    return out
+
 
 def _mags(diff: np.ndarray) -> np.ndarray:
     """Euclidean magnitudes of a (..., k, m) increment block, shape (..., k)."""
     if diff.shape[-1] == 1:
         return np.abs(diff[..., 0])
-    return np.sqrt(np.einsum("...ij,...ij->...i", diff, diff))
+    rows = diff.reshape(-1, diff.shape[-1])
+    sq = _lane_sum(rows, rows, "bi,bi->b", rows, rows)
+    return np.sqrt(sq, out=sq).reshape(diff.shape[:-1])
 
 
 def _band_lp(mag: np.ndarray, mesh: float, p: float):
@@ -486,7 +523,7 @@ def campanato_ratio(f: GridPath, beta: float) -> float:
             sub = v[lo:hi:stride]
             weight = (stride * grid.mesh) ** 2
             diff = sub[:, None, :] - sub[None, :, :]
-            dbl = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum()) * weight
+            dbl = float(_mags(diff).sum()) * weight
             val = dbl / (2 * r) ** 2 / r**beta
             best = max(best, val)
     return best

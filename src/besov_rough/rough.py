@@ -22,6 +22,8 @@ from .norms import (
     INF,
     BesovParams,
     _log_fit,
+    _mags,
+    _outer,
     holder_seminorm,
     two_param_metric,
     two_param_norm,
@@ -82,7 +84,7 @@ def _mul_level(x, y, k: int):
         elif a == k and (v == 1.0).all():
             term = u
         else:
-            term = np.einsum("bi,bj->bij", u, v).reshape(rows, -1)
+            term = _outer(u, v)
         if a == 0:
             acc = np.add(term, 0.0, out=np.empty((rows, term.shape[1])))
         else:
@@ -122,7 +124,7 @@ def _gauge_levels(x, depth: int):
     batch = x[0].shape[0]
     best = np.zeros(batch)
     for k in range(1, depth + 1):
-        mag = np.sqrt(np.einsum("bi,bi->b", x[k], x[k]))
+        mag = _mags(x[k])
         np.maximum(best, (math.factorial(k) * mag) ** (1.0 / k), out=best)
     return best
 
@@ -290,7 +292,7 @@ def canonical_lift(x: GridPath, depth: int, params: BesovParams | None = None
     nodes = x.grid.n
     sig = [np.ones((nodes, 1)), v - v[0]]
     for k in range(2, depth + 1):
-        incs = np.einsum("bi,bj->bij", sig[k - 1][:-1], dx).reshape(nodes - 1, -1)
+        incs = _outer(sig[k - 1][:-1], dx)
         sig.append(np.vstack([np.zeros((1, n**k)), np.cumsum(incs, axis=0)]))
     return RoughPath.from_signature(x.grid, params, sig)
 
@@ -311,9 +313,7 @@ def geometric_lift(x: GridPath, depth: int, params: BesovParams | None = None
     # dx tensor powers / j!
     powers = [np.ones((nodes - 1, 1)), dx.copy()]
     for j in range(2, depth + 1):
-        powers.append(
-            np.einsum("bi,bj->bij", powers[j - 1], dx).reshape(nodes - 1, -1) / j
-        )
+        powers.append(_outer(powers[j - 1], dx) / j)
     sig = [np.ones((nodes, 1)), v - v[0]]
     for k in range(2, depth + 1):
         # S_{i+1} - S_i is level k of S_i (x) exp(dx_i), with S_i^(k) as 0
@@ -405,6 +405,8 @@ def rough_metric(X: RoughPath, Y: RoughPath) -> float:
     X.params."""
     if X.depth != Y.depth or X.n != Y.n or X.grid != Y.grid:
         raise ValueError("rough paths not comparable")
+    if Y is X:
+        return 0.0  # every band of every level difference is exactly zero
     alpha, p, q = X.params.as_tuple
     total = 0.0
     for k in range(1, X.depth + 1):
@@ -478,8 +480,7 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
             inc = cur.pairs_levels(ii, jj)
             acc = 0.0
             for k in range(1, m_lev + 1):
-                term = np.einsum("bi,bj->bij", from_zero[m_lev - k + 1][ii], inc[k])
-                acc = acc + term.reshape(len(term), -1)
+                acc = acc + _outer(from_zero[m_lev - k + 1][ii], inc[k])
             return acc
 
         consec = germ_A(slice(0, nodes - 1), slice(1, nodes))
@@ -572,11 +573,8 @@ def homogeneous_distance_level2(dw: np.ndarray, xx: np.ndarray) -> np.ndarray:
 
     dw: (B, n) level-1 increments; xx: (B, n, n) level-2 entries.
     """
-    batch, n = dw.shape
-    mag1 = np.sqrt(np.einsum("bi,bi->b", dw, dw))
-    mag2 = np.sqrt(np.einsum("bij,bij->b", xx, xx))
-    gauge_fwd = np.maximum(mag1, np.sqrt(2.0 * mag2))
-    xx_inv = -xx + np.einsum("bi,bj->bij", dw, dw)
-    mag2i = np.sqrt(np.einsum("bij,bij->b", xx_inv, xx_inv))
-    gauge_bwd = np.maximum(mag1, np.sqrt(2.0 * mag2i))
+    xx = xx.reshape(len(dw), -1)
+    mag1 = _mags(dw)
+    gauge_fwd = np.maximum(mag1, np.sqrt(2.0 * _mags(xx)))
+    gauge_bwd = np.maximum(mag1, np.sqrt(2.0 * _mags(_outer(dw, dw) - xx)))
     return 0.5 * (gauge_fwd + gauge_bwd)

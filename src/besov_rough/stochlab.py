@@ -18,7 +18,8 @@ import numpy as np
 from ._rng import rng_for
 from .errors import RegimeError
 from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ
-from .norms import INF, _check_nontrivial, _integral_norm, _log_fit, _power_denominator
+from .norms import (INF, _check_nontrivial, _integral_norm, _log_fit, _mags,
+                    _outer, _power_denominator)
 from .rough import fbm_path, homogeneous_distance_level2
 from .signals import brownian_path
 
@@ -155,11 +156,11 @@ def _ito_level2_windows(w: np.ndarray, ks):
     k cells, for each k in ks in turn; the level-2 running sum is built once
     for every window."""
     dim = w.shape[1]
-    q = np.cumsum(np.einsum("bi,bj->bij", w[:-1], np.diff(w, axis=0)), axis=0)
-    q = np.concatenate([np.zeros((1, dim, dim)), q])
+    q = np.cumsum(_outer(w[:-1], np.diff(w, axis=0)), axis=0)
+    q = np.concatenate([np.zeros((1, dim * dim)), q])
     for k in ks:
         dw = w[k:] - w[:-k]
-        yield dw, q[k:] - q[:-k] - np.einsum("bi,bj->bij", w[:-k], dw)
+        yield dw, (q[k:] - q[:-k] - _outer(w[:-k], dw)).reshape(-1, dim, dim)
 
 
 def _window_table(paths, ns, level: int, p: float, hurst: float, level2: bool
@@ -175,8 +176,7 @@ def _window_table(paths, ns, level: int, p: float, hurst: float, level2: bool
             d_all = [homogeneous_distance_level2(dw, xx)
                      for dw, xx in _ito_level2_windows(w, ks)]
         else:
-            incs = [w[k:] - w[:-k] for k in ks]
-            d_all = [np.sqrt(np.einsum("bi,bi->b", dw, dw)) for dw in incs]
+            d_all = [_mags(w[k:] - w[:-k]) for k in ks]
         for n, d_vals in zip(ns, d_all):
             # left Riemann sum over [0, 1 - 2^-n]: last window node excluded
             scale = 2.0 ** (n * p * hurst)

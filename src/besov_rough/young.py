@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NonContractionError, RegimeError
 from .grid import GridPath, TwoParamField, UniformGrid
-from .norms import BesovParams, INF, besov_seminorm, lp_norm
+from .norms import BesovParams, INF, _lane_sum, besov_seminorm, lp_norm
 from .sewing import SewingInput, SewingResult, sew
 
 __all__ = [
@@ -138,7 +138,7 @@ def linear_field(matrices) -> VectorField:
     m, n = mats.shape[0], mats.shape[2]
     dmat = np.transpose(mats, (0, 2, 1))
     return VectorField(
-        lambda Y: np.einsum("abj,kb->kaj", mats, Y),
+        lambda Y: _lane_sum(dmat[None], Y[:, None, None], "abj,kb->kaj", mats, Y),
         lambda Y: np.broadcast_to(dmat, (len(Y),) + dmat.shape).copy(),
         d2fun=lambda Y: np.zeros((len(Y), m, n, m, m)),
         order=3, delta=1.0, name="linear", state_dim=m,
@@ -391,7 +391,8 @@ def young_ode_solve(
 
     def sweep(a, b, ya, cur, sub_grid):
         fvals = F.values_along(cur)  # (span+1, m, n)
-        incs = 0.5 * np.einsum("kmn,kn->km", fvals[:-1] + fvals[1:], dX[a:b])
+        fsum, dx = fvals[:-1] + fvals[1:], dX[a:b]
+        incs = 0.5 * _lane_sum(fsum, dx[:, None], "kmn,kn->km", fsum, dx)
         nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
         return nxt, nxt, _solver_metric(nxt, cur, sub_grid, params)
 
