@@ -190,8 +190,9 @@ class ExperimentConfig:
             ("dim", 1 <= self.dim <= MAX_DIM, f"an integer in 1..{MAX_DIM}"),
             ("level", 1 <= self.level <= MAX_GRID_LEVEL,
              f"an integer in 1..{MAX_GRID_LEVEL}"),
-            ("ns", self.ns and all(1 <= n <= self.level for n in self.ns),
-             f"a nonempty list of integers in 1..level = {self.level}"),
+            ("ns", self.ns and len(set(self.ns)) == len(self.ns)
+             and all(1 <= n <= self.level for n in self.ns),
+             f"a nonempty list of distinct integers in 1..level = {self.level}"),
             ("lengths", self.lengths and all(
                 2 <= n <= 1 << MAX_GRID_LEVEL and not n & (n - 1)
                 for n in self.lengths),

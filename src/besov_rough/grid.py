@@ -7,8 +7,10 @@ immutable after construction and every operation is a pure function.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -326,19 +328,15 @@ def load_path_csv(path) -> GridPath:
             raise GridFormatError(f"{path}: empty file")
         if not header or header[0].strip() != "t":
             raise GridFormatError(f"{path}: header must start with 't'")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise GridFormatError(f"{path}:{lineno}: ragged row")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise GridFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+        lines = []
+        try:
+            lines.extend(reader)
+        except (csv.Error, UnicodeDecodeError):
+            _float_rows(path, lines, len(header))  # a bad line before it first
+            raise
+    data = _float_rows(path, lines, len(header))
+    if not len(data):
         raise GridFormatError(f"{path}: no data rows")
-    data = np.asarray(rows)
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         raise GridFormatError(
@@ -360,13 +358,29 @@ def load_path_csv(path) -> GridPath:
     return GridPath(grid, values)
 
 
+def _float_rows(path, lines, width: int) -> np.ndarray:
+    """Non-empty csv records (file lines 2, ...) as floats; the first bad one raises."""
+    rows = list(filter(None, lines))
+    if not set(map(len, rows)) - {width}:
+        with contextlib.suppress(ValueError):
+            cells = np.fromiter(map(float, chain.from_iterable(rows)), float)
+            return cells.reshape(len(rows), width)
+    for lineno, row in enumerate(lines, start=2):  # name the first bad line
+        if row and len(row) != width:
+            raise GridFormatError(f"{path}:{lineno}: ragged row")
+        try:
+            list(map(float, row))
+        except ValueError as exc:
+            raise GridFormatError(f"{path}:{lineno}: {exc}") from None
+
+
 def save_path_csv(path, grid_path: GridPath) -> None:
     m = grid_path.dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"v{j}" for j in range(m)])
-        for t, row in zip(grid_path.grid.times(), grid_path.values):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+        writer.writerows([repr(t), *map(repr, row)] for t, row in zip(
+            grid_path.grid.times().tolist(), grid_path.values.tolist()))
 
 
 def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
@@ -439,6 +453,5 @@ def save_field_csv(path, field: TwoParamField) -> None:
         writer = csv.writer(fh)
         writer.writerow(["i", "j"] + [f"c{j}" for j in range(field.dim)])
         for k in range(1, n):
-            band = field.band(k)
-            for i in range(n - k):
-                writer.writerow([i, i + k] + [repr(float(x)) for x in band[i]])
+            writer.writerows([i, i + k, *map(repr, row)]
+                             for i, row in enumerate(field.band(k).tolist()))

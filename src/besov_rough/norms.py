@@ -167,8 +167,24 @@ def _mags(diff: np.ndarray) -> np.ndarray:
     if diff.shape[-1] == 1:
         return np.abs(diff[..., 0])
     rows = diff.reshape(-1, diff.shape[-1])
-    sq = _lane_sum(rows, rows, "bi,bi->b", rows, rows)
-    return np.sqrt(sq, out=sq).reshape(diff.shape[:-1])
+    return _plane_mags(rows.T).reshape(diff.shape[:-1])
+
+
+def _plane_mags(planes: np.ndarray) -> np.ndarray:
+    """Magnitudes of k component rows (k, B), the bits of einsum on the rows
+    planes.T (their C-ordered copy if planes is C-ordered): up to 4 squares
+    (never -0.0) in einsum's unit-stride lanes, even and odd terms apart;
+    more terms, or 3-4 with neither axis unit-stride, by einsum."""
+    k, contiguous = len(planes), planes.strides[-1] == planes.itemsize
+    if k == 1:
+        return np.abs(planes[0])
+    if k > 4 or k > 2 and planes.itemsize not in planes.strides:
+        rows = np.ascontiguousarray(planes.T) if contiguous else planes.T
+        return np.sqrt(np.einsum("bi,bi->b", rows, rows))
+    sq = planes * planes
+    for t in range(2, k):  # row by row: a transpose's rows are strided
+        sq[t - 2] += sq[t]
+    return np.sqrt(sq[0] + sq[1])
 
 
 def _band_lp(mag: np.ndarray, mesh: float, p: float):

@@ -24,6 +24,7 @@ from .norms import (
     _log_fit,
     _mags,
     _outer,
+    _plane_mags,
     holder_seminorm,
     two_param_metric,
     two_param_norm,
@@ -349,11 +350,10 @@ def brownian_lift(
 def fbm_covariance(H: float, grid: UniformGrid) -> np.ndarray:
     """Exact covariance of fBm at the positive grid nodes."""
     t = grid.times()[1:]
-    return 0.5 * (
-        t[:, None] ** (2 * H)
-        + t[None, :] ** (2 * H)
-        - np.abs(t[:, None] - t[None, :]) ** (2 * H)
-    )
+    cov = np.add.outer(t ** (2 * H), t ** (2 * H))
+    lag = np.subtract.outer(t, t)  # built in place: one array beside cov
+    cov -= np.power(np.abs(lag, out=lag), 2 * H, out=lag)
+    return np.multiply(cov, 0.5, out=cov)
 
 
 @lru_cache(maxsize=8)
@@ -573,8 +573,15 @@ def homogeneous_distance_level2(dw: np.ndarray, xx: np.ndarray) -> np.ndarray:
 
     dw: (B, n) level-1 increments; xx: (B, n, n) level-2 entries.
     """
-    xx = xx.reshape(len(dw), -1)
-    mag1 = _mags(dw)
-    gauge_fwd = np.maximum(mag1, np.sqrt(2.0 * _mags(xx)))
-    gauge_bwd = np.maximum(mag1, np.sqrt(2.0 * _mags(_outer(dw, dw) - xx)))
+    return _plane_distance(dw.T, xx.reshape(len(dw), -1).T)
+
+
+def _plane_distance(dw: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """`homogeneous_distance_level2` on component planes dw (n, B) and xx
+    (n*n, B), row a*n + b holding X^{ab}; no `+ 0.0`: zeros reach only |.|."""
+    mag1 = _plane_mags(dw)
+    inv = (dw[:, None] * dw[None]).reshape(xx.shape) - xx
+    gauge_fwd = np.maximum(mag1, np.sqrt(2.0 * _plane_mags(xx)))
+    gauge_bwd = np.maximum(mag1, np.sqrt(2.0 * _plane_mags(inv)))
     return 0.5 * (gauge_fwd + gauge_bwd)
+

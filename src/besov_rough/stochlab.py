@@ -18,9 +18,9 @@ import numpy as np
 from ._rng import rng_for
 from .errors import RegimeError
 from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ
-from .norms import (INF, _check_nontrivial, _integral_norm, _log_fit, _mags,
-                    _outer, _power_denominator)
-from .rough import fbm_path, homogeneous_distance_level2
+from .norms import (INF, _check_nontrivial, _integral_norm, _log_fit,
+                    _plane_mags, _power_denominator)
+from .rough import _plane_distance, fbm_path, homogeneous_distance_level2
 from .signals import brownian_path
 
 __all__ = [
@@ -151,33 +151,27 @@ def gaussian_abs_moment(p: float, dim: int = 1) -> float:
 # Brownian / fBm Besov-rough statistics
 
 
-def _ito_level2_windows(w: np.ndarray, ks):
-    """Level-1 and left-sum level-2 increments (dw, xx) over all windows of
-    k cells, for each k in ks in turn; the level-2 running sum is built once
-    for every window."""
-    dim = w.shape[1]
-    q = np.cumsum(_outer(w[:-1], np.diff(w, axis=0)), axis=0)
-    q = np.concatenate([np.zeros((1, dim * dim)), q])
-    for k in ks:
-        dw = w[k:] - w[:-k]
-        yield dw, (q[k:] - q[:-k] - _outer(w[:-k], dw)).reshape(-1, dim, dim)
-
-
 def _window_table(paths, ns, level: int, p: float, hurst: float, level2: bool
                   ) -> dict:
     """Per-n window statistics 2^{npH} int_0^{1-2^-n} d(X_t, X_{t+2^-n})^p dt
-    of each sample path w (nodes x dim) in `paths`, with d the homogeneous
-    level-2 distance of the left-sum lift, or the level-1 distance."""
+    of each path, as component planes w (dim, nodes), with d the level-2
+    distance of the left-sum lift (one running-sum row per pair) or level 1."""
     mesh = UniformGrid(1.0, level).mesh
     ks = [1 << (level - n) for n in ns]
     table = {n: [] for n in ns}
     for w in paths:
         if level2:
-            d_all = [homogeneous_distance_level2(dw, xx)
-                     for dw, xx in _ito_level2_windows(w, ks)]
-        else:
-            d_all = [_mags(w[k:] - w[:-k]) for k in ks]
-        for n, d_vals in zip(ns, d_all):
+            q = np.zeros((len(w) ** 2, w.shape[1]))
+            np.cumsum((w[:, None, :-1] * np.diff(w)).reshape(len(q), -1),
+                      axis=1, out=q[:, 1:])
+        for n, k in zip(ns, ks):
+            dw = w[:, k:] - w[:, :-k]
+            if level2:
+                xx = q[:, k:] - q[:, :-k]
+                xx -= (w[:, None, :-k] * dw).reshape(len(q), -1)
+                d_vals = _plane_distance(dw, xx)
+            else:
+                d_vals = _plane_mags(dw)
             # left Riemann sum over [0, 1 - 2^-n]: last window node excluded
             scale = 2.0 ** (n * p * hurst)
             table[n].append(float(scale * np.sum(d_vals[:-1] ** p) * mesh))
@@ -186,6 +180,8 @@ def _window_table(paths, ns, level: int, p: float, hurst: float, level2: bool
 
 def _window_exponents(ns, level: int) -> list:
     ns = sorted(int(n) for n in np.atleast_1d(ns))
+    if len(set(ns)) < len(ns):
+        raise RegimeError(f"window exponents must be distinct, got {ns}")
     if max(ns) > level:
         raise RegimeError(f"window exponent n={max(ns)} exceeds grid level {level}")
     return ns
@@ -215,7 +211,7 @@ def bm_besov_statistic(
     """
     ns = _window_exponents(ns, level)
     grid = UniformGrid(1.0, level)
-    paths = (brownian_path(grid, rng_for(seed, "bm-ynp", s), dim).values
+    paths = (brownian_path(grid, rng_for(seed, "bm-ynp", s), dim).values.T.copy()
              for s in range(samples))
     table = _window_table(paths, ns, level, p, 0.5, level2=True)
     oracle_samples = oracle_samples or max(2000, samples)
@@ -281,13 +277,10 @@ def fbm_besov_statistic(
     grid = UniformGrid(1.0, level)
     use_level2 = H <= 0.5
 
-    def paths():
-        for s in range(samples):
-            rng = rng_for(seed, "fbm-ynp", s)
-            yield np.column_stack(
-                [fbm_path(H, grid, rng).values[:, 0] for _ in range(dim)])
-
-    table = _window_table(paths(), ns, level, p, H, use_level2)
+    rngs = (rng_for(seed, "fbm-ynp", s) for s in range(samples))
+    paths = (np.stack([fbm_path(H, grid, rng).values[:, 0] for _ in range(dim)])
+             for rng in rngs)
+    table = _window_table(paths, ns, level, p, H, use_level2)
     per_n = {n: _moments(table[n]) for n in ns}
     if not use_level2:
         for row in per_n.values():

@@ -636,6 +636,9 @@ def test_workers_flag_removed(sin_csv, capsys):
     '{"experiment": 3}',
     '[{"experiment": "bm-ynp"}]',
     '5',
+    '{"experiment": "bm-ynp", "level": 6, "samples": 4, "ns": [3, 3]}',
+    '{"experiment": "fbm-ynp", "level": 6, "samples": 4, "ns": [4, 3, 4]}',
+    '{"experiment": "bm-ynp", "level": 1099511627776}',
 ])
 def test_mc_malformed_config_exit_1(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"

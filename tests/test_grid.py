@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,62 @@ def test_path_csv_rejects_ragged_rows(tmp_path, row):
     p = tmp_path / "ragged.csv"
     p.write_text(f"t,v0\n0.0,1.0\n{row}\n1.0,3.0\n")
     with pytest.raises(GridFormatError, match=r":3: ragged row"):
+        load_path_csv(p)
+
+
+def _writer_loop_bytes(path, header, rows):
+    """The files the CSV writers wrote one row and one numpy scalar at a
+    time: the reference for their bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lead, row in rows:
+            writer.writerow(lead + [repr(float(x)) for x in row])
+    return path.read_bytes()
+
+
+def test_csv_writers_keep_their_bytes(tmp_path):
+    g = UniformGrid(3.7, 4)
+    vals = np.column_stack([np.sin(7 * g.times()), np.exp(-g.times()) / 3])
+    vals[1], vals[2], vals[3] = [-0.0, 1e-300], [0.0, -1e-300], [5e-324, 1e300]
+    f = GridPath(g, vals)
+    save_path_csv(tmp_path / "path.csv", f)
+    want = _writer_loop_bytes(tmp_path / "ref.csv", ["t", "v0", "v1"], [
+        ([repr(float(t))], row) for t, row in zip(g.times(), vals)])
+    assert (tmp_path / "path.csv").read_bytes() == want
+    assert want.count(b"\r\n") == g.n + 1 and b"-0.0,1e-300" in want
+    A = delta(f)
+    save_field_csv(tmp_path / "field.csv", A)
+    assert (tmp_path / "field.csv").read_bytes() == _writer_loop_bytes(
+        tmp_path / "ref.csv", ["i", "j", "c0", "c1"],
+        [([i, i + k], A.band(k)[i]) for k in range(1, g.n)
+         for i in range(g.n - k)])
+
+
+@pytest.mark.parametrize("text, match", [
+    ("t,v0\n0,1\n0.5,1,2\n1,x\n", r":3: ragged row"),
+    ("t,v0\n0,1\n0.5,x\n1,2,3\n", r":3: could not convert string to float: 'x'"),
+    ("t,v0\n0,1\n0.5,y\n1,x\n", r":3: .*'y'"),
+    ("t,v0\n0,1\n0.5,x,2\n1,2\n", r":3: ragged row"),  # ragged before unparsable
+    ("t,v0\n\n0,1\n\n0.5,1\n1,1e\n", r":6: .*'1e'"),   # blank records count
+    ("t,v0\n0,1\n0.5,1\n1,\n", r":4: could not convert string to float: ''"),
+], ids=["ragged-then-bad", "bad-then-ragged", "two-bad", "both-in-one",
+        "after-blanks", "empty-cell"])
+def test_path_csv_reports_the_first_bad_line(tmp_path, text, match):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(GridFormatError, match=match):
+        load_path_csv(p)
+
+
+def test_path_csv_bad_line_before_a_read_error(tmp_path):
+    p = tmp_path / "bad.csv"
+    huge = "9" * (csv.field_size_limit() + 1)
+    p.write_text(f"t,v0\n0,1\n0.5,x\n1,{huge}\n")
+    with pytest.raises(GridFormatError, match=r":3: .*'x'"):
+        load_path_csv(p)
+    p.write_text(f"t,v0\n0,1\n0.5,1\n1,{huge}\n")
+    with pytest.raises(csv.Error, match="field limit"):
         load_path_csv(p)
 
 

@@ -90,13 +90,36 @@ def _einsum_hom(dw, xx):
                   + np.maximum(mag1, np.sqrt(2.0 * mag2i)))
 
 
+def _einsum_windows(w, ks, level2):
+    """The distances over the windows of k cells of a path w (nodes, dim),
+    for each k in ks: the left-sum level-2 lift's or the level-1 ones."""
+    dim = w.shape[1]
+    q = np.concatenate([np.zeros((1, dim, dim)), np.cumsum(
+        np.einsum("bi,bj->bij", w[:-1], np.diff(w, axis=0)), axis=0)])
+    for k in ks:
+        dw = w[k:] - w[:-k]
+        yield (_einsum_hom(dw, q[k:] - q[:-k] - np.einsum(
+            "bi,bj->bij", w[:-k], dw)) if level2 else _einsum_mags(dw))
+
+
+def _einsum_window_table(paths, ns, level, p, hurst, level2):
+    table = {n: [] for n in ns}
+    for planes in paths:
+        d_all = _einsum_windows(np.ascontiguousarray(planes.T),
+                                [1 << (level - n) for n in ns], level2)
+        for n, d in zip(ns, d_all):
+            table[n].append(float(2.0 ** (n * p * hurst) * np.sum(d[:-1] ** p)
+                                  * UniformGrid(1.0, level).mesh))
+    return {n: np.array(vals) for n, vals in table.items()}
+
+
 @pytest.fixture
 def einsum_only(monkeypatch):
     """Route every call site through the einsum forms above."""
-    for mod in (norms, rough, stochlab):
+    for mod in (norms, rough):
         monkeypatch.setattr(mod, "_mags", _einsum_mags)
-    for mod in (rough, stochlab):
-        monkeypatch.setattr(mod, "_outer", _einsum_outer)
+    monkeypatch.setattr(rough, "_outer", _einsum_outer)
+    monkeypatch.setattr(stochlab, "_window_table", _einsum_window_table)
     monkeypatch.setattr(young, "_lane_sum", _einsum_lane_sum)
     monkeypatch.setattr(controlled, "_lane_sum", _einsum_lane_sum)
     return monkeypatch
@@ -140,6 +163,10 @@ def test_mags_equal_einsum(m):
             # at m = 1 |x| is taken, which is sqrt(x * x) for every x whose
             # square neither overflows nor underflows
             _same(_mags(d), _einsum_mags(d), f"magnitudes m={m}")
+        if len(shape) == 2:  # F-ordered rows sum as their C-ordered copy
+            _same(_mags(np.asfortranarray(d)),
+                  _einsum_mags(np.ascontiguousarray(d)),
+                  f"F-ordered magnitudes m={m}")
 
 
 @pytest.mark.parametrize("m, n", DIMS)
@@ -189,6 +216,50 @@ def test_homogeneous_distance_equals_einsum(n):
                   f"level-2 distance n={n}")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plane_distance_equals_einsum(n):
+    rng = np.random.default_rng(n)
+    for rows in ROWS:
+        dw, xx = _rand(rng, (rows, n)), _rand(rng, (rows, n, n))
+        planes = [np.ascontiguousarray(x.reshape(rows, -1).T) for x in (dw, xx)]
+        _same(rough._plane_distance(*planes), _einsum_hom(dw, xx),
+              f"level-2 distance on planes n={n}")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 16])
+def test_plane_mags_equal_einsum(m):
+    rng = np.random.default_rng(m)
+    for rows in ROWS:
+        d = _rand(rng, (rows, m))
+        _same(norms._plane_mags(np.ascontiguousarray(d.T)), _einsum_mags(d),
+              f"magnitudes on planes m={m}")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_window_table_equals_einsum(monkeypatch, dim):
+    """Every window distance and every table entry, on paths whose windows
+    of 4, 2 and 1 cells have ROWS, ROWS + 2 and ROWS + 3 rows."""
+    seen = []
+    for name in ("_plane_distance", "_plane_mags"):
+        kernel = getattr(stochlab, name)
+        monkeypatch.setattr(stochlab, name, lambda *a, kernel=kernel: (
+            seen.append(kernel(*a)) or seen[-1]))
+    rng = np.random.default_rng(dim)
+    for rows in ROWS:
+        w = _rand(rng, (rows + 4, dim))
+        w[1::5] = w[::5][: len(w[1::5])]  # some zero increments
+        for level2 in (True, False):
+            seen.clear()
+            args = [0, 1, 2], 2, 3.0, 0.5, level2
+            got = stochlab._window_table([np.ascontiguousarray(w.T)], *args)
+            want = _einsum_window_table([w.T], *args)
+            for d, ref in zip(seen, _einsum_windows(w, [4, 2, 1], level2),
+                              strict=True):
+                _same(d, ref, f"window distances dim={dim} rows={rows}")
+            for n in want:
+                _same(got[n], want[n], f"window table dim={dim} rows={rows}")
+
+
 # -- the call sites on real inputs ----------------------------------------------
 
 
@@ -225,7 +296,8 @@ def _mc_outputs(dim):
     grid = UniformGrid(1.0, 11)  # windows of 1536 to 2044 rows
     paths = [stochlab.brownian_path(grid, rng_for(3, "k", s), dim).values
              for s in range(2)]
-    tables = [stochlab._window_table(paths, [2, 5, 9], 11, 3.0, 0.5, lv2)
+    planes = [np.ascontiguousarray(w.T) for w in paths]
+    tables = [stochlab._window_table(planes, [2, 5, 9], 11, 3.0, 0.5, lv2)
               for lv2 in (True, False)]
     return [t[k] for t in tables for k in t] + [
         norms.campanato_ratio(GridPath(grid, paths[0]), 0.3)]

@@ -266,6 +266,16 @@ def test_fbm_covariance_half_is_brownian():
     assert np.abs(cov - np.minimum(t[:, None], t[None, :])).max() < 1e-12
 
 
+@pytest.mark.parametrize("H, level, horizon", [
+    (0.4, 8, 3.7), (0.7, 6, 1.0), (0.25, 5, 0.3)])
+def test_fbm_covariance_equals_the_broadcast_formula(H, level, horizon):
+    t = UniformGrid(horizon, level).times()[1:]
+    want = 0.5 * (t[:, None] ** (2 * H) + t[None, :] ** (2 * H)
+                  - np.abs(t[:, None] - t[None, :]) ** (2 * H))
+    got = fbm_covariance(H, UniformGrid(horizon, level))
+    assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+
+
 def test_fbm_increment_variance():
     g = UniformGrid(1.0, 8)
     H = 0.4

@@ -188,6 +188,18 @@ def test_fbm_statistic_hurst_range():
         fbm_besov_statistic(0.3, 2.0, [3], level=8, samples=2, seed=0)
 
 
+@pytest.mark.parametrize("run", [
+    lambda ns: bm_besov_statistic(4.0, ns, level=6, samples=4, seed=1),
+    lambda ns: fbm_besov_statistic(0.4, 4.0, ns, level=6, samples=4, seed=1),
+], ids=["bm", "fbm"])
+def test_repeated_window_exponents_rejected(run):
+    # a repeat would count every sample once per copy of n
+    for ns in ([3, 3], [5, 3, 5]):
+        with pytest.raises(RegimeError, match="distinct"):
+            run(ns)
+    assert run([3])["per_n"][3]["samples"] == 4
+
+
 def test_gaussian_moment_helper():
     assert gaussian_abs_moment(2.0, 1) == pytest.approx(1.0)
     assert gaussian_abs_moment(4.0, 1) == pytest.approx(3.0)
@@ -309,12 +321,19 @@ def _per_window_reference(w, k):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_hoisted_windows_equal_per_window(dim):
+def test_hoisted_windows_equal_per_window(monkeypatch, dim):
+    """The window table's plane rows of dw and xx, taken from one running
+    sum, equal each window's own sum."""
+    seen = []
+    monkeypatch.setattr(stochlab, "_plane_distance",
+                        lambda dw, xx: seen.append((dw, xx)) or np.ones(len(dw[0])))
     w = brownian_path(UniformGrid(1.0, 8), rng_for(23, "win", dim), dim).values
-    ks = [1, 2, 4, 32, 128, 256]
-    for k, (dw, xx) in zip(ks, stochlab._ito_level2_windows(w, ks)):
-        ref_dw, ref_xx = _per_window_reference(w, k)
-        assert np.array_equal(dw, ref_dw) and np.array_equal(xx, ref_xx)
+    ns = [8, 7, 6, 3, 1, 0]  # windows of 1, 2, 4, 32, 128 and 256 cells
+    stochlab._window_table([np.ascontiguousarray(w.T)], ns, 8, 4.0, 0.5, True)
+    for (dw, xx), n in zip(seen, ns, strict=True):
+        ref_dw, ref_xx = _per_window_reference(w, 1 << (8 - n))
+        assert np.array_equal(dw, ref_dw.T)
+        assert np.array_equal(xx, ref_xx.reshape(len(ref_xx), -1).T)
 
 
 def _one_shot_oracle(p, k, dim, seed, draws):
