@@ -51,10 +51,10 @@ from .rough import (
     MAX_DIM,
     MAX_LEVEL,
     RoughPath,
+    _fbm_rows,
     brownian_lift,
     canonical_lift,
     chen_residual,
-    fbm_path,
     geometric_lift,
     lyons_extend,
 )
@@ -71,9 +71,9 @@ from .acceptance import CRITERIA, run_suite
 
 # The largest grid the CLI builds, set by memory: `lift --level`, the MC
 # `level` and the MC `lengths` (at most 2^MAX_GRID_LEVEL) stop here.  At this
-# level the O(n^2) steps (the fBm covariance of `lift --kind fbm` and
-# `fbm-ynp`, a `pprod-bdg` paraproduct) and the n = N = 4 signature of
-# `lift --kind bm` each peak below 1 GB.
+# level the O(n^2) steps (the one n x n fBm factor of `lift --kind fbm` and
+# `fbm-ynp`, built in O(n^2) time; a `pprod-bdg` paraproduct) and the
+# n = N = 4 signature of `lift --kind bm` each peak below 1 GB.
 MAX_GRID_LEVEL = 12
 
 
@@ -438,8 +438,8 @@ def _cmd_lift(args) -> int:
                           params=params)
     elif args.kind == "fbm":
         rng = rng_for(args.seed, "fbm-lift")
-        cols = [fbm_path(args.H, grid, rng).values[:, 0] for _ in range(args.n)]
-        path = GridPath(grid, np.column_stack(cols))
+        z = rng.standard_normal((args.n, grid.n_cells))  # one path per row
+        path = GridPath(grid, _fbm_rows(args.H, grid, z).T)
         X = canonical_lift(path, args.N, params)
     elif args.kind == "canonical":
         if not args.input:

@@ -322,18 +322,18 @@ def load_path_csv(path) -> GridPath:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GridFormatError(f"{path}: empty file")
-        if not header or header[0].strip() != "t":
-            raise GridFormatError(f"{path}: header must start with 't'")
-        lines = []
-        try:
-            lines.extend(reader)
-        except (csv.Error, UnicodeDecodeError):
-            _float_rows(path, lines, len(header))  # a bad line before it first
-            raise
+        with _csv_errors(path, reader):
+            header = next(reader, None)
+            if header is None:
+                raise GridFormatError(f"{path}: empty file")
+            if not header or header[0].strip() != "t":
+                raise GridFormatError(f"{path}: header must start with 't'")
+            lines = []
+            try:
+                lines.extend(reader)
+            except (csv.Error, UnicodeDecodeError):
+                _float_rows(path, lines, len(header))  # a bad line before it first
+                raise
     data = _float_rows(path, lines, len(header))
     if not len(data):
         raise GridFormatError(f"{path}: no data rows")
@@ -356,6 +356,15 @@ def load_path_csv(path) -> GridPath:
     if np.max(np.abs(times - grid.times())) > 1e-12 * horizon:
         raise GridFormatError(f"{path}: times not dyadic within 1e-12*T")
     return GridPath(grid, values)
+
+
+@contextlib.contextmanager
+def _csv_errors(path, reader):
+    """Report a line csv cannot parse or decode as a GridFormatError."""
+    try:
+        yield
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise GridFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _float_rows(path, lines, width: int) -> np.ndarray:
@@ -394,11 +403,12 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
     """
     keys, rows = [], []
     max_idx = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="") as fh, _csv_errors(path, reader := csv.reader(fh)):
         for lineno, row in enumerate(reader, start=1):
             if not row or (lineno == 1 and row[0].strip().startswith("i")):
                 continue
+            if len(row) < 3:
+                raise GridFormatError(f"{path}:{lineno}: need i, j and values")
             try:
                 i, j = int(row[0]), int(row[1])
                 vals = [float(x) for x in row[2:]]
@@ -406,8 +416,6 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
                 raise GridFormatError(f"{path}:{lineno}: {exc}") from None
             if i > j or i < 0:
                 raise GridFormatError(f"{path}:{lineno}: need 0 <= i <= j")
-            if not vals:
-                raise GridFormatError(f"{path}:{lineno}: missing values")
             if rows and len(vals) != len(rows[0]):
                 raise GridFormatError(
                     f"{path}:{lineno}: inconsistent value dimension")

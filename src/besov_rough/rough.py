@@ -356,23 +356,64 @@ def fbm_covariance(H: float, grid: UniformGrid) -> np.ndarray:
     return np.multiply(cov, 0.5, out=cov)
 
 
+def _toeplitz_chol(gamma: np.ndarray) -> np.ndarray:
+    """Transpose L^T of the lower Cholesky factor of the symmetric Toeplitz
+    matrix with first column `gamma`, by the Schur algorithm: one hyperbolic
+    rotation of the two displacement generators per column, O(n^2) time, in
+    the mixed form that is stable for positive definite matrices (Bojanczyk,
+    Brent, de Hoog & Sweet 1995).  Row k of the result is column k of L."""
+    n = len(gamma)
+    if not gamma[0] > 0:
+        raise RegimeError("Toeplitz matrix is not positive definite")
+    lt = np.zeros((n, n))
+    lt[0] = gamma / math.sqrt(gamma[0])
+    v = lt[0].copy()  # second generator; the first is the previous row, shifted
+    v[0] = 0.0
+    for k in range(1, n):
+        u = lt[k - 1, k - 1:-1]
+        rho = v[k] / u[0]
+        if not abs(rho) < 1:
+            raise RegimeError("Toeplitz matrix is not positive definite")
+        c = math.sqrt((1 - rho) * (1 + rho))
+        row = lt[k, k:]
+        np.subtract(u, rho * v[k:], out=row)
+        row /= c
+        v[k:] *= c
+        v[k:] -= rho * row
+    return lt
+
+
 @lru_cache(maxsize=8)
 def _fbm_chol(H: float, level: int, horizon: float) -> np.ndarray:
-    # O(cells^3) factorization, cached per (H, grid); fine at desk scale.
-    cov = fbm_covariance(H, UniformGrid(horizon, level))
-    cov.flat[:: cov.shape[0] + 1] += 1e-14  # jitter the diagonal in place
-    return np.linalg.cholesky(cov)
+    """Lower Cholesky factor of `fbm_covariance(H, UniformGrid(horizon,
+    level))` in O(cells^2), cached per (H, grid).  The increments are
+    stationary, so their covariance is Toeplitz in the fGn autocovariance
+    gamma(k); summing its factor down the columns gives a lower-triangular
+    factor with the same positive diagonal, which is the unique one."""
+    if not 0 < H < 1:
+        raise RegimeError(f"Hurst parameter must be in (0,1), got {H}")
+    grid = UniformGrid(horizon, level)
+    powers = np.abs(np.arange(-1.0, grid.n_cells + 1)) ** (2 * H)  # |k|^2H
+    gamma = 0.5 * grid.mesh ** (2 * H) * (
+        powers[2:] - 2 * powers[1:-1] + powers[:-2])
+    lt = _toeplitz_chol(gamma)
+    return np.cumsum(lt, axis=1, out=lt).T
+
+
+def _fbm_rows(H: float, grid: UniformGrid, z: np.ndarray) -> np.ndarray:
+    """fBm at the grid nodes, one path per row of the (B, cells) standard
+    normal draws z: the (B, nodes) values, 0 at the first node."""
+    lt = _fbm_chol(float(H), grid.level, float(grid.horizon)).T
+    out = np.zeros((len(z), grid.n))
+    np.matmul(z, lt, out=out[:, 1:])
+    return out
 
 
 def fbm_path(H: float, grid: UniformGrid, seed) -> GridPath:
     """Scalar fractional Brownian motion by exact-covariance factorization."""
-    if not 0 < H < 1:
-        raise RegimeError(f"Hurst parameter must be in (0,1), got {H}")
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, "fbm")
-    chol = _fbm_chol(float(H), grid.level, float(grid.horizon))
-    z = rng.standard_normal((grid.n_cells, 1))
-    vals = np.vstack([np.zeros((1, 1)), chol @ z])
-    return GridPath(grid, vals)
+    z = rng.standard_normal((1, grid.n_cells))
+    return GridPath(grid, _fbm_rows(H, grid, z).T)
 
 
 # ---------------------------------------------------------------------------

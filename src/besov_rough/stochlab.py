@@ -20,7 +20,7 @@ from .errors import RegimeError
 from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ
 from .norms import (INF, _check_nontrivial, _integral_norm, _log_fit,
                     _plane_mags, _power_denominator)
-from .rough import _plane_distance, fbm_path, homogeneous_distance_level2
+from .rough import _fbm_rows, _plane_distance, homogeneous_distance_level2
 from .signals import brownian_path
 
 __all__ = [
@@ -260,6 +260,20 @@ def _variance_slope(per_n):
     return _log_fit(np.asarray(ns, dtype=float), np.log2(v))
 
 
+_FBM_CHUNK = 64  # samples whose draws share one product with the fBm factor
+
+
+def _fbm_planes(H, grid, samples, seed, dim):
+    """Each sample's dim fBm paths as one (dim, nodes) plane.  Sample s draws
+    its dim paths in turn from its own generator; the draws of up to
+    `_FBM_CHUNK` samples go through one matrix product with the factor."""
+    for s0 in range(0, samples, _FBM_CHUNK):
+        idx = range(s0, min(s0 + _FBM_CHUNK, samples))
+        z = np.concatenate([rng_for(seed, "fbm-ynp", s).standard_normal(
+            (dim, grid.n_cells)) for s in idx])
+        yield from _fbm_rows(H, grid, z).reshape(len(idx), dim, grid.n)
+
+
 def fbm_besov_statistic(
     H: float,
     p: float,
@@ -277,10 +291,8 @@ def fbm_besov_statistic(
     grid = UniformGrid(1.0, level)
     use_level2 = H <= 0.5
 
-    rngs = (rng_for(seed, "fbm-ynp", s) for s in range(samples))
-    paths = (np.stack([fbm_path(H, grid, rng).values[:, 0] for _ in range(dim)])
-             for rng in rngs)
-    table = _window_table(paths, ns, level, p, H, use_level2)
+    table = _window_table(_fbm_planes(H, grid, samples, seed, dim), ns, level,
+                          p, H, use_level2)
     per_n = {n: _moments(table[n]) for n in ns}
     if not use_level2:
         for row in per_n.values():

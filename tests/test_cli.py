@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -376,6 +377,37 @@ def test_malformed_signature_dir_exit_1(tmp_path, capsys, corrupt):
     assert _single_json_error(capsys)["error"] == "io"
 
 
+@pytest.mark.parametrize("target", ["path", "germ", "rough-dir"])
+def test_oversized_csv_cell_exit_1(tmp_path, capsys, target):
+    # csv refuses a cell above its field limit; that is a bad file, not a crash
+    huge = "9" * (csv.field_size_limit() + 1)
+    out = str(tmp_path / "out")
+    if target == "path":
+        bad = tmp_path / "path.csv"
+        bad.write_text(f"t,v0\n0.0,{huge}\n0.5,1.0\n1.0,2.0\n")
+        argv = ["norm", "--input", str(bad), "--alpha", "0.5", "--p", "2",
+                "--q", "2"]
+    elif target == "germ":
+        bad = tmp_path / "germ.csv"
+        bad.write_text(f"i,j,v0\n0,1,1.0\n1,2,{huge}\n0,2,0.5\n")
+        argv = ["sew", "--germ", str(bad), "--gamma", "2.0", "--p2", "inf",
+                "--q2", "inf", "--out", out]
+    else:
+        d = tmp_path / "rp"
+        save_rough_dir(str(d), brownian_lift(2, UniformGrid(1.0, 3), 3))
+        bad = d / "2.csv"
+        lines = bad.read_text().splitlines()
+        lines[2] = lines[2].split(",", 1)[0] + "," + huge
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["rde", "--driver", str(d), "--field", "builtin:rotation",
+                "--y0", "1.0,0.5", "--out", out]
+    assert main(argv) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io"
+    assert f"{bad}:" in err["message"] and "field limit" in err["message"]
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "5"], ["--n", "0"], ["--N", "5"], ["--N", "0"], ["--level", "-1"],
     ["--level", "0"], ["--level", "13"], ["--level", "40"],
@@ -563,6 +595,32 @@ def test_mc_command_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()  # byte-identical reruns
     header = out1.read_text().splitlines()[0]
     assert header == "key,statistic,estimate,stderr,samples"
+
+
+def test_fbm_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the fBm factor and its products run in an order fixed by the code, not
+    # by how OpenBLAS splits the work among its threads
+    src = os.path.dirname(os.path.dirname(besov_rough.__file__))
+    cfg = tmp_path / "fbm.json"
+    cfg.write_text(json.dumps({
+        "experiment": "fbm-ynp", "samples": 3, "level": 9, "ns": [3, 5],
+        "p": 4.0, "H": 0.4, "dim": 2, "seed": 5,
+    }))
+    code = "import sys; from besov_rough.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        mc_out, lift_out = tmp_path / f"mc{threads}.csv", tmp_path / f"rp{threads}"
+        for argv in (["mc", "--config", str(cfg), "--out", str(mc_out)],
+                     ["lift", "--kind", "fbm", "--n", "2", "--level", "9",
+                      "--H", "0.4", "--seed", "3", "--out", str(lift_out)]):
+            subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                           check=True, capture_output=True)
+        outputs.append([mc_out.read_bytes()] + [
+            (lift_out / name).read_bytes()
+            for name in ("meta.json", "1.csv", "2.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_mc_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):

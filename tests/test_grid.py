@@ -202,7 +202,7 @@ def test_path_csv_bad_line_before_a_read_error(tmp_path):
     with pytest.raises(GridFormatError, match=r":3: .*'x'"):
         load_path_csv(p)
     p.write_text(f"t,v0\n0,1\n0.5,1\n1,{huge}\n")
-    with pytest.raises(csv.Error, match="field limit"):
+    with pytest.raises(GridFormatError, match=r"bad\.csv:4: .*field limit"):
         load_path_csv(p)
 
 
@@ -247,7 +247,11 @@ def test_germ_csv_sparse_rows(tmp_path):
     ("i,j,v0\n0,1,1.0\n1,2,2.0\n0,2,3.0\n1,2,2.0\n",
      r"pair \(1, 2\) given twice"),
     ("i,j,v0\n0,0,1.0\n", "max index 0 is not a power of two"),
-], ids=["far-index", "duplicate", "diagonal-only"])
+    ("i,j,v0\n0,1,1.0\n5\n", ":3: need i, j and values"),
+    ("i,j,v0\n0,1\n", ":2: need i, j and values"),
+    (f"i,j,v0\n0,1,{'9' * (csv.field_size_limit() + 1)}\n", ":2: .*field limit"),
+], ids=["far-index", "duplicate", "diagonal-only", "one-cell", "no-values",
+        "huge-cell"])
 def test_germ_csv_rejects(tmp_path, text, match):
     p = tmp_path / "germ.csv"
     p.write_text(text)

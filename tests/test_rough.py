@@ -10,6 +10,8 @@ from besov_rough.norms import INF, BesovParams
 from besov_rough.rough import (
     RoughPath,
     TensorElement,
+    _fbm_chol,
+    _toeplitz_chol,
     brownian_lift,
     campanato_scaling,
     canonical_lift,
@@ -287,6 +289,36 @@ def test_fbm_increment_variance():
     est = incs.var()
     se = np.var(incs**2) ** 0.5 / math.sqrt(len(incs))
     assert abs(est - target) <= 4 * se
+
+
+@pytest.mark.parametrize("H", [0.25, 0.4, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("level, horizon", [(2, 1.0), (5, 3.7), (8, 1.0),
+                                            (8, 3.7)])
+def test_fbm_chol_matches_the_dense_cholesky(H, level, horizon):
+    cov = fbm_covariance(H, UniformGrid(horizon, level))
+    want = np.linalg.cholesky(cov)
+    chol = _fbm_chol(H, level, horizon)
+    assert np.abs(chol - want).max() <= 1e-10 * np.abs(want).max()
+    assert np.abs(chol @ chol.T - cov).max() <= 1e-13 * np.abs(cov).max()
+    assert np.array_equal(chol, np.tril(chol)) and np.all(np.diag(chol) > 0)
+
+
+def test_toeplitz_chol_factors_a_toeplitz_matrix():
+    gamma = np.exp(-np.arange(40) / 3.0) * np.cos(np.arange(40))
+    gamma[0] += 1.0
+    lag = np.abs(np.subtract.outer(np.arange(40), np.arange(40)))
+    lt = _toeplitz_chol(gamma)
+    want = np.linalg.cholesky(gamma[lag])
+    assert np.abs(lt.T - want).max() <= 1e-13 * np.abs(want).max()
+    assert lt.flags.c_contiguous
+
+
+@pytest.mark.parametrize("gamma", [[1.0, 1.5, 0.0], [1.0, 1.0], [0.0, 0.0],
+                                   [-1.0], [1.0, 0.9, 0.0, 0.9],
+                                   [1.0, float("nan")]])
+def test_toeplitz_chol_rejects_non_positive_definite(gamma):
+    with pytest.raises(RegimeError, match="not positive definite"):
+        _toeplitz_chol(np.array(gamma))
 
 
 def test_fbm_rejects_bad_hurst():

@@ -8,7 +8,7 @@ from besov_rough._rng import rng_for
 from besov_rough.errors import RegimeError
 from besov_rough.grid import GridPath, TwoParamField, UniformGrid, delta
 from besov_rough.norms import INF, besov_seminorm, two_param_norm
-from besov_rough.rough import homogeneous_distance_level2
+from besov_rough.rough import fbm_path, homogeneous_distance_level2
 from besov_rough.signals import brownian_path
 from besov_rough.stochlab import (
     DiscreteMartingale,
@@ -181,6 +181,26 @@ def test_fbm_statistic_rough_bounded_trend():
     means = [rep["per_n"][n]["mean"] for n in (2, 3, 4, 5)]
     assert max(means) <= 1.5 * means[0]  # stabilizes rather than diverging
     assert rep["level2"]
+
+
+@pytest.mark.parametrize("H", [0.4, 0.7])
+def test_fbm_statistic_matches_a_per_path_loop(H):
+    # sample s draws its dim paths in turn from rng_for(seed, "fbm-ynp", s);
+    # 70 samples cross a chunk of the batched draws
+    level, samples, seed, dim, ns = 8, 70, 21, 3, [3, 5]
+    grid = UniformGrid(1.0, level)
+    want = [np.stack([fbm_path(H, grid, rng).values[:, 0] for _ in range(dim)])
+            for rng in (rng_for(seed, "fbm-ynp", s) for s in range(samples))]
+    got = list(stochlab._fbm_planes(H, grid, samples, seed, dim))
+    assert len(got) == samples
+    scale = np.abs(want).max()
+    assert all(np.abs(a - b).max() <= 1e-12 * scale for a, b in zip(got, want))
+    table = stochlab._window_table(want, ns, level, 4.0, H, H <= 0.5)
+    rep = fbm_besov_statistic(H, 4.0, ns, level, samples, seed, dim)
+    for n in ns:
+        row = rep["per_n"][n]
+        assert row["mean"] == pytest.approx(table[n].mean(), rel=1e-12)
+        assert row["variance"] == pytest.approx(table[n].var(ddof=1), rel=1e-12)
 
 
 def test_fbm_statistic_hurst_range():
