@@ -65,7 +65,8 @@ from .controlled import (
     rde_solve,
     rough_integral,
 )
-from .stochlab import bm_besov_statistic, fbm_besov_statistic, pprod_bdg_experiment
+from .stochlab import (_KINDS, bm_besov_statistic, fbm_besov_statistic,
+                       pprod_bdg_experiment)
 from .acceptance import CRITERIA, run_suite
 
 
@@ -196,7 +197,12 @@ class ExperimentConfig:
             ("lengths", self.lengths and all(
                 2 <= n <= 1 << MAX_GRID_LEVEL and not n & (n - 1)
                 for n in self.lengths),
-             f"a nonempty list of powers of two in 2..{1 << MAX_GRID_LEVEL}")]:
+             f"a nonempty list of powers of two in 2..{1 << MAX_GRID_LEVEL}"),
+            *((key, len(t) == 3 and min(t) > 0, "a list of three numbers > 0")
+              for key, t in [("p_tuple", self.p_tuple),
+                             ("q_tuple", self.q_tuple),
+                             ("r_tuple", self.r_tuple)]),
+            ("kind", self.kind in _KINDS, f"one of {', '.join(_KINDS)}")]:
             if not ok:
                 raise GridFormatError(f"config key {key!r} must be {need},"
                                       f" got {getattr(self, key)!r}")

@@ -93,24 +93,14 @@ class ControlledPath:
 def _expansion_lead(a, dx, b=None, xx=None) -> np.ndarray:
     """The controlled increment a dX + b XX, row by row: a is (B, m, n) and
     dx (B, n); b, when given, is (B, m, n, n) and contracts with the
-    level-2 increments xx (B, n, n) as sum_{j,k} b[., j, k] XX[k, j].
-
-    Both terms add like einsum (`norms._lane_sum`), the b term by columns only
-    for n = 1, or n = 2 with m >= 2 and b contiguous.  einsum sums the b term
-    of a one-row batch in another order than a longer one, so a one-row
-    batch is doubled and cut back: every row is the same wherever it stands."""
-    lead = _lane_sum(a, dx[:, None], "bmn,bn->bm", a, dx)
+    level-2 increments xx (B, n, n) as sum_{j,k} b[., j, k] XX[k, j], the
+    terms in the order j*n + k.  Both sums add in `norms._lane_sum` order."""
+    lead = _lane_sum(a, dx[:, None])
     if b is None:
         return lead
-    if len(b) == 1:
-        b, xx = np.repeat(b, 2, 0), np.repeat(xx, 2, 0)
-    rows, m, n = b.shape[:3]
-    if n == 1 or n == 2 and m > 1 and b.strides[2:] == (16, 8):
-        bxx = _lane_sum(b.reshape(rows, m, n * n), np.swapaxes(xx, 1, 2).reshape(
-            rows, 1, n * n), "bmjk,bkj->bm", b, xx)
-    else:
-        bxx = np.einsum("bmjk,bkj->bm", b, xx)
-    return lead + bxx[: len(lead)]
+    m, n = b.shape[1:3]
+    return lead + _lane_sum(b.reshape(len(b), m, n * n),
+                            np.swapaxes(xx, 1, 2).reshape(len(xx), 1, n * n))
 
 
 def _expansion_remainder(grid, base, v, a, b=None, xx_field=None
@@ -306,8 +296,7 @@ def _require_level2_field(F: VectorField, params: BesovParams):
 
 def _chain(d: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_c d[., a, j, c] y[., c, k] for (B, m', n', m) d and (B, m, n) y."""
-    return _lane_sum(d[:, :, :, None], np.swapaxes(y, 1, 2)[:, None, None],
-                     "bajc,bck->bajk", d, y)
+    return _lane_sum(d[:, :, :, None], np.swapaxes(y, 1, 2)[:, None, None])
 
 
 def _davie_coefficients(F: VectorField, Y: np.ndarray):
@@ -350,7 +339,8 @@ def rde_solve(
 
     def start(a, b, ya):
         f_ya = F.values_along(ya[None])[0]
-        seed = ya[None, :] + np.einsum("mn,bn->bm", f_ya, base[a:b + 1] - base[a])
+        seed = ya[None, :] + _lane_sum(f_ya[None],
+                                       (base[a:b + 1] - base[a])[:, None])
         return seed, np.repeat(f_ya[None, :, :], b - a + 1, axis=0)
 
     def sweep(a, b, ya, state, sub_grid):

@@ -127,63 +127,64 @@ class EndpointModulus:
 # ---------------------------------------------------------------------------
 # shared kernels
 
-_COLUMN_ROWS = 1024  # shorter batches keep einsum, faster there
+_COLUMN_ROWS = 1024  # from here on a multiply per output column is faster
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Outer products u[:, a] v[:, b] + 0.0 (as einsum writes them) of (B, p)
-    and (B, q) factors in column a*q + b of (B, p*q); one row broadcasts."""
+    """Outer products u[:, a] v[:, b] + 0.0 of (B, p) and (B, q) factors in
+    column a*q + b of (B, p*q); one row broadcasts."""
     rows, p, q = max(len(u), len(v)), u.shape[1], v.shape[1]
-    if p * q > 16:
-        return np.einsum("bi,bj->bij", u, v).reshape(rows, p * q)
-    return _lane_sum(u[:, :, None, None], v[:, None, :, None], "bi,bj->bij",
-                     u, v).reshape(rows, p * q)
+    return _lane_sum(u[:, :, None, None], v[:, None, :, None]).reshape(
+        rows, p * q)
 
 
-def _lane_sum(x, y, spec: str, *operands) -> np.ndarray:
-    """einsum(spec, *operands) as sum_t x[..., t] y[..., t], x and y views of
-    the operands broadcasting to (B, ..., T).  From `_COLUMN_ROWS` rows on, a
-    multiply per column pair, with T <= 4 terms added as einsum does along
-    unit strides: even and odd terms in two lanes, the lanes added, then +0.0
-    (einsum starts at +0.0).  Else, or 3-4 terms off unit strides, einsum."""
+def _lane_sum(x, y) -> np.ndarray:
+    """sum_t x[..., t] y[..., t] for x and y broadcasting to (B, ..., T), in
+    the library's lane order (`_add_lanes`).  Below `_COLUMN_ROWS` rows
+    each term is one multiply over the whole output, from there on one
+    multiply per output column; both run the same adds, so a row has the
+    same bits at every batch size and in every memory layout."""
     terms = x.shape[-1]
-    if max(len(x), len(y)) < _COLUMN_ROWS or terms > 4 or terms > 2 and (
-            x.strides[-1] != x.itemsize or y.strides[-1] != y.itemsize):
-        return np.einsum(spec, *operands)
-    out = np.empty(np.broadcast(x, y).shape[:-1])
-    top = [[n - 1 for n in z.shape[1:-1]] for z in (x, y)]  # broadcast size 1
+    if max(len(x), len(y)) < _COLUMN_ROWS:
+        return _add_lanes(x[..., t] * y[..., t] for t in range(terms))
+    x, y = np.broadcast_arrays(x, y)
+    out = np.empty(x.shape[:-1])
     for i in itertools.product(*map(range, out.shape[1:])):
-        xi, yi = ((slice(None), *map(min, i, last)) for last in top)
-        lanes = [x[(*xi, t)] * y[(*yi, t)] for t in range(min(terms, 2))]
-        for t in range(2, terms):
-            lanes[t - 2] += x[(*xi, t)] * y[(*yi, t)]
-        acc = np.add(*lanes, out=lanes[0]) if terms > 1 else lanes[0]
-        np.add(acc, 0.0, out=out[(slice(None), *i)])
+        col = (slice(None), *i)
+        _add_lanes((x[(*col, t)] * y[(*col, t)] for t in range(terms)),
+                   out=out[col])
     return out
+
+
+def _add_lanes(products, out=None) -> np.ndarray:
+    """The products of a contraction added in lane order: the even-indexed
+    ones into lane 0 and the odd-indexed ones into lane 1, each in index
+    order, then lane 0 + lane 1, then + 0.0 (so a -0.0 sum comes out +0.0).
+    The products are fresh arrays, taken one at a time and summed in place."""
+    lanes = []
+    for t, product in enumerate(products):
+        if t < 2:
+            lanes.append(product)
+        else:
+            lanes[t % 2] += product
+    acc = np.add(*lanes, out=lanes[0]) if len(lanes) > 1 else lanes[0]
+    return np.add(acc, 0.0, out=acc if out is None else out)
 
 
 def _mags(diff: np.ndarray) -> np.ndarray:
     """Euclidean magnitudes of a (..., k, m) increment block, shape (..., k)."""
-    if diff.shape[-1] == 1:
-        return np.abs(diff[..., 0])
-    rows = diff.reshape(-1, diff.shape[-1])
-    return _plane_mags(rows.T).reshape(diff.shape[:-1])
+    return _plane_mags(diff.T).T
 
 
 def _plane_mags(planes: np.ndarray) -> np.ndarray:
-    """Magnitudes of k component rows (k, B), the bits of einsum on the rows
-    planes.T (their C-ordered copy if planes is C-ordered): up to 4 squares
-    (never -0.0) in einsum's unit-stride lanes, even and odd terms apart;
-    more terms, or 3-4 with neither axis unit-stride, by einsum."""
-    k, contiguous = len(planes), planes.strides[-1] == planes.itemsize
-    if k == 1:
+    """Magnitudes of k component planes (k, ...): the squares added in the
+    lane order of `_add_lanes`, with no + 0.0 (a square is never -0.0); one
+    component is its absolute value."""
+    if len(planes) == 1:
         return np.abs(planes[0])
-    if k > 4 or k > 2 and planes.itemsize not in planes.strides:
-        rows = np.ascontiguousarray(planes.T) if contiguous else planes.T
-        return np.sqrt(np.einsum("bi,bi->b", rows, rows))
     sq = planes * planes
-    for t in range(2, k):  # row by row: a transpose's rows are strided
-        sq[t - 2] += sq[t]
+    for t in range(2, len(sq)):
+        sq[t % 2] += sq[t]
     return np.sqrt(sq[0] + sq[1])
 
 
@@ -380,7 +381,6 @@ def besov_level_table(f: GridPath, alpha: float, p: float, q: float):
 
 def besov_metric(f: GridPath, g: GridPath, alpha: float, p: float, q: float) -> float:
     """Complete-metric distance on B^alpha_pq, split by the (p, q) cases."""
-    _check_same_shape(f, g)
     diff = f - g
     ratios = _dyadic_ratio_profile(diff, p, lambda tau: tau**alpha)
     return _metric_sum(ratios, p, q, base=lp_norm(diff, p))
@@ -401,11 +401,6 @@ def _metric_sum(ratios: np.ndarray, p: float, q: float, base: float = 0.0
         return head + _q_sum(ratios, q, log_weight=True) ** p
     integral = float(math.log(2.0) * np.sum(ratios**q))
     return head + (integral if q <= p else integral ** (p / q))
-
-
-def _check_same_shape(f, g):
-    if f.grid != g.grid or f.dim != g.dim:
-        raise ValueError("paths must share grid and dimension")
 
 
 # ---------------------------------------------------------------------------

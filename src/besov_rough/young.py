@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import NonContractionError, RegimeError
 from .grid import GridPath, TwoParamField, UniformGrid
-from .norms import BesovParams, INF, _lane_sum, besov_seminorm, lp_norm
+from .norms import (BesovParams, INF, _lane_sum, _outer, besov_seminorm,
+                    lp_norm)
 from .sewing import SewingInput, SewingResult, sew
 
 __all__ = [
@@ -138,7 +139,7 @@ def linear_field(matrices) -> VectorField:
     m, n = mats.shape[0], mats.shape[2]
     dmat = np.transpose(mats, (0, 2, 1))
     return VectorField(
-        lambda Y: _lane_sum(dmat[None], Y[:, None, None], "abj,kb->kaj", mats, Y),
+        lambda Y: _lane_sum(dmat[None], Y[:, None, None]),
         lambda Y: np.broadcast_to(dmat, (len(Y),) + dmat.shape).copy(),
         d2fun=lambda Y: np.zeros((len(Y), m, n, m, m)),
         order=3, delta=1.0, name="linear", state_dim=m,
@@ -166,7 +167,7 @@ def sigmoid_field(m: int = 1, n: int = 1) -> VectorField:
             w[a, j, (a + j) % m] = 1.0
 
     def fun(Y):
-        return np.tanh(np.einsum("ajb,kb->kaj", w, Y))
+        return np.tanh(_lane_sum(w[None], Y[:, None, None]))
 
     def dfun(Y):
         return (1.0 - fun(Y) ** 2)[:, :, :, None] * w
@@ -211,7 +212,7 @@ def product_germ(f: GridPath, g: GridPath) -> TwoParamField:
     dim = f.dim * g.dim
 
     def germ(ii, jj):
-        return np.einsum("ka,kb->kab", fv[ii], gv[jj] - gv[ii]).reshape(-1, dim)
+        return _outer(fv[ii], gv[jj] - gv[ii])
 
     return TwoParamField(f.grid, dim, germ=germ)
 
@@ -392,7 +393,7 @@ def young_ode_solve(
     def sweep(a, b, ya, cur, sub_grid):
         fvals = F.values_along(cur)  # (span+1, m, n)
         fsum, dx = fvals[:-1] + fvals[1:], dX[a:b]
-        incs = 0.5 * _lane_sum(fsum, dx[:, None], "kmn,kn->km", fsum, dx)
+        incs = 0.5 * _lane_sum(fsum, dx[:, None])
         nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
         return nxt, nxt, _solver_metric(nxt, cur, sub_grid, params)
 

@@ -697,6 +697,13 @@ def test_workers_flag_removed(sin_csv, capsys):
     '{"experiment": "bm-ynp", "level": 6, "samples": 4, "ns": [3, 3]}',
     '{"experiment": "fbm-ynp", "level": 6, "samples": 4, "ns": [4, 3, 4]}',
     '{"experiment": "bm-ynp", "level": 1099511627776}',
+    '{"experiment": "pprod-bdg", "p_tuple": [8.0, 8.0]}',
+    '{"experiment": "pprod-bdg", "q_tuple": [8.0, 8.0, 4.0, 4.0]}',
+    '{"experiment": "pprod-bdg", "r_tuple": []}',
+    '{"experiment": "pprod-bdg", "p_tuple": [0.0, 8.0, 4.0]}',
+    '{"experiment": "pprod-bdg", "p_tuple": [-4.0, 2.0, 4.0]}',
+    '{"experiment": "pprod-bdg", "kind": "cauchy"}',
+    '{"experiment": "bm-ynp", "kind": "cauchy"}',
 ])
 def test_mc_malformed_config_exit_1(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"

@@ -1,18 +1,25 @@
-"""The column kernels against the numpy einsum forms they replace, bit for bit.
+"""The small-contraction kernels against a plain reference of the library's
+summation order, bit for bit.
 
-On long batches the small contractions run as one multiply per column pair,
-and their sums add the products in the order numpy's einsum uses (see
-`norms._lane_sum`).  That order belongs to numpy's einsum loops on the
-CPU at hand, not to any documented contract, so every kernel and call site
-is compared with the einsum form here, signed zeros included; a mismatch
-names the numpy version that summed differently.
+Every small batched contraction (lift level products, a dX + b XX, Df f, the
+vector fields, the Young ODE trapezoid, the magnitudes) adds its products in
+one order, defined in `norms._add_lanes`: the even-indexed products into
+lane 0 and the odd-indexed ones into lane 1, each in index order, then
+lane 0 + lane 1, then + 0.0 (magnitudes without the + 0.0).  The reference
+below writes that order out term by term over whole arrays; each kernel and
+call site is compared with it at batch sizes on both sides of
+`_COLUMN_ROWS`, in contiguous, strided and one-row-broadcast layouts, with
+signed zeros.  A row gives the same bits however it is batched.
+
+The test names keep the word "einsum": numpy's einsum adds in this lane
+order on unit-stride operands, and these kernels first replaced it.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from besov_rough import controlled, norms, rough, stochlab, young
+from besov_rough import controlled, norms, rough, sewing, stochlab, young
 from besov_rough._rng import rng_for
 from besov_rough.grid import GridPath, UniformGrid
 from besov_rough.norms import _COLUMN_ROWS, _lane_sum, _mags, _outer
@@ -53,60 +60,74 @@ def _layouts(x):
 def _same(got, want, what):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
-        f"{what}: the column form differs from einsum under numpy"
-        f" {np.__version__}")
+        f"{what}: the kernel differs from the lane-order reference")
 
 
-# the einsum forms the kernels replaced
+# -- the reference: the lane order written out term by term ------------------
 
 
-def _einsum_outer(u, v):
-    return np.einsum("bi,bj->bij", u, v).reshape(max(len(u), len(v)), -1)
+def _lanes(products, plus_zero=True):
+    """Sum over the last axis of `products`: lane 0 = ((0 + p0) + p2) + ...,
+    lane 1 = ((0 + p1) + p3) + ..., then lane 0 + lane 1 (+ 0.0)."""
+    lanes = [np.zeros(products.shape[:-1]), np.zeros(products.shape[:-1])]
+    for t in range(products.shape[-1]):
+        lanes[t % 2] = lanes[t % 2] + products[..., t]
+    total = lanes[0] + lanes[1]
+    return total + 0.0 if plus_zero else total
 
 
-def _einsum_mags(d):
-    return np.sqrt(np.einsum("...ij,...ij->...i", d, d))
+def _ref_lane_sum(x, y):
+    return _lanes(x * y)
 
 
-def _einsum_lane_sum(x, y, spec, *operands):
-    return np.einsum(spec, *operands)
+def _ref_outer(u, v):
+    return (u[:, :, None] * v[:, None, :] + 0.0).reshape(
+        max(len(u), len(v)), -1)
 
 
-def _einsum_lead(a, dx, b=None, xx=None):
-    lead = np.einsum("bmn,bn->bm", a, dx)
-    if b is not None:
-        if len(b) == 1:
-            b, xx = np.repeat(b, 2, 0), np.repeat(xx, 2, 0)
-        lead = lead + np.einsum("bmjk,bkj->bm", b, xx)[: len(lead)]
-    return lead
+def _ref_mags(d):
+    return np.sqrt(_lanes(d * d, plus_zero=False))
 
 
-def _einsum_hom(dw, xx):
-    mag1 = np.sqrt(np.einsum("bi,bi->b", dw, dw))
-    mag2 = np.sqrt(np.einsum("bij,bij->b", xx, xx))
-    xx_inv = -xx + np.einsum("bi,bj->bij", dw, dw)
-    mag2i = np.sqrt(np.einsum("bij,bij->b", xx_inv, xx_inv))
+def _ref_lead(a, dx, b=None, xx=None):
+    lead = _lanes(a * dx[:, None])
+    if b is None:
+        return lead
+    m, n = b.shape[1:3]
+    terms = b * np.swapaxes(xx, 1, 2)[:, None]  # j*n + k: b[j, k] XX[k, j]
+    return lead + _lanes(terms.reshape(len(terms), m, n * n))
+
+
+def _ref_chain(d, y):
+    return _lanes(d[:, :, :, None, :] * np.swapaxes(y, 1, 2)[:, None, None])
+
+
+def _ref_hom(dw, xx):
+    mag1 = _ref_mags(dw)
+    mag2 = _ref_mags(xx.reshape(len(xx), -1))
+    xx_inv = dw[:, :, None] * dw[:, None, :] - xx
+    mag2i = _ref_mags(xx_inv.reshape(len(xx), -1))
     return 0.5 * (np.maximum(mag1, np.sqrt(2.0 * mag2))
                   + np.maximum(mag1, np.sqrt(2.0 * mag2i)))
 
 
-def _einsum_windows(w, ks, level2):
+def _ref_windows(w, ks, level2):
     """The distances over the windows of k cells of a path w (nodes, dim),
     for each k in ks: the left-sum level-2 lift's or the level-1 ones."""
     dim = w.shape[1]
     q = np.concatenate([np.zeros((1, dim, dim)), np.cumsum(
-        np.einsum("bi,bj->bij", w[:-1], np.diff(w, axis=0)), axis=0)])
+        w[:-1, :, None] * np.diff(w, axis=0)[:, None, :], axis=0)])
     for k in ks:
         dw = w[k:] - w[:-k]
-        yield (_einsum_hom(dw, q[k:] - q[:-k] - np.einsum(
-            "bi,bj->bij", w[:-k], dw)) if level2 else _einsum_mags(dw))
+        yield (_ref_hom(dw, q[k:] - q[:-k] - w[:-k, :, None] * dw[:, None, :])
+               if level2 else _ref_mags(dw))
 
 
-def _einsum_window_table(paths, ns, level, p, hurst, level2):
+def _ref_window_table(paths, ns, level, p, hurst, level2):
     table = {n: [] for n in ns}
     for planes in paths:
-        d_all = _einsum_windows(np.ascontiguousarray(planes.T),
-                                [1 << (level - n) for n in ns], level2)
+        d_all = _ref_windows(np.ascontiguousarray(planes.T),
+                             [1 << (level - n) for n in ns], level2)
         for n, d in zip(ns, d_all):
             table[n].append(float(2.0 ** (n * p * hurst) * np.sum(d[:-1] ** p)
                                   * UniformGrid(1.0, level).mesh))
@@ -114,31 +135,36 @@ def _einsum_window_table(paths, ns, level, p, hurst, level2):
 
 
 @pytest.fixture
-def einsum_only(monkeypatch):
-    """Route every call site through the einsum forms above."""
-    for mod in (norms, rough):
-        monkeypatch.setattr(mod, "_mags", _einsum_mags)
-    monkeypatch.setattr(rough, "_outer", _einsum_outer)
-    monkeypatch.setattr(stochlab, "_window_table", _einsum_window_table)
-    monkeypatch.setattr(young, "_lane_sum", _einsum_lane_sum)
-    monkeypatch.setattr(controlled, "_lane_sum", _einsum_lane_sum)
+def reference_only(monkeypatch):
+    """Route every call site through the reference forms above."""
+    for mod in (norms, rough, sewing):
+        monkeypatch.setattr(mod, "_mags", _ref_mags)
+    for mod in (rough, stochlab):
+        monkeypatch.setattr(mod, "_plane_mags", lambda d: _ref_mags(d.T))
+    for mod in (rough, young):
+        monkeypatch.setattr(mod, "_outer", _ref_outer)
+    for mod in (young, controlled):
+        monkeypatch.setattr(mod, "_lane_sum", _ref_lane_sum)
+    monkeypatch.setattr(controlled, "_expansion_lead", _ref_lead)
+    monkeypatch.setattr(stochlab, "_window_table", _ref_window_table)
     return monkeypatch
 
 
 # -- the helpers ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("terms", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("terms", range(1, 10))
 def test_lane_sum_is_einsums_order(terms):
     rng = np.random.default_rng(terms)
     for rows in ROWS:
         for x, y in zip(_layouts(_rand(rng, (rows, terms))),
                         _layouts(_rand(rng, (rows, terms)))):
-            _same(_lane_sum(x, y, "bi,bi->b", x, y),
-                  np.einsum("bi,bi->b", x, y), f"lane sum of {terms}")
+            _same(_lane_sum(x, y), _ref_lane_sum(x, y), f"lane sum of {terms}")
+            _same(_lane_sum(x[:1], y), _ref_lane_sum(x[:1], y),
+                  f"one-row lane sum of {terms}")
     neg, one = np.full((_COLUMN_ROWS, terms), -0.0), np.ones((1, terms))
-    _same(_lane_sum(neg, one, "bi,bi->b", neg, one),
-          np.zeros(_COLUMN_ROWS), "a -0.0 sum")
+    for rows in (1, _COLUMN_ROWS):
+        _same(_lane_sum(neg[:rows], one), np.zeros(rows), "a -0.0 sum")
 
 
 @pytest.mark.parametrize("p, q", DIMS + [(4, 8), (8, 4), (16, 2)])
@@ -147,11 +173,11 @@ def test_outer_equals_einsum(p, q):
     for rows in ROWS:
         for u in _layouts(_rand(rng, (rows, p))):
             for v in _layouts(_rand(rng, (rows, q))):
-                _same(_outer(u, v), _einsum_outer(u, v), f"outer {p}x{q}")
+                _same(_outer(u, v), _ref_outer(u, v), f"outer {p}x{q}")
         one = _rand(rng, (1, p))
         v = _rand(rng, (rows, q))
-        _same(_outer(one, v), _einsum_outer(one, v), "one-row outer")
-        _same(_outer(v, one[:, :1]), _einsum_outer(v, one[:, :1]),
+        _same(_outer(one, v), _ref_outer(one, v), "one-row outer")
+        _same(_outer(v, one[:, :1]), _ref_outer(v, one[:, :1]),
               "one-row outer")
 
 
@@ -162,10 +188,9 @@ def test_mags_equal_einsum(m):
         for d in _layouts(_rand(rng, shape)):
             # at m = 1 |x| is taken, which is sqrt(x * x) for every x whose
             # square neither overflows nor underflows
-            _same(_mags(d), _einsum_mags(d), f"magnitudes m={m}")
-        if len(shape) == 2:  # F-ordered rows sum as their C-ordered copy
-            _same(_mags(np.asfortranarray(d)),
-                  _einsum_mags(np.ascontiguousarray(d)),
+            _same(_mags(d), _ref_mags(d), f"magnitudes m={m}")
+        if len(shape) == 2:
+            _same(_mags(np.asfortranarray(d)), _ref_mags(d),
                   f"F-ordered magnitudes m={m}")
 
 
@@ -176,10 +201,13 @@ def test_controlled_increment_equals_einsum(m, n):
         terms = [_rand(rng, (rows, m, n)), _rand(rng, (rows, n)),
                  _rand(rng, (rows, m, n, n)), _rand(rng, (rows, n, n))]
         for layout in zip(*map(_layouts, terms)):
-            _same(controlled._expansion_lead(*layout), _einsum_lead(*layout),
+            _same(controlled._expansion_lead(*layout), _ref_lead(*layout),
                   f"a dX + b XX, m={m} n={n}")
             _same(controlled._expansion_lead(*layout[:2]),
-                  _einsum_lead(*layout[:2]), f"a dX, m={m} n={n}")
+                  _ref_lead(*layout[:2]), f"a dX, m={m} n={n}")
+        one_row = [terms[0][:1], terms[1], terms[2][:1], terms[3]]
+        _same(controlled._expansion_lead(*one_row), _ref_lead(*one_row),
+              f"one-row coefficients, m={m} n={n}")
 
 
 @pytest.mark.parametrize("m, n", DIMS)
@@ -189,21 +217,28 @@ def test_chain_equals_einsum(m, n):
         for mp, n_out in [(m, n), (n, 1)]:  # Df f, and a composed pair
             d, y = _rand(rng, (rows, mp, n_out, m)), _rand(rng, (rows, m, n))
             for dl, yl in zip(_layouts(d), _layouts(y)):
-                _same(controlled._chain(dl, yl),
-                      np.einsum("bajc,bck->bajk", dl, yl),
+                _same(controlled._chain(dl, yl), _ref_chain(dl, yl),
                       f"Df f, m={m} n={n}")
 
 
 @pytest.mark.parametrize("m, n", DIMS)
 def test_linear_field_equals_einsum(m, n):
+    """The linear and the sigmoid field, f(Y)[k, a, j] = sum_b W[a, j, b]
+    Y[k, b] (under tanh for the sigmoid)."""
     rng = np.random.default_rng(10 * m + n)
     mats = [_rand(rng, (m, m)) for _ in range(n)]
-    field = young.linear_field(mats)
-    stacked = np.stack(mats, axis=-1)
+    linear, sigmoid = young.linear_field(mats), young.sigmoid_field(m, n)
+    w_linear = np.transpose(np.stack(mats, axis=-1), (0, 2, 1))
+    w_sigmoid = np.zeros((m, n, m))
+    for a, j in itertools.product(range(m), range(n)):
+        w_sigmoid[a, j, (a + j) % m] = 1.0
     for rows in ROWS:
         for Y in _layouts(_rand(rng, (rows, m))):
-            _same(field.fun(Y), np.einsum("abj,kb->kaj", stacked, Y),
+            _same(linear.fun(Y), _lanes(w_linear * Y[:, None, None]),
                   f"linear field, m={m} n={n}")
+            _same(sigmoid.fun(Y),
+                  np.tanh(_lanes(w_sigmoid * Y[:, None, None])),
+                  f"sigmoid field, m={m} n={n}")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -212,7 +247,7 @@ def test_homogeneous_distance_equals_einsum(n):
     for rows in ROWS:
         for dw, xx in zip(_layouts(_rand(rng, (rows, n))),
                           _layouts(_rand(rng, (rows, n, n)))):
-            _same(homogeneous_distance_level2(dw, xx), _einsum_hom(dw, xx),
+            _same(homogeneous_distance_level2(dw, xx), _ref_hom(dw, xx),
                   f"level-2 distance n={n}")
 
 
@@ -222,7 +257,7 @@ def test_plane_distance_equals_einsum(n):
     for rows in ROWS:
         dw, xx = _rand(rng, (rows, n)), _rand(rng, (rows, n, n))
         planes = [np.ascontiguousarray(x.reshape(rows, -1).T) for x in (dw, xx)]
-        _same(rough._plane_distance(*planes), _einsum_hom(dw, xx),
+        _same(rough._plane_distance(*planes), _ref_hom(dw, xx),
               f"level-2 distance on planes n={n}")
 
 
@@ -231,8 +266,10 @@ def test_plane_mags_equal_einsum(m):
     rng = np.random.default_rng(m)
     for rows in ROWS:
         d = _rand(rng, (rows, m))
-        _same(norms._plane_mags(np.ascontiguousarray(d.T)), _einsum_mags(d),
+        _same(norms._plane_mags(np.ascontiguousarray(d.T)), _ref_mags(d),
               f"magnitudes on planes m={m}")
+        _same(norms._plane_mags(d.T), _ref_mags(d),
+              f"magnitudes on strided planes m={m}")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -252,12 +289,49 @@ def test_window_table_equals_einsum(monkeypatch, dim):
             seen.clear()
             args = [0, 1, 2], 2, 3.0, 0.5, level2
             got = stochlab._window_table([np.ascontiguousarray(w.T)], *args)
-            want = _einsum_window_table([w.T], *args)
-            for d, ref in zip(seen, _einsum_windows(w, [4, 2, 1], level2),
+            want = _ref_window_table([w.T], *args)
+            for d, ref in zip(seen, _ref_windows(w, [4, 2, 1], level2),
                               strict=True):
                 _same(d, ref, f"window distances dim={dim} rows={rows}")
             for n in want:
                 _same(got[n], want[n], f"window table dim={dim} rows={rows}")
+
+
+# -- a row's bits do not depend on its batch ---------------------------------
+
+
+def _row_kernels():
+    """(name, kernel, operand shapes with the row axis first)."""
+    lin = young.linear_field([np.eye(4) + 0.5 * k for k in range(3)])
+    sig = young.sigmoid_field(3, 2)
+    yield "lane sum of 3", _lane_sum, [(3,), (3,)]
+    yield "lane sum of 4", _lane_sum, [(4,), (4,)]
+    yield "lane sum of 9", _lane_sum, [(9,), (9,)]
+    yield "outer 3x4", _outer, [(3,), (4,)]
+    for m in (3, 4, 9):
+        yield f"magnitudes m={m}", _mags, [(m,)]
+        yield (f"plane magnitudes m={m}", lambda d: norms._plane_mags(d.T),
+               [(m,)])
+    yield "a dX + b XX", controlled._expansion_lead, [
+        (3, 3), (3,), (3, 3, 3), (3, 3)]
+    yield "Df f", controlled._chain, [(4, 3, 4), (4, 3)]
+    yield "linear field", lin.fun, [(4,)]
+    yield "sigmoid field", sig.fun, [(3,)]
+    yield "level-2 distance", homogeneous_distance_level2, [(3,), (3, 3)]
+
+
+@pytest.mark.parametrize("name, kernel, shapes", list(_row_kernels()),
+                         ids=[k[0] for k in _row_kernels()])
+def test_a_row_has_the_same_bits_in_any_batch_and_layout(name, kernel, shapes):
+    rng = np.random.default_rng(7)
+    ops = [_rand(rng, (3000,) + s) for s in shapes]
+    whole = kernel(*ops)
+    for r in (0, 1717, 2995):
+        for width in (1, 5):
+            part = kernel(*(o[r:r + width] for o in ops))
+            _same(part, whole[r:r + width], f"{name}: rows {r}+{width}")
+    for layout in list(zip(*map(_layouts, ops)))[1:]:
+        _same(kernel(*layout), whole, f"{name}: strided copy")
 
 
 # -- the call sites on real inputs ----------------------------------------------
@@ -285,9 +359,9 @@ def _lift_outputs(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_lifts_and_gauges_equal_einsum(einsum_only, n):
+def test_lifts_and_gauges_equal_einsum(reference_only, n):
     want = _lift_outputs(n)
-    einsum_only.undo()
+    reference_only.undo()
     for got, ref in zip(_lift_outputs(n), want, strict=True):
         _same(got, ref, f"lift levels and gauges n={n}")
 
@@ -304,9 +378,9 @@ def _mc_outputs(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_statistics_equal_einsum(einsum_only, dim):
+def test_statistics_equal_einsum(reference_only, dim):
     want = _mc_outputs(dim)
-    einsum_only.undo()
+    reference_only.undo()
     for got, ref in zip(_mc_outputs(dim), want, strict=True):
         _same(got, ref, f"window statistics and Campanato ratio dim={dim}")
 
@@ -317,6 +391,7 @@ def _solver_outputs():
     F = young.rotation_field()
     sol = controlled.rde_solve(F, X, np.array([1.0, 0.5]))
     comp = controlled.compose_controlled(F, sol.controlled)
+    sig = controlled.rde_solve(young.sigmoid_field(1, 2), X, np.array([0.3]))
     ode_params = norms.BesovParams(0.9, norms.INF, norms.INF)
     ode = young.young_ode_solve(young.scalar_linear_field(), _signals(1, 12),
                                 1.0, ode_params)
@@ -325,12 +400,17 @@ def _solver_outputs():
         ode_params, ode_params), diagnostics=True).sewing
     return [sol.path.values, comp.Y, comp.Yp, ode.path.values,
             controlled.davie_residual(sol.controlled, F)["norm"],
+            sig.path.values,
+            controlled.davie_residual(sig.controlled, young.sigmoid_field(
+                1, 2))["norm"],
             young_int.integral.values, young_int.remainder_norm]
 
 
-def test_solvers_equal_einsum(einsum_only):
+def test_solvers_equal_einsum(reference_only):
+    """The RDE (Picard seed, sweeps, Davie remainders), the composition,
+    the Young ODE trapezoid and the Young integral's product germ."""
     want = _solver_outputs()
-    einsum_only.undo()
+    reference_only.undo()
     for got, ref in zip(_solver_outputs(), want, strict=True):
         _same(got, ref, "RDE, composition, Young ODE and Young integral")
 

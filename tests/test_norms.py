@@ -206,6 +206,16 @@ def test_metric_zero_and_symmetry():
         )
 
 
+def test_metric_rejects_paths_on_other_grids_or_dimensions():
+    f = GridPath(GRID, np.zeros(GRID.n))
+    coarse = GridPath(UniformGrid(1.0, GRID.level - 1),
+                      np.zeros(GRID.n // 2 + 1))
+    plane = GridPath(GRID, np.zeros((GRID.n, 2)))
+    for g in (coarse, plane):
+        with pytest.raises(ValueError, match="mismatch"):
+            besov_metric(f, g, 0.4, 2.0, 2.0)
+
+
 def test_metric_q_inf_below_p_one():
     # p < 1, q = inf: the ratio term is (max ratio)^p, zero for equal inputs
     rng = rng_for(4, "metric")
