@@ -206,6 +206,11 @@ class ExperimentConfig:
             if not ok:
                 raise GridFormatError(f"config key {key!r} must be {need},"
                                       f" got {getattr(self, key)!r}")
+        if self.p * max(self.ns) * max(self.H, 0.5) >= 1024:
+            raise GridFormatError(
+                "config key 'p' must keep p * max(ns) * max(H, 0.5) below"
+                f" 1024, where the window scale 2^(n p H) overflows; got"
+                f" {self.p!r}")
 
 
 def _params_from_args(args) -> BesovParams:
@@ -385,6 +390,9 @@ def _cmd_norm(args) -> int:
 def _cmd_var(args) -> int:
     path = load_path_csv(args.input)
     if args.oscillation:
+        if path.dim != 1:
+            raise GridFormatError(
+                f"--oscillation needs a scalar path; got {path.dim} columns")
         value = oscillation_variation(path, args.p)
         kind = "oscillation_variation"
     else:
@@ -451,6 +459,9 @@ def _cmd_lift(args) -> int:
         if not args.input:
             raise GridFormatError("--kind canonical requires --input path.csv")
         path = load_path_csv(args.input)
+        if path.dim > MAX_DIM:
+            raise GridFormatError(
+                f"lifts take at most {MAX_DIM} path columns; got {path.dim}")
         lift = geometric_lift if args.flavor == "geometric" else canonical_lift
         X = lift(path, args.N, params)
     else:

@@ -25,9 +25,9 @@ from .norms import (
     two_param_metric,
     two_param_norm,
     _dyadic_band_norms,
+    _dyadic_sum,
     _lane_sum,
     _log_fit,
-    _q_sum,
 )
 from .rough import RoughPath, rough_metric
 from .young import (
@@ -35,6 +35,7 @@ from .young import (
     field_distance_proxy,
     _adaptive_picard,
     _probe_cloud,
+    _require_field,
 )
 
 __all__ = [
@@ -176,11 +177,9 @@ def remainder_bounds_check(cp: ControlledPath, beta: float | None = None) -> dic
 
 def _level2_modulus(params: BesovParams):
     """(gamma, modulus) for the sewing target at level 3 alpha."""
-    alpha, _, q = params.as_tuple
-    if alpha > 1.0 / 3.0 + 1e-12:
-        return 3 * alpha, None
-    mod = EndpointModulus(r=q / 3, exponent=1.0)
-    return 1.0, mod
+    if not params.endpoint(2):
+        return 3 * params.alpha, None
+    return 1.0, EndpointModulus(r=params.q / 3, exponent=1.0)
 
 
 def _integrand_arrays(cp: ControlledPath):
@@ -207,8 +206,7 @@ def rough_integral(
     params = X.params
     if not params.level2_ok:
         raise RegimeError(
-            f"(alpha,p,q)={params.as_tuple} violates the level-2 conditions"
-        )
+            f"(alpha,p,q)={params.as_tuple} outside the level-2 regime")
     y, yp = _integrand_arrays(cp)
     grid = X.grid
     base = X.base_path().values
@@ -224,14 +222,12 @@ def rough_integral(
 
     rem = _expansion_remainder(grid, base, z, y, yp, X.level(2))
     gamma, mod = _level2_modulus(params)
-    alpha, p, q = params.as_tuple
+    p, q = params.p, params.q
     if mod is None:
         norm = two_param_norm(rem, gamma, p / 3, q / 3)
-        rep = {"remainder_norm": norm, "endpoint": False}
     else:
         norm = two_param_norm(rem, gamma, p / 3, INF, modulus=mod.omega)
-        rep = {"remainder_norm": norm, "endpoint": True}
-    return result, rep
+    return result, {"remainder_norm": norm, "endpoint": mod is not None}
 
 
 def compose_controlled(F: VectorField, cp: ControlledPath, report: bool = False):
@@ -276,24 +272,6 @@ class RdeResult:
         return self.controlled.y_path()
 
 
-def _require_level2_field(F: VectorField, params: BesovParams):
-    alpha, p, _ = params.as_tuple
-    if alpha > 1.0 / 3.0 + 1e-12:
-        ok = (
-            F.order >= 2
-            and (2 + F.delta) * alpha > 1
-            and (p == INF or F.delta * alpha > 1.0 / p)
-        )
-        if not ok:
-            raise RegimeError(
-                f"field class C^{{{F.order},{F.delta}}} too weak:"
-                f" need (2+delta)*alpha > 1 and delta*alpha > 1/p"
-            )
-    else:
-        if F.order < 3:
-            raise RegimeError("the critical level-2 regime needs a C^3 field")
-
-
 def _chain(d: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_c d[., a, j, c] y[., c, k] for (B, m', n', m) d and (B, m, n) y."""
     return _lane_sum(d[:, :, :, None], np.swapaxes(y, 1, 2)[:, None, None])
@@ -306,16 +284,6 @@ def _davie_coefficients(F: VectorField, Y: np.ndarray):
     return fv, _chain(F.dfun(Y), fv)
 
 
-def _dyadic_gauge_remainder(rem: TwoParamField, alpha, p, q) -> float:
-    """Dyadic-shift gauge of the remainder difference field of two iterates:
-    the plain ell^q sum over tau_n = T 2^-n of |band|_{L^p} / tau_n^(2 alpha);
-    O(n log n), used only as the Picard contraction gauge."""
-    grid = rem.grid
-    ratios = [s / (grid.horizon * 2.0**-n) ** (2 * alpha)
-              for n, s in enumerate(_dyadic_band_norms(rem, p), start=1)]
-    return _q_sum(np.asarray(ratios), q, log_weight=False)
-
-
 def rde_solve(
     F: VectorField, X: RoughPath, y0, max_halvings: int = 12
 ) -> RdeResult:
@@ -323,11 +291,7 @@ def rde_solve(
     subintervals, seeded with the first-order Davie expansion; a subinterval
     converges at gauge < 1e-9 * max(1, sup |Y|)."""
     params = X.params
-    if not params.level2_ok:
-        raise RegimeError(
-            f"(alpha,p,q)={params.as_tuple} violates the level-2 conditions"
-        )
-    _require_level2_field(F, params)
+    _require_field(F, params, 2)
     alpha, p, q = params.as_tuple
     grid = X.grid
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -353,7 +317,7 @@ def rde_solve(
         dist = besov_seminorm(diff, alpha, p, q, form="dyadic")
         rem = _expansion_remainder(sub_grid, base[a:b + 1] - base[a],
                                    nxt - cur, dp)
-        dist += _dyadic_gauge_remainder(rem, alpha, p2, q2)
+        dist += _dyadic_sum(rem, 2 * alpha, p2, q2)
         return (nxt, fv), nxt, dist
 
     Y, iterations, subintervals, halvings = _adaptive_picard(
@@ -392,7 +356,7 @@ def davie_residual(
     fv, wp = _davie_coefficients(F, Y)
     D = _expansion_remainder(grid, X.base_path().values, Y.reshape(grid.n, -1),
                              fv, wp, X.level(2))
-    endpoint = alpha <= 1.0 / 3.0 + 1e-12
+    endpoint = params.endpoint(2)
     if endpoint:
         norm = two_param_norm(D, 1.0, p / 3, INF)
         profile = _osc_profile(D, p / 3)

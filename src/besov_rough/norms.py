@@ -61,10 +61,7 @@ class BesovParams:
             raise RegimeError(f"alpha must be in (0, 1], got {self.alpha}")
         if not self.p > 0 or not self.q > 0:
             raise RegimeError(f"p, q must be positive (or inf), got {self.p}, {self.q}")
-        if self.alpha > max(1.0, 1.0 / self.p):
-            raise RegimeError(
-                f"alpha={self.alpha} > max(1, 1/p): the space is trivial"
-            )
+        _check_nontrivial(self.alpha, self.p)
 
     @property
     def as_tuple(self):
@@ -72,23 +69,21 @@ class BesovParams:
 
     @property
     def young_ok(self) -> bool:
-        if not (0.5 <= self.alpha < 1 and self.p > 1 / self.alpha):
-            return False
-        if self.alpha == 0.5:
-            return self.q <= 2
-        return True
+        return self.levelN_ok(1)
 
     @property
     def level2_ok(self) -> bool:
         return self.levelN_ok(2)
 
+    def endpoint(self, n_level: int) -> bool:
+        """alpha at (or below) the level-N endpoint 1/(N+1), to within 1e-12:
+        the one endpoint test of the Young, rough and extension code."""
+        return self.alpha <= 1.0 / (n_level + 1) + 1e-12
+
     def levelN_ok(self, n_level: int) -> bool:
-        lo = 1.0 / (n_level + 1)
-        if not (lo <= self.alpha < 1 and self.p > 1 / self.alpha):
-            return False
-        if self.alpha == lo:
-            return self.q <= n_level + 1
-        return True
+        """1/(N+1) <= alpha < 1 and alpha p > 1; at the endpoint also q <= N+1."""
+        return (1.0 / (n_level + 1) <= self.alpha < 1 and self.p > 1 / self.alpha
+                and (not self.endpoint(n_level) or self.q <= n_level + 1))
 
 
 @dataclass(frozen=True)
@@ -363,13 +358,20 @@ def besov_seminorm(
     """
     _check_nontrivial(alpha, p)
     if form == "dyadic":
-        horizon = f.grid.horizon
-        ratios = [(2.0**n / horizon) ** alpha * s
-                  for n, s in enumerate(_dyadic_band_norms(f, p), start=1)]
-        return _q_sum(np.asarray(ratios), q, log_weight=False)
+        return _dyadic_sum(f, alpha, p, q)
     if form == "integral":
         return _integral_norm(f, p, q, lambda tau: tau**alpha)
     raise ValueError(f"unknown form {form!r}")
+
+
+def _dyadic_sum(obj, alpha: float, p: float, q: float) -> float:
+    """Plain ell^q sum over n of (2^n/T)^alpha * |band at shift 2^-n T|_{L^p}:
+    the dyadic seminorm of a path, and the Picard gauge of a remainder field
+    at 2 alpha."""
+    horizon = obj.grid.horizon
+    ratios = [(2.0**n / horizon) ** alpha * s
+              for n, s in enumerate(_dyadic_band_norms(obj, p), start=1)]
+    return _q_sum(np.asarray(ratios), q, log_weight=False)
 
 
 def besov_level_table(f: GridPath, alpha: float, p: float, q: float):
@@ -468,6 +470,31 @@ def holder_seminorm(obj, beta: float) -> float:
 # variation functionals
 
 
+def _variation_dp(sizes, n: int, p: float):
+    """(value, prev) of the sup over partitions of the nodes 0..n-1 of
+    (sum size^p)^{1/p}, by dynamic programming: sizes(j) holds the sizes of
+    the blocks [i, j], i < j, and prev[j] the first best point before j.
+    A 0 or inf for a non-constant path is rerun on sizes / m, m the largest
+    size, and multiplied back by m (the rescue of `_lp_sum`)."""
+    def run(m):
+        best = np.zeros(n)
+        prev = np.zeros(n, dtype=int)
+        for j in range(1, n):
+            cand = best[:j] + (sizes(j) / m) ** p
+            i = int(np.argmax(cand))  # argmax returns the first maximizer
+            best[j] = cand[i]
+            prev[j] = i
+        return m * best[-1] ** (1.0 / p), prev
+
+    with np.errstate(over="ignore"):
+        value, prev = run(1.0)
+    if value == 0.0 or value == INF:
+        m = max((float(sizes(j).max()) for j in range(1, n)), default=0.0)
+        if 0.0 < m < INF:
+            value, prev = run(m)
+    return float(value), prev
+
+
 def pvariation(f: GridPath, p: float, return_partition: bool = False):
     """Exact sup over grid partitions of (sum |delta f|^p)^{1/p}, by dynamic
     programming; ties break toward the earlier partition point."""
@@ -475,14 +502,7 @@ def pvariation(f: GridPath, p: float, return_partition: bool = False):
         raise RegimeError(f"pvariation needs p >= 1, got {p}")
     v = f.values
     n = len(v)
-    best = np.zeros(n)
-    prev = np.zeros(n, dtype=int)
-    for j in range(1, n):
-        cand = best[:j] + _mags(v[j] - v[:j]) ** p
-        i = int(np.argmax(cand))  # argmax returns the first maximizer
-        best[j] = cand[i]
-        prev[j] = i
-    value = float(best[-1] ** (1.0 / p))
+    value, prev = _variation_dp(lambda j: _mags(v[j] - v[:j]), n, p)
     if not return_partition:
         return value
     points = [n - 1]
@@ -498,15 +518,14 @@ def oscillation_variation(f: GridPath, p: float) -> float:
     if f.dim != 1:
         raise ValueError("oscillation_variation is defined for scalar paths")
     v = f.values[:, 0]
-    n = len(v)
-    best = np.zeros(n)
-    for j in range(1, n):
+
+    def sizes(j):
         seg = v[j::-1]
         mx = np.maximum.accumulate(seg)[:0:-1]
         mn = np.minimum.accumulate(seg)[:0:-1]
-        cand = best[:j] + ((mx - mn) / 2.0) ** p
-        best[j] = cand.max()
-    return float(best[-1] ** (1.0 / p))
+        return (mx - mn) / 2.0
+
+    return _variation_dp(sizes, len(v), p)[0]
 
 
 # ---------------------------------------------------------------------------

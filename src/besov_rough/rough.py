@@ -504,8 +504,7 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
     cur = X
     while cur.depth < target_depth:
         m_lev = cur.depth
-        alpha, p, q = cur.params.as_tuple
-        if alpha <= 1.0 / (m_lev + 1) + 1e-15:
+        if cur.params.endpoint(m_lev):
             raise RegimeError(
                 f"extension from level {m_lev} needs alpha > 1/{m_lev + 1};"
                 " the endpoint case carries a logarithmic loss and is not"

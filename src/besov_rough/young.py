@@ -44,7 +44,8 @@ class YoungRegime:
     """Parameter bookkeeping for the product germ f_s * dg.
 
     gamma = alpha0 + alpha1 and the Hoelder-conjugate p2, q2.  Case 'a' is
-    gamma > max(1, 1/p2); case 'b' the critical gamma = max(1, 1/p2) <= 1/q2.
+    gamma > max(1, 1/p2); case 'b' the critical gamma = max(1, 1/p2), to
+    within 1e-12, which needs q2 <= min(1, p2).
     """
 
     f_params: BesovParams
@@ -64,25 +65,15 @@ class YoungRegime:
 
     @property
     def case(self) -> str:
-        crit = max(1.0, 1.0 / self.p2)
-        if self.gamma > crit + 1e-12:
-            return "a"
-        q2 = self.q2
-        if abs(self.gamma - crit) <= 1e-12 and (
-            q2 != INF and self.gamma <= 1.0 / q2 + 1e-12
-        ):
-            return "b"
-        raise RegimeError(
-            f"Young regime violated: gamma={self.gamma}, max(1,1/p2)="
-            f"{crit}, 1/q2={1.0 / q2}"
-        )
+        return "b" if self.sewing_input(None).endpoint else "a"
 
     def sewing_input(self, germ: TwoParamField) -> SewingInput:
-        endpoint = self.case == "b"
-        gamma = max(1.0, 1.0 / self.p2) if endpoint else self.gamma
-        return SewingInput(
-            germ=germ, gamma=gamma, p2=self.p2, q2=self.q2, endpoint=endpoint
-        )
+        """The sewing target; `SewingInput` rejects a triple outside both
+        cases."""
+        crit = max(1.0, 1.0 / self.p2)
+        endpoint = abs(self.gamma - crit) <= 1e-12
+        return SewingInput(germ=germ, gamma=crit if endpoint else self.gamma,
+                           p2=self.p2, q2=self.q2, endpoint=endpoint)
 
 
 class VectorField:
@@ -226,7 +217,6 @@ def young_integral(
     q2) two-parameter norm of (delta I) - f dg, against the omega modulus in
     the critical case.
     """
-    regime.case  # validates
     sewing = sew(regime.sewing_input(product_germ(f, g)), diagnostics=diagnostics)
     return YoungIntegralResult(sewing)
 
@@ -300,20 +290,25 @@ def _solver_metric(a: np.ndarray, b: np.ndarray, grid, params: BesovParams) -> f
     )
 
 
-def _require_young_field(F: VectorField, params: BesovParams):
-    if params.alpha > 0.5:
-        need = (1 + F.delta) * params.alpha > 1 and (
-            params.p == INF or F.delta * params.alpha > 1.0 / params.p
-        )
-        if F.order < 1 or not need:
-            raise RegimeError(
-                "vector field class too weak for the Young regime:"
-                f" order={F.order}, delta={F.delta}, alpha={params.alpha},"
-                f" p={params.p}"
-            )
+def _require_field(F: VectorField, params: BesovParams, n_level: int):
+    """The level-N regime of (alpha, p, q) and the field class it needs:
+    C^{N,delta} with (N + delta) alpha > 1 and delta alpha > 1/p, or C^{N+1}
+    at the endpoint alpha = 1/(N+1).  N = 1 is Young, N = 2 the RDE."""
+    if not params.levelN_ok(n_level):
+        raise RegimeError(
+            f"(alpha,p,q)={params.as_tuple} outside the level-{n_level} regime")
+    alpha, p, _ = params.as_tuple
+    if params.endpoint(n_level):
+        ok = F.order >= n_level + 1
     else:
-        if F.order < 2:
-            raise RegimeError("critical Young regime needs a C^2 field")
+        ok = (F.order >= n_level and (n_level + F.delta) * alpha > 1
+              and (p == INF or F.delta * alpha > 1.0 / p))
+    if not ok:
+        raise RegimeError(
+            f"field class C^{{{F.order},{F.delta}}} too weak for (alpha,p,q)="
+            f"{params.as_tuple}: level {n_level} needs C^{{{n_level},delta}}"
+            f" with ({n_level}+delta)*alpha > 1 and delta*alpha > 1/p, or"
+            f" C^{n_level + 1} at the endpoint alpha = 1/{n_level + 1}")
 
 
 def _adaptive_picard(grid, y0, start, sweep, tol, max_halvings):
@@ -381,9 +376,7 @@ def young_ode_solve(
     subinterval converges at gauge < 1e-10 * max(1, sup |Y|) and is halved
     whenever the contraction factor reaches 1/2.
     """
-    if not params.young_ok:
-        raise RegimeError(f"(alpha,p,q)={params.as_tuple} outside the Young regime")
-    _require_young_field(F, params)
+    _require_field(F, params, 1)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     dX = np.diff(X.values, axis=0)
 

@@ -421,6 +421,23 @@ def test_lift_argument_errors_exit_1(tmp_path, capsys, argv):
     assert not (tmp_path / "rp").exists()
 
 
+@pytest.mark.parametrize("argv, columns", [
+    (["lift", "--kind", "canonical", "--out", "rp"], 5),
+    (["var", "--p", "2", "--oscillation"], 2),
+], ids=["lift-5-columns", "oscillation-2-columns"])
+def test_path_columns_out_of_range_exit_1(tmp_path, capsys, argv, columns):
+    g = UniformGrid(1.0, 4)
+    path = tmp_path / "wide.csv"
+    save_path_csv(path, GridPath(g, np.sin(np.outer(g.times(),
+                                                    np.arange(1, columns + 1)))))
+    out = tmp_path / "rp"
+    argv = [str(out) if a == "rp" else a for a in argv]
+    assert main(argv + ["--input", str(path)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and f"{columns}" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("y0", ["1.0,abc", "1.0,nan", ""])
 def test_rde_bad_y0_exit_1(tmp_path, capsys, y0):
     d = tmp_path / "rp"
@@ -704,6 +721,8 @@ def test_workers_flag_removed(sin_csv, capsys):
     '{"experiment": "pprod-bdg", "p_tuple": [-4.0, 2.0, 4.0]}',
     '{"experiment": "pprod-bdg", "kind": "cauchy"}',
     '{"experiment": "bm-ynp", "kind": "cauchy"}',
+    '{"experiment": "bm-ynp", "level": 12, "ns": [4, 12], "p": 200}',
+    '{"experiment": "fbm-ynp", "level": 8, "ns": [4, 8], "H": 0.75, "p": 171}',
 ])
 def test_mc_malformed_config_exit_1(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -722,6 +741,18 @@ def test_mc_accepts_the_maximum_level(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_mc_p_just_under_the_scale_bound_runs(tmp_path):
+    # p * max(ns) * H = 1022.4: the window scale 2^(n p H) stays finite
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "fbm-ynp", "samples": 2,
+                               "level": 8, "ns": [8], "H": 0.9, "p": 142.0}))
+    out = tmp_path / "o.csv"
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(math.isfinite(float(r["estimate"])) for r in rows)
 
 
 def test_config_roundtrip():

@@ -15,6 +15,7 @@ from besov_rough.young import (
     scalar_linear_field,
     sigmoid_field,
     young_integral,
+    young_ode_solve,
 )
 from besov_rough.controlled import (
     ControlledPath,
@@ -307,6 +308,39 @@ def test_rde_field_class_checked():
     )
     with pytest.raises(RegimeError):
         rde_solve(weak, X, 1.0)
+
+
+def _linear_of_class(order, delta):
+    F = scalar_linear_field()
+    return VectorField(F.fun, F.dfun, F.d2fun, order=order, delta=delta,
+                       name=f"C^{order},{delta}")
+
+
+@pytest.mark.parametrize("n_level, above, thin", [(1, 0.6, 0.5),
+                                                  (2, 0.45, 0.2)],
+                         ids=["young", "rde"])
+@pytest.mark.parametrize("offset", [0.0, 1e-13, None],
+                         ids=["endpoint", "endpoint+1e-13", "above"])
+def test_field_class_ladder(n_level, above, thin, offset):
+    # one rule for the Young ODE (N = 1) and the RDE (N = 2): C^{N+1} at the
+    # endpoint alpha = 1/(N+1), C^{N,delta} with (N+delta) alpha > 1 above it
+    if offset is None:
+        params = BesovParams(above, 32.0, INF)
+        weak, minimal = (n_level, thin), (n_level, 1.0)
+    else:
+        params = BesovParams(1.0 / (n_level + 1) + offset, 32.0, n_level + 1)
+        weak, minimal = (n_level, 1.0), (n_level + 1, 1.0)
+    g = UniformGrid(1.0, 7)
+    path = GridPath(g, np.sin(g.times()))
+
+    def solve(F):
+        if n_level == 1:
+            return young_ode_solve(F, path, 1.0, params)
+        return rde_solve(F, geometric_lift(path, 2, params), 1.0)
+
+    with pytest.raises(RegimeError, match="too weak"):
+        solve(_linear_of_class(*weak))
+    assert np.all(np.isfinite(solve(_linear_of_class(*minimal)).path.values))
 
 
 def test_rde_associative_concatenation():

@@ -58,6 +58,25 @@ def test_besov_params_regimes():
     assert BesovParams(0.3, 5.0, 4.0).levelN_ok(3)
 
 
+@pytest.mark.parametrize("n_level", [1, 2, 3])
+def test_regime_ladder_endpoint_tolerance(n_level):
+    lo, q_end = 1.0 / (n_level + 1), n_level + 1
+    # at 1/(N+1) and within 1e-12 above it: the endpoint, where q <= N+1
+    for alpha in (lo, lo + 1e-13):
+        assert BesovParams(alpha, 8.0, q_end).endpoint(n_level)
+        assert BesovParams(alpha, 8.0, q_end).levelN_ok(n_level)
+        assert not BesovParams(alpha, 8.0, q_end + 1).levelN_ok(n_level)
+    # below 1/(N+1), however close: outside level N for every q
+    below = BesovParams(lo - 1e-13, 8.0, 1.0)
+    assert below.endpoint(n_level) and not below.levelN_ok(n_level)
+    # clear of the tolerance: every q
+    above = BesovParams(lo + 1e-11, 8.0, INF)
+    assert not above.endpoint(n_level) and above.levelN_ok(n_level)
+    if n_level == 1:
+        assert not BesovParams(lo + 1e-13, 8.0, q_end + 1).young_ok
+        assert BesovParams(lo + 1e-11, 8.0, INF).young_ok
+
+
 def test_triviality_rejected():
     with pytest.raises(RegimeError):
         besov_seminorm(_const(), 1.5, 2.0, 2.0)
@@ -330,6 +349,45 @@ def test_pvariation_examples():
     assert oscillation_variation(_const(), 3.0) == 0.0
     with pytest.raises(RegimeError):
         pvariation(h, 0.8)
+
+
+def _plain_variation_dp(sizes, n, p):
+    best = np.zeros(n)
+    for j in range(1, n):
+        best[j] = (best[:j] + sizes(j) ** p).max()
+    return float(best[-1] ** (1.0 / p))
+
+
+def test_variation_rescue_keeps_finite_results_bitwise():
+    for seed in range(5):
+        rng = rng_for(3, "var-bits", seed)
+        f = pw_linear_random(UniformGrid(1.0, 6), rng, breaks_level=4)
+        p = 1.0 + 7.0 * rng.random()
+        v = f.values
+        want = _plain_variation_dp(lambda j: np.abs(v[j] - v[:j])[:, 0], len(v), p)
+        assert pvariation(f, p) == want
+
+
+def test_variation_large_p_keeps_the_largest_block():
+    g = UniformGrid(1.0, 4)
+    f = GridPath(g, np.sin(g.times()))
+    # sin(1)^5000 underflows: the plain DP gives 0
+    value, points = pvariation(f, 5000.0, return_partition=True)
+    assert value == pytest.approx(math.sin(1.0), rel=1e-12)
+    assert points == [0, g.n - 1]
+    assert oscillation_variation(f, 4000.0) == pytest.approx(
+        math.sin(1.0) / 2, rel=1e-12)
+
+
+def test_variation_large_scale_scales_back():
+    g = UniformGrid(1.0, 4)
+    f = GridPath(g, np.sin(g.times()))
+    big = GridPath(g, 1e10 * np.sin(g.times()))
+    # (1e10 sin 1)^32 overflows: the plain DP gives inf
+    assert pvariation(big, 32.0) == pytest.approx(1e10 * pvariation(f, 32.0),
+                                                  rel=1e-12)
+    assert oscillation_variation(big, 32.0) == pytest.approx(
+        1e10 * oscillation_variation(f, 32.0), rel=1e-12)
 
 
 def test_pvariation_witness_partition():

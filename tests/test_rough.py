@@ -226,10 +226,11 @@ def test_extension_of_brownian_level2():
 
 def test_extension_endpoint_rejected():
     g = UniformGrid(1.0, 6)
-    lift = brownian_lift(2, g, 15, "ito",
-                         params=BesovParams(1.0 / 3.0, 32.0, 3.0))
-    with pytest.raises(RegimeError):
-        lyons_extend(lift, 3)
+    for alpha in (1.0 / 3.0, 1.0 / 3.0 + 1e-13):  # the endpoint to 1e-12
+        lift = brownian_lift(2, g, 15, "ito",
+                             params=BesovParams(alpha, 32.0, 3.0))
+        with pytest.raises(RegimeError):
+            lyons_extend(lift, 3)
 
 
 def test_extension_field_backed_input():

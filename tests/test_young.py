@@ -45,6 +45,18 @@ def test_young_regime_cases():
     assert b.case == "b" and b.p2 == 2.0 and b.q2 == 1.0
     with pytest.raises(RegimeError):
         YoungRegime(BesovParams(0.4, 8.0, 8.0), BesovParams(0.4, 8.0, 8.0)).case
+    # gamma within 1e-12 of max(1, 1/p2) = 1 is the critical case
+    for offset in (-4e-13, 4e-13):
+        near = YoungRegime(BesovParams(0.5 + offset, INF, 2.0),
+                           BesovParams(0.5, INF, 2.0))
+        assert near.case == "b"
+        out = young_integral(_path(np.sin, 6), _path(np.cos, 6), near)
+        assert out.endpoint and out.sewing.input.gamma == 1.0
+        with pytest.raises(RegimeError):  # the critical case needs q2 <= 1
+            YoungRegime(BesovParams(0.5 + offset, INF, INF),
+                        BesovParams(0.5, INF, INF)).case
+    assert YoungRegime(BesovParams(0.5 + 2e-12, INF, INF),
+                       BesovParams(0.5, INF, INF)).case == "a"
 
 
 def test_vector_field_validation():
