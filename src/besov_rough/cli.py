@@ -25,9 +25,9 @@ from .grid import (
     GridFormatError,
     GridPath,
     UniformGrid,
+    _pair_rows,
     load_germ_csv,
     load_path_csv,
-    save_field_csv,
     save_path_csv,
 )
 from .norms import (
@@ -255,24 +255,21 @@ def _field_from_spec(spec: str, m: int, n: int) -> VectorField:
 # ---------------------------------------------------------------------------
 # rough path directory format
 #
-# A directory holds meta.json and one k.csv per level k = 1..N.  In the
-# "signature" layout, k.csv is a path CSV whose row t holds X^(k)_{0,t}; the
-# other increments follow from Chen's relation X_st = X_0s^{-1} (x) X_0t, so
-# the files are O(n).  Signature-backed paths are written this way.  In the
-# "pairwise" layout, k.csv holds rows i,j,c0,... for every pair i < j.
-# Explicit-field paths are written this way, because their levels need not
-# satisfy Chen's relation (a fault injected into one must survive a save).
-# A meta.json without a "format" key is pairwise.
+# meta.json and, per level k = 1..N, a path CSV k.csv whose row t holds
+# X^(k)_{0,t} (the "signature" layout; Chen's relation gives the rest), plus
+# a k.pairs.csv of rows i,j,c0,... for a level's explicit pairs.  The
+# "pairwise" layout of earlier versions (k.csv holds the pairs i < j) is
+# read, not written: rows (0, j) are the signature.  A pair read is kept
+# when its value differs in any bit from its Chen value.
 
 _FORMATS = ("signature", "pairwise")
 
 
 def save_rough_dir(path: str, X: RoughPath) -> None:
     os.makedirs(path, exist_ok=True)
-    signature = X._sig is not None
     alpha, p, q = X.params.as_tuple
     meta = {
-        "format": "signature" if signature else "pairwise",
+        "format": "signature",
         "n": X.n,
         "N": X.depth,
         "level": X.grid.level,
@@ -284,15 +281,20 @@ def save_rough_dir(path: str, X: RoughPath) -> None:
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     nn = X.grid.n
-    if signature:
-        prefix = X.pairs_levels(np.zeros(nn - 1, dtype=np.intp),
-                                np.arange(1, nn))
-        for k in range(1, X.depth + 1):
-            rows = np.vstack([np.zeros((1, X.n**k)), prefix[k]])
-            save_path_csv(os.path.join(path, f"{k}.csv"), GridPath(X.grid, rows))
-        return
+    prefix = X.pairs_levels(np.zeros(nn - 1, dtype=np.intp), np.arange(1, nn))
     for k in range(1, X.depth + 1):
-        save_field_csv(os.path.join(path, f"{k}.csv"), X.level(k))
+        rows = np.vstack([np.zeros((1, X.n**k)), prefix[k]])
+        save_path_csv(os.path.join(path, f"{k}.csv"), GridPath(X.grid, rows))
+        fname = os.path.join(path, f"{k}.pairs.csv")
+        if k in X._pairs:
+            keys, values = X._pairs[k]
+            header = ["i", "j"] + [f"c{c}" for c in range(X.n**k)]
+            with open(fname, "w", newline="") as fh:
+                csv.writer(fh).writerows([header] + [
+                    [*divmod(key, nn), *map(repr, row)]
+                    for key, row in zip(keys.tolist(), values.tolist())])
+        elif os.path.exists(fname):
+            os.remove(fname)  # left by an earlier save to this directory
 
 
 def _read_meta(path: str) -> dict:
@@ -342,26 +344,39 @@ def load_rough_dir(path: str) -> RoughPath:
         INF if meta["q"] is None else meta["q"],
     )
     n, depth = meta["n"], meta["N"]
-    if meta["format"] == "signature":
-        sig = [np.ones((grid.n, 1))]
-        for k in range(1, depth + 1):
-            fname = os.path.join(path, f"{k}.csv")
-            prefix = load_path_csv(fname)
-            if prefix.grid != grid or prefix.dim != n**k:
-                raise GridFormatError(f"{fname}: level shape mismatch")
-            if np.any(prefix.values[0] != 0.0):
-                raise GridFormatError(
-                    f"{fname}: first row must be zero (X_00 is the identity)")
-            sig.append(prefix.values)
-        return RoughPath.from_signature(grid, params, sig)
-    levels = []
+    sig, pairs = [np.ones((grid.n, 1))], {}
     for k in range(1, depth + 1):
         fname = os.path.join(path, f"{k}.csv")
-        fieldk = load_germ_csv(fname, horizon=meta["horizon"])
-        if fieldk.grid != grid or fieldk.dim != n**k:
+        if meta["format"] == "pairwise":
+            _, keys, values = _pair_rows(fname, grid.n, n**k)
+            head = grid.n - 1  # the rows (0, j): the signature
+            if not np.array_equal(keys[:head], np.arange(1, grid.n)):
+                raise GridFormatError(
+                    f"{fname}: need the rows (0, j) for j = 1..{head}")
+            sig.append(np.vstack([np.zeros((1, n**k)), values[:head]]))
+            pairs[k] = fname, keys[head:], values[head:]
+            continue
+        prefix = load_path_csv(fname)
+        if prefix.grid != grid or prefix.dim != n**k:
             raise GridFormatError(f"{fname}: level shape mismatch")
-        levels.append(fieldk)
-    return RoughPath.from_fields(grid, params, levels)
+        if np.any(prefix.values[0] != 0.0):
+            raise GridFormatError(
+                f"{fname}: first row must be zero (X_00 is the identity)")
+        sig.append(prefix.values)
+        fname = os.path.join(path, f"{k}.pairs.csv")
+        if os.path.exists(fname):
+            pairs[k] = fname, *_pair_rows(fname, grid.n, n**k)[1:]
+    X = Y = RoughPath(grid, params, sig)
+    for k, (fname, keys, values) in pairs.items():
+        ii, jj = np.divmod(keys, grid.n)
+        # a stored pair equal in every bit to its Chen value is no defect
+        chen = X.level(k).pairs(ii, jj).view(np.int64)
+        keep = (values.view(np.int64) != chen).any(axis=1)
+        try:
+            Y = Y.with_pairs(k, ii[keep], jj[keep], values[keep])
+        except ValueError as exc:
+            raise GridFormatError(f"{fname}: {exc}") from None
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +558,23 @@ def _cmd_mc(args) -> int:
     if args.experiment:
         cfg.experiment = args.experiment
     cfg.check_values()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _mc_rows(cfg)
+    for key, stat, *cells, _ in rows:
+        # one n gives the documented inf slope, not an overflow
+        documented = stat == "variance_log2_slope" and len(cfg.ns) == 1
+        if not (documented or all(math.isfinite(float(v)) for v in cells if v)):
+            raise GridFormatError(
+                f"{cfg.experiment}: {stat} at {key} is not finite; the"
+                " config's moments overflow float64")
+    _write_results_csv(args.out, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0
+
+
+def _mc_rows(cfg: ExperimentConfig) -> list:
+    """The result rows (key, statistic, estimate, stderr, samples) of one
+    experiment, numbers as repr strings."""
     rows = []
     if cfg.experiment == "bm-ynp":
         rep = bm_besov_statistic(cfg.p, cfg.ns, cfg.level, cfg.samples, cfg.seed,
@@ -577,9 +609,7 @@ def _cmd_mc(args) -> int:
                 rows.append([length, key, repr(row[key]), "", row["samples"]])
     else:
         raise GridFormatError(f"unknown experiment {cfg.experiment!r}")
-    _write_results_csv(args.out, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return rows
 
 
 def _cmd_accept(args) -> int:

@@ -182,6 +182,16 @@ def _level2_modulus(params: BesovParams):
     return 1.0, EndpointModulus(r=params.q / 3, exponent=1.0)
 
 
+def _level2_norm(rem: TwoParamField, params: BesovParams) -> float:
+    """Two-parameter norm of a level-2 remainder at (3a, p/3, q/3); at the
+    endpoint, (1, p/3, inf) against the omega modulus."""
+    gamma, mod = _level2_modulus(params)
+    p, q = params.p, params.q
+    if mod is None:
+        return two_param_norm(rem, gamma, p / 3, q / 3)
+    return two_param_norm(rem, gamma, p / 3, INF, modulus=mod.omega)
+
+
 def _integrand_arrays(cp: ControlledPath):
     if len(cp.value_shape) < 1 or cp.value_shape[-1] != cp.X.n:
         raise ValueError(
@@ -221,13 +231,8 @@ def rough_integral(
         return result
 
     rem = _expansion_remainder(grid, base, z, y, yp, X.level(2))
-    gamma, mod = _level2_modulus(params)
-    p, q = params.p, params.q
-    if mod is None:
-        norm = two_param_norm(rem, gamma, p / 3, q / 3)
-    else:
-        norm = two_param_norm(rem, gamma, p / 3, INF, modulus=mod.omega)
-    return result, {"remainder_norm": norm, "endpoint": mod is not None}
+    return result, {"remainder_norm": _level2_norm(rem, params),
+                    "endpoint": params.endpoint(2)}
 
 
 def compose_controlled(F: VectorField, cp: ControlledPath, report: bool = False):
@@ -346,23 +351,19 @@ def davie_residual(
     h_range: tuple[float, float] | None = None,
 ) -> dict:
     """Residual D = dY - f(Y_s) dX - Df(Y_s) f(Y_s) XX on the driver cp.X,
-    its two-parameter norm at (3a, p/3, q/3) (endpoint: the omega profile),
-    and the log-log slope of sup_{|t-s|=h} |D| over dyadic h."""
+    its level-2 remainder norm (`_level2_norm`, as in the rough integral's
+    report; at the endpoint also the small-oscillation profile), and the
+    log-log slope of sup_{|t-s|=h} |D| over dyadic h."""
     X = cp.X
     grid = X.grid
     params = X.params
-    alpha, p, q = params.as_tuple
     Y = cp.Y
     fv, wp = _davie_coefficients(F, Y)
     D = _expansion_remainder(grid, X.base_path().values, Y.reshape(grid.n, -1),
                              fv, wp, X.level(2))
     endpoint = params.endpoint(2)
-    if endpoint:
-        norm = two_param_norm(D, 1.0, p / 3, INF)
-        profile = _osc_profile(D, p / 3)
-    else:
-        norm = two_param_norm(D, 3 * alpha, p / 3, q / 3)
-        profile = None
+    norm = _level2_norm(D, params)
+    profile = _osc_profile(D, params.p / 3) if endpoint else None
     if h_range is None:
         h_range = (grid.mesh * 4, grid.horizon / 8)
     hs, sups = [], []

@@ -24,7 +24,6 @@ __all__ = [
     "load_path_csv",
     "save_path_csv",
     "load_germ_csv",
-    "save_field_csv",
     "GridFormatError",
 ]
 
@@ -397,12 +396,32 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
 
     Missing pairs default to zero; the node count n is inferred from the
     largest index and must be 2^L + 1, and the file must hold at least n - 1
-    rows, so memory stays in proportion to the file.  A pair may appear only
-    once and every value must be finite.  Only the first line may be a header
-    (starting with ``i``).
+    rows, so memory stays in proportion to the file.  The rows follow
+    `_pair_rows`.
     """
+    n, flat, values = _pair_rows(path)
+    level = (n - 1).bit_length() - 1
+    if n < 2 or n - 1 != 1 << level:
+        raise GridFormatError(f"{path}: max index {n - 1} is not a power of two")
+    if n - 1 > len(flat):
+        raise GridFormatError(
+            f"{path}: max index {n - 1} needs at least {n - 1} rows,"
+            f" got {len(flat)}")
+
+    def germ(ii, jj):
+        pos, hit = _find(flat, _indices(ii) * n + _indices(jj))
+        return np.where(hit[:, None], values[pos], 0.0)
+
+    return TwoParamField(UniformGrid(horizon, level), values.shape[1], germ=germ)
+
+
+def _pair_rows(path, nodes: int | None = None, width: int | None = None):
+    """(n, keys, values) of the rows ``i,j,v0,...`` of a pair CSV: sorted
+    keys i * n + j, n = `nodes` or the largest index + 1, and (len, m) values.
+    Each row needs 0 <= i <= j < n and m finite values (`width`, or as many
+    as the first row); a pair may appear once, and only the first line may
+    be a header (starting with ``i``)."""
     keys, rows = [], []
-    max_idx = 0
     with open(path, newline="") as fh, _csv_errors(path, reader := csv.reader(fh)):
         for lineno, row in enumerate(reader, start=1):
             if not row or (lineno == 1 and row[0].strip().startswith("i")):
@@ -414,25 +433,19 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
                 vals = [float(x) for x in row[2:]]
             except ValueError as exc:
                 raise GridFormatError(f"{path}:{lineno}: {exc}") from None
-            if i > j or i < 0:
-                raise GridFormatError(f"{path}:{lineno}: need 0 <= i <= j")
-            if rows and len(vals) != len(rows[0]):
+            if not 0 <= i <= j < (nodes or j + 1):
+                raise GridFormatError(f"{path}:{lineno}: need 0 <= i <= j"
+                                      + (f" < {nodes}" if nodes else ""))
+            if len(vals) != (width := width or len(vals)):
                 raise GridFormatError(
-                    f"{path}:{lineno}: inconsistent value dimension")
+                    f"{path}:{lineno}: need {width} values, got {len(vals)}")
             keys.append((i, j))
             rows.append(vals)
-            max_idx = max(max_idx, j)
     if not rows:
         raise GridFormatError(f"{path}: no germ rows")
-    level = max_idx.bit_length() - 1
-    if max_idx < 1 or max_idx != 1 << level:
-        raise GridFormatError(f"{path}: max index {max_idx} is not a power of two")
-    if max_idx > len(rows):
-        raise GridFormatError(
-            f"{path}: max index {max_idx} needs at least {max_idx} rows,"
-            f" got {len(rows)}")
-    n = max_idx + 1
-    flat = np.array([i * n + j for i, j in keys], dtype=np.int64)
+    ij = np.array(keys, dtype=np.int64)
+    n = int(ij[:, 1].max()) + 1 if nodes is None else nodes
+    flat = ij[:, 0] * n + ij[:, 1]
     order = np.argsort(flat, kind="stable")
     flat, values = flat[order], np.array(rows)[order]
     dup = np.flatnonzero(flat[1:] == flat[:-1])
@@ -443,23 +456,10 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
     if len(bad):
         i, j = divmod(int(flat[bad[0]]), n)
         raise GridFormatError(f"{path}: non-finite value at pair ({i}, {j})")
-    grid = UniformGrid(horizon, level)
-    m = values.shape[1]
-
-    def germ(ii, jj):
-        want = _indices(ii) * n + _indices(jj)
-        pos = np.minimum(np.searchsorted(flat, want), len(flat) - 1)
-        hit = flat[pos] == want
-        return np.where(hit[:, None], values[pos], 0.0)
-
-    return TwoParamField(grid, m, germ=germ)
+    return n, flat, values
 
 
-def save_field_csv(path, field: TwoParamField) -> None:
-    n = field.grid.n
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j"] + [f"c{j}" for j in range(field.dim)])
-        for k in range(1, n):
-            writer.writerows([i, i + k, *map(repr, row)]
-                             for i, row in enumerate(field.band(k).tolist()))
+def _find(keys: np.ndarray, want: np.ndarray):
+    """Positions of `want` in the sorted nonempty `keys`; whether each is in."""
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return pos, keys[pos] == want

@@ -137,10 +137,12 @@ def _lane_sum(x, y) -> np.ndarray:
     """sum_t x[..., t] y[..., t] for x and y broadcasting to (B, ..., T), in
     the library's lane order (`_add_lanes`).  Below `_COLUMN_ROWS` rows
     each term is one multiply over the whole output, from there on one
-    multiply per output column; both run the same adds, so a row has the
-    same bits at every batch size and in every memory layout."""
+    multiply per output column (unless the output has one column); both run
+    the same adds, so a row has the same bits at every batch size and in
+    every memory layout."""
     terms = x.shape[-1]
-    if max(len(x), len(y)) < _COLUMN_ROWS:
+    if (max(len(x), len(y)) < _COLUMN_ROWS
+            or math.prod(map(max, x.shape[1:-1], y.shape[1:-1])) == 1):
         return _add_lanes(x[..., t] * y[..., t] for t in range(terms))
     x, y = np.broadcast_arrays(x, y)
     out = np.empty(x.shape[:-1])

@@ -17,15 +17,13 @@ import numpy as np
 
 from ._rng import rng_for
 from .errors import RegimeError
-from .grid import GridPath, TwoParamField, UniformGrid, _indices
+from .grid import GridPath, TwoParamField, UniformGrid, _find, _indices
 from .norms import (
     INF,
     BesovParams,
-    _log_fit,
     _mags,
     _outer,
     _plane_mags,
-    holder_seminorm,
     two_param_metric,
     two_param_norm,
 )
@@ -48,9 +46,6 @@ __all__ = [
     "rough_metric",
     "chen_residual",
     "lyons_extend",
-    "rough_embedding_report",
-    "rough_interpolation_report",
-    "campanato_scaling",
     "homogeneous_distance_level2",
 ]
 
@@ -198,38 +193,49 @@ def dilate_element(x: TensorElement, lam: float) -> TensorElement:
 class RoughPath:
     """Level-N rough path over R^n with Besov parameters attached.
 
-    Either signature-prefix backed (exact Chen) or explicit-field backed
-    (used e.g. for fault-injection); both expose the same interface.
+    Stored as its node-wise signature prefixes sig[k] (nodes, n^k), the
+    levels of S_t = X_{0,t}; every increment is X_st = S_s^{-1} (x) S_t.  A
+    level may also hold explicit pairs: the values at some pairs (i, j),
+    0 < i < j, stored instead of computed and read back bit for bit (for
+    example an injected Chen fault), as sorted keys i * nodes + j and a
+    (len, n^k) array.  The base path is level 1 of the prefixes.
     """
 
-    def __init__(self, grid: UniformGrid, n: int, depth: int, params: BesovParams,
-                 sig=None, fields=None, base=None):
-        _check_caps(n, depth)
+    def __init__(self, grid: UniformGrid, params: BesovParams, sig, pairs=None):
+        self.n = sig[1].shape[1]
+        self.depth = len(sig) - 1
+        _check_caps(self.n, self.depth)
         self.grid = grid
-        self.n = n
-        self.depth = depth
         self.params = params
-        self._sig = sig            # list (nodes, n^k), k = 0..depth
+        self._sig = sig
         self._siginv = None
-        self._fields = fields      # list of TwoParamField, level k = 1..depth
-        self._base = base          # GridPath of the level-1 path from 0
+        self._pairs = pairs or {}  # level k -> (keys, values)
+        self._base = GridPath(grid, sig[1] - sig[1][0])
 
-    # -- construction --------------------------------------------------------
-    @classmethod
-    def from_signature(cls, grid, params, sig) -> "RoughPath":
-        n = sig[1].shape[1]
-        depth = len(sig) - 1
-        base = GridPath(grid, sig[1] - sig[1][0])
-        return cls(grid, n, depth, params, sig=sig, base=base)
+    def with_pairs(self, k: int, ii, jj, values) -> "RoughPath":
+        """This path with the level-k values at the pairs (ii, jj) given as
+        `values` (len, n^k): explicit pairs, replacing those the level held.
+        They need 0 < ii < jj < nodes, at most one per pair and at most
+        `grid.n` per level, so a path stays O(n)."""
+        ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
+        if not (1 <= k <= self.depth
+                and ((0 < ii) & (ii < jj) & (jj < self.grid.n)).all()):
+            raise ValueError(f"explicit pairs need a level in 1..{self.depth}"
+                             f" and 0 < i < j < {self.grid.n}")
+        keys, order = np.unique(ii * self.grid.n + jj, return_index=True)
+        if len(ii) > min(len(keys), self.grid.n):
+            raise ValueError(f"{len(ii)} explicit pairs at level {k}; need"
+                             f" distinct pairs, at most grid.n = {self.grid.n}")
+        values = np.asarray(values, dtype=float).reshape(len(ii), self.n**k)
+        pairs = {**self._pairs, k: (keys, values[order])}
+        if not len(keys):
+            del pairs[k]
+        return RoughPath(self.grid, self.params, self._sig, pairs)
 
-    @classmethod
-    def from_fields(cls, grid, params, fields) -> "RoughPath":
-        """Explicit-field rough path; the base path is X^(1)_{0,t}."""
-        n = fields[0].dim
-        first = fields[0].pairs(np.zeros(grid.n - 1, dtype=np.intp),
-                                np.arange(1, grid.n))
-        base = GridPath(grid, np.vstack([np.zeros((1, n)), first]))
-        return cls(grid, n, len(fields), params, fields=fields, base=base)
+    def _require_chen(self, what: str):
+        if self._pairs:
+            raise RegimeError(f"{what} needs a multiplicative functional; this"
+                              " path holds explicit pairs")
 
     # -- internals ------------------------------------------------------------
     def _inv_prefix(self):
@@ -237,31 +243,37 @@ class RoughPath:
             self._siginv = _inv_levels(self._sig, self.n, self.depth)
         return self._siginv
 
+    def _put_pairs(self, k: int, ii, jj, out):
+        """out, the level-k values at the selectors ii, jj, with the explicit
+        pairs among them written in."""
+        if k in self._pairs:
+            keys, values = self._pairs[k]
+            pos, hit = _find(keys, _indices(ii) * self.grid.n + _indices(jj))
+            out[hit] = values[pos[hit]]
+        return out
+
     def pairs_levels(self, ii, jj):
         """Group increments X_{ii -> jj} as batched levels (len, n^k)."""
         ii = np.asarray(ii, dtype=np.intp)
         jj = np.asarray(jj, dtype=np.intp)
-        if self._sig is not None:
-            inv = self._inv_prefix()
-            x = [lv[ii] for lv in inv]
-            y = [lv[jj] for lv in self._sig]
-            return _mul_levels(x, y, self.depth)
-        out = [np.ones((len(ii), 1))]
-        for k in range(1, self.depth + 1):
-            out.append(self._fields[k - 1].pairs(ii, jj))
+        inv = self._inv_prefix()
+        x = [lv[ii] for lv in inv]
+        y = [lv[jj] for lv in self._sig]
+        out = _mul_levels(x, y, self.depth)
+        for k in self._pairs:
+            self._put_pairs(k, ii, jj, out[k])
         return out
 
     def level(self, k: int) -> TwoParamField:
         """Level-k component as a TwoParamField with n^k entries."""
         if not 1 <= k <= self.depth:
             raise IndexError(f"level {k} outside 1..{self.depth}")
-        if self._fields is not None:
-            return self._fields[k - 1]
         sig = self._sig[: k + 1]
 
         def germ(ii, jj):
             inv = self._inv_prefix()[: k + 1]
-            return _mul_level([lv[ii] for lv in inv], [lv[jj] for lv in sig], k)
+            out = _mul_level([lv[ii] for lv in inv], [lv[jj] for lv in sig], k)
+            return self._put_pairs(k, ii, jj, out)
 
         return TwoParamField(self.grid, self.n**k, germ=germ)
 
@@ -269,17 +281,14 @@ class RoughPath:
         return self._base
 
     def restrict(self, a: int, b: int) -> "RoughPath":
+        self._require_chen("restrict")
         span = b - a
         if span <= 0 or span & (span - 1):
             raise ValueError("restriction span must be a power of two")
         sub = UniformGrid(span * self.grid.mesh, span.bit_length() - 1)
-        if self._sig is not None:
-            inv_a = [lv[a : a + 1] for lv in self._inv_prefix()]
-            seg = [lv[a : b + 1] for lv in self._sig]
-            sig = _mul_levels(inv_a, seg, self.depth)
-            return RoughPath.from_signature(sub, self.params, sig)
-        fields = [f.restrict(a, b) for f in self._fields]
-        return RoughPath.from_fields(sub, self.params, fields)
+        inv_a = [lv[a : a + 1] for lv in self._inv_prefix()]
+        seg = [lv[a : b + 1] for lv in self._sig]
+        return RoughPath(sub, self.params, _mul_levels(inv_a, seg, self.depth))
 
 
 def canonical_lift(x: GridPath, depth: int, params: BesovParams | None = None
@@ -295,7 +304,7 @@ def canonical_lift(x: GridPath, depth: int, params: BesovParams | None = None
     for k in range(2, depth + 1):
         incs = _outer(sig[k - 1][:-1], dx)
         sig.append(np.vstack([np.zeros((1, n**k)), np.cumsum(incs, axis=0)]))
-    return RoughPath.from_signature(x.grid, params, sig)
+    return RoughPath(x.grid, params, sig)
 
 
 def geometric_lift(x: GridPath, depth: int, params: BesovParams | None = None
@@ -321,7 +330,7 @@ def geometric_lift(x: GridPath, depth: int, params: BesovParams | None = None
         head = [lv[:-1] for lv in sig] + [np.zeros((nodes - 1, n**k))]
         incs = _mul_level(head, powers, k)
         sig.append(np.vstack([np.zeros((1, n**k)), np.cumsum(incs, axis=0)]))
-    return RoughPath.from_signature(x.grid, params, sig)
+    return RoughPath(x.grid, params, sig)
 
 
 def brownian_lift(
@@ -344,7 +353,7 @@ def brownian_lift(
     sig = [lv.copy() for lv in lift._sig]
     eye = np.eye(n).reshape(-1)
     sig[2] = sig[2] + 0.5 * grid.times()[:, None] * eye[None, :]
-    return RoughPath.from_signature(grid, params, sig)
+    return RoughPath(grid, params, sig)
 
 
 def fbm_covariance(H: float, grid: UniformGrid) -> np.ndarray:
@@ -422,13 +431,11 @@ def fbm_path(H: float, grid: UniformGrid, seed) -> GridPath:
 
 def dilate(X: RoughPath, lam: float) -> RoughPath:
     """delta_lambda: level k scaled by lambda^k."""
+    X._require_chen("dilate")
     lam = float(lam)
-    if X._sig is not None:
-        sig = [lam**k * lv for k, lv in enumerate(X._sig)]
-        sig[0] = X._sig[0].copy()
-        return RoughPath.from_signature(X.grid, X.params, sig)
-    fields = [lam ** (k + 1) * f for k, f in enumerate(X._fields)]
-    return RoughPath.from_fields(X.grid, X.params, fields)
+    sig = [lam**k * lv for k, lv in enumerate(X._sig)]
+    sig[0] = X._sig[0].copy()
+    return RoughPath(X.grid, X.params, sig)
 
 
 def rough_besov_norm(X: RoughPath) -> float:
@@ -501,6 +508,7 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
     """Extend a level-M rough path to level `target_depth` by sewing the germ
     sum_k X^{(M-k+1)}_{0,s} (x) X^{(k)}_{s,t} one level at a time."""
     _check_caps(X.n, target_depth)
+    X._require_chen("lyons_extend")
     cur = X
     while cur.depth < target_depth:
         m_lev = cur.depth
@@ -515,93 +523,15 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
         from_zero = cur.pairs_levels(np.zeros(nodes, dtype=np.intp),
                                      np.arange(nodes))  # X^{(j)}_{0, s}
 
-        def germ_A(ii, jj, cur=cur, from_zero=from_zero, m_lev=m_lev):
-            ii, jj = _indices(ii), _indices(jj)
-            inc = cur.pairs_levels(ii, jj)
-            acc = 0.0
-            for k in range(1, m_lev + 1):
-                acc = acc + _outer(from_zero[m_lev - k + 1][ii], inc[k])
-            return acc
-
-        consec = germ_A(slice(0, nodes - 1), slice(1, nodes))
+        ii = np.arange(nodes - 1)
+        inc = cur.pairs_levels(ii, ii + 1)
+        consec = 0.0
+        for k in range(1, m_lev + 1):
+            consec = consec + _outer(from_zero[m_lev - k + 1][ii], inc[k])
         ia = np.vstack([np.zeros((1, n ** (m_lev + 1))),
                         np.cumsum(consec, axis=0)])
-
-        if cur._sig is not None:
-            sig = list(cur._sig) + [ia]
-            cur = RoughPath.from_signature(cur.grid, cur.params, sig)
-        else:
-            def germ_new(ii, jj, ia=ia, germ_A=germ_A):
-                return ia[jj] - ia[ii] - germ_A(ii, jj)
-
-            fields = [cur.level(k) for k in range(1, m_lev + 1)]
-            fields.append(TwoParamField(cur.grid, n ** (m_lev + 1), germ=germ_new))
-            cur = RoughPath.from_fields(cur.grid, cur.params, fields)
+        cur = RoughPath(cur.grid, cur.params, list(cur._sig) + [ia])
     return cur
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def rough_embedding_report(X: RoughPath) -> dict:
-    """Per-level Hoelder norms against the rough Besov norm (ratio report)."""
-    alpha, p, _ = X.params.as_tuple
-    beta = alpha - 1.0 / p
-    total = rough_besov_norm(X)
-    levels = []
-    for k in range(1, X.depth + 1):
-        lhs = holder_seminorm(X.level(k), k * beta) ** (1.0 / k)
-        levels.append(
-            {"level": k, "lhs": lhs, "rhs": total,
-             "ratio": 0.0 if total == 0 else lhs / total}
-        )
-    return {"levels": levels, "rough_norm": total}
-
-
-def rough_interpolation_report(X: RoughPath, j: int, k: int) -> dict:
-    """|X^(k)|_{B^{j a}_{p/j, q/j}} against T^{(k-j)(a-1/p)} * norm^k."""
-    if not 1 <= j < k <= X.depth:
-        raise ValueError("need 1 <= j < k <= depth")
-    alpha, p, q = X.params.as_tuple
-    lhs = two_param_norm(X.level(k), j * alpha, p / j, q / j)
-    total = rough_besov_norm(X)
-    t_pow = X.grid.horizon ** ((k - j) * (alpha - 1.0 / p))
-    rhs = t_pow * total**k
-    return {"lhs": lhs, "rhs": rhs, "ratio": 0.0 if rhs == 0 else lhs / rhs}
-
-
-def campanato_scaling(X: RoughPath, k: int) -> dict:
-    """log-log slope of the window-averaged |mean X^{(k)}_{st}| against the
-    window width 2^e cells, e = 2..level-2; the Campanato-type bound
-    predicts slope >= k(alpha - 1/p) up to discretization slack."""
-    alpha, p, _ = X.params.as_tuple
-    beta = alpha - 1.0 / p
-    field = X.level(k)
-    grid = X.grid
-    widths, values = [], []
-    for e in range(2, grid.level - 1):
-        w = 1 << e
-        vals = []
-        for a in range(0, grid.n - w, w):
-            ii, jj = np.triu_indices(w + 1, k=1)
-            block = field.pairs(a + ii, a + jj)
-            vals.append(np.linalg.norm(block.mean(axis=0)))
-        widths.append(w * grid.mesh)
-        values.append(float(np.mean(vals)))
-    good = [(w, v) for w, v in zip(widths, values) if v > 0]
-    if len(good) < 2:
-        return {"slope": INF, "expected": beta * k, "widths": widths,
-                "values": values}
-    slope, r2 = _log_fit(np.log([w for w, _ in good]),
-                         np.log([v for _, v in good]))
-    return {
-        "slope": slope,
-        "expected": beta * k,
-        "r2": r2,
-        "widths": widths,
-        "values": values,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from besov_rough.cli import (
     main,
     save_rough_dir,
 )
-from besov_rough.grid import GridPath, TwoParamField, UniformGrid, save_path_csv
+from besov_rough.grid import GridPath, UniformGrid, save_path_csv
 from besov_rough.norms import BesovParams, INF
-from besov_rough.rough import RoughPath, brownian_lift, chen_residual, lyons_extend
+from besov_rough.rough import brownian_lift, chen_residual, lyons_extend
 
 
 @pytest.fixture
@@ -262,8 +262,9 @@ def test_rough_dir_roundtrip(tmp_path):
                                   lift.level(k).pairs(ii, jj))
 
 
-def _write_pairwise_dir(path, X):
-    """The pairwise layout as earlier versions wrote it (no "format" key)."""
+def _write_pairwise_dir(path, X, defect=None):
+    """The pairwise layout as earlier versions wrote it (no "format" key);
+    level 2 gets 1e-3 added at the pairs of the mask `defect(ii, jj)`."""
     path.mkdir()
     alpha, p, _ = X.params.as_tuple
     meta = {"n": X.n, "N": X.depth, "level": X.grid.level,
@@ -271,8 +272,11 @@ def _write_pairwise_dir(path, X):
     (path / "meta.json").write_text(json.dumps(meta))
     ii, jj = np.triu_indices(X.grid.n, k=1)
     for k in range(1, X.depth + 1):
+        rows = X.level(k).pairs(ii, jj)
+        if defect and k == 2:
+            rows[defect(ii, jj)] += 1e-3
         lines = ["i,j," + ",".join(f"c{c}" for c in range(X.n**k))]
-        for i, j, row in zip(ii, jj, X.level(k).pairs(ii, jj)):
+        for i, j, row in zip(ii, jj, rows):
             lines.append(f"{i},{j}," + ",".join(repr(float(v)) for v in row))
         (path / f"{k}.csv").write_text("\n".join(lines) + "\n")
 
@@ -282,6 +286,7 @@ def test_pairwise_dir_matches_signature_pipeline(tmp_path):
     lift = brownian_lift(2, g, 11, "ito", BesovParams(0.45, 32.0, INF))
     _write_pairwise_dir(tmp_path / "old", lift)
     save_rough_dir(str(tmp_path / "new"), lift)
+    assert load_rough_dir(str(tmp_path / "old"))._pairs == {}
     for name in ("old", "new"):
         d = tmp_path / name
         assert main(["extend", "--input", str(d), "--N", "3",
@@ -292,31 +297,69 @@ def test_pairwise_dir_matches_signature_pipeline(tmp_path):
     for out in ("sol.csv", "rep.json"):
         assert ((tmp_path / "old" / out).read_bytes()
                 == (tmp_path / "new" / out).read_bytes())
-    # a field-backed extension is written pairwise, a signature one is not
-    assert json.loads((tmp_path / "old3" / "meta.json").read_text())[
-        "format"] == "pairwise"
-    old3 = load_rough_dir(str(tmp_path / "old3"))
-    new3 = load_rough_dir(str(tmp_path / "new3"))
-    ii, jj = np.triu_indices(g.n, k=1)
-    for k in (1, 2, 3):
-        assert np.abs(old3.level(k).pairs(ii, jj)
-                      - new3.level(k).pairs(ii, jj)).max() <= 1e-12
+    # the extension of a legacy directory is written in the signature layout
+    assert sorted(os.listdir(tmp_path / "old3")) == [
+        "1.csv", "2.csv", "3.csv", "meta.json"]
+    for f in os.listdir(tmp_path / "new3"):
+        assert ((tmp_path / "old3" / f).read_bytes()
+                == (tmp_path / "new3" / f).read_bytes())
+
+
+def _faulty(g, pairs=((3, 11),)):
+    lift = brownian_lift(2, g, 3, "ito", BesovParams(0.45, 32.0, INF))
+    ii, jj = np.array(pairs).T
+    return lift, lift.with_pairs(2, ii, jj, lift.level(2).pairs(ii, jj) + 1e-3)
 
 
 def test_field_backed_dir_keeps_chen_defect(tmp_path):
+    # a path with an explicit pair (a stored Chen defect) survives a save
     g = UniformGrid(1.0, 5)
-    lift = brownian_lift(2, g, 3, "ito", BesovParams(0.45, 32.0, INF))
-    dense = lift.level(2).to_dense().copy()
-    dense[3, 11] += 1e-3
-    faulty = RoughPath.from_fields(
-        g, lift.params,
-        [lift.level(1).materialize(), TwoParamField(g, 4, dense=dense)])
+    lift, faulty = _faulty(g)
     save_rough_dir(str(tmp_path / "rp"), faulty)
     meta = json.loads((tmp_path / "rp" / "meta.json").read_text())
-    assert meta["format"] == "pairwise"
+    assert meta["format"] == "signature"
+    assert sorted(os.listdir(tmp_path / "rp")) == [
+        "1.csv", "2.csv", "2.pairs.csv", "meta.json"]
+    assert (tmp_path / "rp" / "2.pairs.csv").read_text().splitlines()[1:] == [
+        "3,11," + ",".join(map(repr, faulty.level(2).at(3, 11).tolist()))]
     back = load_rough_dir(str(tmp_path / "rp"))
     assert chen_residual(back) == chen_residual(faulty)
     assert chen_residual(back) == pytest.approx(1e-3, rel=1e-6)
+    # its signature files are the clean lift's
+    save_rough_dir(str(tmp_path / "clean"), lift)
+    for f in ("meta.json", "1.csv", "2.csv"):
+        assert ((tmp_path / "rp" / f).read_bytes()
+                == (tmp_path / "clean" / f).read_bytes())
+    # a clean save over the directory leaves no stale pairs behind
+    save_rough_dir(str(tmp_path / "rp"), lift)
+    assert not (tmp_path / "rp" / "2.pairs.csv").exists()
+    assert chen_residual(load_rough_dir(str(tmp_path / "rp"))) < 1e-12
+    # extension needs a multiplicative functional: exit 2
+    save_rough_dir(str(tmp_path / "rp"), faulty)
+    assert main(["extend", "--input", str(tmp_path / "rp"), "--N", "3",
+                 "--out", str(tmp_path / "rp3")]) == 2
+
+
+def test_pairwise_dir_defects_become_explicit_pairs(tmp_path, capsys):
+    g = UniformGrid(1.0, 5)
+    lift, faulty = _faulty(g, [(3, 11), (4, 5)])
+    _write_pairwise_dir(tmp_path / "old", lift, lambda ii, jj: (
+        (ii == 3) & (jj == 11)) | ((ii == 4) & (jj == 5)))
+    back = load_rough_dir(str(tmp_path / "old"))
+    keys, values = back._pairs[2]
+    assert keys.tolist() == [3 * g.n + 11, 4 * g.n + 5]
+    assert values.tobytes() == faulty._pairs[2][1].tobytes()
+    assert chen_residual(back) == chen_residual(faulty)
+    # more than grid.n pairs off Chen's relation: not held, exit 1
+    _write_pairwise_dir(tmp_path / "dense", lift,
+                        lambda ii, jj: (ii > 0) & (jj - ii <= 2))
+    capsys.readouterr()
+    assert main(["rde", "--driver", str(tmp_path / "dense"), "--field",
+                 "builtin:rotation", "--y0", "1.0,0.5",
+                 "--out", str(tmp_path / "sol.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "at most grid.n" in json.loads(err[0])["message"]
+    assert not (tmp_path / "sol.csv").exists()
 
 
 def _edit_meta(**changes):
@@ -731,6 +774,25 @@ def test_mc_malformed_config_exit_1(tmp_path, capsys, text):
     assert code == 1
     assert _single_json_error(capsys)["error"] == "io"
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("p, code", [(255, 1), (40, 0)])
+def test_mc_overflowing_moments_exit_1(tmp_path, capsys, p, code):
+    # p = 255 passes the window-scale rule, but the statistic's variance
+    # and the oracle's stderr overflow float64; p = 40 writes finite rows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bm-ynp", "samples": 2,
+                               "level": 8, "ns": [4, 8], "p": p}))
+    out = tmp_path / "o.csv"
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        assert "not finite" in _single_json_error(capsys)["message"]
+        assert not out.exists()
+        return
+    with open(out) as fh:
+        cells = [v for r in csv.DictReader(fh) for v in (r["estimate"],
+                                                         r["stderr"]) if v]
+    assert len(cells) == 11 and all(math.isfinite(float(v)) for v in cells)
 
 
 def test_mc_accepts_the_maximum_level(tmp_path):

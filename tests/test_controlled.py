@@ -19,6 +19,7 @@ from besov_rough.young import (
 )
 from besov_rough.controlled import (
     ControlledPath,
+    _chain,
     _expansion_lead,
     compose_controlled,
     controlled_distance,
@@ -434,3 +435,25 @@ def test_stability_linear_flow_oracle():
                                   X, X, 1.0, 1.0 + eps)
         ratios.append(rep["ratio"])
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-2)  # linear in dy
+
+
+def test_endpoint_remainder_norm_is_one_gauge():
+    # at alpha = 1/3 the rough integral's report and the Davie residual
+    # measure one level-2 remainder field with one norm.  A field with
+    # constant f = c and Df = d gives the Davie residual dY - c dX - b XX,
+    # b = Df f; for Y the integral of (c, b) it is the integral's remainder
+    params = BesovParams(1.0 / 3.0, 12.0, 3.0)
+    X = brownian_lift(2, UniformGrid(1.0, 8), rng_for(4, "gauge"), "ito",
+                      params=params)
+    n = X.grid.n
+    c = np.broadcast_to([[0.7, -1.3]], (n, 1, 2)).copy()
+    d = np.broadcast_to([[[0.4], [-0.9]]], (n, 1, 2, 1)).copy()
+    const = VectorField(
+        fun=lambda Y: c[: len(Y)], dfun=lambda Y: d[: len(Y)],
+        d2fun=lambda Y: np.zeros((len(Y), 1, 2, 1, 1)),
+        order=3, delta=1.0, name="constant")
+    b = _chain(d, c)
+    z, rep = rough_integral(ControlledPath(X, c, b), report=True)
+    dav = davie_residual(ControlledPath(X, z.Y, z.Yp), const)
+    assert rep["endpoint"] and dav["endpoint"]
+    assert dav["norm"] == rep["remainder_norm"] > 1e-3

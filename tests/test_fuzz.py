@@ -1,7 +1,8 @@
 """Fuzz the CLI input boundary.
 
-Path CSVs, germ CSVs, rough-path directories (signature and pairwise
-layouts) and Monte Carlo configs start from a valid input and get one edit
+Path CSVs, germ CSVs, rough-path directories (the signature layout, its
+explicit-pair files and the legacy pairwise layout) and Monte Carlo configs
+start from a valid input and get one edit
 that makes them malformed; the CLI must then exit with code 1 or 2 and print
 exactly one JSON line on stderr, never a traceback.  A second test writes
 arbitrary bytes where a loader reads, for which only the absence of a
@@ -14,22 +15,23 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besov_rough.cli import main, save_rough_dir
 from besov_rough.grid import UniformGrid
 from besov_rough.norms import INF, BesovParams
-from besov_rough.rough import RoughPath, brownian_lift
+from besov_rough.rough import brownian_lift
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
                 database=None)
 
 GRID = UniformGrid(1.0, 3)
 LIFT = brownian_lift(2, GRID, 5, "ito", BesovParams(0.45, 32.0, INF))
-# explicit-field copy of LIFT: saved in the pairwise layout
-FIELDS = RoughPath.from_fields(GRID, LIFT.params,
-                               [LIFT.level(k).materialize() for k in (1, 2)])
+# LIFT with three explicit level-2 pairs: saved with a 2.pairs.csv
+PAIRS = [(1, 5), (2, 6), (3, 8)]
+FIELDS = LIFT.with_pairs(2, *zip(*PAIRS), np.arange(12.0).reshape(3, 4))
 
 BAD_TOKENS = ["nan", "inf", "-inf", "1e999", "abc", "", "1.0.0"]
 BAD_JSON = [float("nan"), float("inf"), -1, "1", True, [1], {}]
@@ -85,6 +87,7 @@ def _write_rows(fname, rows):
 # each edit below makes the file malformed on its own
 PATH_EDITS = ["token", "ragged", "drop_row", "header", "time"]
 GERM_EDITS = ["token", "ragged", "header", "swap", "far_index"]
+PAIR_EDITS = GERM_EDITS + ["zero_i", "diagonal", "width", "duplicate", "many"]
 
 
 @st.composite
@@ -112,6 +115,20 @@ def _edited(draw, rows, edits):
         rows[r][1] = str(GRID.n + 1)  # largest index no longer a power of two
     elif edit == "first_row":
         rows[1][draw(st.integers(1, len(rows[1]) - 1))] = "0.5"
+    elif edit == "zero_i":
+        rows[r][0] = "0"
+    elif edit == "diagonal":
+        rows[r][1] = rows[r][0]
+    elif edit == "width":  # the same wrong width on every row
+        for row in rows:
+            row.append("1.0")
+    elif edit == "duplicate":
+        rows.append(list(rows[r]))
+    elif edit == "many":  # distinct valid pairs, more than GRID.n of them
+        held = {(int(a), int(b)) for a, b, *_ in rows[1:]}
+        rows += [[str(i), str(j), "0.5", "0.5", "0.5", "0.5"]
+                 for i in range(1, GRID.n) for j in range(i + 1, GRID.n)
+                 if (i, j) not in held][: GRID.n + 1 - len(held)]
     return rows
 
 
@@ -140,19 +157,35 @@ def _rde(d, tmp):
                  "--y0", "1.0,0.5", "--out", os.path.join(tmp, "sol.csv")])
 
 
-@given(layout=st.sampled_from(["signature", "pairwise", "legacy"]),
+def _save_pairwise(d, X):
+    """The legacy pairwise layout, read but no longer written: k.csv holds
+    rows i,j,c0,... for every pair i < j, and meta.json has no "format"."""
+    save_rough_dir(d, X)
+    ii, jj = np.triu_indices(GRID.n, k=1)
+    for k in range(1, X.depth + 1):
+        header = ["i", "j"] + [f"c{c}" for c in range(X.n**k)]
+        _write_rows(os.path.join(d, f"{k}.csv"), [header] + [
+            [str(i), str(j), *map(repr, row)]
+            for i, j, row in zip(ii, jj, X.level(k).pairs(ii, jj).tolist())])
+
+
+@given(layout=st.sampled_from(["signature", "pairs", "legacy"]),
        data=st.data())
 @FUZZ
 def test_fuzz_rough_dir(layout, data):
     with tempfile.TemporaryDirectory() as tmp:
         d = os.path.join(tmp, "rp")
-        save_rough_dir(d, LIFT if layout == "signature" else FIELDS)
+        if layout == "legacy":
+            _save_pairwise(d, LIFT)
+        else:
+            save_rough_dir(d, LIFT if layout == "signature" else FIELDS)
         meta_file = os.path.join(d, "meta.json")
         with open(meta_file) as fh:
             meta = json.load(fh)
         if layout == "legacy":
             del meta["format"]
-        target = data.draw(st.sampled_from(["meta", "1.csv", "2.csv"]))
+        files = ["meta", "1.csv", "2.csv"] + ["2.pairs.csv"] * (layout == "pairs")
+        target = data.draw(st.sampled_from(files))
         if target == "meta":
             key = data.draw(st.sampled_from(META_KEYS))
             # without "format" a pairwise directory is still valid
@@ -162,12 +195,27 @@ def test_fuzz_rough_dir(layout, data):
                 meta[key] = data.draw(st.sampled_from(BAD_JSON))
         else:
             fname = os.path.join(d, target)
-            edits = (PATH_EDITS + ["first_row"] if layout == "signature"
-                     else GERM_EDITS)
+            edits = (PAIR_EDITS if target == "2.pairs.csv"
+                     else GERM_EDITS if layout == "legacy"
+                     else PATH_EDITS + ["first_row"])
             _write_rows(fname, data.draw(_edited(_read_rows(fname), edits)))
         with open(meta_file, "w") as fh:
             json.dump(meta, fh)
         _assert_rejected(*_rde(d, tmp))
+
+
+@pytest.mark.parametrize("edit", PAIR_EDITS)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+def test_pairs_file_edit_exits_1(edit, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = os.path.join(tmp, "rp")
+        save_rough_dir(d, FIELDS)
+        fname = os.path.join(d, "2.pairs.csv")
+        _write_rows(fname, data.draw(_edited(_read_rows(fname), [edit])))
+        code, lines = _rde(d, tmp)
+        assert code == 1
+        _assert_one_error_line(lines)
 
 
 @given(st.data())

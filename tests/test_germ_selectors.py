@@ -21,7 +21,6 @@ from besov_rough.grid import (
 )
 from besov_rough.norms import INF, BesovParams
 from besov_rough.rough import (
-    RoughPath,
     _inv_levels,
     _mul_levels,
     brownian_lift,
@@ -66,10 +65,11 @@ def _lift(flavor="ito", seed=11):
     return brownian_lift(2, GRID, seed, flavor=flavor, params=PARAMS)
 
 
-def _field_backed():
-    X = _lift()
-    return RoughPath.from_fields(GRID, PARAMS,
-                                 [X.level(1).materialize(), X.level(2)])
+def _field_backed(depth=2):
+    # explicit pairs at the top level of a lift: stored values on three bands
+    X = lyons_extend(_lift(), depth)
+    values = np.random.default_rng(21).standard_normal((3, 2**depth))
+    return X.with_pairs(depth, [1, 4, 7], [2, 20, 32], values)
 
 
 def _controlled():
@@ -124,7 +124,7 @@ KINDS = {
     "ext-2": lambda tmp: lyons_extend(_lift(), 3).level(2),
     "ext-3": lambda tmp: lyons_extend(_lift(), 3).level(3),
     "field-backed-2": lambda tmp: _field_backed().level(2),
-    "field-backed-ext-3": lambda tmp: lyons_extend(_field_backed(), 3).level(3),
+    "field-backed-ext-3": lambda tmp: _field_backed(3).level(3),
     "sig-restrict-2": lambda tmp: _lift().restrict(8, 24).level(2),
     "remainder": lambda tmp: _controlled().remainder,
     "expansion-b-m1": lambda tmp: _expansion(1),

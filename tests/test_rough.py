@@ -5,15 +5,13 @@ import pytest
 
 from besov_rough._rng import rng_for
 from besov_rough.errors import RegimeError
-from besov_rough.grid import GridPath, TwoParamField, UniformGrid
+from besov_rough.grid import GridPath, UniformGrid
 from besov_rough.norms import INF, BesovParams
 from besov_rough.rough import (
-    RoughPath,
     TensorElement,
     _fbm_chol,
     _toeplitz_chol,
     brownian_lift,
-    campanato_scaling,
     canonical_lift,
     chen_residual,
     dilate,
@@ -24,8 +22,6 @@ from besov_rough.rough import (
     homogeneous_norm,
     lyons_extend,
     rough_besov_norm,
-    rough_embedding_report,
-    rough_interpolation_report,
     rough_metric,
     tensor_exp,
     tensor_inv,
@@ -120,13 +116,29 @@ def test_chen_fault_detected_exactly():
     g = UniformGrid(1.0, 5)
     t = g.times()
     lift = canonical_lift(GridPath(g, np.column_stack([np.sin(t), t])), 2)
-    dense = lift.level(2).materialize().to_dense().copy()
-    dense[3, 17, 2] += 1e-3
-    corrupted = RoughPath.from_fields(
-        g, lift.params,
-        [lift.level(1).materialize(), TwoParamField(g, 4, dense=dense)],
-    )
+    value = lift.level(2).at(3, 17)
+    value[2] += 1e-3
+    corrupted = lift.with_pairs(2, [3], [17], value)
     assert chen_residual(corrupted) == pytest.approx(1e-3, rel=1e-6)
+    # an explicit pair comes back bit for bit, at its pair only
+    ii, jj = np.triu_indices(g.n, k=1)
+    got, want = corrupted.level(2).pairs(ii, jj), lift.level(2).pairs(ii, jj)
+    hit = (ii == 3) & (jj == 17)
+    assert got[hit].tobytes() == value.tobytes()
+    assert got[~hit].tobytes() == want[~hit].tobytes()
+    assert corrupted.level(2).band(14)[3].tobytes() == value.tobytes()
+    assert corrupted.pairs_levels([3], [17])[2][0].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("k, ii, jj, nvals", [
+    (2, [0], [5], 1), (2, [4], [4], 1), (2, [5], [4], 1), (2, [1], [33], 1),
+    (3, [1], [5], 1), (2, [1, 1], [5, 5], 2),
+    (2, [*range(1, 32), 1, 2, 3], [32] * 31 + [31] * 3, 34)])  # > grid.n
+def test_explicit_pairs_rejected(k, ii, jj, nvals):
+    lift = canonical_lift(GridPath(UniformGrid(1.0, 5),
+                                   np.zeros((33, 2))), 2)
+    with pytest.raises(ValueError):
+        lift.with_pairs(k, ii, jj, np.zeros((nvals, 4)))
 
 
 def test_brownian_lift_flavors():
@@ -239,25 +251,31 @@ def test_extension_field_backed_input():
     params = BesovParams(0.6, 32.0, INF)
     lift = canonical_lift(GridPath(g, np.column_stack([np.sin(t), t])), 2,
                           params)
-    fields = [lift.level(1).materialize(), lift.level(2).materialize()]
-    fb = RoughPath.from_fields(g, params, fields)
-    ext = lyons_extend(fb, 3)
-    ref = lyons_extend(lift, 3)
-    ii, jj = np.triu_indices(g.n, k=1)
-    assert np.abs(ext.level(3).pairs(ii, jj)
-                  - ref.level(3).pairs(ii, jj)).max() < 1e-12
+    # a path with explicit pairs is not extended, even when the pair equals
+    # its Chen value; the extension needs a multiplicative functional
+    faulty = lift.with_pairs(2, [3], [9], lift.level(2).at(3, 9))
+    for op in (lambda X: lyons_extend(X, 3), lambda X: dilate(X, 2.0)):
+        with pytest.raises(RegimeError, match="explicit pairs"):
+            op(faulty)
+    assert lyons_extend(lift, 3).depth == 3
 
 
 def test_field_backed_restriction_base_starts_at_zero():
     g = UniformGrid(1.0, 5)
     t = g.times()
     lift = canonical_lift(GridPath(g, np.column_stack([np.sin(t), t])), 2)
-    fb = RoughPath.from_fields(g, lift.params,
-                               [lift.level(k).materialize() for k in (1, 2)])
-    sub, ref = fb.restrict(8, 16), lift.restrict(8, 16)
+    faulty = lift.with_pairs(2, [3], [9], lift.level(2).at(3, 9) + 1e-3)
+    # the base path is level 1 of the signature, with or without pairs
+    assert faulty.base_path().values.tobytes() == (
+        lift.base_path().values.tobytes())
+    assert np.all(faulty.base_path().values[0] == 0.0)
+    with pytest.raises(RegimeError, match="explicit pairs"):
+        faulty.restrict(8, 16)
+    sub = lift.restrict(8, 16)
     assert np.all(sub.base_path().values[0] == 0.0)
-    assert np.abs(sub.base_path().values
-                  - ref.base_path().values).max() < 1e-14
+    assert np.abs(sub.base_path().values - (lift.base_path().values[8:17]
+                                            - lift.base_path().values[8])
+                  ).max() < 1e-14
 
 
 # -- stochastic constructors --------------------------------------------------------
@@ -325,36 +343,3 @@ def test_toeplitz_chol_rejects_non_positive_definite(gamma):
 def test_fbm_rejects_bad_hurst():
     with pytest.raises(RegimeError):
         fbm_path(1.2, UniformGrid(1.0, 4), 0)
-
-
-# -- reports ----------------------------------------------------------------------
-
-def test_embedding_report_stable_for_bm():
-    ratios = {}
-    for level in (8, 10):
-        g = UniformGrid(1.0, level)
-        lift = brownian_lift(2, g, rng_for(17, "emb"), "ito")
-        rep = rough_embedding_report(lift)
-        ratios[level] = [row["ratio"] for row in rep["levels"]]
-    for a, b in zip(ratios[8], ratios[10]):
-        assert 0 < b < math.inf
-        assert abs(b / a - 1.0) < 0.6  # fitted constant, stable across levels
-
-
-def test_interpolation_report_bm():
-    g = UniformGrid(1.0, 8)
-    lift = brownian_lift(2, g, rng_for(18, "int"), "ito")
-    rep = rough_interpolation_report(lift, 1, 2)
-    assert 0 < rep["ratio"] < 2.0  # lhs bounded by the normed rhs up to C
-
-
-def test_campanato_scaling_slopes():
-    g = UniformGrid(1.0, 8)
-    t = g.times()
-    lift = canonical_lift(
-        GridPath(g, np.column_stack([np.sin(t), np.cos(2 * t)])), 2,
-        BesovParams(0.6, 32.0, INF),
-    )
-    for k in (1, 2):
-        rep = campanato_scaling(lift, k)
-        assert rep["slope"] >= rep["expected"] - 0.2
