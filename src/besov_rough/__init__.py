@@ -7,7 +7,6 @@ from .grid import (
     TwoParamField,
     UniformGrid,
     delta,
-    delta2,
     load_path_csv,
     save_path_csv,
 )
@@ -16,11 +15,6 @@ from .norms import (
     EndpointModulus,
     besov_metric,
     besov_seminorm,
-    campanato_ratio,
-    check_embedding,
-    holder_seminorm,
-    interpolation_check,
-    lp_modulus,
     oscillation_variation,
     pvariation,
     two_param_norm,

@@ -454,6 +454,7 @@ def _cmd_young_ode(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in _save_finite
 def _cmd_lift(args) -> int:
     params = BesovParams(args.alpha, args.p, args.q)
     grid = UniformGrid(args.horizon, args.level)
@@ -483,17 +484,28 @@ def _cmd_lift(args) -> int:
         raise GridFormatError(f"unknown lift kind {args.kind!r}")
     if args.kind == "bm" and args.N != 2:
         X = lyons_extend(X, args.N)
-    save_rough_dir(args.out, X)
-    print(f"chen_residual {chen_residual(X):.3e}")
+    print(f"chen_residual {_save_finite(args.out, X):.3e}")
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in _save_finite
 def _cmd_extend(args) -> int:
     X = load_rough_dir(args.input)
     Y = lyons_extend(X, args.N)
-    save_rough_dir(args.out, Y)
-    print(f"extended to level {Y.depth}; chen_residual {chen_residual(Y):.3e}")
+    print(f"extended to level {Y.depth}; chen_residual"
+          f" {_save_finite(args.out, Y):.3e}")
     return 0
+
+
+def _save_finite(path: str, X: RoughPath) -> float:
+    """Chen residual of X, computed before X is written: a non-finite one
+    means X overflowed float64, and nothing is written (exit 1, as `mc`)."""
+    residual = chen_residual(X)
+    if not math.isfinite(residual):
+        raise GridFormatError(
+            f"chen_residual is {residual}: the rough path overflows float64")
+    save_rough_dir(path, X)
+    return residual
 
 
 def _cmd_integrate(args) -> int:

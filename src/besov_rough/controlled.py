@@ -21,7 +21,6 @@ from .norms import (
     EndpointModulus,
     besov_metric,
     besov_seminorm,
-    holder_seminorm,
     two_param_metric,
     two_param_norm,
     _dyadic_band_norms,
@@ -42,7 +41,6 @@ __all__ = [
     "ControlledPath",
     "controlled_norm",
     "controlled_distance",
-    "remainder_bounds_check",
     "rough_integral",
     "compose_controlled",
     "rde_solve",
@@ -138,37 +136,6 @@ def controlled_distance(cp1: ControlledPath, cp2: ControlledPath) -> float:
     d1 = besov_metric(cp1.yp_path(), cp2.yp_path(), alpha, p, q)
     d2 = two_param_metric(cp1.remainder, cp2.remainder, 2 * alpha, p / 2, q / 2)
     return d1 + d2
-
-
-def remainder_bounds_check(cp: ControlledPath, beta: float | None = None) -> dict:
-    """Both sides of the Hoelder remainder bound and the path-norm control.
-
-    beta must lie in (alpha + 1/p, 2*alpha]; ratios are reported for fitting.
-    """
-    alpha, p, q = cp.X.params.as_tuple
-    inv_p = 1.0 / p
-    if beta is None:
-        beta = 2 * alpha
-    if not alpha + inv_p < beta <= 2 * alpha + 1e-12:
-        raise RegimeError(f"beta must be in (alpha+1/p, 2 alpha], got {beta}")
-    x_norm = besov_seminorm(cp.X.base_path(), alpha, p, q, form="integral")
-    yp_norm = besov_seminorm(cp.yp_path(), alpha, p, q, form="integral")
-    r_beta = two_param_norm(cp.remainder, beta, p / 2, q / 2)
-    holder_lhs = holder_seminorm(cp.remainder, beta - 2 * inv_p)
-    holder_rhs = r_beta + yp_norm * x_norm
-    y_norm = besov_seminorm(cp.y_path(), alpha, p, q, form="integral")
-    horizon = cp.X.grid.horizon
-    t_pow = max(horizon ** (beta - alpha - inv_p), horizon ** (alpha - inv_p))
-    y_rhs = float(np.linalg.norm(cp.Yp[0])) * x_norm + t_pow * (
-        yp_norm * x_norm + r_beta
-    )
-    return {
-        "beta": beta,
-        "holder": {"lhs": holder_lhs, "rhs": holder_rhs,
-                   "ratio": 0.0 if holder_rhs == 0 else holder_lhs / holder_rhs},
-        "path_norm": {"lhs": y_norm, "rhs": y_rhs,
-                      "ratio": 0.0 if y_rhs == 0 else y_norm / y_rhs},
-    }
 
 
 # ---------------------------------------------------------------------------

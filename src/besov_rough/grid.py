@@ -20,7 +20,6 @@ __all__ = [
     "GridPath",
     "TwoParamField",
     "delta",
-    "delta2",
     "load_path_csv",
     "save_path_csv",
     "load_germ_csv",
@@ -235,15 +234,6 @@ class TwoParamField:
             dense[ii, jj] = self.pairs(ii, jj)
         return dense
 
-    def restrict(self, i0: int, i1: int) -> "TwoParamField":
-        span = i1 - i0
-        if span <= 0 or span & (span - 1):
-            raise ValueError(f"restriction span {span} is not a power of two")
-        sub = UniformGrid(span * self.grid.mesh, span.bit_length() - 1)
-        germ = self._germ
-        return TwoParamField(sub, self.dim, germ=lambda ii, jj: germ(
-            _shift(ii, i0), _shift(jj, i0)))
-
     # -- linear structure ----------------------------------------------------
     def _combine(self, other, f):
         if isinstance(other, TwoParamField):
@@ -291,13 +281,6 @@ def _indices(sel) -> np.ndarray:
     return np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
 
 
-def _shift(sel, i0: int):
-    """A germ selector moved by i0 nodes; a slice stays a slice."""
-    if isinstance(sel, slice):
-        return slice(sel.start + i0, sel.stop + i0)
-    return sel + i0
-
-
 def delta(path: GridPath) -> TwoParamField:
     """Increment field of a path: result[i][j] = f_j - f_i."""
     values = path.values
@@ -306,18 +289,13 @@ def delta(path: GridPath) -> TwoParamField:
     )
 
 
-def delta2(field: TwoParamField, i: int, u: int, j: int) -> np.ndarray:
-    """Second difference A[i][j] - A[i][u] - A[u][j]; zero iff A is additive."""
-    return field.delta2(i, u, j)
-
-
 # -- CSV interchange ---------------------------------------------------------
 
 def load_path_csv(path) -> GridPath:
     """Read a path from CSV with header ``t,v0,...,v{m-1}``.
 
     Times must be strictly increasing and dyadic to within 1e-12*T; every
-    value must be finite.
+    value, and every increment of a value column, must be finite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -341,10 +319,16 @@ def load_path_csv(path) -> GridPath:
         raise GridFormatError(
             f"{path}: non-finite value in data row {bad[0, 0] + 1}"
         )
+    with np.errstate(over="ignore"):
+        span = np.ptp(data[:, 1:], axis=0)
+    bad = np.flatnonzero(~np.isfinite(span))
+    if len(bad):
+        raise GridFormatError(
+            f"{path}: non-finite increments in column v{bad[0]}")
     times, values = data[:, 0], data[:, 1:]
     n = len(times)
     level = (n - 1).bit_length() - 1
-    if n != (1 << level) + 1:
+    if n < 2 or n != (1 << level) + 1:
         raise GridFormatError(f"{path}: {n} rows; need 2^L + 1 nodes")
     horizon = float(times[-1])
     if horizon <= 0:

@@ -31,26 +31,21 @@ __all__ = [
     "BesovParams",
     "EndpointModulus",
     "lp_norm",
-    "lp_modulus",
     "besov_seminorm",
     "besov_level_table",
     "besov_metric",
     "two_param_norm",
     "two_param_metric",
     "delta2_norm",
-    "holder_seminorm",
     "pvariation",
     "oscillation_variation",
-    "campanato_ratio",
-    "check_embedding",
-    "interpolation_check",
     "band_lp_norms",
 ]
 
 
 @dataclass(frozen=True)
 class BesovParams:
-    """(alpha, p, q) with regime flags for the Young / level-2 / level-N theory."""
+    """(alpha, p, q) with the level-N regime checks; Young is level 1."""
 
     alpha: float
     p: float
@@ -66,10 +61,6 @@ class BesovParams:
     @property
     def as_tuple(self):
         return (self.alpha, self.p, self.q)
-
-    @property
-    def young_ok(self) -> bool:
-        return self.levelN_ok(1)
 
     @property
     def level2_ok(self) -> bool:
@@ -110,13 +101,6 @@ class EndpointModulus:
     def omega(self, h):
         h = np.asarray(h, dtype=float)
         return h**self.exponent * self.ell(h)
-
-    def check_integrable(self, horizon: float = 1.0) -> float:
-        """Numerical value of the dh/h integral of ell_r^{-r} on [2^-40, T]."""
-        if self.r == INF:
-            return INF
-        hs = horizon * 2.0 ** (-np.arange(1, 41, dtype=float))
-        return float(np.sum(self.ell(hs) ** (-self.r)) * math.log(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +254,6 @@ def _dyadic_band_norms(obj, p: float) -> np.ndarray:
 def lp_norm(f: GridPath, p: float) -> float:
     """L^p norm of the path itself (same Riemann-weight convention)."""
     return _band_lp(_mags(f.values), f.grid.mesh, p)
-
-
-def lp_modulus(f: GridPath, p: float, tau: float) -> float:
-    """omega_p(f, tau): sup over grid shifts h = k*mesh <= tau of |delta_h f|_{L^p}."""
-    if not tau > 0:
-        raise RegimeError(f"tau must be positive, got {tau}")
-    k_max = min(int(tau / f.grid.mesh + 1e-9), f.grid.n_cells)
-    if k_max < 1:
-        return 0.0
-    return float(band_lp_norms(f, p, k_max).max())
 
 
 def _q_sum(ratios: np.ndarray, q: float, log_weight: bool):
@@ -456,18 +430,6 @@ def delta2_norm(A: TwoParamField, gamma: float, p: float, q: float) -> float:
     return _q_sum(_ratios_from_norms(s, grid, denom), q, log_weight=True)
 
 
-def holder_seminorm(obj, beta: float) -> float:
-    """sup over grid pairs of |increment| / (t-s)^beta.
-
-    Accepts a GridPath (increments of f) or a TwoParamField (entries of A).
-    """
-    grid = obj.grid
-    best = 0.0
-    for k, sup in enumerate(band_lp_norms(obj, INF, grid.n - 1), start=1):
-        best = max(best, sup / (k * grid.mesh) ** beta)
-    return float(best)
-
-
 # ---------------------------------------------------------------------------
 # variation functionals
 
@@ -528,96 +490,3 @@ def oscillation_variation(f: GridPath, p: float) -> float:
         return (mx - mn) / 2.0
 
     return _variation_dp(sizes, len(v), p)[0]
-
-
-# ---------------------------------------------------------------------------
-# Campanato ratio and inequality reports
-
-
-def campanato_ratio(f: GridPath, beta: float) -> float:
-    """Discretized sup over centers and dyadic radii of
-    r^{-beta} (2r)^{-2} * double integral of |f_s - f_t| over the window.
-
-    Windows wider than 256 nodes are subsampled with a stride, so the
-    reported value is a lower bound on the full double-sum version.
-    """
-    grid = f.grid
-    v = f.values
-    n = grid.n
-    best = 0.0
-    center_stride = max(1, (n - 1) // 64)
-    for kr in range(1, grid.level):
-        w = 1 << (grid.level - kr)  # radius in nodes; r = w*mesh
-        r = w * grid.mesh
-        for c in range(w, n - w, center_stride):
-            lo, hi = c - w, c + w
-            stride = max(1, (hi - lo) // 256)
-            sub = v[lo:hi:stride]
-            weight = (stride * grid.mesh) ** 2
-            diff = sub[:, None, :] - sub[None, :, :]
-            dbl = float(_mags(diff).sum()) * weight
-            val = dbl / (2 * r) ** 2 / r**beta
-            best = max(best, val)
-    return best
-
-
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs == 0.0:
-        return 0.0
-    return lhs / rhs
-
-
-def check_embedding(
-    obj, alpha: float, p: float, q: float, target: str = "holder"
-) -> dict:
-    """Compute both sides of a claimed embedding and report the ratio.
-
-    No constant is asserted; callers judge stability across resolutions.
-    For paths: target 'holder' compares the (alpha - 1/p)-Hoelder seminorm to
-    the Besov seminorm; target 'variation' compares the critical-Besov dyadic
-    seminorm at (1/p, p, inf) to the p-variation.  For fields: 'holder'
-    compares the (gamma - 1/p) field Hoelder norm to the two-parameter norm.
-    """
-    if isinstance(obj, TwoParamField):
-        lhs = holder_seminorm(obj, alpha - 1.0 / p)
-        rhs = two_param_norm(obj, alpha, p, q)
-        return {"lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs), "target": "holder"}
-    if target == "holder":
-        if alpha <= 1.0 / p:
-            raise RegimeError("Hoelder embedding needs alpha > 1/p")
-        lhs = holder_seminorm(obj, alpha - 1.0 / p)
-        rhs = besov_seminorm(obj, alpha, p, q, form="integral")
-    elif target == "variation":
-        lhs = besov_seminorm(obj, 1.0 / p, p, INF, form="dyadic")
-        rhs = pvariation(obj, p)
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    return {"lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs), "target": target}
-
-
-def interpolation_check(
-    A: TwoParamField,
-    alpha: float,
-    gamma: float,
-    p: float,
-    r: float,
-    q: float,
-    delta: float,
-) -> dict:
-    """Loss-of-regularity / gain-of-integrability interpolation report:
-
-        |A|_{B^alpha_{r,q}}  vs  T^e * |A|_{C^delta}^{1-p/r} |A|_{B^gamma_{p,q}}^{p/r}
-
-    with e = delta*(1 - p/r) + gamma*p/r - alpha.  Returns both sides and the
-    implied constant (their ratio).
-    """
-    if not (0 < alpha < gamma and 0 < p < r):
-        raise RegimeError("interpolation needs 0 < alpha < gamma and p < r")
-    exponent = delta * (1 - p / r) + gamma * p / r - alpha
-    if exponent <= 0:
-        raise RegimeError("interpolation exponent must be positive")
-    lhs = two_param_norm(A, alpha, r, q)
-    holder = holder_seminorm(A, delta)
-    coarse = two_param_norm(A, gamma, p, q)
-    rhs = A.grid.horizon**exponent * holder ** (1 - p / r) * coarse ** (p / r)
-    return {"lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs), "T_exponent": exponent}

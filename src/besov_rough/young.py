@@ -27,10 +27,8 @@ __all__ = [
     "scalar_linear_field",
     "young_integral",
     "YoungIntegralResult",
-    "besov_composition_check",
     "young_ode_solve",
     "OdeSolution",
-    "ito_lyons_probe_young",
 ]
 
 
@@ -43,9 +41,10 @@ def _harmonic(a: float, b: float) -> float:
 class YoungRegime:
     """Parameter bookkeeping for the product germ f_s * dg.
 
-    gamma = alpha0 + alpha1 and the Hoelder-conjugate p2, q2.  Case 'a' is
-    gamma > max(1, 1/p2); case 'b' the critical gamma = max(1, 1/p2), to
-    within 1e-12, which needs q2 <= min(1, p2).
+    gamma = alpha0 + alpha1 and the Hoelder-conjugate p2, q2.  The sewing
+    input is regular for gamma > max(1, 1/p2) and at the endpoint for the
+    critical gamma = max(1, 1/p2), to within 1e-12, which needs
+    q2 <= min(1, p2).
     """
 
     f_params: BesovParams
@@ -62,10 +61,6 @@ class YoungRegime:
     @property
     def q2(self) -> float:
         return _harmonic(self.f_params.q, self.g_params.q)
-
-    @property
-    def case(self) -> str:
-        return "b" if self.sewing_input(None).endpoint else "a"
 
     def sewing_input(self, germ: TwoParamField) -> SewingInput:
         """The sewing target; `SewingInput` rejects a triple outside both
@@ -219,54 +214,6 @@ def young_integral(
     """
     sewing = sew(regime.sewing_input(product_germ(f, g)), diagnostics=diagnostics)
     return YoungIntegralResult(sewing)
-
-
-def besov_composition_check(
-    F: VectorField,
-    Y: GridPath,
-    params: BesovParams,
-    delta: float | None = None,
-    Y_tilde: GridPath | None = None,
-) -> dict:
-    """Both sides of the composition bound
-    [f(Y)]_{B^{d a}_{p, q/d}} <= [f]_{C^d} T^{(1-d)/p} [Y]_{B^a_pq}^d,
-    plus (when Y_tilde is given and alpha > 1/p) the difference variant.
-    Reports ratios; constants are fitted by the caller, never asserted.
-    """
-    delta = F.delta if delta is None else delta
-    alpha, p, q = params.as_tuple
-    fY = GridPath(Y.grid, F.values_along(Y.values).reshape(Y.grid.n, -1))
-    lhs = besov_seminorm(fY, delta * alpha, p, q / delta if q != INF else INF,
-                         form="integral")
-    cloud = Y.values[:: max(1, Y.grid.n // 512)]
-    fc = F.values_along(cloud).reshape(len(cloud), -1)
-    dmat = np.sqrt(
-        np.sum((cloud[:, None, :] - cloud[None, :, :]) ** 2, axis=-1)
-    )
-    fdiff = np.sqrt(np.sum((fc[:, None, :] - fc[None, :, :]) ** 2, axis=-1))
-    mask = dmat > 1e-12
-    c_delta = float((fdiff[mask] / dmat[mask] ** delta).max()) if mask.any() else 0.0
-    t_pow = Y.grid.horizon ** ((1 - delta) / p) if p != INF else 1.0
-    rhs = c_delta * t_pow * besov_seminorm(Y, alpha, p, q, form="integral") ** delta
-    report = {"lhs": lhs, "rhs": rhs, "ratio": 0.0 if rhs == 0 else lhs / rhs,
-              "c_delta": c_delta}
-    if Y_tilde is not None:
-        if alpha <= 1.0 / p:
-            raise RegimeError("difference composition bound needs alpha > 1/p")
-        fYt = GridPath(
-            Y.grid, F.values_along(Y_tilde.values).reshape(Y.grid.n, -1)
-        )
-        diff_lhs = besov_seminorm(
-            fY - fYt, delta * alpha, p, q / delta if q != INF else INF,
-            form="integral",
-        )
-        drive = (
-            float(np.linalg.norm(Y.values[0] - Y_tilde.values[0]))
-            + besov_seminorm(Y - Y_tilde, alpha, p, q, form="integral")
-        )
-        report["difference_lhs"] = diff_lhs
-        report["difference_ratio"] = 0.0 if drive == 0 else diff_lhs / drive
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -424,29 +371,3 @@ def _probe_cloud(*paths: np.ndarray) -> np.ndarray:
             e[j] = s * radius
             offsets.extend([e, -e])
     return np.vstack([pts + off for off in offsets])
-
-
-def ito_lyons_probe_young(
-    F1: VectorField, F2: VectorField,
-    X1: GridPath, X2: GridPath,
-    y1, y2,
-    params: BesovParams,
-) -> dict:
-    """Local-Lipschitz probe of the solution map: output distance over input
-    distance, with the vector-field distance measured on a sample cloud."""
-    s1 = young_ode_solve(F1, X1, y1, params)
-    s2 = young_ode_solve(F2, X2, y2, params)
-    out = besov_seminorm(s1.path - s2.path, *params.as_tuple, form="integral")
-    y1 = np.atleast_1d(np.asarray(y1, dtype=float))
-    y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-    cloud = _probe_cloud(s1.path.values, s2.path.values)
-    inp = (
-        float(np.linalg.norm(y1 - y2))
-        + besov_seminorm(X1 - X2, *params.as_tuple, form="integral")
-        + field_distance_proxy(F1, F2, cloud)
-    )
-    return {
-        "output_dist": out,
-        "input_dist": inp,
-        "ratio": 0.0 if inp == 0 else out / inp,
-    }

@@ -82,13 +82,15 @@ def test_norm_report_json(sin_csv, tmp_path, capsys):
 
 def test_malformed_csv_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("t,v0\n0.0,1.0\n0.4,2.0\n1.0,3.0\n")
-    code = main(["norm", "--input", str(bad), "--alpha", "0.5", "--p", "2",
-                 "--q", "2"])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "io"
-    assert "dyadic" in err["message"]
+    for text, why in [("t,v0\n0.0,1.0\n0.4,2.0\n1.0,3.0\n", "dyadic"),
+                      ("t,v0\n0,0\n", "need 2^L + 1 nodes")]:
+        bad.write_text(text)
+        code = main(["norm", "--input", str(bad), "--alpha", "0.5", "--p", "2",
+                     "--q", "2"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io"
+        assert why in err["message"]
 
 
 def _single_json_error(capsys) -> dict:
@@ -113,6 +115,20 @@ def test_non_finite_csv_exit_1(tmp_path, capsys, argv, bad):
     err = _single_json_error(capsys)
     assert err["error"] == "io"
     assert "non-finite" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--alpha", "0.5", "--p", "2", "--q", "2", "--form", "integral"],
+    ["var", "--p", "2"],
+])
+def test_overflowing_increments_csv_exit_1(tmp_path, capsys, argv):
+    # finite values whose increment 1e308 - (-1e308) is not
+    path = tmp_path / "path.csv"
+    path.write_text("t,v0\n0.0,0.0\n0.5,1e308\n1.0,-1e308\n")
+    assert main(argv + ["--input", str(path)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io"
+    assert "non-finite increments in column v0" in err["message"]
 
 
 def test_young_ode_non_contraction_exit_3(tmp_path, capsys):
@@ -455,6 +471,7 @@ def test_oversized_csv_cell_exit_1(tmp_path, capsys, target):
     ["--n", "5"], ["--n", "0"], ["--N", "5"], ["--N", "0"], ["--level", "-1"],
     ["--level", "0"], ["--level", "13"], ["--level", "40"],
     ["--horizon", "nan"], ["--horizon", "-1"], ["--flavor", "geometric"],
+    ["--horizon", "1e308"],  # the lift overflows: a nan Chen residual
 ])
 def test_lift_argument_errors_exit_1(tmp_path, capsys, argv):
     code = main(["lift", "--kind", "bm", "--level", "3",
@@ -462,6 +479,19 @@ def test_lift_argument_errors_exit_1(tmp_path, capsys, argv):
     assert code == 1
     assert _single_json_error(capsys)["error"] == "io"
     assert not (tmp_path / "rp").exists()
+
+
+def test_extend_overflow_exit_1(tmp_path, capsys):
+    # the level-2 lift fits in float64, its level-4 extension does not
+    rp, out = tmp_path / "rp", tmp_path / "rp4"
+    assert main(["lift", "--kind", "bm", "--level", "3", "--horizon", "1e250",
+                 "--out", str(rp)]) == 0
+    capsys.readouterr()
+    assert main(["extend", "--input", str(rp), "--N", "4",
+                 "--out", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and "chen_residual is nan" in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, columns", [

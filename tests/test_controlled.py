@@ -27,7 +27,6 @@ from besov_rough.controlled import (
     davie_residual,
     rde_solve,
     rde_stability_probe,
-    remainder_bounds_check,
     rough_integral,
 )
 
@@ -95,22 +94,6 @@ def test_remainder_cache_recomputable():
     for (i, j) in [(0, 17), (5, 100), (30, 31)]:
         direct = y[j] - y[i] - yp[i, :, 0] * (base[j, 0] - base[i, 0])
         assert np.abs(rem.at(i, j) - direct).max() < 1e-14
-
-
-def test_remainder_bounds_report():
-    for seed, kind in ((5, "bm"), (6, "smooth")):
-        if kind == "bm":
-            X = brownian_lift(1, UniformGrid(1.0, 8), seed, "ito",
-                              BesovParams(0.45, 32.0, INF))
-        else:
-            X = _scalar_lift(8, params=BesovParams(0.45, 32.0, INF))
-        cp = ControlledPath(X, X.base_path().values,
-                            np.ones((X.grid.n, 1, 1)))
-        rep = remainder_bounds_check(cp, beta=0.8)
-        assert 0.0 <= rep["holder"]["ratio"] < math.inf
-        assert 0.0 < rep["path_norm"]["ratio"] < math.inf
-    with pytest.raises(RegimeError):
-        remainder_bounds_check(cp, beta=0.3)
 
 
 # -- rough integral ---------------------------------------------------------------

@@ -62,7 +62,8 @@ def _assert_rejected(code, lines):
 def _path_rows():
     t = GRID.times()
     rows = [["t", "v0", "v1"]]
-    rows += [[repr(float(a)), repr(np.sin(a)), repr(np.cos(2 * a))] for a in t]
+    rows += [[repr(float(a)), repr(float(np.sin(a))), repr(float(np.cos(2 * a)))]
+             for a in t]
     return rows
 
 
@@ -85,7 +86,7 @@ def _write_rows(fname, rows):
 
 
 # each edit below makes the file malformed on its own
-PATH_EDITS = ["token", "ragged", "drop_row", "header", "time"]
+PATH_EDITS = ["token", "ragged", "drop_row", "header", "time", "overflow"]
 GERM_EDITS = ["token", "ragged", "header", "swap", "far_index"]
 PAIR_EDITS = GERM_EDITS + ["zero_i", "diagonal", "width", "duplicate", "many"]
 
@@ -109,6 +110,8 @@ def _edited(draw, rows, edits):
         rows[0][0] = "x"
     elif edit == "time":
         rows[r][0] = repr(float(rows[r][0]) + 0.01)
+    elif edit == "overflow":  # finite values, an increment that is not
+        rows[1][1], rows[-1][1] = "-1e308", "1e308"
     elif edit == "swap":
         rows[r][0], rows[r][1] = rows[r][1], rows[r][0]
     elif edit == "far_index":

@@ -135,9 +135,6 @@ KINDS = {
     "square-function": lambda tmp: square_function(_martingale()),
     "paraproduct": lambda tmp: paraproduct(
         delta(_path(9, dim=1)), _martingale()),
-    "restrict": lambda tmp: _lift().level(2).restrict(4, 20),
-    "dense-restrict": lambda tmp: product_germ(
-        _path(1), _path(2)).materialize().restrict(16, 32),
     "add": lambda tmp: _lift().level(1) + delta(_path(1)),
     "sub": lambda tmp: _controlled().remainder - delta(_path(2)),
     "mul": lambda tmp: 2.5 * _lift("stratonovich").level(2),

@@ -11,7 +11,6 @@ from besov_rough.grid import (
     TwoParamField,
     UniformGrid,
     delta,
-    delta2,
     load_path_csv,
     save_path_csv,
     load_germ_csv,
@@ -66,7 +65,7 @@ def test_delta2_of_delta_is_zero(level_extra, seed):
     d = delta(f)
     scale = np.abs(f.values).max()
     for (i, u, j) in [(0, 0, 0), (0, g.n // 2, g.n - 1), (1, 2, 3)]:
-        assert np.abs(delta2(d, i, u, j)).max() <= 4 * np.finfo(float).eps * max(
+        assert np.abs(d.delta2(i, u, j)).max() <= 4 * np.finfo(float).eps * max(
             1.0, scale
         )
 
@@ -82,7 +81,7 @@ def test_delta2_product_germ_identity():
     )
     for (i, u, j) in [(0, 3, 9), (2, 5, 16), (1, 1, 4)]:
         expected = -(fv[u] - fv[i]) * (gv[j] - gv[u])
-        assert delta2(A, i, u, j)[0] == pytest.approx(expected, abs=1e-12)
+        assert A.delta2(i, u, j)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_delta2_index_order_rejected():
@@ -105,16 +104,6 @@ def test_lazy_eager_agree():
     ii = np.array([0, 3, 5])
     jj = np.array([4, 3, 30])
     assert np.array_equal(lazy.pairs(ii, jj), eager.pairs(ii, jj))
-
-
-def test_field_restrict_matches():
-    rng = np.random.default_rng(2)
-    g = UniformGrid(1.0, 5)
-    f = GridPath(g, rng.standard_normal(g.n))
-    A = delta(f)
-    sub = A.restrict(8, 24)
-    assert sub.grid.level == 4
-    assert sub.at(0, 16)[0] == pytest.approx(A.at(8, 24)[0])
 
 
 def test_path_csv_roundtrip(tmp_path):

@@ -15,12 +15,7 @@ from besov_rough.norms import (
     band_lp_norms,
     besov_metric,
     besov_seminorm,
-    campanato_ratio,
-    check_embedding,
     delta2_norm,
-    holder_seminorm,
-    interpolation_check,
-    lp_modulus,
     lp_norm,
     oscillation_variation,
     pvariation,
@@ -48,10 +43,10 @@ def _const(grid=GRID, value=1.3):
 # -- parameters ---------------------------------------------------------------
 
 def test_besov_params_regimes():
-    assert BesovParams(0.6, 4.0, INF).young_ok
-    assert BesovParams(0.5, 4.0, 2.0).young_ok
-    assert not BesovParams(0.5, 4.0, 3.0).young_ok  # q <= 2 at alpha = 1/2
-    assert not BesovParams(0.6, 1.5, INF).young_ok  # p <= 1/alpha
+    assert BesovParams(0.6, 4.0, INF).levelN_ok(1)
+    assert BesovParams(0.5, 4.0, 2.0).levelN_ok(1)
+    assert not BesovParams(0.5, 4.0, 3.0).levelN_ok(1)  # q <= 2 at alpha = 1/2
+    assert not BesovParams(0.6, 1.5, INF).levelN_ok(1)  # p <= 1/alpha
     assert BesovParams(0.4, 4.0, INF).level2_ok
     assert BesovParams(1.0 / 3.0, 4.0, 3.0).level2_ok
     assert not BesovParams(1.0 / 3.0, 4.0, 4.0).level2_ok
@@ -72,9 +67,6 @@ def test_regime_ladder_endpoint_tolerance(n_level):
     # clear of the tolerance: every q
     above = BesovParams(lo + 1e-11, 8.0, INF)
     assert not above.endpoint(n_level) and above.levelN_ok(n_level)
-    if n_level == 1:
-        assert not BesovParams(lo + 1e-13, 8.0, q_end + 1).young_ok
-        assert BesovParams(lo + 1e-11, 8.0, INF).young_ok
 
 
 def test_triviality_rejected():
@@ -89,28 +81,10 @@ def test_endpoint_modulus():
     h = np.array([1e-6, 1e-3, 0.1, 0.5])
     ell = mod.ell(h)
     assert np.all(np.diff(ell) <= 0)  # non-increasing
-    assert mod.check_integrable(1.0) < math.inf
     assert EndpointModulus(r=INF).ell(h) == pytest.approx(1.0)
 
 
 # -- moduli and seminorms -----------------------------------------------------
-
-def test_lp_modulus_examples():
-    assert lp_modulus(_const(), 2.0, 0.5) == 0.0
-    h = heaviside(GRID)
-    assert lp_modulus(h, 2.0, 0.25) == pytest.approx(0.5)
-    lin = GridPath(GRID, GRID.times())
-    assert lp_modulus(lin, INF, 0.25) == pytest.approx(0.25)
-    with pytest.raises(RegimeError):
-        lp_modulus(h, 2.0, 0.0)
-
-
-def test_modulus_nondecreasing_in_tau():
-    f = brownian_path(GRID, rng_for(0, "mod"))
-    taus = GRID.horizon * 2.0 ** (-np.arange(1, GRID.level + 1))
-    vals = [lp_modulus(f, 2.0, t) for t in sorted(taus)]
-    assert np.all(np.diff(vals) >= 0)
-
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_heaviside_critical_norm_exact(p):
@@ -288,9 +262,6 @@ def test_two_param_of_increment_matches_integral_form():
         ref = band_lp_norms(f0, p, GRID.n - 1)
         for obj in forms:
             assert np.array_equal(band_lp_norms(obj, p, GRID.n - 1), ref)
-    for beta in (0.3, 0.7):
-        ref = holder_seminorm(f0, beta)
-        assert all(holder_seminorm(obj, beta) == ref for obj in forms)
     assert np.array_equal(f0.band(0), np.zeros((GRID.n, 2)))
 
 
@@ -316,24 +287,6 @@ def test_delta2_norm_of_product_germ():
     assert 0 < val < math.inf
     # delta2 of an increment field vanishes identically
     assert delta2_norm(delta(f), 1.0, INF, INF) <= 1e-12
-
-
-def test_holder_seminorm_examples():
-    lin = GridPath(GRID, GRID.times())
-    assert holder_seminorm(lin, 1.0) == pytest.approx(1.0)
-    assert holder_seminorm(_const(), 0.5) == 0.0
-
-
-def test_brownian_holder_grows_with_level():
-    meds = []
-    for level in (6, 10):
-        vals = [
-            holder_seminorm(brownian_path(UniformGrid(1.0, level),
-                                          rng_for(7, "bmh", s)), 0.5)
-            for s in range(10)
-        ]
-        meds.append(np.median(vals))
-    assert meds[1] > meds[0]
 
 
 # -- variation ----------------------------------------------------------------
@@ -427,69 +380,6 @@ def test_pvariation_superadditive_over_halves():
         left = pvariation(f.restrict(0, half), p) ** p
         right = pvariation(f.restrict(half, 2 * half), p) ** p
         assert whole >= left + right - 1e-12
-
-
-# -- Campanato and inequality reports ------------------------------------------
-
-def test_campanato_linear_path():
-    g = UniformGrid(1.0, 7)
-    lin = GridPath(g, g.times())
-    got = campanato_ratio(lin, 1.0)
-    # brute-force double Riemann sum at one window as the independent oracle
-    w = 16
-    c = g.n // 2
-    idx = np.arange(c - w, c + w)
-    vals = g.times()[idx]
-    dbl = np.abs(vals[:, None] - vals[None, :]).sum() * g.mesh**2
-    r = w * g.mesh
-    oracle = dbl / (2 * r) ** 2 / r
-    assert got == pytest.approx(2.0 / 3.0, rel=0.05)
-    assert got >= oracle - 1e-12
-    assert campanato_ratio(_const(), 0.5) == 0.0
-
-
-def test_campanato_holder_comparable():
-    ratios = []
-    for seed in range(15):
-        f = smooth_random(UniformGrid(1.0, 7), rng_for(10, "camp", seed))
-        h = holder_seminorm(f, 0.7)
-        if h > 0:
-            ratios.append(campanato_ratio(f, 0.7) / h)
-    assert min(ratios) > 0.2
-    assert max(ratios) <= 1.0 + 1e-9
-
-
-def test_check_embedding_reports():
-    assert check_embedding(_const(), 0.6, 4.0, 2.0)["ratio"] == 0.0
-    h = heaviside(GRID)
-    rep = check_embedding(h, 0.5, 2.0, INF, target="variation")
-    assert rep["lhs"] == pytest.approx(1.0, abs=1e-12)
-    assert rep["rhs"] == pytest.approx(1.0, abs=1e-12)
-    # smooth path: Hoelder-(alpha - 1/p) controlled by the Besov seminorm,
-    # fitted constant stable under refinement
-    ratios = {}
-    for level in (8, 10):
-        f = smooth_random(UniformGrid(1.0, level), rng_for(11, "emb"))
-        ratios[level] = check_embedding(f, 0.6, 4.0, INF, target="holder")["ratio"]
-    assert 0 < ratios[10] < math.inf
-    assert abs(ratios[10] / ratios[8] - 1.0) < 0.25
-
-
-def test_interpolation_check_stable():
-    reports = {}
-    for level in (8, 10, 12):
-        g = UniformGrid(1.0, level)
-        f = pw_linear_random(g, rng_for(12, "interp"), dim=1)
-        A = delta(f)
-        reports[level] = interpolation_check(
-            A, alpha=0.35, gamma=0.45, p=2.0, r=4.0, q=2.0, delta=0.3
-        )
-    vals = [r["ratio"] for r in reports.values()]
-    assert all(0 < v < math.inf for v in vals)
-    assert max(vals) / min(vals) < 1.5
-    with pytest.raises(RegimeError):
-        interpolation_check(A, alpha=0.5, gamma=0.45, p=2.0, r=4.0, q=2.0,
-                            delta=0.3)
 
 
 # -- the stacked band kernel --------------------------------------------------

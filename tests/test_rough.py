@@ -8,6 +8,7 @@ from besov_rough.errors import RegimeError
 from besov_rough.grid import GridPath, UniformGrid
 from besov_rough.norms import INF, BesovParams
 from besov_rough.rough import (
+    RoughPath,
     TensorElement,
     _fbm_chol,
     _toeplitz_chol,
@@ -128,6 +129,14 @@ def test_chen_fault_detected_exactly():
     assert got[~hit].tobytes() == want[~hit].tobytes()
     assert corrupted.level(2).band(14)[3].tobytes() == value.tobytes()
     assert corrupted.pairs_levels([3], [17])[2][0].tobytes() == value.tobytes()
+
+
+def test_chen_residual_keeps_a_nan():
+    # a nan in one level makes the residual nan, not the other levels' max
+    lift = brownian_lift(2, UniformGrid(1.0, 4), 3)
+    sig = [lv.copy() for lv in lift._sig]
+    sig[2][5, 1] = np.nan
+    assert math.isnan(chen_residual(RoughPath(lift.grid, lift.params, sig)))
 
 
 @pytest.mark.parametrize("k, ii, jj, nvals", [

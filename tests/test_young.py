@@ -7,14 +7,12 @@ import pytest
 from besov_rough._rng import rng_for
 from besov_rough.errors import NonContractionError, RegimeError
 from besov_rough.grid import GridPath, UniformGrid
-from besov_rough.norms import INF, BesovParams, besov_seminorm
+from besov_rough.norms import INF, BesovParams
 from besov_rough.sewing import sew
 from besov_rough.signals import heaviside, smooth_random
 from besov_rough.young import (
     VectorField,
     YoungRegime,
-    besov_composition_check,
-    ito_lyons_probe_young,
     linear_field,
     product_germ,
     rotation_field,
@@ -40,23 +38,24 @@ def _path(fn, level=10):
 
 def test_young_regime_cases():
     a = YoungRegime(BesovParams(0.9, INF, INF), BesovParams(0.9, INF, INF))
-    assert a.case == "a" and a.gamma == pytest.approx(1.8)
+    assert not a.sewing_input(None).endpoint and a.gamma == pytest.approx(1.8)
     b = YoungRegime(BesovParams(0.5, 2.0, INF), BesovParams(0.5, INF, 1.0))
-    assert b.case == "b" and b.p2 == 2.0 and b.q2 == 1.0
+    assert b.sewing_input(None).endpoint and b.p2 == 2.0 and b.q2 == 1.0
     with pytest.raises(RegimeError):
-        YoungRegime(BesovParams(0.4, 8.0, 8.0), BesovParams(0.4, 8.0, 8.0)).case
+        YoungRegime(BesovParams(0.4, 8.0, 8.0),
+                    BesovParams(0.4, 8.0, 8.0)).sewing_input(None)
     # gamma within 1e-12 of max(1, 1/p2) = 1 is the critical case
     for offset in (-4e-13, 4e-13):
         near = YoungRegime(BesovParams(0.5 + offset, INF, 2.0),
                            BesovParams(0.5, INF, 2.0))
-        assert near.case == "b"
+        assert near.sewing_input(None).endpoint
         out = young_integral(_path(np.sin, 6), _path(np.cos, 6), near)
         assert out.endpoint and out.sewing.input.gamma == 1.0
         with pytest.raises(RegimeError):  # the critical case needs q2 <= 1
             YoungRegime(BesovParams(0.5 + offset, INF, INF),
-                        BesovParams(0.5, INF, INF)).case
-    assert YoungRegime(BesovParams(0.5 + 2e-12, INF, INF),
-                       BesovParams(0.5, INF, INF)).case == "a"
+                        BesovParams(0.5, INF, INF)).sewing_input(None)
+    assert not YoungRegime(BesovParams(0.5 + 2e-12, INF, INF),
+                           BesovParams(0.5, INF, INF)).sewing_input(None).endpoint
 
 
 def test_vector_field_validation():
@@ -214,41 +213,6 @@ def test_integration_by_parts():
     ).max() * np.abs(np.diff(h.values[:, 0])).sum()
 
 
-# -- composition ------------------------------------------------------------------
-
-def test_composition_identity():
-    g = _grid(8)
-    y = smooth_random(g, rng_for(3, "comp"))
-    ident = linear_field([np.eye(1)])
-    rep = besov_composition_check(ident, y, BesovParams(0.6, 4.0, 2.0), delta=1.0)
-    assert rep["ratio"] == pytest.approx(1.0, rel=0.2)  # up to the T-power factor
-
-
-def test_composition_square():
-    g = _grid(8)
-    y = smooth_random(g, rng_for(4, "comp"))
-    square = VectorField(
-        fun=lambda Y: Y[:, :, None] ** 2,
-        dfun=lambda Y: 2.0 * Y[:, :, None, None],
-        d2fun=lambda Y: np.full((len(Y), 1, 1, 1, 1), 2.0),
-        order=2,
-        delta=1.0,
-        name="square",
-    )
-    rep = besov_composition_check(square, y, BesovParams(0.6, 4.0, 2.0),
-                                  delta=1.0)
-    assert rep["ratio"] <= 1.0 + 1e-9
-
-
-def test_composition_difference_vanishes():
-    g = _grid(8)
-    y = smooth_random(g, rng_for(5, "comp"))
-    ident = linear_field([np.eye(1)])
-    rep = besov_composition_check(ident, y, BesovParams(0.6, 4.0, 2.0),
-                                  delta=1.0, Y_tilde=y)
-    assert rep["difference_lhs"] == 0.0
-
-
 # -- ODE ---------------------------------------------------------------------------
 
 def test_ode_zero_field():
@@ -326,40 +290,3 @@ def test_ode_non_contraction_over_budget():
                        match=r"no contraction on \[512, 528\] after 5 halvings"):
         young_ode_solve(scalar_linear_field(), _late_burst_driver(), 1.0, SMOOTH,
                         max_halvings=5)
-
-
-# -- stability probe -----------------------------------------------------------------
-
-def test_probe_identical_inputs():
-    x = _path(np.sin, 8)
-    rep = ito_lyons_probe_young(
-        scalar_linear_field(), scalar_linear_field(), x, x, 1.0, 1.0, SMOOTH
-    )
-    assert rep["ratio"] == 0.0
-
-
-def test_probe_scale_stability():
-    x = _path(np.sin, 9)
-    ratios = []
-    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        rep = ito_lyons_probe_young(
-            scalar_linear_field(), scalar_linear_field(),
-            x, x, 1.0, 1.0 + eps, SMOOTH,
-        )
-        ratios.append(rep["ratio"])
-    assert max(ratios) / min(ratios) < 5.0
-
-
-def test_probe_linear_case_oracle():
-    # y-only perturbation of dY = Y dX: Y1 - Y2 = dy * e^{X - X_0}, so the
-    # output seminorm per unit dy is the seminorm of e^{X - X_0}
-    x = _path(np.sin, 10)
-    eps = 1e-3
-    rep = ito_lyons_probe_young(
-        scalar_linear_field(), scalar_linear_field(), x, x, 1.0, 1.0 + eps,
-        SMOOTH,
-    )
-    g = x.grid
-    expo = GridPath(g, np.exp(np.sin(g.times())))
-    expected = besov_seminorm(expo, *SMOOTH.as_tuple, form="integral")
-    assert rep["ratio"] == pytest.approx(expected, rel=1e-3)
