@@ -72,9 +72,9 @@ from .acceptance import CRITERIA, run_suite
 
 # The largest grid the CLI builds, set by memory: `lift --level`, the MC
 # `level` and the MC `lengths` (at most 2^MAX_GRID_LEVEL) stop here.  At this
-# level the O(n^2) steps (the one n x n fBm factor of `lift --kind fbm` and
-# `fbm-ynp`, built in O(n^2) time; a `pprod-bdg` paraproduct) and the
-# n = N = 4 signature of `lift --kind bm` each peak below 1 GB.
+# level the one n x n fBm factor of `lift --kind fbm` and `fbm-ynp` (built in
+# O(n^2) time) and the n = N = 4 signature of `lift --kind bm` each peak
+# below 1 GB; a `pprod-bdg` length of 2^12 takes O(n^2) time, O(n) memory.
 MAX_GRID_LEVEL = 12
 
 
@@ -356,7 +356,7 @@ def load_rough_dir(path: str) -> RoughPath:
             sig.append(np.vstack([np.zeros((1, n**k)), values[:head]]))
             pairs[k] = fname, keys[head:], values[head:]
             continue
-        prefix = load_path_csv(fname)
+        prefix = load_path_csv(fname, magnitudes=(k == 1))
         if prefix.grid != grid or prefix.dim != n**k:
             raise GridFormatError(f"{fname}: level shape mismatch")
         if np.any(prefix.values[0] != 0.0):

@@ -291,11 +291,15 @@ def delta(path: GridPath) -> TwoParamField:
 
 # -- CSV interchange ---------------------------------------------------------
 
-def load_path_csv(path) -> GridPath:
+def load_path_csv(path, magnitudes: bool = True) -> GridPath:
     """Read a path from CSV with header ``t,v0,...,v{m-1}``.
 
     Times must be strictly increasing and dyadic to within 1e-12*T; every
-    value, and every increment of a value column, must be finite.
+    value and every increment of a value column must be finite.  With
+    `magnitudes`, a file of two or more value columns also needs a finite
+    sum of squared column spans, which bounds the square of every
+    increment's Euclidean magnitude.  Rough-path levels 2 and up skip that
+    rule: `lift` writes every level whose Chen residual is finite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -321,10 +325,15 @@ def load_path_csv(path) -> GridPath:
         )
     with np.errstate(over="ignore"):
         span = np.ptp(data[:, 1:], axis=0)
+        square_sum = np.sum(span * span)
     bad = np.flatnonzero(~np.isfinite(span))
     if len(bad):
         raise GridFormatError(
             f"{path}: non-finite increments in column v{bad[0]}")
+    if magnitudes and len(span) > 1 and not np.isfinite(square_sum):
+        raise GridFormatError(
+            f"{path}: increment magnitudes overflow: the sum of squared "
+            "column spans is not finite")
     times, values = data[:, 0], data[:, 1:]
     n = len(times)
     level = (n - 1).bit_length() - 1

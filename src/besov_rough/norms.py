@@ -111,10 +111,19 @@ _COLUMN_ROWS = 1024  # from here on a multiply per output column is faster
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Outer products u[:, a] v[:, b] + 0.0 of (B, p) and (B, q) factors in
-    column a*q + b of (B, p*q); one row broadcasts."""
+    column a*q + b of (B, p*q); one row broadcasts.  One multiply per output
+    column from `_COLUMN_ROWS` rows on, and at every size when q = 2 (numpy
+    would run its broadcast loop over pairs), else one broadcast multiply:
+    the same products either way."""
     rows, p, q = max(len(u), len(v)), u.shape[1], v.shape[1]
-    return _lane_sum(u[:, :, None, None], v[:, None, :, None]).reshape(
-        rows, p * q)
+    out = np.empty((rows, p, q))
+    if p * q > 1 and (q == 2 or rows >= _COLUMN_ROWS):
+        for a, b in itertools.product(range(p), range(q)):
+            np.multiply(u[:, a], v[:, b], out=out[:, a, b])
+    else:
+        np.multiply(u[:, :, None], v[:, None, :], out=out)
+    out += 0.0
+    return out.reshape(rows, p * q)
 
 
 def _lane_sum(x, y) -> np.ndarray:

@@ -306,7 +306,10 @@ def fbm_besov_statistic(
 # paraproduct BDG experiment
 
 
-_STACK_BYTES = 64 << 20  # size of one stacked (S, n, n) paraproduct chunk
+# A chunk of S samples holds about ten (S, n) float arrays at its peak (the
+# paths, their increments, the square-function sums, the paraproduct band
+# and the norms' temporaries); `_STACK_BYTES` bounds them together.
+_STACK_BYTES = 64 << 20
 
 
 def _pprod_norms(grid, f, g, specs):
@@ -315,9 +318,8 @@ def _pprod_norms(grid, f, g, specs):
     (p, q, denominator) of `specs`, in that order."""
     n = f.shape[-1]
     dg = np.diff(g, axis=-1)
-    pi = _paraproduct_stack(_increment_stack(f), dg)
     sg = _square_germ(dg)
-    bands = (lambda k: np.diagonal(pi, k, 1, 2)[..., None],
+    bands = (_paraproduct_bands(f, dg),
              lambda k: (f[:, k:] - f[:, : n - k])[..., None],
              lambda k: sg(slice(0, n - k), slice(k, n)),
              lambda k: (g[:, k:] - g[:, : n - k])[..., None])
@@ -325,6 +327,32 @@ def _pprod_norms(grid, f, g, specs):
     # (S, n-k, 1) stack of the S fields' bands
     return [_integral_norm(SimpleNamespace(grid=grid, band=band), p, q, denom)
             for band, (p, q, denom) in zip(bands, specs)]
+
+
+def _paraproduct_bands(f, dg):
+    """band(k) -> Pi[:, s, s+k] of Pi(delta f, g) as an (S, n-k, 1) stack,
+    for sample rows f (S, n) and increments dg (S, n-1); the bands must be
+    read in order k = 1, 2, ..., and each is valid until the next read.
+
+    Band k is band k-1 plus (f_{s+k-1} - f_s) dg_{s+k-1}, added in place
+    into one (S, n-1) buffer: the adds of `_paraproduct_stack`'s cumulative
+    sum, so every entry has its bits up to the sign of a zero."""
+    n = f.shape[-1]
+    pi = np.zeros(dg.shape)
+    read = 0
+
+    def band(k):
+        nonlocal read
+        if k != read + 1:
+            raise ValueError(
+                f"paraproduct bands are read in order: band {read + 1} "
+                f"is next, got {k}")
+        read = k
+        pi_k = pi[:, : n - k]
+        pi_k += (f[:, k - 1 : n - 1] - f[:, : n - k]) * dg[:, k - 1 :]
+        return pi_k[..., None]
+
+    return band
 
 
 def _check_holder_triple(name, triple):
@@ -376,7 +404,7 @@ def pprod_bdg_experiment(
              (p0, q0, g_denom), (p0, q0, g_denom))
     for length in lengths:
         lhs_vals, f_vals, sg_vals, g_vals = table = np.empty((4, samples))
-        chunk = max(1, _STACK_BYTES // (8 * (length + 1) ** 2))
+        chunk = max(1, _STACK_BYTES // (10 * 8 * (length + 1)))
         for s0 in range(0, samples, chunk):
             idx = range(s0, min(samples, s0 + chunk))
             f_marts = [DiscreteMartingale.generate(

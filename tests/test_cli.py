@@ -117,18 +117,42 @@ def test_non_finite_csv_exit_1(tmp_path, capsys, argv, bad):
     assert "non-finite" in err["message"]
 
 
+_OVERFLOWING_PATHS = [
+    # finite values whose increment 1e308 - (-1e308) is not
+    ("t,v0\n0.0,0.0\n0.5,1e308\n1.0,-1e308\n",
+     "non-finite increments in column v0"),
+    # finite increments whose squares, summed for the magnitude, are not
+    ("t,v0,v1\n0,0,0\n0.5,1e200,1e200\n1,-1e200,3\n",
+     "sum of squared column spans is not finite"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "--alpha", "0.5", "--p", "2", "--q", "2", "--form", "integral"],
     ["var", "--p", "2"],
+    ["norm", "--alpha", "0.5", "--p", "2", "--q", "2"],
 ])
 def test_overflowing_increments_csv_exit_1(tmp_path, capsys, argv):
-    # finite values whose increment 1e308 - (-1e308) is not
     path = tmp_path / "path.csv"
-    path.write_text("t,v0\n0.0,0.0\n0.5,1e308\n1.0,-1e308\n")
-    assert main(argv + ["--input", str(path)]) == 1
+    for text, message in _OVERFLOWING_PATHS:
+        path.write_text(text)
+        assert main(argv + ["--input", str(path)]) == 1
+        err = _single_json_error(capsys)
+        assert err["error"] == "io"
+        assert message in err["message"]
+
+
+def test_overflowing_level1_csv_exit_1(tmp_path, capsys):
+    # a driver's level 1 is a path: its squared spans must not overflow
+    rp = tmp_path / "rp"
+    assert main(["lift", "--kind", "bm", "--level", "1", "--out", str(rp)]) == 0
+    capsys.readouterr()
+    (rp / "1.csv").write_text(_OVERFLOWING_PATHS[1][0])
+    assert main(["rde", "--driver", str(rp), "--field", "builtin:rotation",
+                 "--y0", "1.0,0.5", "--out", str(tmp_path / "sol.csv")]) == 1
     err = _single_json_error(capsys)
     assert err["error"] == "io"
-    assert "non-finite increments in column v0" in err["message"]
+    assert _OVERFLOWING_PATHS[1][1] in err["message"]
 
 
 def test_young_ode_non_contraction_exit_3(tmp_path, capsys):

@@ -86,7 +86,8 @@ def _write_rows(fname, rows):
 
 
 # each edit below makes the file malformed on its own
-PATH_EDITS = ["token", "ragged", "drop_row", "header", "time", "overflow"]
+PATH_EDITS = ["token", "ragged", "drop_row", "header", "time", "overflow",
+              "square_overflow"]
 GERM_EDITS = ["token", "ragged", "header", "swap", "far_index"]
 PAIR_EDITS = GERM_EDITS + ["zero_i", "diagonal", "width", "duplicate", "many"]
 
@@ -112,6 +113,9 @@ def _edited(draw, rows, edits):
         rows[r][0] = repr(float(rows[r][0]) + 0.01)
     elif edit == "overflow":  # finite values, an increment that is not
         rows[1][1], rows[-1][1] = "-1e308", "1e308"
+    elif edit == "square_overflow":  # finite increments, their magnitude not
+        # (a rough-path level file rejects it as a nonzero first row)
+        rows[1][1:3], rows[-1][1:3] = ["1e200", "1e200"], ["-1e200", "3"]
     elif edit == "swap":
         rows[r][0], rows[r][1] = rows[r][1], rows[r][0]
     elif edit == "far_index":

@@ -9,7 +9,8 @@ lane 0 + lane 1, then + 0.0 (magnitudes without the + 0.0).  The reference
 below writes that order out term by term over whole arrays; each kernel and
 call site is compared with it at batch sizes on both sides of
 `_COLUMN_ROWS`, in contiguous, strided and one-row-broadcast layouts, with
-signed zeros.  A row gives the same bits however it is batched.
+signed zeros (`_outer` with a 2-wide second factor takes the per-column
+form at every size).  A row gives the same bits however it is batched.
 
 The test names keep the word "einsum": numpy's einsum adds in this lane
 order on unit-stride operands, and these kernels first replaced it.

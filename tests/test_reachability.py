@@ -48,7 +48,7 @@ KEPT = {
     "signals.loglog_signal": "input of the critical-case norm tests",
     "stochlab.DiscreteMartingale.as_path": "public view of a martingale",
     "stochlab.DiscreteMartingale.increments": "public view of a martingale",
-    "stochlab.paraproduct": "oracle of the stacked paraproduct bands",
+    "stochlab.paraproduct": "oracle of the streamed paraproduct bands",
     "stochlab.square_function": "oracle of the stacked square functions",
     "young.VectorField.validate": "documented check of a user vector field",
 }

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,55 @@ def test_stacked_pprod_norms_equal_unstacked(kind, coupled):
                 for f, g in zip(f_marts, g_marts)]
         assert np.shape(got) == (4, S)
         assert np.asarray(got).T.tolist() == want
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("kind", ["gaussian", "random-sign", "stopped-random-walk"])
+def test_streamed_paraproduct_bands_equal_dense(kind, coupled):
+    # |band k| of the streamed paraproduct is |diagonal k| of the dense
+    # oracle, bit for bit, for every k (the experiment reads up to n/2)
+    for i, (S, length) in enumerate([(1, 1), (3, 2), (2, 16), (3, 64)]):
+        f_marts = [_mart(kind, length, seed=30 + i, index=s) for s in range(S)]
+        g_marts = f_marts if coupled else [
+            _mart(kind, length, seed=40 + i, index=s) for s in range(S)]
+        f = np.stack([m.values for m in f_marts])
+        band = stochlab._paraproduct_bands(
+            f, np.diff(np.stack([m.values for m in g_marts]), axis=-1))
+        dense = [paraproduct(fm.as_path(), gm).to_dense()[..., 0]
+                 for fm, gm in zip(f_marts, g_marts)]
+        for k in range(1, length + 1):
+            got = np.abs(band(k))
+            assert got.shape == (S, length + 1 - k, 1)
+            for s in range(S):
+                want = np.abs(np.diagonal(dense[s], k))
+                assert got[s, :, 0].tobytes() == want.tobytes()
+
+
+def test_streamed_paraproduct_bands_read_in_order():
+    f = np.stack([_mart(seed=50, length=16).values])
+    dg = np.diff(f, axis=-1)
+    with pytest.raises(ValueError):
+        stochlab._paraproduct_bands(f, dg)(2)
+    band = stochlab._paraproduct_bands(f, dg)
+    band(1)
+    band(2)
+    for k in (2, 1, 4):
+        with pytest.raises(ValueError):
+            band(k)
+    band(3)
+
+
+def test_pprod_experiment_holds_no_n_by_n_stack():
+    # at length 1024 an (n, n) paraproduct alone is 8.4 MB
+    tracemalloc.start()
+    try:
+        pprod_bdg_experiment(0.45, 0.6, (8.0, 8.0, 4.0), (8.0, 8.0, 4.0),
+                             (8.0, 8.0, 4.0), lengths=[1024], samples=4,
+                             seed=51)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_paraproduct_matches_running_sum():
