@@ -536,19 +536,31 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in `finite`
 def _cmd_rde(args) -> int:
     X = load_rough_dir(args.driver)
     fieldspec = _field_from_spec(args.field, len(args.y0), X.n)
-    sol = rde_solve(fieldspec, X, args.y0)
+    try:
+        sol = rde_solve(fieldspec, X, args.y0)
+        dav = davie_residual(sol.controlled, fieldspec)
+        report = {
+            "iterations": sol.iterations,
+            "subinterval_boundaries": [list(map(int, s))
+                                       for s in sol.subintervals],
+            "controlled_norm": controlled_norm(sol.controlled),
+            "davie_slope": None if dav["slope"] == INF else dav["slope"],
+            "davie_norm": dav["norm"],
+        }
+        numbers = [report[k] for k in ("controlled_norm", "davie_slope",
+                                       "davie_norm") if report[k] is not None]
+        finite = np.isfinite(sol.path.values).all() and np.isfinite(numbers).all()
+    except OverflowError:  # a float power such as tau**gamma
+        finite = False
+    if not finite:
+        raise GridFormatError(
+            f"{args.driver}: the solution or its report is not finite; the"
+            " driver's magnitudes overflow float64")
     save_path_csv(args.out, sol.path)
-    dav = davie_residual(sol.controlled, fieldspec)
-    report = {
-        "iterations": sol.iterations,
-        "subinterval_boundaries": [list(map(int, s)) for s in sol.subintervals],
-        "controlled_norm": controlled_norm(sol.controlled),
-        "davie_slope": None if dav["slope"] == INF else dav["slope"],
-        "davie_norm": dav["norm"],
-    }
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -38,36 +38,21 @@ __all__ = [
 ]
 
 
-class _BandCache:
-    """Strided-suffix-sum cache for a germ field.
+def _suffix(field: TwoParamField, w: int) -> np.ndarray:
+    """Strided suffix sums of a germ field's band w.
 
-    suffix(w)[i] = sum of band_w entries at i, i+w, i+2w, ...; compensated
-    Riemann sums over cells of width w are then O(1) per pair:
-    I_{P}A_{i,i+h} = suffix(w)[i] - suffix(w)[i+h].
+    out[i] = sum of band_w entries at i, i+w, i+2w, ...; the compensated
+    Riemann sum over cells of width w is then O(1) per pair:
+    I_{P}A_{i,i+h} = out[i] - out[i+h].
     """
-
-    def __init__(self, field: TwoParamField):
-        self.field = field
-        self.n = field.grid.n
-        self._suffix: dict[int, np.ndarray] = {}
-
-    def suffix(self, w: int) -> np.ndarray:
-        out = self._suffix.get(w)
-        if out is None:
-            band = self.field.band(w)  # length n - w
-            m = band.shape[1]
-            rows = -(-self.n // w)  # ceil: cover indices 0..n-1 plus padding
-            padded = np.zeros((rows * w + w, m))
-            padded[: self.n - w] = band
-            arr = padded.reshape(rows + 1, w, m)
-            out = np.flip(np.cumsum(np.flip(arr, 0), 0), 0).reshape(-1, m)
-            self._suffix[w] = out
-        return out
-
-    def riemann_band(self, h: int, w: int) -> np.ndarray:
-        """Compensated sum over cells of width w, for all pairs (i, i+h)."""
-        s = self.suffix(w)
-        return s[: self.n - h] - s[h : self.n]
+    n = field.grid.n
+    band = field.band(w)  # length n - w
+    m = band.shape[1]
+    rows = -(-n // w)  # ceil: cover indices 0..n-1 plus padding
+    padded = np.zeros((rows * w + w, m))
+    padded[: n - w] = band
+    arr = padded.reshape(rows + 1, w, m)
+    return np.flip(np.cumsum(np.flip(arr, 0), 0), 0).reshape(-1, m)
 
 
 @dataclass(frozen=True)
@@ -146,7 +131,7 @@ def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
     if n == 0:
         return A
     step = 1 << n
-    cache = _BandCache(A)
+    suffixes: dict[int, np.ndarray] = {}
 
     def germ(ii, jj):
         ii, jj = _indices(ii), _indices(jj)
@@ -159,28 +144,41 @@ def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
         out = np.zeros((len(ii), A.dim))
         for diff in np.unique(span[span > 0]):
             sel = span == diff
-            s = cache.suffix(int(diff) // step)
-            out[sel] = s[ii[sel]] - s[jj[sel]]
+            w = int(diff) // step
+            if w not in suffixes:
+                suffixes[w] = _suffix(A, w)
+            out[sel] = suffixes[w][ii[sel]] - suffixes[w][jj[sel]]
         return out
 
     return TwoParamField(A.grid, A.dim, germ=germ)
 
 
-def _diff_level_norm(cache, grid, n, p2, q2, denom) -> float:
-    """Norm of I_{P_{n+1}}A - I_{P_n}A over admissible shifts h = j*2^{n+1}.
-
-    The other shifts enter the profile as 0, which leaves its running sup
-    unchanged; levels finer than 2^{n+1} cells see no admissible shift and
-    are dropped.
+def _diff_level_norms(A: TwoParamField, p2, q2, denom) -> list:
+    """Norms of I_{P_{n+1}}A - I_{P_n}A, n = 0..level-2, over the admissible
+    shifts h = j*2^{n+1}, which need the suffix sums of widths j and 2j
+    only: the widths are visited along the chains m, 2m, 4m, ... (m odd),
+    two suffix arrays at a time.  The other shifts enter a level's profile
+    as 0, which leaves its running sup unchanged; levels finer than 2^{n+1}
+    cells see no admissible shift and are dropped.
     """
-    step = 1 << (n + 1)
-    s = np.zeros(grid.n_cells // 2)
-    for h in range(step, len(s) + 1, step):
-        j = h // step
-        d = cache.riemann_band(h, j) - cache.riemann_band(h, 2 * j)
-        s[h - 1] = _band_lp(_mags(d), grid.mesh, p2)
-    ratios = _ratios_from_norms(s, grid, denom)[: grid.level - n - 1]
-    return _q_sum(ratios, q2, log_weight=True)
+    grid = A.grid
+    n_nodes, half = grid.n, grid.n_cells // 2
+    profile = np.zeros((max(grid.level - 1, 0), half))
+    for m in range(1, half // 2 + 1, 2):
+        hi = _suffix(A, m)
+        w = m
+        while 2 * w <= half:
+            lo, hi = hi, _suffix(A, 2 * w)
+            for n in range(grid.level - 1):
+                h = w << (n + 1)
+                if h > half:
+                    break
+                d = ((lo[: n_nodes - h] - lo[h:n_nodes])
+                     - (hi[: n_nodes - h] - hi[h:n_nodes]))
+                profile[n, h - 1] = _band_lp(_mags(d), grid.mesh, p2)
+            w *= 2
+    return [_q_sum(_ratios_from_norms(s, grid, denom)[: grid.level - n - 1],
+                   q2, log_weight=True) for n, s in enumerate(profile)]
 
 
 def sew(input: SewingInput, diagnostics: bool = True) -> SewingResult:
@@ -210,10 +208,8 @@ def sew(input: SewingInput, diagnostics: bool = True) -> SewingResult:
         denom = (
             (lambda tau: tau**input.gamma) if mod is None else mod.omega
         )
-        cache = _BandCache(A)
-        for n in range(0, grid.level - 1):
-            norm = _diff_level_norm(cache, grid, n, input.p2, input.q2, denom)
-            levels.append({"n": n, "diff_norm": norm})
+        norms = _diff_level_norms(A, input.p2, input.q2, denom)
+        levels = [{"n": n, "diff_norm": v} for n, v in enumerate(norms)]
     return SewingResult(input=input, integral=integral, remainder=remainder,
                         levels=levels)
 

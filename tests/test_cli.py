@@ -590,6 +590,36 @@ def test_rde_malformed_coeffs_exit_1(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def _huge_lift(d):
+    # fits in float64, but the solver's tau**gamma overflows
+    assert main(["lift", "--kind", "bm", "--n", "2", "--level", "3",
+                 "--horizon", "1e250", "--out", str(d)]) == 0
+
+
+def _huge_level2(d):
+    # level 2 skips the squared-span rule: finite entries whose products
+    # overflow in the solution
+    assert main(["lift", "--kind", "bm", "--n", "2", "--level", "3",
+                 "--out", str(d)]) == 0
+    path = d / "2.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[3][1:3] = ["1e200", "1e200"]
+    rows[-1][1:3] = ["-1e200", "3"]
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+
+
+@pytest.mark.parametrize("make", [_huge_lift, _huge_level2])
+def test_rde_overflowing_driver_exit_1(tmp_path, capsys, make):
+    d, out, rep = tmp_path / "rp", tmp_path / "sol.csv", tmp_path / "rep.json"
+    make(d)
+    capsys.readouterr()
+    assert main(["rde", "--driver", str(d), "--field", "builtin:rotation",
+                 "--y0", "1,0", "--out", str(out), "--report", str(rep)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and "not finite" in err["message"]
+    assert not out.exists() and not rep.exists()
+
+
 @pytest.mark.parametrize("matrices, y0", [
     (ROTATION + [[[1.0, 0.0], [0.0, 1.0]]], "1.0,0.5"),
     ([[[1.0]], [[2.0]]], "1.0,0.5"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ import pytest
 from besov_rough._rng import rng_for
 from besov_rough.errors import RegimeError
 from besov_rough.grid import GridPath, TwoParamField, UniformGrid, delta
-from besov_rough.norms import INF, two_param_norm
+from besov_rough.norms import (
+    INF,
+    _band_lp,
+    _mags,
+    _q_sum,
+    _ratios_from_norms,
+    two_param_norm,
+)
 from besov_rough.sewing import (
     SewingInput,
     dyadic_riemann,
@@ -53,6 +61,69 @@ def test_dyadic_riemann_telescopes_on_increments():
                            atol=1e-14)
     with pytest.raises(IndexError):
         dyadic_riemann(A, 2).pairs(np.array([0]), np.array([3]))
+
+
+def _diff_norms_oracle(inp: SewingInput) -> list:
+    """Each level's norm of I_{P_{n+1}}A - I_{P_n}A, built pair by pair from
+    two `dyadic_riemann` fields on the admissible shifts h = j*2^{n+1}."""
+    A, grid = inp.germ, inp.germ.grid
+    mod = inp.modulus()
+    denom = (lambda tau: tau**inp.gamma) if mod is None else mod.omega
+    half = grid.n_cells // 2
+    norms = []
+    for n in range(grid.level - 1):
+        fine, coarse = dyadic_riemann(A, n + 1), dyadic_riemann(A, n)
+        s = np.zeros(half)
+        for h in range(2 << n, half + 1, 2 << n):
+            ii = np.arange(grid.n - h)
+            d = fine.pairs(ii, ii + h) - coarse.pairs(ii, ii + h)
+            s[h - 1] = _band_lp(_mags(d), grid.mesh, inp.p2)
+        ratios = _ratios_from_norms(s, grid, denom)[: grid.level - n - 1]
+        norms.append(_q_sum(ratios, inp.q2, log_weight=True))
+    return norms
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("p2", [0.5, 1.0, 2.0, INF])
+@pytest.mark.parametrize("endpoint", [False, True])
+def test_sew_diagnostics_match_dyadic_riemann_oracle(dim, p2, endpoint):
+    crit = max(1.0, 1.0 / p2)
+    if endpoint:
+        params = dict(gamma=crit, p2=p2, q2=min(1.0, p2), endpoint=True)
+    else:
+        params = dict(gamma=crit + 0.5, p2=p2, q2=2.0)
+    for level in range(1, 9):
+        grid = UniformGrid(1.5, level)
+        rng = rng_for(level * 10 + dim, "sew-oracle")
+        # P_0 is the germ itself, which the suffix-sum form rebuilds only up
+        # to roundoff; a germ of small integers makes every sum exact, so
+        # its level 0 is compared bit for bit too
+        exact = rng.integers(-8, 9, (grid.n, grid.n, dim)).astype(float)
+        noisy = rng.standard_normal((grid.n, grid.n, dim))
+        for values, first in ((exact, 0), (noisy, 1)):
+            inp = SewingInput(germ=TwoParamField(grid, dim, dense=values),
+                              **params)
+            got = [row["diff_norm"] for row in sew(inp).levels]
+            want = _diff_norms_oracle(inp)
+            assert len(got) == len(want) == level - 1
+            assert got[first:] == want[first:]
+            assert got[:first] == pytest.approx(want[:first], rel=1e-12)
+
+
+def test_sew_diagnostics_hold_two_suffix_arrays():
+    # the suffix arrays of every width would take about 64 MB at L12
+    grid = UniformGrid(1.0, 12)
+    t = grid.times()
+    germ = product_germ(GridPath(grid, np.sin(t)), GridPath(grid, np.cos(3 * t)))
+    inp = SewingInput(germ=germ, gamma=2.0, p2=INF, q2=INF)
+    tracemalloc.start()
+    try:
+        levels = sew(inp, diagnostics=True).levels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(levels) == 11
+    assert peak < 8 << 20
 
 
 def test_dyadic_riemann_left_sum_converges():
