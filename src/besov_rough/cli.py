@@ -4,6 +4,11 @@ lifts, Monte Carlo experiments, and the acceptance-suite runner.
 Exit codes: 0 success, 1 I/O or format error, 2 regime violation,
 3 numerical failure (non-contraction), 4 an acceptance criterion failed.
 Errors are emitted as one JSON object on stderr.
+
+Every command but `accept` returns its outputs and its stdout line, and
+`main` checks every float in them before it writes or prints anything: a
+non-finite one, or an OverflowError, exits 1 and writes nothing.  A value
+with no finite meaning is written as an empty cell or `null`.
 """
 from __future__ import annotations
 
@@ -383,7 +388,7 @@ def load_rough_dir(path: str) -> RoughPath:
 # subcommands
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args):
     path = load_path_csv(args.input)
     params = _params_from_args(args)
     value = besov_seminorm(path, *params.as_tuple, form=args.form)
@@ -395,14 +400,10 @@ def _cmd_norm(args) -> int:
                    "q": None if args.q == INF else args.q,
                    "form": args.form},
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-    print(f"seminorm {value:.12g}")
-    return 0
+    return [(args.out, report)], f"seminorm {value:.12g}"
 
 
-def _cmd_var(args) -> int:
+def _cmd_var(args):
     path = load_path_csv(args.input)
     if args.oscillation:
         if path.dim != 1:
@@ -413,14 +414,10 @@ def _cmd_var(args) -> int:
     else:
         value = pvariation(path, args.p)
         kind = "pvariation"
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({kind: value, "p": args.p}, fh, indent=2)
-    print(f"{kind} {value:.12g}")
-    return 0
+    return [(args.out, {kind: value, "p": args.p})], f"{kind} {value:.12g}"
 
 
-def _cmd_sew(args) -> int:
+def _cmd_sew(args):
     germ = load_germ_csv(args.germ)
     inp = SewingInput(germ=germ, gamma=args.gamma, p2=args.p2, q2=args.q2,
                       endpoint=args.endpoint)
@@ -437,25 +434,19 @@ def _cmd_sew(args) -> int:
         "slope": None if slope == -INF else slope,
         "expected_slope": -(inp.gamma - inp.critical_exponent),
     }
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2)
-    print(f"remainder_norm {result.remainder_norm:.12g}")
-    return 0
+    return [(args.out, out)], f"remainder_norm {result.remainder_norm:.12g}"
 
 
-def _cmd_young_ode(args) -> int:
+def _cmd_young_ode(args):
     driver = load_path_csv(args.driver)
     fieldspec = _field_from_spec(args.field, len(args.y0), driver.dim)
     params = _params_from_args(args)
     sol = young_ode_solve(fieldspec, driver, args.y0, params)
-    save_path_csv(args.out, sol.path)
-    print(f"solved in {sum(sol.iterations)} sweeps over"
-          f" {len(sol.subintervals)} subintervals")
-    return 0
+    return [(args.out, sol.path)], (f"solved in {sum(sol.iterations)} sweeps"
+                                    f" over {len(sol.subintervals)} subintervals")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in _save_finite
-def _cmd_lift(args) -> int:
+def _cmd_lift(args):
     params = BesovParams(args.alpha, args.p, args.q)
     grid = UniformGrid(args.horizon, args.level)
     if args.kind == "bm":
@@ -484,31 +475,19 @@ def _cmd_lift(args) -> int:
         raise GridFormatError(f"unknown lift kind {args.kind!r}")
     if args.kind == "bm" and args.N != 2:
         X = lyons_extend(X, args.N)
-    print(f"chen_residual {_save_finite(args.out, X):.3e}")
-    return 0
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in _save_finite
-def _cmd_extend(args) -> int:
-    X = load_rough_dir(args.input)
-    Y = lyons_extend(X, args.N)
-    print(f"extended to level {Y.depth}; chen_residual"
-          f" {_save_finite(args.out, Y):.3e}")
-    return 0
-
-
-def _save_finite(path: str, X: RoughPath) -> float:
-    """Chen residual of X, computed before X is written: a non-finite one
-    means X overflowed float64, and nothing is written (exit 1, as `mc`)."""
     residual = chen_residual(X)
-    if not math.isfinite(residual):
-        raise GridFormatError(
-            f"chen_residual is {residual}: the rough path overflows float64")
-    save_rough_dir(path, X)
-    return residual
+    return ([(args.out, X), (None, {"chen_residual": residual})],
+            f"chen_residual {residual:.3e}")
 
 
-def _cmd_integrate(args) -> int:
+def _cmd_extend(args):
+    Y = lyons_extend(load_rough_dir(args.input), args.N)
+    residual = chen_residual(Y)
+    return ([(args.out, Y), (None, {"chen_residual": residual})],
+            f"extended to level {Y.depth}; chen_residual {residual:.3e}")
+
+
+def _cmd_integrate(args):
     X = load_rough_dir(args.driver)
     y = load_path_csv(args.y)
     yp = load_path_csv(args.yprime)
@@ -528,98 +507,56 @@ def _cmd_integrate(args) -> int:
         yp.values.reshape(X.grid.n, m, n, n),
     )
     z, rep = rough_integral(cp, report=True)
-    save_path_csv(args.out, z.y_path())
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(rep, fh, indent=2)
-    print(f"remainder_norm {rep['remainder_norm']:.12g}")
-    return 0
+    return ([(args.out, z.y_path()), (args.report, rep)],
+            f"remainder_norm {rep['remainder_norm']:.12g}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in `finite`
-def _cmd_rde(args) -> int:
+def _cmd_rde(args):
     X = load_rough_dir(args.driver)
     fieldspec = _field_from_spec(args.field, len(args.y0), X.n)
-    try:
-        sol = rde_solve(fieldspec, X, args.y0)
-        dav = davie_residual(sol.controlled, fieldspec)
-        report = {
-            "iterations": sol.iterations,
-            "subinterval_boundaries": [list(map(int, s))
-                                       for s in sol.subintervals],
-            "controlled_norm": controlled_norm(sol.controlled),
-            "davie_slope": None if dav["slope"] == INF else dav["slope"],
-            "davie_norm": dav["norm"],
-        }
-        numbers = [report[k] for k in ("controlled_norm", "davie_slope",
-                                       "davie_norm") if report[k] is not None]
-        finite = np.isfinite(sol.path.values).all() and np.isfinite(numbers).all()
-    except OverflowError:  # a float power such as tau**gamma
-        finite = False
-    if not finite:
-        raise GridFormatError(
-            f"{args.driver}: the solution or its report is not finite; the"
-            " driver's magnitudes overflow float64")
-    save_path_csv(args.out, sol.path)
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
-    print(f"davie_norm {dav['norm']:.12g}")
-    return 0
+    sol = rde_solve(fieldspec, X, args.y0)
+    dav = davie_residual(sol.controlled, fieldspec)
+    report = {
+        "iterations": sol.iterations,
+        "subinterval_boundaries": [list(map(int, s)) for s in sol.subintervals],
+        "controlled_norm": controlled_norm(sol.controlled),
+        "davie_slope": None if dav["slope"] == INF else dav["slope"],
+        "davie_norm": dav["norm"],
+    }
+    return ([(args.out, sol.path), (args.report, report)],
+            f"davie_norm {dav['norm']:.12g}")
 
 
-def _write_results_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "statistic", "estimate", "stderr", "samples"])
-        for row in rows:
-            writer.writerow(row)
-
-
-def _cmd_mc(args) -> int:
+def _cmd_mc(args):
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
     if args.experiment:
         cfg.experiment = args.experiment
     cfg.check_values()
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _mc_rows(cfg)
-    for key, stat, *cells, _ in rows:
-        # one n gives the documented inf slope, not an overflow
-        documented = stat == "variance_log2_slope" and len(cfg.ns) == 1
-        if not (documented or all(math.isfinite(float(v)) for v in cells if v)):
-            raise GridFormatError(
-                f"{cfg.experiment}: {stat} at {key} is not finite; the"
-                " config's moments overflow float64")
-    _write_results_csv(args.out, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    rows = _mc_rows(cfg)
+    return [(args.out, rows)], f"wrote {len(rows)} rows to {args.out}"
 
 
 def _mc_rows(cfg: ExperimentConfig) -> list:
     """The result rows (key, statistic, estimate, stderr, samples) of one
-    experiment, numbers as repr strings."""
+    experiment; an empty cell is None."""
     rows = []
     if cfg.experiment == "bm-ynp":
         rep = bm_besov_statistic(cfg.p, cfg.ns, cfg.level, cfg.samples, cfg.seed,
                                  dim=cfg.dim)
         for n, row in sorted(rep["per_n"].items()):
-            rows.append([n, "mean", repr(row["mean"]), repr(row["stderr"]),
-                         row["samples"]])
-            rows.append([n, "variance", repr(row["variance"]), "",
-                         row["samples"]])
-            rows.append([n, "oracle_mean_window", repr(row["oracle_mean_window"]),
-                         repr(row["oracle_stderr_window"]), row["samples"]])
-        rows.append(["all", "variance_log2_slope", repr(rep["variance_slope"]),
-                     "", cfg.samples])
+            rows.append([n, "mean", row["mean"], row["stderr"], row["samples"]])
+            rows.append([n, "variance", row["variance"], None, row["samples"]])
+            rows.append([n, "oracle_mean_window", row["oracle_mean_window"],
+                         row["oracle_stderr_window"], row["samples"]])
+        slope = rep["variance_slope"] if len(cfg.ns) > 1 else None  # one n: no slope
+        rows.append(["all", "variance_log2_slope", slope, None, cfg.samples])
     elif cfg.experiment == "fbm-ynp":
         rep = fbm_besov_statistic(cfg.H, cfg.p, cfg.ns, cfg.level, cfg.samples,
                                   cfg.seed, dim=cfg.dim)
         for n, row in sorted(rep["per_n"].items()):
-            rows.append([n, "mean", repr(row["mean"]), repr(row["stderr"]),
-                         row["samples"]])
-            rows.append([n, "variance", repr(row["variance"]), "",
-                         row["samples"]])
+            rows.append([n, "mean", row["mean"], row["stderr"], row["samples"]])
+            rows.append([n, "variance", row["variance"], None, row["samples"]])
     elif cfg.experiment == "pprod-bdg":
         rep = pprod_bdg_experiment(
             cfg.gamma0, cfg.gamma1,
@@ -630,7 +567,7 @@ def _mc_rows(cfg: ExperimentConfig) -> list:
         for length, row in sorted(rep["lengths"].items()):
             for key in ("ratio_p50", "ratio_p90", "ratio_p99", "ratio_mean",
                         "bdg_p50", "bdg_p99", "lr_ratio"):
-                rows.append([length, key, repr(row[key]), "", row["samples"]])
+                rows.append([length, key, row[key], None, row["samples"]])
     else:
         raise GridFormatError(f"unknown experiment {cfg.experiment!r}")
     return rows
@@ -752,6 +689,56 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise GridFormatError naming the first non-finite float of an output:
+    a key path within a JSON object, else the file and index.  A rough path
+    is checked through the chen_residual its command returns beside it."""
+    if isinstance(value, GridPath):
+        if np.isfinite(value.values).all():
+            return
+        value = value.values.tolist()
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(f"{name}.{key}" if name else key, item)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(f"{name}[{i}]", item)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise GridFormatError(f"{name} is {value}: not finite; the inputs'"
+                              " magnitudes overflow float64")
+
+
+def _write(path: str, value) -> None:
+    if isinstance(value, GridPath):
+        save_path_csv(path, value)
+    elif isinstance(value, RoughPath):
+        save_rough_dir(path, value)
+    elif isinstance(value, list):  # mc rows: csv writes None as an empty cell
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [["key", "statistic", "estimate", "stderr", "samples"], *value])
+    else:
+        with open(path, "w") as fh:
+            json.dump(value, fh, indent=2)
+
+
+def _run(args) -> int:
+    """Run a command, check every float of its outputs, and only then write
+    them and print its line; a non-finite float writes nothing (exit 1)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            outputs, line = args.fn(args)
+    except OverflowError as exc:  # a float power such as tau**gamma
+        raise GridFormatError(f"a result is not finite: {exc}") from None
+    for path, value in outputs:
+        _check_finite("" if isinstance(value, dict) else path, value)
+    for path, value in outputs:
+        if path:
+            _write(path, value)
+    print(line)
+    return 0
+
+
 def _emit_error(kind: str, exc: Exception) -> None:
     print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
 
@@ -759,7 +746,7 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        return _cmd_accept(args) if args.fn is _cmd_accept else _run(args)
     except (GridFormatError, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
         _emit_error("io", exc)

@@ -58,12 +58,6 @@ class UniformGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n) * (self.horizon / (1 << self.level))
 
-    def refine(self, k: int) -> "UniformGrid":
-        """Grid with level + k; contains every node of this grid."""
-        if k < 0:
-            raise ValueError("refine expects k >= 0")
-        return UniformGrid(self.horizon, self.level + k)
-
     def coarsen(self, k: int) -> "UniformGrid":
         if k < 0 or k > self.level:
             raise ValueError(f"cannot coarsen level {self.level} grid by {k}")
@@ -384,8 +378,8 @@ def save_path_csv(path, grid_path: GridPath) -> None:
             grid_path.grid.times().tolist(), grid_path.values.tolist()))
 
 
-def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
-    """Read an upper-triangular germ from CSV rows ``i,j,v0,...``.
+def load_germ_csv(path) -> TwoParamField:
+    """Read an upper-triangular germ on [0, 1] from CSV rows ``i,j,v0,...``.
 
     Missing pairs default to zero; the node count n is inferred from the
     largest index and must be 2^L + 1, and the file must hold at least n - 1
@@ -405,7 +399,7 @@ def load_germ_csv(path, horizon: float = 1.0) -> TwoParamField:
         pos, hit = _find(flat, _indices(ii) * n + _indices(jj))
         return np.where(hit[:, None], values[pos], 0.0)
 
-    return TwoParamField(UniformGrid(horizon, level), values.shape[1], germ=germ)
+    return TwoParamField(UniformGrid(1.0, level), values.shape[1], germ=germ)
 
 
 def _pair_rows(path, nodes: int | None = None, width: int | None = None):

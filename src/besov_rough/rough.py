@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -475,12 +476,8 @@ def chen_residual(X: RoughPath) -> float:
     """
     cells = X.grid.n_cells
     if cells <= 64:
-        idx = []
-        for i in range(cells + 1):
-            for u in range(i, cells + 1):
-                for j in range(u, cells + 1):
-                    idx.append((i, u, j))
-        ii, uu, jj = (np.array(t) for t in zip(*idx))
+        triples = combinations_with_replacement(range(cells + 1), 3)
+        ii, uu, jj = (np.array(t) for t in zip(*triples))
     else:
         rng = rng_for(20210, "chen-triples")
         draws = rng.integers(0, cells + 1, size=(10000, 3))

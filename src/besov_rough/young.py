@@ -8,6 +8,7 @@ point second-order accurate on sampled smooth drivers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,7 +270,8 @@ def _adaptive_picard(grid, y0, start, sweep, tol, max_halvings):
     consecutive sweeps reaches 1/2 from the third sweep on, or when 100
     sweeps end without convergence.  The span never grows back.  At most
     `max_halvings` halvings are allowed since the last converged subinterval;
-    the total is returned.
+    the total is returned.  An iterate that is not finite raises
+    OverflowError at once, since a shorter span does not shrink the driver.
     """
     Y = np.empty((grid.n, len(y0)))
     Y[0] = y0
@@ -287,7 +289,11 @@ def _adaptive_picard(grid, y0, start, sweep, tol, max_halvings):
         prev_gauge = None
         for it in range(1, 101):
             state, path, gauge = sweep(a, b, ya, state, sub_grid)
-            if gauge < tol * max(1.0, float(np.abs(path).max())):
+            sup = float(np.abs(path).max())
+            if not math.isfinite(sup):
+                raise OverflowError(
+                    f"the Picard iterate on [{a}, {b}] overflows float64")
+            if gauge < tol * max(1.0, sup):
                 converged = True
                 break
             if it >= 3 and prev_gauge > 0 and gauge / prev_gauge >= 0.5:

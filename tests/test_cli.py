@@ -620,6 +620,39 @@ def test_rde_overflowing_driver_exit_1(tmp_path, capsys, make):
     assert not out.exists() and not rep.exists()
 
 
+def _overflowing_run(case, d):
+    """argv of a run on valid-looking inputs whose result overflows float64:
+    a germ whose sum passes 1e308, or a driver with increments of 1e150."""
+    if case == "sew":
+        (d / "germ.csv").write_text("i,j,v0\n0,1,1e308\n1,2,1e308\n0,2,0\n")
+        return ["sew", "--germ", str(d / "germ.csv"), "--gamma", "2",
+                "--p2", "inf"]
+    g = UniformGrid(1.0, 3)
+    save_path_csv(d / "big.csv", GridPath(g, 1e150 * (np.arange(g.n) % 2)))
+    if case == "young-ode":
+        return ["young-ode", "--driver", str(d / "big.csv"), "--field",
+                "builtin:linear", "--y0", "1", "--alpha", "0.9", "--p", "inf",
+                "--q", "inf"]
+    assert main(["lift", "--kind", "canonical", "--input", str(d / "big.csv"),
+                 "--N", "2", "--alpha", "0.5", "--p", "inf", "--q", "inf",
+                 "--out", str(d / "rp")]) == 0
+    save_path_csv(d / "y.csv", GridPath(g, np.full(g.n, 1e200)))
+    save_path_csv(d / "yp.csv", GridPath(g, np.ones(g.n)))
+    return ["integrate", "--driver", str(d / "rp"), "--y", str(d / "y.csv"),
+            "--yprime", str(d / "yp.csv"), "--report", str(d / "rep.json")]
+
+
+@pytest.mark.parametrize("case", ["sew", "integrate", "young-ode"])
+def test_overflowing_result_exit_1(tmp_path, capsys, case):
+    argv = _overflowing_run(case, tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and "not finite" in err["message"]
+    assert not out.exists() and not (tmp_path / "rep.json").exists()
+
+
 @pytest.mark.parametrize("matrices, y0", [
     (ROTATION + [[[1.0, 0.0], [0.0, 1.0]]], "1.0,0.5"),
     ([[[1.0]], [[2.0]]], "1.0,0.5"),
@@ -886,7 +919,11 @@ def test_mc_accepts_the_maximum_level(tmp_path):
                                "ns": [MAX_GRID_LEVEL]}))
     out = tmp_path / "o.csv"
     assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.exists()
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    # one n has no variance slope: an empty cell, as for the stderr cells
+    assert [r["estimate"] for r in rows
+            if r["statistic"] == "variance_log2_slope"] == [""]
 
 
 def test_mc_p_just_under_the_scale_bound_runs(tmp_path):

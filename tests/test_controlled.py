@@ -7,7 +7,8 @@ from besov_rough._rng import rng_for
 from besov_rough.errors import NonContractionError, RegimeError
 from besov_rough.grid import GridPath, UniformGrid
 from besov_rough.norms import INF, BesovParams
-from besov_rough.rough import brownian_lift, canonical_lift, geometric_lift
+from besov_rough.rough import (RoughPath, brownian_lift, canonical_lift,
+                               geometric_lift)
 from besov_rough.young import (
     VectorField,
     YoungRegime,
@@ -325,6 +326,19 @@ def test_field_class_ladder(n_level, above, thin, offset):
     with pytest.raises(RegimeError, match="too weak"):
         solve(_linear_of_class(*weak))
     assert np.all(np.isfinite(solve(_linear_of_class(*minimal)).path.values))
+
+
+def test_rde_overflowing_iterate_raises():
+    # finite level-2 entries whose products overflow in the solution: the
+    # solver raises instead of returning -inf and nan after 1 sweep each
+    X = brownian_lift(2, UniformGrid(1.0, 3), 7)
+    sig = [lv.copy() for lv in X._sig]
+    sig[2][2, :2] = 1e200
+    sig[2][-1, :2] = (-1e200, 3.0)
+    huge = RoughPath(X.grid, X.params, sig)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowError, match="overflows float64"):
+        rde_solve(rotation_field(), huge, [1.0, 0.0])
 
 
 def test_rde_associative_concatenation():

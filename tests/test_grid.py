@@ -27,13 +27,6 @@ def test_grid_nodes_exact():
     assert np.all(t == np.arange(33) * 2.0 / 32)
 
 
-def test_refine_contains_original_nodes():
-    g = UniformGrid(1.0, 4)
-    fine = g.refine(2)
-    assert fine.level == 6
-    assert set(np.round(g.times(), 15)) <= set(np.round(fine.times(), 15))
-
-
 def test_subsample_refine_roundtrip():
     g = UniformGrid(1.0, 6)
     f = GridPath(g, np.sin(g.times()))

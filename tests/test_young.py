@@ -290,3 +290,13 @@ def test_ode_non_contraction_over_budget():
                        match=r"no contraction on \[512, 528\] after 5 halvings"):
         young_ode_solve(scalar_linear_field(), _late_burst_driver(), 1.0, SMOOTH,
                         max_halvings=5)
+
+
+def test_ode_overflowing_iterate_raises():
+    # increments of 1e150: the first sweep's exp-like growth leaves float64,
+    # and a non-finite iterate must not pass the convergence test
+    g = _grid(3)
+    drv = GridPath(g, 1e150 * (np.arange(g.n) % 2))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowError, match=r"iterate on \[0, 8\]"):
+        young_ode_solve(scalar_linear_field(), drv, 1.0, SMOOTH)
