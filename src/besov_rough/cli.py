@@ -31,6 +31,7 @@ from .grid import (
     GridPath,
     UniformGrid,
     _pair_rows,
+    _write_columns,
     load_germ_csv,
     load_path_csv,
     save_path_csv,
@@ -293,11 +294,8 @@ def save_rough_dir(path: str, X: RoughPath) -> None:
         fname = os.path.join(path, f"{k}.pairs.csv")
         if k in X._pairs:
             keys, values = X._pairs[k]
-            header = ["i", "j"] + [f"c{c}" for c in range(X.n**k)]
-            with open(fname, "w", newline="") as fh:
-                csv.writer(fh).writerows([header] + [
-                    [*divmod(key, nn), *map(repr, row)]
-                    for key, row in zip(keys.tolist(), values.tolist())])
+            _write_columns(fname, ["i", "j"] + [f"c{c}" for c in range(X.n**k)],
+                           [*np.divmod(keys, nn), *values.T])
         elif os.path.exists(fname):
             os.remove(fname)  # left by an earlier save to this directory
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -284,6 +284,13 @@ def delta(path: GridPath) -> TwoParamField:
 
 
 # -- CSV interchange ---------------------------------------------------------
+#
+# A file is read whole.  Text that decodes and holds no '"', no NUL and no
+# line longer than csv's field limit has nothing csv.reader treats
+# specially, so its records are its lines split at ','; csv.reader reads
+# any other file.  The writers join repr cells with ',' and '\r\n': a
+# float's or an int's repr needs no quoting, so these are the bytes
+# csv.writer (excel dialect) writes.
 
 def load_path_csv(path, magnitudes: bool = True) -> GridPath:
     """Read a path from CSV with header ``t,v0,...,v{m-1}``.
@@ -295,21 +302,15 @@ def load_path_csv(path, magnitudes: bool = True) -> GridPath:
     increment's Euclidean magnitude.  Rough-path levels 2 and up skip that
     rule: `lift` writes every level whose Chen residual is finite.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        with _csv_errors(path, reader):
-            header = next(reader, None)
-            if header is None:
-                raise GridFormatError(f"{path}: empty file")
-            if not header or header[0].strip() != "t":
-                raise GridFormatError(f"{path}: header must start with 't'")
-            lines = []
-            try:
-                lines.extend(reader)
-            except (csv.Error, UnicodeDecodeError):
-                _float_rows(path, lines, len(header))  # a bad line before it first
-                raise
-    data = _float_rows(path, lines, len(header))
+    records, error = _records(path)
+    if not records:
+        raise error or GridFormatError(f"{path}: empty file")
+    header = _listed(records[:1])[0]
+    if not header or header[0].strip() != "t":
+        raise GridFormatError(f"{path}: header must start with 't'")
+    data = _float_rows(path, records[1:], len(header))
+    if error:  # a bad line before it is named first
+        raise error
     if not len(data):
         raise GridFormatError(f"{path}: no data rows")
     bad = np.argwhere(~np.isfinite(data))
@@ -344,23 +345,68 @@ def load_path_csv(path, magnitudes: bool = True) -> GridPath:
     return GridPath(grid, values)
 
 
-@contextlib.contextmanager
-def _csv_errors(path, reader):
-    """Report a line csv cannot parse or decode as a GridFormatError."""
+def _records(path):
+    """(records, error): the csv records of a file, line 1 first, and the
+    GridFormatError naming the line where csv.reader stopped, or None.  The
+    records of plain text are its lines, str, cut at ',' by `_cells` and
+    `_listed`; those of any other file are csv.reader's lists of cells."""
+    lines = _plain_lines(path)
+    if lines is not None:
+        return lines, None
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            records.extend(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            return records, GridFormatError(f"{path}:{reader.line_num}: {exc}")
+    return records, None
+
+
+def _plain_lines(path) -> Optional[list]:
+    """The lines of a file that csv.reader splits at ',' and nothing else,
+    cut at '\r\n', '\r' and '\n' as its file iterator cuts them; None when
+    the text does not decode or has a '"', a NUL or a line over csv's
+    field limit."""
     try:
-        yield
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise GridFormatError(f"{path}:{reader.line_num}: {exc}") from None
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the last line end, or an empty file
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _cells(rows):
+    """(widths, cells) of nonempty `_records`: the set of their cell counts,
+    and all their cells in order, as one list."""
+    if rows and isinstance(rows[0], str):
+        return ({n + 1 for n in set(map(str.count, rows, repeat(",")))},
+                ",".join(rows).split(","))
+    return set(map(len, rows)), list(chain.from_iterable(rows))
+
+
+def _listed(records) -> list:
+    """`_records` as lists of cells."""
+    if records and isinstance(records[0], str):
+        return [line.split(",") if line else [] for line in records]
+    return records
 
 
 def _float_rows(path, lines, width: int) -> np.ndarray:
     """Non-empty csv records (file lines 2, ...) as floats; the first bad one raises."""
     rows = list(filter(None, lines))
-    if not set(map(len, rows)) - {width}:
+    widths, cells = _cells(rows)
+    if not widths - {width}:
         with contextlib.suppress(ValueError):
-            cells = np.fromiter(map(float, chain.from_iterable(rows)), float)
-            return cells.reshape(len(rows), width)
-    for lineno, row in enumerate(lines, start=2):  # name the first bad line
+            return np.fromiter(map(float, cells), float).reshape(len(rows), width)
+    for lineno, row in enumerate(_listed(lines), start=2):  # name the first bad line
         if row and len(row) != width:
             raise GridFormatError(f"{path}:{lineno}: ragged row")
         try:
@@ -370,12 +416,23 @@ def _float_rows(path, lines, width: int) -> np.ndarray:
 
 
 def save_path_csv(path, grid_path: GridPath) -> None:
-    m = grid_path.dim
+    _write_columns(path, ["t"] + [f"v{j}" for j in range(grid_path.dim)],
+                   [grid_path.grid.times(), *grid_path.values.T])
+
+
+def _write_columns(path, header, columns) -> None:
+    """Write a header row, then row r of the 1-d arrays `columns` as line r,
+    in blocks of about `_WRITE_CELLS` cells, so the strings of a wide file
+    (a level-4 file has up to 256 columns) are never all held at once."""
+    step = max(1, _WRITE_CELLS // len(columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"v{j}" for j in range(m)])
-        writer.writerows([repr(t), *map(repr, row)] for t, row in zip(
-            grid_path.grid.times().tolist(), grid_path.values.tolist()))
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), step):
+            cells = [map(repr, col[lo:lo + step].tolist()) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+_WRITE_CELLS = 1 << 16
 
 
 def load_germ_csv(path) -> TwoParamField:
@@ -402,39 +459,30 @@ def load_germ_csv(path) -> TwoParamField:
     return TwoParamField(UniformGrid(1.0, level), values.shape[1], germ=germ)
 
 
+# Node indices of a pair CSV stay below this, so keys i * n + j fit int64.
+_MAX_NODES = 1 << 31
+
+
 def _pair_rows(path, nodes: int | None = None, width: int | None = None):
     """(n, keys, values) of the rows ``i,j,v0,...`` of a pair CSV: sorted
     keys i * n + j, n = `nodes` or the largest index + 1, and (len, m) values.
     Each row needs 0 <= i <= j < n and m finite values (`width`, or as many
-    as the first row); a pair may appear once, and only the first line may
-    be a header (starting with ``i``)."""
-    keys, rows = [], []
-    with open(path, newline="") as fh, _csv_errors(path, reader := csv.reader(fh)):
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and row[0].strip().startswith("i")):
-                continue
-            if len(row) < 3:
-                raise GridFormatError(f"{path}:{lineno}: need i, j and values")
-            try:
-                i, j = int(row[0]), int(row[1])
-                vals = [float(x) for x in row[2:]]
-            except ValueError as exc:
-                raise GridFormatError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= i <= j < (nodes or j + 1):
-                raise GridFormatError(f"{path}:{lineno}: need 0 <= i <= j"
-                                      + (f" < {nodes}" if nodes else ""))
-            if len(vals) != (width := width or len(vals)):
-                raise GridFormatError(
-                    f"{path}:{lineno}: need {width} values, got {len(vals)}")
-            keys.append((i, j))
-            rows.append(vals)
-    if not rows:
+    as the first row), and j < 2**31; a pair may appear once, and only the
+    first line may be a header (starting with ``i``)."""
+    records, error = _records(path)
+    first = _listed(records[:1])
+    head = bool(first and first[0] and first[0][0].strip().startswith("i"))
+    parsed = (_pair_arrays(list(filter(None, records[head:])), nodes, width)
+              or _pair_lines(path, _listed(records), head, nodes, width))
+    if error:  # a bad line before it is named first
+        raise error
+    if parsed is None:
         raise GridFormatError(f"{path}: no germ rows")
-    ij = np.array(keys, dtype=np.int64)
-    n = int(ij[:, 1].max()) + 1 if nodes is None else nodes
-    flat = ij[:, 0] * n + ij[:, 1]
+    (ii, jj), values = parsed
+    n = int(jj.max()) + 1 if nodes is None else nodes
+    flat = ii * n + jj
     order = np.argsort(flat, kind="stable")
-    flat, values = flat[order], np.array(rows)[order]
+    flat, values = flat[order], values[order]
     dup = np.flatnonzero(flat[1:] == flat[:-1])
     if len(dup):
         i, j = divmod(int(flat[dup[0]]), n)
@@ -444,6 +492,58 @@ def _pair_rows(path, nodes: int | None = None, width: int | None = None):
         i, j = divmod(int(flat[bad[0]]), n)
         raise GridFormatError(f"{path}: non-finite value at pair ({i}, {j})")
     return n, flat, values
+
+
+def _pair_arrays(rows, nodes, width):
+    """((i, j), values) of the nonempty pair `_records` as int64 and
+    (len, m) float arrays, checked at once; None without rows or when a row
+    fails a check of `_pair_lines`."""
+    widths, cells = _cells(rows)
+    w = (width + 2) if width else min(widths, default=0)
+    if w < 3 or widths != {w}:
+        return None
+    try:
+        ij = np.fromiter(map(int, chain(cells[0::w], cells[1::w])),
+                         np.int64).reshape(2, -1)
+        columns = [cells[c::w] for c in range(2, w)]
+        values = np.fromiter(map(float, chain.from_iterable(zip(*columns))),
+                             float).reshape(-1, w - 2)
+    except (ValueError, OverflowError):
+        return None
+    ii, jj = ij
+    bound = min(nodes or _MAX_NODES, _MAX_NODES)
+    if (ii < 0).any() or (ii > jj).any() or jj.max() >= bound:
+        return None
+    return ij, values
+
+
+def _pair_lines(path, records, head: bool, nodes, width):
+    """`_pair_arrays` of the records after a header, one line at a time:
+    the first line that fails a check raises a GridFormatError naming it."""
+    keys, rows = [], []
+    for lineno, row in enumerate(records[head:], start=1 + head):
+        if not row:
+            continue
+        if len(row) < 3:
+            raise GridFormatError(f"{path}:{lineno}: need i, j and values")
+        try:
+            i, j = int(row[0]), int(row[1])
+            vals = [float(x) for x in row[2:]]
+        except ValueError as exc:
+            raise GridFormatError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= i <= j < (nodes or j + 1):
+            raise GridFormatError(f"{path}:{lineno}: need 0 <= i <= j"
+                                  + (f" < {nodes}" if nodes else ""))
+        if j >= _MAX_NODES:
+            raise GridFormatError(
+                f"{path}:{lineno}: index {j} too large; need j < {_MAX_NODES}")
+        if len(vals) != (width := width or len(vals)):
+            raise GridFormatError(
+                f"{path}:{lineno}: need {width} values, got {len(vals)}")
+        keys.append((i, j))
+        rows.append(vals)
+    if rows:
+        return np.array(keys, dtype=np.int64).T, np.array(rows)
 
 
 def _find(keys: np.ndarray, want: np.ndarray):

@@ -491,13 +491,18 @@ def chen_residual(X: RoughPath) -> float:
             )
         draws = np.vstack([draws] + skel)
         ii, uu, jj = draws[:, 0], draws[:, 1], draws[:, 2]
-    left = X.pairs_levels(ii, uu)
-    right = X.pairs_levels(uu, jj)
-    prod = _mul_levels(left, right, X.depth)
-    whole = X.pairs_levels(ii, jj)
-    # np.max, unlike max(), keeps a nan of any level
-    return float(np.max([np.abs(prod[k] - whole[k]).max()
-                         for k in range(1, X.depth + 1)]))
+    worst = []
+    for lo in range(0, len(ii), _CHEN_CHUNK):  # bounded temporaries
+        i, u, j = (a[lo:lo + _CHEN_CHUNK] for a in (ii, uu, jj))
+        prod = _mul_levels(X.pairs_levels(i, u), X.pairs_levels(u, j), X.depth)
+        whole = X.pairs_levels(i, j)
+        worst += [np.abs(prod[k] - whole[k]).max()
+                  for k in range(1, X.depth + 1)]
+    # np.max, unlike max(), keeps a nan of any level and chunk
+    return float(np.max(worst))
+
+
+_CHEN_CHUNK = 2048  # triples per chunk of chen_residual
 
 
 def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:

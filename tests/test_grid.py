@@ -1,10 +1,14 @@
 import csv
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from besov_rough import grid
 from besov_rough.grid import (
     GridFormatError,
     GridPath,
@@ -15,6 +19,8 @@ from besov_rough.grid import (
     save_path_csv,
     load_germ_csv,
 )
+from besov_rough.cli import save_rough_dir
+from besov_rough.rough import brownian_lift
 
 
 def test_grid_nodes_exact():
@@ -142,16 +148,35 @@ def _writer_loop_bytes(path, header, rows):
     return path.read_bytes()
 
 
+_SPECIALS = [-0.0, 5e-324, 1e300, 2.0, 0.0, 1e-300, -1e-300]
+
+
 def test_csv_writers_keep_their_bytes(tmp_path):
+    # path files of 1, 2 and 4 value columns and a k.pairs.csv: the header,
+    # repr cells, CRLF line ends and no quoting of the csv.writer reference
     g = UniformGrid(3.7, 4)
-    vals = np.column_stack([np.sin(7 * g.times()), np.exp(-g.times()) / 3])
-    vals[1], vals[2], vals[3] = [-0.0, 1e-300], [0.0, -1e-300], [5e-324, 1e300]
-    f = GridPath(g, vals)
-    save_path_csv(tmp_path / "path.csv", f)
-    want = _writer_loop_bytes(tmp_path / "ref.csv", ["t", "v0", "v1"], [
-        ([repr(float(t))], row) for t, row in zip(g.times(), vals)])
-    assert (tmp_path / "path.csv").read_bytes() == want
-    assert want.count(b"\r\n") == g.n + 1 and b"-0.0,1e-300" in want
+    t = g.times()
+    for m in (1, 2, 4):
+        vals = np.column_stack([np.sin((7 + c) * t) / 3**c for c in range(m)])
+        for c in range(m):
+            vals[1:8, c] = np.roll(_SPECIALS, c)
+        save_path_csv(tmp_path / "path.csv", GridPath(g, vals))
+        want = _writer_loop_bytes(
+            tmp_path / "ref.csv", ["t"] + [f"v{c}" for c in range(m)],
+            [([repr(float(x))], row) for x, row in zip(t, vals)])
+        assert (tmp_path / "path.csv").read_bytes() == want
+        assert want.count(b"\r\n") == g.n + 1 and b'"' not in want
+    assert all(repr(x).encode() in want for x in _SPECIALS)
+    lift = brownian_lift(2, UniformGrid(1.0, 3), 5)
+    values = np.array([_SPECIALS[:4], _SPECIALS[3:], [0.1, -2.5, 3.0, 7.0]])
+    save_rough_dir(str(tmp_path / "rp"),
+                   lift.with_pairs(2, [1, 2, 3], [5, 6, 8], values))
+    want = _writer_loop_bytes(tmp_path / "ref.csv", ["i", "j", "c0", "c1",
+                                                     "c2", "c3"], [
+        ([i, j], row) for i, j, row in zip([1, 2, 3], [5, 6, 8], values)])
+    assert (tmp_path / "rp" / "2.pairs.csv").read_bytes() == want
+    assert want.startswith(b"i,j,c0,c1,c2,c3\r\n1,5,-0.0,5e-324,1e+300,2.0\r\n")
+    assert want.count(b"\r\n") == 4
 
 
 @pytest.mark.parametrize("text, match", [
@@ -161,8 +186,9 @@ def test_csv_writers_keep_their_bytes(tmp_path):
     ("t,v0\n0,1\n0.5,x,2\n1,2\n", r":3: ragged row"),  # ragged before unparsable
     ("t,v0\n\n0,1\n\n0.5,1\n1,1e\n", r":6: .*'1e'"),   # blank records count
     ("t,v0\n0,1\n0.5,1\n1,\n", r":4: could not convert string to float: ''"),
+    ("t,v0\n0.0,1.0,0.5\n2.0\n1.0,3.0\n", r":2: ragged row"),  # 3 x 2 cells
 ], ids=["ragged-then-bad", "bad-then-ragged", "two-bad", "both-in-one",
-        "after-blanks", "empty-cell"])
+        "after-blanks", "empty-cell", "ragged-filling-rows"])
 def test_path_csv_reports_the_first_bad_line(tmp_path, text, match):
     p = tmp_path / "bad.csv"
     p.write_text(text)
@@ -227,10 +253,100 @@ def test_germ_csv_sparse_rows(tmp_path):
     ("i,j,v0\n0,1,1.0\n5\n", ":3: need i, j and values"),
     ("i,j,v0\n0,1\n", ":2: need i, j and values"),
     (f"i,j,v0\n0,1,{'9' * (csv.field_size_limit() + 1)}\n", ":2: .*field limit"),
+    # an index past int64, and one whose keys i * n + j would pass it
+    ("i,j,v0\n0,1,1.0\n0,99999999999999999999,2.0\n",
+     ":3: index 99999999999999999999 too large; need j < 2147483648"),
+    ("i,j,v0\n0,2147483648,2.0\n", ":2: index 2147483648 too large"),
 ], ids=["far-index", "duplicate", "diagonal-only", "one-cell", "no-values",
-        "huge-cell"])
+        "huge-cell", "index-past-int64", "index-past-2**31"])
 def test_germ_csv_rejects(tmp_path, text, match):
     p = tmp_path / "germ.csv"
     p.write_text(text)
     with pytest.raises(GridFormatError, match=match):
         load_germ_csv(p)
+
+
+_BASES = {
+    "path": [["t", "v0"], ["0.0", "1.0"], ["0.5", "2.0"], ["1.0", "3.0"]],
+    "germ": [["i", "j", "v0"], ["0", "1", "1.0"], ["1", "2", "2.0"],
+             ["0", "2", "0.5"]],
+}
+_HUGE = "9" * (csv.field_size_limit() + 1)
+_CELLS = ["0", "1", "2", "0.5", "-1", " 1.0", "2 ", "1_0", "\u0661",
+          "\uff12", "", "x", "nan", "1e999", "\x00", '"1.0"', '"1,0"', '"',
+          _HUGE]
+
+
+@st.composite
+def _csv_files(draw):
+    """(kind, bytes): a valid 3-row path or germ CSV after a few edits."""
+    kind = draw(st.sampled_from(sorted(_BASES)))
+    rows = [list(row) for row in _BASES[kind]]
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["cell", "quote", "blank", "comma", "drop"]))
+        if edit == "blank":
+            rows.insert(r, [])
+        elif edit == "comma":
+            rows[r].append("")
+        elif edit == "drop":
+            del rows[r]
+        elif rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][c] = (draw(st.sampled_from(_CELLS)) if edit == "cell"
+                          else f'"{rows[r][c]}"')
+    ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]),
+                         min_size=len(rows), max_size=len(rows)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    data = "".join(",".join(row) + end for row, end in zip(rows, ends)).encode()
+    if draw(st.booleans()) and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return kind, data
+
+
+def _outcome(load, fname):
+    """What a loader makes of a file: the grid and value bits, or the error."""
+    try:
+        out = load(fname)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, GridPath):
+        return out.grid, out.values.tobytes()
+    return out.grid, out.to_dense().tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_csv_files())
+@example(("path", b't,v0\r\n"0.0",1.0\r\n0.5,"2.0"\r\n1.0,3.0\r\n'))
+@example(("path", b"t,v0\n\n0.0,1.0\n0.5,2.0\n\n1.0,3.0\n\n"))
+@example(("path", b"t,v0\r0.0,1.0\r0.5,2.0\r\n1.0,3.0"))
+@example(("path", b"t, v0\n 0.0 ,1.0\n0.5,\xd9\xa1\n1.0,3.0 \n"))
+@example(("path", b"t,v0,\n0.0,1.0,\n0.5,2.0,\n1.0,3.0,\n"))
+@example(("path", b"t,v0\n0.0,1.0\n0.5,2.0\x00\n1.0,3.0\n"))
+@example(("path", f"t,v0\n0,1\n0.5,{_HUGE}\n1,3\n".encode()))
+@example(("path", b"t,v0\n0.0,1.0\n0.5,\xff\n1.0,3.0\n"))
+@example(("germ", b"i,j,v0\r\n0,1_0,1.0\r\n0,1,\xef\xbc\x92\r\n1,2,2.0\r\n"))
+@example(("germ", b'i,j,v0\n0,1,"1,0"\n1,2,2.0\n0,2,0.5\n'))
+@example(("germ", b"i,j,v0\n0,1,1.0\n\n1,2,2.0\r\r0,2,0.5"))
+@example(("germ", b"i,j,v0\n-1,1,1.0\n1,2,2.0\n0,2,0.5\n"))
+@example(("germ", b"i,j,v0\n0,1,1.0\n2,1,2.0\n0,2,0.5\n"))
+# ragged rows whose cells would fill whole rows
+@example(("germ", b"i,j,v0\n0,1,1.0\n1,2,2.0,0\n2,4\n3,4,1.0\n"))
+@example(("germ", b"i,j,v0\n0,1,1.0\n1,2,2.0,0\n2,0.5,1,3,3.0\n"))
+@example(("path", b""))
+def test_whole_file_reader_matches_csv_reader(case):
+    # the split of plain text and csv.reader, and the array checks of germ
+    # rows and the line by line ones, give the same values or errors
+    kind, data = case
+    load = load_path_csv if kind == "path" else load_germ_csv
+    with tempfile.TemporaryDirectory() as tmp:
+        fname = os.path.join(tmp, f"{kind}.csv")
+        with open(fname, "wb") as fh:
+            fh.write(data)
+        fast = _outcome(load, fname)
+        with mock.patch.object(grid, "_plain_lines", lambda path: None):
+            assert _outcome(load, fname) == fast
+        with mock.patch.object(grid, "_pair_arrays", lambda *args: None):
+            assert _outcome(load, fname) == fast  # germ rows line by line

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from besov_rough import rough
 from besov_rough._rng import rng_for
 from besov_rough.errors import RegimeError
 from besov_rough.grid import GridPath, UniformGrid
@@ -137,6 +138,21 @@ def test_chen_residual_keeps_a_nan():
     sig = [lv.copy() for lv in lift._sig]
     sig[2][5, 1] = np.nan
     assert math.isnan(chen_residual(RoughPath(lift.grid, lift.params, sig)))
+
+
+def test_chen_residual_chunks_keep_the_bits(monkeypatch):
+    # chunks of 7 triples give the default's residual bits: random and
+    # skeleton triples (128 cells), all triples (16 cells) and a nan
+    small = brownian_lift(2, UniformGrid(1.0, 4), 3)
+    sig = [lv.copy() for lv in small._sig]
+    sig[2][5, 1] = np.nan
+    cases = [brownian_lift(2, UniformGrid(1.0, 7), 3), small,
+             RoughPath(small.grid, small.params, sig)]
+    want = np.array([chen_residual(X) for X in cases])
+    monkeypatch.setattr(rough, "_CHEN_CHUNK", 7)
+    got = np.array([chen_residual(X) for X in cases])
+    assert got.tobytes() == want.tobytes() and math.isnan(got[2])
+    assert 0 < got[0] < 1e-12
 
 
 @pytest.mark.parametrize("k, ii, jj, nvals", [
