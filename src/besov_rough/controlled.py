@@ -23,6 +23,7 @@ from .norms import (
     besov_seminorm,
     two_param_metric,
     two_param_norm,
+    _add_lanes,
     _dyadic_band_norms,
     _dyadic_sum,
     _lane_sum,
@@ -89,17 +90,23 @@ class ControlledPath:
         return self._remainder
 
 
+def _as_planes(x: np.ndarray) -> np.ndarray:
+    """x (nodes, ...) as C-contiguous component planes (..., nodes)."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
 def _expansion_lead(a, dx, b=None, xx=None) -> np.ndarray:
-    """The controlled increment a dX + b XX, row by row: a is (B, m, n) and
-    dx (B, n); b, when given, is (B, m, n, n) and contracts with the
-    level-2 increments xx (B, n, n) as sum_{j,k} b[., j, k] XX[k, j], the
-    terms in the order j*n + k.  Both sums add in `norms._lane_sum` order."""
-    lead = _lane_sum(a, dx[:, None])
+    """The controlled increment a dX + b XX on component planes, shape
+    (m, B): a is (m, n, B) and dx (n, B); b, when given, is (m, n, n, B) and
+    contracts with the level-2 planes xx (n*n, B), row k*n + j holding
+    XX[k, j], as sum_{j,k} b[., j, k] XX[k, j], the terms in the order
+    j*n + k.  Both sums add in the lane order of `norms._add_lanes`."""
+    n = len(dx)
+    lead = _add_lanes(a[:, t] * dx[t] for t in range(n))
     if b is None:
         return lead
-    m, n = b.shape[1:3]
-    return lead + _lane_sum(b.reshape(len(b), m, n * n),
-                            np.swapaxes(xx, 1, 2).reshape(len(xx), 1, n * n))
+    return lead + _add_lanes(b[:, t // n, t % n] * xx[t % n * n + t // n]
+                             for t in range(n * n))
 
 
 def _expansion_remainder(grid, base, v, a, b=None, xx_field=None
@@ -107,16 +114,19 @@ def _expansion_remainder(grid, base, v, a, b=None, xx_field=None
     """The Davie-type remainder v_t - v_s - a_s dX_st - b_s XX_st as a lazy
     field on `grid`, with dX_st = base_t - base_s; v is (nodes, m), a is
     (nodes, m, n) and b, when given, is (nodes, m, n, n), contracted with
-    the level-2 field `xx_field` as in `_expansion_lead`."""
-    n = a.shape[2]
+    the level-2 field `xx_field` as in `_expansion_lead`.  The germ works on
+    component planes of v, a, b and the base path, held once."""
+    base, v, a = _as_planes(base), _as_planes(v), _as_planes(a)
+    if b is not None:
+        b = _as_planes(b)
 
     def germ(ii, jj):
-        terms = (a[ii], base[jj] - base[ii])
+        terms = (a[..., ii], base[:, jj] - base[:, ii])
         if b is not None:
-            terms += (b[ii], xx_field._values(ii, jj).reshape(-1, n, n))
-        return v[jj] - v[ii] - _expansion_lead(*terms)
+            terms += (b[..., ii], xx_field._planes(ii, jj))
+        return v[:, jj] - v[:, ii] - _expansion_lead(*terms)
 
-    return TwoParamField(grid, v.shape[1], germ=germ)
+    return TwoParamField(grid, len(v), germ=germ)
 
 
 def controlled_norm(cp: ControlledPath) -> float:
@@ -187,10 +197,10 @@ def rough_integral(
     y, yp = _integrand_arrays(cp)
     grid = X.grid
     base = X.base_path().values
-    dx = np.diff(base, axis=0)
-    xx_cons = X.level(2).band(1).reshape(grid.n - 1, X.n, X.n)
-    incs = _expansion_lead(y[:-1], dx, yp[:-1], xx_cons)
-    z = np.vstack([np.zeros((1, incs.shape[1])), np.cumsum(incs, axis=0)])
+    incs = _expansion_lead(_as_planes(y[:-1]),
+                           _as_planes(np.diff(base, axis=0)),
+                           _as_planes(yp[:-1]), X.level(2).band(1).T)
+    z = np.vstack([np.zeros((1, len(incs))), np.cumsum(incs, axis=1).T])
     out_shape = cp.value_shape[:-1]
     z_out = z.reshape((grid.n,) + out_shape)
     result = ControlledPath(X, z_out, cp.Y.reshape(z_out.shape + (X.n,)))
@@ -268,8 +278,8 @@ def rde_solve(
     grid = X.grid
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     base = X.base_path().values
-    dx_all = np.diff(base, axis=0)
-    xx_all = X.level(2).band(1).reshape(grid.n - 1, X.n, X.n)
+    dx_all = _as_planes(np.diff(base, axis=0))
+    xx_all = X.level(2).band(1).T
     p2 = p / 2
     q2 = q / 2
 
@@ -282,8 +292,9 @@ def rde_solve(
     def sweep(a, b, ya, state, sub_grid):
         cur, cur_p = state
         fv, wp = _davie_coefficients(F, cur)
-        incs = _expansion_lead(fv[:-1], dx_all[a:b], wp[:-1], xx_all[a:b])
-        nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
+        incs = _expansion_lead(_as_planes(fv[:-1]), dx_all[:, a:b],
+                               _as_planes(wp[:-1]), xx_all[:, a:b])
+        nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=1).T])
         dp = fv - cur_p
         diff = GridPath(sub_grid, dp.reshape(b - a + 1, -1))
         dist = besov_seminorm(diff, alpha, p, q, form="dyadic")

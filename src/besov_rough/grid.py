@@ -136,16 +136,17 @@ def _check_same(a, b):
 class TwoParamField:
     """Two-parameter array A[i][j] in R^m on grid pairs i <= j.
 
-    The field is a vectorized germ ``germ(ii, jj) -> (len, m)``, evaluated
-    on demand, so fine grids keep O(n) memory; ii, jj are two slices (bands:
-    views) or two intp arrays (`pairs`), used only to index (`_indices`
-    converts).  Array data enters through ``dense=``, an (n, n, m) array
-    copied, frozen and read at the requested pairs (never below the
-    diagonal); an array built for the field is handed over, frozen in place,
-    through the germ `_frozen_germ(arr)`.  The diagonal is whatever the germ
-    gives there: zero for increment-type germs, the stored diagonal for
-    array data.  Band access (all entries A[i, i+k]) is the workhorse for
-    every norm.
+    The field is a vectorized germ ``germ(ii, jj) -> (m, len)``, one
+    component plane per row, evaluated on demand, so fine grids keep O(n)
+    memory; ii, jj are two slices (bands: views) or two intp arrays
+    (`pairs`), used only to index (`_indices` converts).  `band` and `pairs`
+    return the transpose, (len, m), as a view.  Array data enters through
+    ``dense=``, an (n, n, m) array copied, frozen and read at the requested
+    pairs (never below the diagonal); an array built for the field is
+    handed over, frozen in place, through the germ `_frozen_germ(arr)`.  The
+    diagonal is whatever the germ gives there: zero for increment-type
+    germs, the stored diagonal for array data.  Band access (all entries
+    A[i, i+k]) is the workhorse for every norm.
     """
 
     def __init__(
@@ -177,16 +178,16 @@ class TwoParamField:
                              germ=_frozen_germ(self.to_dense()))
 
     # -- access ------------------------------------------------------------
-    def _values(self, ii, jj, rows: int = -1) -> np.ndarray:
-        """Germ values at the selectors ii, jj as a (rows, m) array."""
-        return np.asarray(self._germ(ii, jj), float).reshape(rows, self.dim)
+    def _planes(self, ii, jj, rows: int = -1) -> np.ndarray:
+        """Germ values at the selectors ii, jj as (m, rows) component planes."""
+        return np.asarray(self._germ(ii, jj), float).reshape(self.dim, rows)
 
     def band(self, k: int) -> np.ndarray:
         """All entries A[i, i+k] for i = 0..n-1-k, shape (n-k, m)."""
         n = self.grid.n
         if not 0 <= k < n:
             raise IndexError(f"band offset {k} out of range for n={n}")
-        return self._values(slice(0, n - k), slice(k, n), n - k)
+        return self._planes(slice(0, n - k), slice(k, n), n - k).T
 
     def pairs(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """Entries A[ii, jj] for index arrays with ii <= jj, shape (len, m)."""
@@ -194,7 +195,7 @@ class TwoParamField:
         jj = np.asarray(jj, dtype=np.intp)
         if np.any(ii > jj):
             raise IndexError("pairs requires ii <= jj")
-        return self._values(ii, jj, len(ii))
+        return self._planes(ii, jj, len(ii)).T
 
     def at(self, i: int, j: int) -> np.ndarray:
         return self.pairs(np.array([i]), np.array([j]))[0]
@@ -214,7 +215,7 @@ class TwoParamField:
         if not 0 <= u_off <= k < n:
             raise IndexError("delta2_bands needs 0 <= u_off <= k < n")
         i, u, j = slice(0, n - k), slice(u_off, u_off + n - k), slice(k, n)
-        return self._values(i, j) - self._values(i, u) - self._values(u, j)
+        return (self._planes(i, j) - self._planes(i, u) - self._planes(u, j)).T
 
     def to_dense(self) -> np.ndarray:
         """(n, n, m) array of the entries on and above the diagonal, zero
@@ -233,7 +234,7 @@ class TwoParamField:
         if isinstance(other, TwoParamField):
             if other.grid != self.grid or other.dim != self.dim:
                 raise ValueError("field mismatch")
-            a, b = self._values, other._values
+            a, b = self._planes, other._planes
             return TwoParamField(
                 self.grid, self.dim, germ=lambda ii, jj: f(a(ii, jj), b(ii, jj))
             )
@@ -265,7 +266,7 @@ def _frozen_germ(dense: np.ndarray):
     dense.setflags(write=False)
 
     def germ(ii, jj):
-        return dense[_indices(ii), _indices(jj)]
+        return dense[_indices(ii), _indices(jj)].T
 
     return germ
 
@@ -279,7 +280,7 @@ def delta(path: GridPath) -> TwoParamField:
     """Increment field of a path: result[i][j] = f_j - f_i."""
     values = path.values
     return TwoParamField(
-        path.grid, path.dim, germ=lambda ii, jj: values[jj] - values[ii]
+        path.grid, path.dim, germ=lambda ii, jj: (values[jj] - values[ii]).T
     )
 
 
@@ -454,7 +455,7 @@ def load_germ_csv(path) -> TwoParamField:
 
     def germ(ii, jj):
         pos, hit = _find(flat, _indices(ii) * n + _indices(jj))
-        return np.where(hit[:, None], values[pos], 0.0)
+        return np.where(hit[:, None], values[pos], 0.0).T
 
     return TwoParamField(UniformGrid(1.0, level), values.shape[1], germ=germ)
 

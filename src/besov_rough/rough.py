@@ -199,7 +199,9 @@ class RoughPath:
     level may also hold explicit pairs: the values at some pairs (i, j),
     0 < i < j, stored instead of computed and read back bit for bit (for
     example an injected Chen fault), as sorted keys i * nodes + j and a
-    (len, n^k) array.  The base path is level 1 of the prefixes.
+    (len, n^k) array.  The base path is level 1 of the prefixes.  The
+    level germs read the inverse prefixes and the prefixes as component
+    planes (n^k, nodes), each built once, when first needed.
     """
 
     def __init__(self, grid: UniformGrid, params: BesovParams, sig, pairs=None):
@@ -209,7 +211,7 @@ class RoughPath:
         self.grid = grid
         self.params = params
         self._sig = sig
-        self._siginv = None
+        self._siginv = self._sigplanes = None
         self._pairs = pairs or {}  # level k -> (keys, values)
         self._base = GridPath(grid, sig[1] - sig[1][0])
 
@@ -239,42 +241,67 @@ class RoughPath:
                               " path holds explicit pairs")
 
     # -- internals ------------------------------------------------------------
-    def _inv_prefix(self):
+    def _inv_planes(self):
+        """The inverse prefixes S_t^{-1} as component planes (n^k, nodes),
+        built once in blocks of about `_INV_BYTES` of levels: `_inv_levels`
+        works row by row, so the blocks keep the bits and bound its
+        temporaries."""
         if self._siginv is None:
-            self._siginv = _inv_levels(self._sig, self.n, self.depth)
+            nodes = self.grid.n
+            inv = [np.empty((self.n**k, nodes)) for k in range(self.depth + 1)]
+            step = max(1, _INV_BYTES // (8 * sum(len(p) for p in inv)))
+            for lo in range(0, nodes, step):
+                block = [lv[lo:lo + step] for lv in self._sig]
+                for plane, rows in zip(inv, _inv_levels(block, self.n,
+                                                        self.depth)):
+                    plane[:, lo:lo + len(rows)] = rows.T
+            self._siginv = inv
         return self._siginv
 
-    def _put_pairs(self, k: int, ii, jj, out):
-        """out, the level-k values at the selectors ii, jj, with the explicit
-        pairs among them written in."""
+    def _sig_planes(self):
+        """The prefixes as component planes (n^k, nodes), built once."""
+        if self._sigplanes is None:
+            self._sigplanes = [np.ascontiguousarray(lv.T) for lv in self._sig]
+        return self._sigplanes
+
+    def _put_pairs(self, k: int, ii, jj, planes):
+        """`planes`, the level-k values (n^k, len) at the selectors ii, jj,
+        with the explicit pairs among them written in."""
         if k in self._pairs:
             keys, values = self._pairs[k]
             pos, hit = _find(keys, _indices(ii) * self.grid.n + _indices(jj))
-            out[hit] = values[pos[hit]]
-        return out
+            planes[:, hit] = values[pos[hit]].T
+        return planes
 
     def pairs_levels(self, ii, jj):
         """Group increments X_{ii -> jj} as batched levels (len, n^k)."""
         ii = np.asarray(ii, dtype=np.intp)
         jj = np.asarray(jj, dtype=np.intp)
-        inv = self._inv_prefix()
-        x = [lv[ii] for lv in inv]
+        x = [lv[:, ii].T for lv in self._inv_planes()]
         y = [lv[jj] for lv in self._sig]
         out = _mul_levels(x, y, self.depth)
         for k in self._pairs:
-            self._put_pairs(k, ii, jj, out[k])
+            self._put_pairs(k, ii, jj, out[k].T)
         return out
 
     def level(self, k: int) -> TwoParamField:
-        """Level-k component as a TwoParamField with n^k entries."""
+        """Level-k component as a TwoParamField with n^k entries: the germ
+        adds the terms of `_mul_level` (S_s^{-1})^(a) (x) S_t^(k-a) for
+        a = 0..k, in that order, as whole rows of the component planes.
+        It leaves out the `+ 0.0` of `_mul_level`'s first term and outer
+        products: they change only the sign of a zero partial sum, and the
+        last term, a level of the inverse, is never -0.0 (`_series` starts
+        each level at +0.0), so the sums keep their bits."""
         if not 1 <= k <= self.depth:
             raise IndexError(f"level {k} outside 1..{self.depth}")
-        sig = self._sig[: k + 1]
 
         def germ(ii, jj):
-            inv = self._inv_prefix()[: k + 1]
-            out = _mul_level([lv[ii] for lv in inv], [lv[jj] for lv in sig], k)
-            return self._put_pairs(k, ii, jj, out)
+            inv, sig = self._inv_planes(), self._sig_planes()
+            out = sig[k][:, jj]
+            for a in range(1, k):
+                term = inv[a][:, None, ii] * sig[k - a][None, :, jj]
+                out = out + term.reshape(out.shape)
+            return self._put_pairs(k, ii, jj, out + inv[k][:, ii])
 
         return TwoParamField(self.grid, self.n**k, germ=germ)
 
@@ -287,7 +314,7 @@ class RoughPath:
         if span <= 0 or span & (span - 1):
             raise ValueError("restriction span must be a power of two")
         sub = UniformGrid(span * self.grid.mesh, span.bit_length() - 1)
-        inv_a = [lv[a : a + 1] for lv in self._inv_prefix()]
+        inv_a = [lv[:, a : a + 1].T for lv in self._inv_planes()]
         seg = [lv[a : b + 1] for lv in self._sig]
         return RoughPath(sub, self.params, _mul_levels(inv_a, seg, self.depth))
 
@@ -503,6 +530,7 @@ def chen_residual(X: RoughPath) -> float:
 
 
 _CHEN_CHUNK = 2048  # triples per chunk of chen_residual
+_INV_BYTES = 1 << 20  # levels per block of the inverse prefixes
 
 
 def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:

@@ -148,7 +148,7 @@ def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
             if w not in suffixes:
                 suffixes[w] = _suffix(A, w)
             out[sel] = suffixes[w][ii[sel]] - suffixes[w][jj[sel]]
-        return out
+        return out.T
 
     return TwoParamField(A.grid, A.dim, germ=germ)
 
@@ -198,7 +198,7 @@ def sew(input: SewingInput, diagnostics: bool = True) -> SewingResult:
     integral = GridPath(grid, ia)
 
     def rem_germ(ii, jj):
-        return ia[jj] - ia[ii] - A._values(ii, jj)
+        return (ia[jj] - ia[ii]).T - A._planes(ii, jj)
 
     remainder = TwoParamField(grid, A.dim, germ=rem_germ)
 

@@ -428,13 +428,30 @@ def pprod_bdg_experiment(
 
         denom = lr(f_vals, r1) * lr(sg_vals, r0)
         out["lengths"][int(length)] = {
-            "ratio_p50": float(np.percentile(ratios, 50)),
-            "ratio_p90": float(np.percentile(ratios, 90)),
-            "ratio_p99": float(np.percentile(ratios, 99)),
+            "ratio_p50": _percentile(ratios, 50),
+            "ratio_p90": _percentile(ratios, 90),
+            "ratio_p99": _percentile(ratios, 99),
             "ratio_mean": float(ratios.mean()),
-            "bdg_p50": float(np.percentile(bdg_ratios, 50)),
-            "bdg_p99": float(np.percentile(bdg_ratios, 99)),
+            "bdg_p50": _percentile(bdg_ratios, 50),
+            "bdg_p99": _percentile(bdg_ratios, 99),
             "lr_ratio": 0.0 if denom == 0 else lr(lhs_vals, r) / denom,
             "samples": samples,
         }
     return out
+
+
+def _percentile(x: np.ndarray, q: int) -> float:
+    """`np.percentile(x, q)` of a 1-D float array, bit for bit, without the
+    import of numpy.ma that np.percentile pays through np.unique: numpy's
+    'linear' method (virtual index (n - 1) q/100 and numpy's lerp with its
+    t >= 0.5 branch) on a copy of x partitioned at numpy's kth, so that
+    ties of -0.0 and +0.0 resolve as in numpy; a nan in x is the result."""
+    n = len(x)
+    v = (n - 1) * (q / 100)
+    i, j = (-1, -1) if v >= n - 1 else (math.floor(v), math.floor(v) + 1)
+    part = np.partition(x, sorted({0, -1, i, j}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    t = v - i
+    diff = part[j] - part[i]
+    return float(part[j] - diff * (1 - t) if t >= 0.5 else part[i] + diff * t)

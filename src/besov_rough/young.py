@@ -199,7 +199,7 @@ def product_germ(f: GridPath, g: GridPath) -> TwoParamField:
     dim = f.dim * g.dim
 
     def germ(ii, jj):
-        return _outer(fv[ii], gv[jj] - gv[ii])
+        return _outer(fv[ii], gv[jj] - gv[ii]).T
 
     return TwoParamField(f.grid, dim, germ=germ)
 

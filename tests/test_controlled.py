@@ -179,11 +179,19 @@ def test_expansion_lead_one_row_is_row_of_doubled(m, n):
     for _ in range(200):
         a, dx = rng.standard_normal((1, m, n)), rng.standard_normal((1, n))
         b, xx = rng.standard_normal((1, m, n, n)), rng.standard_normal((1, n, n))
-        doubled = [np.repeat(v, 2, 0) for v in (a, dx, b, xx)]
-        assert np.array_equal(_expansion_lead(a, dx, b, xx)[0],
-                              _expansion_lead(*doubled)[0])
-        assert np.array_equal(_expansion_lead(a, dx)[0],
-                              _expansion_lead(*doubled[:2])[0])
+        one = _lead_planes(a, dx, b, xx)
+        doubled = _lead_planes(*(np.repeat(v, 2, 0) for v in (a, dx, b, xx)))
+        assert np.array_equal(_expansion_lead(*one)[:, 0],
+                              _expansion_lead(*doubled)[:, 0])
+        assert np.array_equal(_expansion_lead(*one[:2])[:, 0],
+                              _expansion_lead(*doubled[:2])[:, 0])
+
+
+def _lead_planes(a, dx, b, xx):
+    """Row-first operands as the component planes `_expansion_lead` takes:
+    xx (B, n, n) gives the rows k*n + j of its level-2 planes."""
+    return [np.moveaxis(a, 0, -1), dx.T, np.moveaxis(b, 0, -1),
+            np.moveaxis(xx, 0, -1).reshape(-1, len(xx))]
 
 
 # -- composition --------------------------------------------------------------------

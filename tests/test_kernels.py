@@ -99,6 +99,30 @@ def _ref_lead(a, dx, b=None, xx=None):
     return lead + _lanes(terms.reshape(len(terms), m, n * n))
 
 
+def _rows_first(x):
+    return np.moveaxis(x, -1, 0)
+
+
+def _ref_plane_lead(a, dx, b=None, xx=None):
+    """`_ref_lead` on the component planes `_expansion_lead` takes."""
+    rows = [_rows_first(a), _rows_first(dx)]
+    if b is not None:
+        n = len(dx)
+        rows += [_rows_first(b), _rows_first(xx).reshape(-1, n, n)]
+    return _ref_lead(*rows).T
+
+
+def _lead_on_rows(a, dx, b=None, xx=None):
+    """`_expansion_lead` called on row-first operands: its planes are
+    views of them (xx (B, n, n) gives the rows k*n + j), its result is
+    transposed back."""
+    planes = [np.moveaxis(x, 0, -1) for x in (a, dx)]
+    if b is not None:
+        planes += [np.moveaxis(b, 0, -1),
+                   np.moveaxis(xx, 0, -1).reshape(-1, xx.shape[0])]
+    return controlled._expansion_lead(*planes).T
+
+
 def _ref_chain(d, y):
     return _lanes(d[:, :, :, None, :] * np.swapaxes(y, 1, 2)[:, None, None])
 
@@ -146,7 +170,7 @@ def reference_only(monkeypatch):
         monkeypatch.setattr(mod, "_outer", _ref_outer)
     for mod in (young, controlled):
         monkeypatch.setattr(mod, "_lane_sum", _ref_lane_sum)
-    monkeypatch.setattr(controlled, "_expansion_lead", _ref_lead)
+    monkeypatch.setattr(controlled, "_expansion_lead", _ref_plane_lead)
     monkeypatch.setattr(stochlab, "_window_table", _ref_window_table)
     return monkeypatch
 
@@ -202,12 +226,12 @@ def test_controlled_increment_equals_einsum(m, n):
         terms = [_rand(rng, (rows, m, n)), _rand(rng, (rows, n)),
                  _rand(rng, (rows, m, n, n)), _rand(rng, (rows, n, n))]
         for layout in zip(*map(_layouts, terms)):
-            _same(controlled._expansion_lead(*layout), _ref_lead(*layout),
+            _same(_lead_on_rows(*layout), _ref_lead(*layout),
                   f"a dX + b XX, m={m} n={n}")
-            _same(controlled._expansion_lead(*layout[:2]),
+            _same(_lead_on_rows(*layout[:2]),
                   _ref_lead(*layout[:2]), f"a dX, m={m} n={n}")
         one_row = [terms[0][:1], terms[1], terms[2][:1], terms[3]]
-        _same(controlled._expansion_lead(*one_row), _ref_lead(*one_row),
+        _same(_lead_on_rows(*one_row), _ref_lead(*one_row),
               f"one-row coefficients, m={m} n={n}")
 
 
@@ -298,6 +322,69 @@ def test_window_table_equals_einsum(monkeypatch, dim):
                 _same(got[n], want[n], f"window table dim={dim} rows={rows}")
 
 
+# -- the plane germs: R, D and the signature levels ----------------------------
+
+GERM_NODES = 2049
+# bands of 2048, _COLUMN_ROWS + 1, _COLUMN_ROWS, _COLUMN_ROWS - 1 and 2 rows
+GERM_SHIFTS = [1, GERM_NODES - _COLUMN_ROWS - 1, GERM_NODES - _COLUMN_ROWS,
+               GERM_NODES - _COLUMN_ROWS + 1, GERM_NODES - 2]
+
+
+def _ref_level(X, k, ii, jj):
+    """Level k of S_ii^{-1} (x) S_jj row by row, the terms of `_mul_level`
+    in its order, from an inverse built over every row at once, with the
+    explicit pairs written in."""
+    inv = rough._inv_levels(X._sig, X.n, X.depth)
+    out = X._sig[k][jj] + 0.0
+    for a in range(1, k):
+        out = out + _ref_outer(inv[a][ii], X._sig[k - a][jj])
+    out = out + inv[k][ii]
+    for key, value in zip(*X._pairs.get(k, ((), ()))):
+        out[ii * X.grid.n + jj == key] = value
+    return out
+
+
+def _germ_fields():
+    """(name, field, row reference) for R, D and the levels of a lift whose
+    path, coefficients and values hold signed zeros, and of the same lift
+    with a Chen fault at (256, 512) on level 2 (criterion 09) and an
+    explicit pair on level 1."""
+    rng = np.random.default_rng(14)
+    grid = UniformGrid(1.0, 11)
+    w = _rand(rng, (GERM_NODES, 2))
+    w[1::5] = w[::5][: len(w[1::5])]  # some zero increments
+    X = canonical_lift(GridPath(grid, w), 2)
+    fault = X.level(2).at(256, 512)
+    fault[0] += 1e-3
+    faulty = X.with_pairs(2, [256], [512], fault).with_pairs(
+        1, [3], [700], [[-0.0, 2.5]])
+    v, a, b = (_rand(rng, (GERM_NODES, 2) + s) for s in ((), (2,), (2, 2)))
+    base = X.base_path().values
+    for name, Z in (("lift", X), ("faulty lift", faulty)):
+        def ref_d(ii, jj, Z=Z):
+            xx = _ref_level(Z, 2, ii, jj).reshape(-1, 2, 2)
+            return v[jj] - v[ii] - _ref_lead(a[ii], base[jj] - base[ii],
+                                              b[ii], xx)
+
+        yield (f"D on the {name}", controlled._expansion_remainder(
+            grid, base, v, a, b, Z.level(2)), ref_d)
+        for k in (1, 2):
+            yield (f"level {k} of the {name}", Z.level(k),
+                   lambda ii, jj, Z=Z, k=k: _ref_level(Z, k, ii, jj))
+    yield ("R", controlled.ControlledPath(X, v, a).remainder,
+           lambda ii, jj: v[jj] - v[ii] - _ref_lead(a[ii], base[jj] - base[ii]))
+
+
+@pytest.mark.parametrize("name, field, ref", list(_germ_fields()),
+                         ids=[f[0] for f in _germ_fields()])
+def test_plane_germs_equal_the_lane_order_reference(name, field, ref):
+    for k in GERM_SHIFTS + [256, 697]:  # the explicit pairs
+        idx = np.arange(GERM_NODES - k)
+        band = field.band(k)
+        _same(band, ref(idx, idx + k), f"{name}, band {k}")
+        _same(band, field.pairs(idx, idx + k), f"{name}, band {k} as pairs")
+
+
 # -- a row's bits do not depend on its batch ---------------------------------
 
 
@@ -313,7 +400,7 @@ def _row_kernels():
         yield f"magnitudes m={m}", _mags, [(m,)]
         yield (f"plane magnitudes m={m}", lambda d: norms._plane_mags(d.T),
                [(m,)])
-    yield "a dX + b XX", controlled._expansion_lead, [
+    yield "a dX + b XX", _lead_on_rows, [
         (3, 3), (3,), (3, 3, 3), (3, 3)]
     yield "Df f", controlled._chain, [(4, 3, 4), (4, 3)]
     yield "linear field", lin.fun, [(4,)]
@@ -354,7 +441,8 @@ def _lift_outputs(n):
     out = []
     for X in _lifts(n):
         out += list(X._sig)
-        inc = rough._mul_levels(X._inv_prefix(), X._sig, X.depth)
+        inc = rough._mul_levels([lv.T for lv in X._inv_planes()], X._sig,
+                                X.depth)
         out += inc + [rough._hom_levels(inc, n, X.depth)]
     return out
 

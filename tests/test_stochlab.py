@@ -427,3 +427,37 @@ def test_chunked_oracle_equals_one_shot_draw(k, dim, draws):
     assert stochlab._ORACLE_ROWS == 500
     got = stochlab._one_window_oracle(4.0, k, dim, 24, draws)
     assert got == _one_shot_oracle(4.0, k, dim, 24, draws)
+
+
+@pytest.mark.parametrize("q", [50, 90, 99])
+def test_percentile_has_the_bits_of_numpy(q):
+    """Sizes 1-50 of normal draws, of ties among a few values, and of
+    signed zeros only (where a sorted copy would pick the other zero of a
+    tie), plus a nan."""
+    rng = np.random.default_rng(q)
+    for n in range(1, 51):
+        cases = [rng.standard_normal(n),
+                 rng.choice([-1.0, 0.0, 0.5, 2.0], n),
+                 rng.choice([-1.0, -0.0, 0.0, 1.0], n),
+                 rng.choice([-0.0, 0.0], n)]
+        nan = rng.standard_normal(n)
+        nan[rng.integers(n)] = np.nan
+        for x in cases + [nan]:
+            want = np.float64(np.percentile(x, q))
+            assert np.float64(stochlab._percentile(x, q)).tobytes() \
+                == want.tobytes(), (n, q, x)
+
+
+def test_mc_pprod_bdg_does_not_import_numpy_ma(tmp_path):
+    import subprocess
+    import sys
+
+    cfg = tmp_path / "pprod.json"
+    cfg.write_text('{"experiment": "pprod-bdg", "lengths": [16], "samples": 3}')
+    code = ("import sys; from besov_rough.cli import main;"
+            f" main(['mc', '--config', {str(cfg)!r},"
+            f" '--out', {str(tmp_path / 'out.csv')!r}]);"
+            " print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
