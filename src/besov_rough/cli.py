@@ -315,8 +315,9 @@ def _read_meta(path: str) -> dict:
               f"an integer in 1..{MAX_DIM}"),
         "N": (lambda v: _has_type(v, int) and 1 <= v <= MAX_LEVEL,
               f"an integer in 1..{MAX_LEVEL}"),
-        "level": (lambda v: _has_type(v, int) and v >= 0,
-                  "a nonnegative integer"),
+        # 2^30 + 1 nodes keep pair keys' node indices below 2^31
+        "level": (lambda v: _has_type(v, int) and 0 <= v <= 30,
+                  "an integer in 0..30"),
         "horizon": (lambda v: _has_type(v, float) and v > 0,
                     "a finite positive number"),
         "alpha": (lambda v: _has_type(v, float), "a finite number"),
@@ -347,16 +348,17 @@ def load_rough_dir(path: str) -> RoughPath:
         INF if meta["q"] is None else meta["q"],
     )
     n, depth = meta["n"], meta["N"]
-    sig, pairs = [np.ones((grid.n, 1))], {}
+    sig, pairs = [], {}  # level 0 is sized once the files confirm the grid
     for k in range(1, depth + 1):
         fname = os.path.join(path, f"{k}.csv")
         if meta["format"] == "pairwise":
             _, keys, values = _pair_rows(fname, grid.n, n**k)
             head = grid.n - 1  # the rows (0, j): the signature
-            if not np.array_equal(keys[:head], np.arange(1, grid.n)):
+            if len(keys) < head or not np.array_equal(keys[:head],
+                                                      np.arange(1, grid.n)):
                 raise GridFormatError(
                     f"{fname}: need the rows (0, j) for j = 1..{head}")
-            sig.append(np.vstack([np.zeros((1, n**k)), values[:head]]))
+            sig.append(np.hstack([np.zeros((n**k, 1)), values[:head].T]))
             pairs[k] = fname, keys[head:], values[head:]
             continue
         prefix = load_path_csv(fname, magnitudes=(k == 1))
@@ -365,11 +367,11 @@ def load_rough_dir(path: str) -> RoughPath:
         if np.any(prefix.values[0] != 0.0):
             raise GridFormatError(
                 f"{fname}: first row must be zero (X_00 is the identity)")
-        sig.append(prefix.values)
+        sig.append(np.ascontiguousarray(prefix.values.T))
         fname = os.path.join(path, f"{k}.pairs.csv")
         if os.path.exists(fname):
             pairs[k] = fname, *_pair_rows(fname, grid.n, n**k)[1:]
-    X = Y = RoughPath(grid, params, sig)
+    X = Y = RoughPath(grid, params, [np.ones((1, grid.n))] + sig)
     for k, (fname, keys, values) in pairs.items():
         ii, jj = np.divmod(keys, grid.n)
         # a stored pair equal in every bit to its Chen value is no defect

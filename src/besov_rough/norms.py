@@ -106,24 +106,15 @@ class EndpointModulus:
 # ---------------------------------------------------------------------------
 # shared kernels
 
-_COLUMN_ROWS = 1024  # from here on a multiply per output column is faster
+_COLUMN_ROWS = 1024  # from here on `_lane_sum` multiplies per output column
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Outer products u[:, a] v[:, b] + 0.0 of (B, p) and (B, q) factors in
-    column a*q + b of (B, p*q); one row broadcasts.  One multiply per output
-    column from `_COLUMN_ROWS` rows on, and at every size when q = 2 (numpy
-    would run its broadcast loop over pairs), else one broadcast multiply:
-    the same products either way."""
-    rows, p, q = max(len(u), len(v)), u.shape[1], v.shape[1]
-    out = np.empty((rows, p, q))
-    if p * q > 1 and (q == 2 or rows >= _COLUMN_ROWS):
-        for a, b in itertools.product(range(p), range(q)):
-            np.multiply(u[:, a], v[:, b], out=out[:, a, b])
-    else:
-        np.multiply(u[:, :, None], v[:, None, :], out=out)
+    """Outer products u[a] v[b] + 0.0 of the component planes u (p, B) and
+    v (q, B) in plane a*q + b of (p*q, B); a one-column factor broadcasts."""
+    out = u[:, None] * v[None]
     out += 0.0
-    return out.reshape(rows, p * q)
+    return out.reshape(-1, out.shape[-1])
 
 
 def _lane_sum(x, y) -> np.ndarray:

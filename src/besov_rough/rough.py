@@ -6,7 +6,9 @@ an exact lazy closure X_{st} = S_s^{-1} (x) S_t: Chen's relation holds by
 construction up to float roundoff, and band access costs O(1) per pair.
 
 Tensor components are dense, row-major multi-index, flattened to (n^k,) per
-level; base dimension and depth are capped at 4.
+level; base dimension and depth are capped at 4.  A batch of B elements is
+held as component planes, one (n^k, B) array per level, in the tensor
+algebra and in the stored lifts alike.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .grid import GridPath, TwoParamField, UniformGrid, _find, _indices
 from .norms import (
     INF,
     BesovParams,
-    _mags,
     _outer,
     _plane_mags,
     two_param_metric,
@@ -62,18 +63,19 @@ def _check_caps(n: int, depth: int):
 
 
 # ---------------------------------------------------------------------------
-# batched level arithmetic: levels[k] has shape (B, n^k), k = 0..N
+# batched level arithmetic: levels[k] has shape (n^k, B), k = 0..N
 
 
 def _identity_levels(batch: int, n: int, depth: int):
-    return [np.full((batch, n**k), float(k == 0)) for k in range(depth + 1)]
+    return [np.full((n**k, batch), float(k == 0)) for k in range(depth + 1)]
 
 
 def _mul_level(x, y, k: int):
     """Level k of x (x) y: the terms x[a] (x) y[k-a] added for a = 0..k in
-    that order, from 0; a one-row batch broadcasts.  A factor whose scalar
-    level is exactly 1 enters its term unmultiplied (0 + 1*v is v + 0.0)."""
-    rows = max(len(x[0]), len(y[0]))
+    that order, from 0; a one-column batch broadcasts.  A factor whose
+    scalar level is exactly 1 enters its term unmultiplied (0 + 1*v is
+    v + 0.0)."""
+    batch = max(x[0].shape[1], y[0].shape[1])
     for a in range(k + 1):
         u, v = x[a], y[k - a]
         if a == 0 and (u == 1.0).all():
@@ -83,7 +85,7 @@ def _mul_level(x, y, k: int):
         else:
             term = _outer(u, v)
         if a == 0:
-            acc = np.add(term, 0.0, out=np.empty((rows, term.shape[1])))
+            acc = np.add(term, 0.0, out=np.empty((len(term), batch)))
         else:
             acc += term
     return acc
@@ -96,7 +98,7 @@ def _mul_levels(x, y, depth: int):
 def _series(a, n: int, depth: int, divisor):
     """sum of a^j / divisor(j) over j = 0..depth, added in that order, for
     batched levels a with zero scalar level."""
-    out = power = _identity_levels(len(a[0]), n, depth)
+    out = power = _identity_levels(a[0].shape[1], n, depth)
     for j in range(1, depth + 1):
         power = _mul_levels(power, a, depth)
         out = [s + t / divisor(j) for s, t in zip(out, power)]
@@ -118,10 +120,9 @@ def _exp_levels(a, n: int, depth: int):
 
 def _gauge_levels(x, depth: int):
     """N(x) = max_k (k! |x^(k)|)^{1/k}, batched; |.| is Euclidean."""
-    batch = x[0].shape[0]
-    best = np.zeros(batch)
+    best = np.zeros(x[0].shape[1])
     for k in range(1, depth + 1):
-        mag = _mags(x[k])
+        mag = _plane_mags(x[k])
         np.maximum(best, (math.factorial(k) * mag) ** (1.0 / k), out=best)
     return best
 
@@ -150,7 +151,7 @@ class TensorElement:
                        for k in range(depth + 1)])
 
     def _batched(self):
-        return [lv[None, :] for lv in self.levels]
+        return [lv[:, None] for lv in self.levels]
 
     def level(self, k: int) -> np.ndarray:
         return self.levels[k].reshape((self.n,) * k) if k else self.levels[0][0]
@@ -160,22 +161,22 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     if x.n != y.n or x.depth != y.depth:
         raise ValueError("algebra mismatch")
     out = _mul_levels(x._batched(), y._batched(), x.depth)
-    return TensorElement(x.n, [lv[0] for lv in out])
+    return TensorElement(x.n, [lv[:, 0] for lv in out])
 
 
 def tensor_inv(x: TensorElement) -> TensorElement:
     out = _inv_levels(x._batched(), x.n, x.depth)
-    return TensorElement(x.n, [lv[0] for lv in out])
+    return TensorElement(x.n, [lv[:, 0] for lv in out])
 
 
 def tensor_exp(v, depth: int) -> TensorElement:
     """exp of a level-1 vector in the step-`depth` nilpotent algebra."""
     v = np.asarray(v, dtype=float)
     n = len(v)
-    a = [np.zeros((1, 1)), v[None, :]] + [np.zeros((1, n**k))
+    a = [np.zeros((1, 1)), v[:, None]] + [np.zeros((n**k, 1))
                                           for k in range(2, depth + 1)]
     out = _exp_levels(a, n, depth)
-    return TensorElement(n, [lv[0] for lv in out])
+    return TensorElement(n, [lv[:, 0] for lv in out])
 
 
 def homogeneous_norm(x: TensorElement) -> float:
@@ -194,26 +195,26 @@ def dilate_element(x: TensorElement, lam: float) -> TensorElement:
 class RoughPath:
     """Level-N rough path over R^n with Besov parameters attached.
 
-    Stored as its node-wise signature prefixes sig[k] (nodes, n^k), the
-    levels of S_t = X_{0,t}; every increment is X_st = S_s^{-1} (x) S_t.  A
-    level may also hold explicit pairs: the values at some pairs (i, j),
-    0 < i < j, stored instead of computed and read back bit for bit (for
-    example an injected Chen fault), as sorted keys i * nodes + j and a
-    (len, n^k) array.  The base path is level 1 of the prefixes.  The
-    level germs read the inverse prefixes and the prefixes as component
-    planes (n^k, nodes), each built once, when first needed.
+    Stored as its node-wise signature prefixes S_t = X_{0,t}, one component
+    plane array sig[k] (n^k, nodes) per level k = 0..N; every increment is
+    X_st = S_s^{-1} (x) S_t.  The inverse prefixes, in the same layout,
+    are built once, when first needed.  A level may also hold explicit
+    pairs: the values at some pairs (i, j), 0 < i < j, stored instead of
+    computed and read back bit for bit (for example an injected Chen
+    fault), as sorted keys i * nodes + j and a (len, n^k) array.  The base
+    path is level 1 of the prefixes.
     """
 
     def __init__(self, grid: UniformGrid, params: BesovParams, sig, pairs=None):
-        self.n = sig[1].shape[1]
+        self.n = len(sig[1])
         self.depth = len(sig) - 1
         _check_caps(self.n, self.depth)
         self.grid = grid
         self.params = params
         self._sig = sig
-        self._siginv = self._sigplanes = None
+        self._siginv = None
         self._pairs = pairs or {}  # level k -> (keys, values)
-        self._base = GridPath(grid, sig[1] - sig[1][0])
+        self._base = GridPath(grid, (sig[1] - sig[1][:, :1]).T)
 
     def with_pairs(self, k: int, ii, jj, values) -> "RoughPath":
         """This path with the level-k values at the pairs (ii, jj) given as
@@ -242,27 +243,20 @@ class RoughPath:
 
     # -- internals ------------------------------------------------------------
     def _inv_planes(self):
-        """The inverse prefixes S_t^{-1} as component planes (n^k, nodes),
-        built once in blocks of about `_INV_BYTES` of levels: `_inv_levels`
-        works row by row, so the blocks keep the bits and bound its
-        temporaries."""
+        """The inverse prefixes S_t^{-1} (n^k, nodes), built once in blocks
+        of about `_INV_BYTES` of levels: `_inv_levels` works node by node,
+        so the blocks keep the bits and bound its temporaries."""
         if self._siginv is None:
             nodes = self.grid.n
             inv = [np.empty((self.n**k, nodes)) for k in range(self.depth + 1)]
             step = max(1, _INV_BYTES // (8 * sum(len(p) for p in inv)))
             for lo in range(0, nodes, step):
-                block = [lv[lo:lo + step] for lv in self._sig]
-                for plane, rows in zip(inv, _inv_levels(block, self.n,
+                block = [lv[:, lo:lo + step] for lv in self._sig]
+                for plane, part in zip(inv, _inv_levels(block, self.n,
                                                         self.depth)):
-                    plane[:, lo:lo + len(rows)] = rows.T
+                    plane[:, lo:lo + step] = part
             self._siginv = inv
         return self._siginv
-
-    def _sig_planes(self):
-        """The prefixes as component planes (n^k, nodes), built once."""
-        if self._sigplanes is None:
-            self._sigplanes = [np.ascontiguousarray(lv.T) for lv in self._sig]
-        return self._sigplanes
 
     def _put_pairs(self, k: int, ii, jj, planes):
         """`planes`, the level-k values (n^k, len) at the selectors ii, jj,
@@ -274,15 +268,16 @@ class RoughPath:
         return planes
 
     def pairs_levels(self, ii, jj):
-        """Group increments X_{ii -> jj} as batched levels (len, n^k)."""
+        """Group increments X_{ii -> jj} as batched levels (len, n^k): the
+        transposes of component planes, which `.T` gives back uncopied."""
         ii = np.asarray(ii, dtype=np.intp)
         jj = np.asarray(jj, dtype=np.intp)
-        x = [lv[:, ii].T for lv in self._inv_planes()]
-        y = [lv[jj] for lv in self._sig]
+        x = [lv[:, ii] for lv in self._inv_planes()]
+        y = [lv[:, jj] for lv in self._sig]
         out = _mul_levels(x, y, self.depth)
         for k in self._pairs:
-            self._put_pairs(k, ii, jj, out[k].T)
-        return out
+            self._put_pairs(k, ii, jj, out[k])
+        return [lv.T for lv in out]
 
     def level(self, k: int) -> TwoParamField:
         """Level-k component as a TwoParamField with n^k entries: the germ
@@ -296,7 +291,7 @@ class RoughPath:
             raise IndexError(f"level {k} outside 1..{self.depth}")
 
         def germ(ii, jj):
-            inv, sig = self._inv_planes(), self._sig_planes()
+            inv, sig = self._inv_planes(), self._sig
             out = sig[k][:, jj]
             for a in range(1, k):
                 term = inv[a][:, None, ii] * sig[k - a][None, :, jj]
@@ -314,24 +309,33 @@ class RoughPath:
         if span <= 0 or span & (span - 1):
             raise ValueError("restriction span must be a power of two")
         sub = UniformGrid(span * self.grid.mesh, span.bit_length() - 1)
-        inv_a = [lv[:, a : a + 1].T for lv in self._inv_planes()]
-        seg = [lv[a : b + 1] for lv in self._sig]
+        inv_a = [lv[:, a : a + 1] for lv in self._inv_planes()]
+        seg = [lv[:, a : b + 1] for lv in self._sig]
         return RoughPath(sub, self.params, _mul_levels(inv_a, seg, self.depth))
+
+
+def _level_one(x: GridPath):
+    """The prefixes S^(0), S^(1) of a path's lift and its increments, as
+    component planes."""
+    v = np.ascontiguousarray(x.values.T)
+    return [np.ones((1, x.grid.n)), v - v[:, :1]], np.diff(v, axis=1)
+
+
+def _prefix_sums(incs: np.ndarray) -> np.ndarray:
+    """0 then the running sums of the increments (n^k, cells)."""
+    out = np.zeros((len(incs), incs.shape[1] + 1))
+    np.cumsum(incs, axis=1, out=out[:, 1:])
+    return out
 
 
 def canonical_lift(x: GridPath, depth: int, params: BesovParams | None = None
                    ) -> RoughPath:
     """Left-point iterated-sum lift: partial products of (1 + delta x)."""
     params = params or BesovParams(0.45, 32.0, INF)
-    n = x.dim
-    _check_caps(n, depth)
-    v = x.values
-    dx = np.diff(v, axis=0)
-    nodes = x.grid.n
-    sig = [np.ones((nodes, 1)), v - v[0]]
+    _check_caps(x.dim, depth)
+    sig, dx = _level_one(x)
     for k in range(2, depth + 1):
-        incs = _outer(sig[k - 1][:-1], dx)
-        sig.append(np.vstack([np.zeros((1, n**k)), np.cumsum(incs, axis=0)]))
+        sig.append(_prefix_sums(_outer(sig[k - 1][:, :-1], dx)))
     return RoughPath(x.grid, params, sig)
 
 
@@ -345,19 +349,16 @@ def geometric_lift(x: GridPath, depth: int, params: BesovParams | None = None
     params = params or BesovParams(0.45, 32.0, INF)
     n = x.dim
     _check_caps(n, depth)
-    v = x.values
-    dx = np.diff(v, axis=0)
-    nodes = x.grid.n
+    sig, dx = _level_one(x)
+    cells = dx.shape[1]
     # dx tensor powers / j!
-    powers = [np.ones((nodes - 1, 1)), dx.copy()]
+    powers = [np.ones((1, cells)), dx]
     for j in range(2, depth + 1):
         powers.append(_outer(powers[j - 1], dx) / j)
-    sig = [np.ones((nodes, 1)), v - v[0]]
     for k in range(2, depth + 1):
         # S_{i+1} - S_i is level k of S_i (x) exp(dx_i), with S_i^(k) as 0
-        head = [lv[:-1] for lv in sig] + [np.zeros((nodes - 1, n**k))]
-        incs = _mul_level(head, powers, k)
-        sig.append(np.vstack([np.zeros((1, n**k)), np.cumsum(incs, axis=0)]))
+        head = [lv[:, :-1] for lv in sig] + [np.zeros((n**k, cells))]
+        sig.append(_prefix_sums(_mul_level(head, powers, k)))
     return RoughPath(x.grid, params, sig)
 
 
@@ -378,9 +379,9 @@ def brownian_lift(
         return lift
     if flavor != "stratonovich":
         raise ValueError(f"unknown flavor {flavor!r}")
-    sig = [lv.copy() for lv in lift._sig]
+    sig = list(lift._sig)
     eye = np.eye(n).reshape(-1)
-    sig[2] = sig[2] + 0.5 * grid.times()[:, None] * eye[None, :]
+    sig[2] = sig[2] + 0.5 * grid.times()[None, :] * eye[:, None]
     return RoughPath(grid, params, sig)
 
 
@@ -461,9 +462,8 @@ def dilate(X: RoughPath, lam: float) -> RoughPath:
     """delta_lambda: level k scaled by lambda^k."""
     X._require_chen("dilate")
     lam = float(lam)
-    sig = [lam**k * lv for k, lv in enumerate(X._sig)]
-    sig[0] = X._sig[0].copy()
-    return RoughPath(X.grid, X.params, sig)
+    return RoughPath(X.grid, X.params,
+                     [lam**k * lv for k, lv in enumerate(X._sig)])
 
 
 def rough_besov_norm(X: RoughPath) -> float:
@@ -521,9 +521,11 @@ def chen_residual(X: RoughPath) -> float:
     worst = []
     for lo in range(0, len(ii), _CHEN_CHUNK):  # bounded temporaries
         i, u, j = (a[lo:lo + _CHEN_CHUNK] for a in (ii, uu, jj))
-        prod = _mul_levels(X.pairs_levels(i, u), X.pairs_levels(u, j), X.depth)
+        iu, uj = ([lv.T for lv in X.pairs_levels(a, b)]
+                  for a, b in ((i, u), (u, j)))
+        prod = _mul_levels(iu, uj, X.depth)
         whole = X.pairs_levels(i, j)
-        worst += [np.abs(prod[k] - whole[k]).max()
+        worst += [np.abs(prod[k] - whole[k].T).max()
                   for k in range(1, X.depth + 1)]
     # np.max, unlike max(), keeps a nan of any level and chunk
     return float(np.max(worst))
@@ -547,19 +549,16 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
                 " the endpoint case carries a logarithmic loss and is not"
                 " constructed here"
             )
-        n = cur.n
         nodes = cur.grid.n
-        from_zero = cur.pairs_levels(np.zeros(nodes, dtype=np.intp),
-                                     np.arange(nodes))  # X^{(j)}_{0, s}
-
+        from_zero = [lv.T for lv in cur.pairs_levels(
+            np.zeros(nodes, dtype=np.intp), np.arange(nodes))]  # X^{(j)}_{0, s}
         ii = np.arange(nodes - 1)
-        inc = cur.pairs_levels(ii, ii + 1)
+        inc = [lv.T for lv in cur.pairs_levels(ii, ii + 1)]
         consec = 0.0
         for k in range(1, m_lev + 1):
-            consec = consec + _outer(from_zero[m_lev - k + 1][ii], inc[k])
-        ia = np.vstack([np.zeros((1, n ** (m_lev + 1))),
-                        np.cumsum(consec, axis=0)])
-        cur = RoughPath(cur.grid, cur.params, list(cur._sig) + [ia])
+            consec = consec + _outer(from_zero[m_lev - k + 1][:, :-1], inc[k])
+        cur = RoughPath(cur.grid, cur.params,
+                        list(cur._sig) + [_prefix_sums(consec)])
     return cur
 
 

@@ -195,11 +195,11 @@ def product_germ(f: GridPath, g: GridPath) -> TwoParamField:
     coordinates of f and g."""
     if f.grid != g.grid:
         raise ValueError("paths must share a grid")
-    fv, gv = f.values, g.values
+    fv, gv = (np.ascontiguousarray(h.values.T) for h in (f, g))
     dim = f.dim * g.dim
 
     def germ(ii, jj):
-        return _outer(fv[ii], gv[jj] - gv[ii]).T
+        return _outer(fv[:, ii], gv[:, jj] - gv[:, ii])
 
     return TwoParamField(f.grid, dim, germ=germ)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -446,8 +447,10 @@ def _drop_last_column(r, row):
     _edit_meta(n="2"),
     _edit_meta(N=2.0),
     _edit_meta(level=True),
+    _edit_meta(level=64),
 ], ids=["first-row", "width", "level", "grid", "format", "no-horizon",
-        "no-alpha", "nan-alpha", "inf-p", "str-n", "float-N", "bool-level"])
+        "no-alpha", "nan-alpha", "inf-p", "str-n", "float-N", "bool-level",
+        "huge-level"])
 def test_malformed_signature_dir_exit_1(tmp_path, capsys, corrupt):
     g = UniformGrid(1.0, 5)
     d = tmp_path / "rp"
@@ -458,6 +461,31 @@ def test_malformed_signature_dir_exit_1(tmp_path, capsys, corrupt):
                  "--y0", "1.0,0.5", "--out", str(tmp_path / "sol.csv")])
     assert code == 1
     assert _single_json_error(capsys)["error"] == "io"
+
+
+@pytest.mark.parametrize("layout", ["signature", "pairwise"])
+def test_meta_level_is_checked_against_the_files_first(tmp_path, capsys,
+                                                        layout):
+    # a level-5 directory whose meta claims level 20: nothing is sized by
+    # the claimed 2^20 + 1 nodes (8 MB an array) before the files refute it
+    d, lift = tmp_path / "rp", brownian_lift(2, UniformGrid(1.0, 5), 3)
+    if layout == "signature":
+        save_rough_dir(str(d), lift)
+    else:
+        _write_pairwise_dir(d, lift)
+    _edit_meta(level=20)(d)
+    for argv in (["rde", "--driver", str(d), "--field", "builtin:rotation",
+                  "--y0", "1.0,0.5", "--out", str(tmp_path / "sol.csv")],
+                 ["extend", "--input", str(d), "--N", "3",
+                  "--out", str(tmp_path / "rp3")]):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and _single_json_error(capsys)["error"] == "io"
+        assert peak < 1 << 20, f"{argv[0]} peaked at {peak} bytes"
 
 
 @pytest.mark.parametrize("target", ["path", "germ", "rough-dir"])

@@ -341,8 +341,8 @@ def test_rde_overflowing_iterate_raises():
     # solver raises instead of returning -inf and nan after 1 sweep each
     X = brownian_lift(2, UniformGrid(1.0, 3), 7)
     sig = [lv.copy() for lv in X._sig]
-    sig[2][2, :2] = 1e200
-    sig[2][-1, :2] = (-1e200, 3.0)
+    sig[2][:2, 2] = 1e200
+    sig[2][:2, -1] = (-1e200, 3.0)
     huge = RoughPath(X.grid, X.params, sig)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(OverflowError, match="overflows float64"):

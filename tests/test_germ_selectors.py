@@ -226,6 +226,12 @@ def _einsum_inv_levels(x, n, depth):
     return inv
 
 
+def _planes(levels):
+    """Batched levels (rows, n^k) as the component planes (n^k, rows) of
+    `rough`, and back."""
+    return [lv.T for lv in levels]
+
+
 def _levels(rng, scalar, rows, n=2, depth=3):
     out = [np.full((rows, 1), scalar)]
     for k in range(1, depth + 1):
@@ -242,11 +248,13 @@ def test_mul_levels_matches_einsum_reference(scalars, rows):
     rng = np.random.default_rng(12)
     x = _levels(rng, scalars[0], rows[0])
     y = _levels(rng, scalars[1], rows[1])
-    for got, want in zip(_mul_levels(x, y, 3), _einsum_mul_levels(x, y, 2, 3)):
+    got = _mul_levels(_planes(x), _planes(y), 3)
+    for got, want in zip(_planes(got), _einsum_mul_levels(x, y, 2, 3)):
         assert _same(got, want)
 
 
 def test_inv_levels_matches_einsum_reference():
     x = _levels(np.random.default_rng(13), 1.0, 9)
-    for got, want in zip(_inv_levels(x, 2, 3), _einsum_inv_levels(x, 2, 3)):
+    got = _inv_levels(_planes(x), 2, 3)
+    for got, want in zip(_planes(got), _einsum_inv_levels(x, 2, 3)):
         assert _same(got, want)

@@ -9,8 +9,10 @@ lane 0 + lane 1, then + 0.0 (magnitudes without the + 0.0).  The reference
 below writes that order out term by term over whole arrays; each kernel and
 call site is compared with it at batch sizes on both sides of
 `_COLUMN_ROWS`, in contiguous, strided and one-row-broadcast layouts, with
-signed zeros (`_outer` with a 2-wide second factor takes the per-column
-form at every size).  A row gives the same bits however it is batched.
+signed zeros.  The level products (`_outer`) take component planes, one row
+per component and one column per batch entry; their reference is written
+out one component pair at a time.  A row gives the same bits however it is
+batched.
 
 The test names keep the word "einsum": numpy's einsum adds in this lane
 order on unit-stride operands, and these kernels first replaced it.
@@ -82,8 +84,9 @@ def _ref_lane_sum(x, y):
 
 
 def _ref_outer(u, v):
-    return (u[:, :, None] * v[:, None, :] + 0.0).reshape(
-        max(len(u), len(v)), -1)
+    """Plane a*q + b: u[a] v[b] + 0.0 for the planes u (p, B), v (q, B)."""
+    return np.stack([u[a] * v[b] + 0.0
+                     for a in range(len(u)) for b in range(len(v))])
 
 
 def _ref_mags(d):
@@ -162,7 +165,7 @@ def _ref_window_table(paths, ns, level, p, hurst, level2):
 @pytest.fixture
 def reference_only(monkeypatch):
     """Route every call site through the reference forms above."""
-    for mod in (norms, rough, sewing):
+    for mod in (norms, sewing):
         monkeypatch.setattr(mod, "_mags", _ref_mags)
     for mod in (rough, stochlab):
         monkeypatch.setattr(mod, "_plane_mags", lambda d: _ref_mags(d.T))
@@ -196,14 +199,13 @@ def test_lane_sum_is_einsums_order(terms):
 def test_outer_equals_einsum(p, q):
     rng = np.random.default_rng(10 * p + q)
     for rows in ROWS:
-        for u in _layouts(_rand(rng, (rows, p))):
-            for v in _layouts(_rand(rng, (rows, q))):
+        for u in _layouts(_rand(rng, (p, rows))):
+            for v in _layouts(_rand(rng, (q, rows))):
                 _same(_outer(u, v), _ref_outer(u, v), f"outer {p}x{q}")
-        one = _rand(rng, (1, p))
-        v = _rand(rng, (rows, q))
-        _same(_outer(one, v), _ref_outer(one, v), "one-row outer")
-        _same(_outer(v, one[:, :1]), _ref_outer(v, one[:, :1]),
-              "one-row outer")
+        one = _rand(rng, (p, 1))
+        v = _rand(rng, (q, rows))
+        _same(_outer(one, v), _ref_outer(one, v), "one-column outer")
+        _same(_outer(v, one[:1]), _ref_outer(v, one[:1]), "one-column outer")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 16])
@@ -331,14 +333,14 @@ GERM_SHIFTS = [1, GERM_NODES - _COLUMN_ROWS - 1, GERM_NODES - _COLUMN_ROWS,
 
 
 def _ref_level(X, k, ii, jj):
-    """Level k of S_ii^{-1} (x) S_jj row by row, the terms of `_mul_level`
-    in its order, from an inverse built over every row at once, with the
-    explicit pairs written in."""
-    inv = rough._inv_levels(X._sig, X.n, X.depth)
-    out = X._sig[k][jj] + 0.0
+    """Level k of S_ii^{-1} (x) S_jj as rows (len, n^k), the terms of
+    `_mul_level` in its order, from an inverse built over every node at
+    once, with the explicit pairs written in."""
+    inv, sig = rough._inv_levels(X._sig, X.n, X.depth), X._sig
+    out = sig[k][:, jj] + 0.0
     for a in range(1, k):
-        out = out + _ref_outer(inv[a][ii], X._sig[k - a][jj])
-    out = out + inv[k][ii]
+        out = out + _ref_outer(inv[a][:, ii], sig[k - a][:, jj])
+    out = (out + inv[k][:, ii]).T
     for key, value in zip(*X._pairs.get(k, ((), ()))):
         out[ii * X.grid.n + jj == key] = value
     return out
@@ -395,7 +397,7 @@ def _row_kernels():
     yield "lane sum of 3", _lane_sum, [(3,), (3,)]
     yield "lane sum of 4", _lane_sum, [(4,), (4,)]
     yield "lane sum of 9", _lane_sum, [(9,), (9,)]
-    yield "outer 3x4", _outer, [(3,), (4,)]
+    yield "outer 3x4", lambda u, v: _outer(u.T, v.T).T, [(3,), (4,)]
     for m in (3, 4, 9):
         yield f"magnitudes m={m}", _mags, [(m,)]
         yield (f"plane magnitudes m={m}", lambda d: norms._plane_mags(d.T),
@@ -441,8 +443,7 @@ def _lift_outputs(n):
     out = []
     for X in _lifts(n):
         out += list(X._sig)
-        inc = rough._mul_levels([lv.T for lv in X._inv_planes()], X._sig,
-                                X.depth)
+        inc = rough._mul_levels(X._inv_planes(), X._sig, X.depth)
         out += inc + [rough._hom_levels(inc, n, X.depth)]
     return out
 

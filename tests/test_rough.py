@@ -132,11 +132,31 @@ def test_chen_fault_detected_exactly():
     assert corrupted.pairs_levels([3], [17])[2][0].tobytes() == value.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pairs_levels_equal_the_tensor_algebra_pair_by_pair(n):
+    # a batch of pairs has the bits of X_st = S_s^{-1} (x) S_t taken one
+    # pair at a time, on canonical, Stratonovich and Lyons-extended lifts
+    grid = UniformGrid(1.0, 6)
+    bm = GridPath(grid, rng_for(n, "pairs").standard_normal((grid.n, n)))
+    lifts = [canonical_lift(bm, 3), brownian_lift(n, grid, 5, "stratonovich"),
+             lyons_extend(brownian_lift(n, grid, 6, "stratonovich", BM_PARAMS),
+                          3 + (n % 2))]
+    ii, jj = rng_for(n, "pair draws").integers(0, grid.n, size=(2, 300))
+    for X in lifts:
+        got = X.pairs_levels(ii, jj)
+        for p, (i, j) in enumerate(zip(ii, jj)):
+            s_i, s_j = (TensorElement(n, [lv[:, t] for lv in X._sig])
+                        for t in (i, j))
+            want = tensor_mul(tensor_inv(s_i), s_j).levels
+            for k in range(X.depth + 1):
+                assert got[k][p].tobytes() == want[k].tobytes(), (X.depth, i, j)
+
+
 def test_chen_residual_keeps_a_nan():
     # a nan in one level makes the residual nan, not the other levels' max
     lift = brownian_lift(2, UniformGrid(1.0, 4), 3)
     sig = [lv.copy() for lv in lift._sig]
-    sig[2][5, 1] = np.nan
+    sig[2][1, 5] = np.nan
     assert math.isnan(chen_residual(RoughPath(lift.grid, lift.params, sig)))
 
 
@@ -145,7 +165,7 @@ def test_chen_residual_chunks_keep_the_bits(monkeypatch):
     # skeleton triples (128 cells), all triples (16 cells) and a nan
     small = brownian_lift(2, UniformGrid(1.0, 4), 3)
     sig = [lv.copy() for lv in small._sig]
-    sig[2][5, 1] = np.nan
+    sig[2][1, 5] = np.nan
     cases = [brownian_lift(2, UniformGrid(1.0, 7), 3), small,
              RoughPath(small.grid, small.params, sig)]
     want = np.array([chen_residual(X) for X in cases])
