@@ -237,7 +237,7 @@ def _field_from_spec(spec: str, m: int, n: int) -> VectorField:
             if m != 2 or n != 2:
                 raise RegimeError("builtin:rotation needs a 2-d state and driver")
             return rotation_field()
-        if name in ("sigmoid", "sigmoid-saturated"):
+        if name == "sigmoid":
             return sigmoid_field(m, n)
         raise GridFormatError(f"unknown builtin field {name!r}")
     with open(spec) as fh:

@@ -26,7 +26,6 @@ from .norms import (
     _add_lanes,
     _dyadic_band_norms,
     _dyadic_sum,
-    _lane_sum,
     _log_fit,
 )
 from .rough import RoughPath, rough_metric
@@ -85,8 +84,9 @@ class ControlledPath:
         if self._remainder is None:
             X, n = self.X, self.X.grid.n
             self._remainder = _expansion_remainder(
-                X.grid, X.base_path().values, self.Y.reshape(n, -1),
-                self.Yp.reshape(n, -1, X.n))
+                X.grid, _as_planes(X.base_path().values),
+                _as_planes(self.Y.reshape(n, -1)),
+                _as_planes(self.Yp.reshape(n, -1, X.n)))
         return self._remainder
 
 
@@ -112,13 +112,10 @@ def _expansion_lead(a, dx, b=None, xx=None) -> np.ndarray:
 def _expansion_remainder(grid, base, v, a, b=None, xx_field=None
                          ) -> TwoParamField:
     """The Davie-type remainder v_t - v_s - a_s dX_st - b_s XX_st as a lazy
-    field on `grid`, with dX_st = base_t - base_s; v is (nodes, m), a is
-    (nodes, m, n) and b, when given, is (nodes, m, n, n), contracted with
-    the level-2 field `xx_field` as in `_expansion_lead`.  The germ works on
-    component planes of v, a, b and the base path, held once."""
-    base, v, a = _as_planes(base), _as_planes(v), _as_planes(a)
-    if b is not None:
-        b = _as_planes(b)
+    field on `grid`, with dX_st = base_t - base_s, all on component planes:
+    base is (n, nodes), v (m, nodes), a (m, n, nodes) and b, when given,
+    (m, n, n, nodes), contracted with the level-2 field `xx_field` as in
+    `_expansion_lead`."""
 
     def germ(ii, jj):
         terms = (a[..., ii], base[:, jj] - base[:, ii])
@@ -194,15 +191,14 @@ def rough_integral(
     if not params.level2_ok:
         raise RegimeError(
             f"(alpha,p,q)={params.as_tuple} outside the level-2 regime")
-    y, yp = _integrand_arrays(cp)
+    y, yp = map(_as_planes, _integrand_arrays(cp))
     grid = X.grid
-    base = X.base_path().values
-    incs = _expansion_lead(_as_planes(y[:-1]),
-                           _as_planes(np.diff(base, axis=0)),
-                           _as_planes(yp[:-1]), X.level(2).band(1).T)
-    z = np.vstack([np.zeros((1, len(incs))), np.cumsum(incs, axis=1).T])
+    base = _as_planes(X.base_path().values)
+    incs = _expansion_lead(y[..., :-1], np.diff(base), yp[..., :-1],
+                           X.level(2).band(1).T)
+    z = np.hstack([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)])
     out_shape = cp.value_shape[:-1]
-    z_out = z.reshape((grid.n,) + out_shape)
+    z_out = z.T.reshape((grid.n,) + out_shape)
     result = ControlledPath(X, z_out, cp.Y.reshape(z_out.shape + (X.n,)))
     if not report:
         return result
@@ -218,10 +214,11 @@ def compose_controlled(F: VectorField, cp: ControlledPath, report: bool = False)
         raise ValueError("compose_controlled expects a state-valued pair (m,)")
     if F.order < 2:
         raise RegimeError("composition requires a C^2 (or better) field")
-    values = F.values_along(cp.Y)  # (nodes, m', n')
-    dvals = F.dfun(cp.Y)           # (nodes, m', n', m)
-    yp_new = _chain(dvals, cp.Yp)
-    out = ControlledPath(cp.X, values, yp_new)
+    values = F.values_along(cp.Y.T)  # (m', n', nodes)
+    dvals = F.dfun(cp.Y.T)           # (m', n', m, nodes)
+    yp_new = _chain(dvals, np.moveaxis(cp.Yp, 0, -1))
+    out = ControlledPath(cp.X, np.moveaxis(values, -1, 0),
+                         np.moveaxis(yp_new, -1, 0))
     if not report:
         return out
     params = cp.X.params
@@ -255,13 +252,15 @@ class RdeResult:
 
 
 def _chain(d: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_c d[., a, j, c] y[., c, k] for (B, m', n', m) d and (B, m, n) y."""
-    return _lane_sum(d[:, :, :, None], np.swapaxes(y, 1, 2)[:, None, None])
+    """sum_c d[a, j, c] y[c, k] on planes, for d (m', n', m, B) and
+    y (m, n, B), in the lane order of `norms._add_lanes`."""
+    return _add_lanes(d[:, :, c, None] * y[c] for c in range(len(y)))
 
 
 def _davie_coefficients(F: VectorField, Y: np.ndarray):
-    """f(Y), (nodes, m, n), and Df(Y) f(Y), (nodes, m, n, n): the first- and
-    second-level coefficients of the Davie expansion."""
+    """f(Y), (m, n, nodes), and Df(Y) f(Y), (m, n, n, nodes), for the planes
+    Y (m, nodes): the first- and second-level coefficients of the Davie
+    expansion."""
     fv = F.values_along(Y)
     return fv, _chain(F.dfun(Y), fv)
 
@@ -277,37 +276,35 @@ def rde_solve(
     alpha, p, q = params.as_tuple
     grid = X.grid
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    base = X.base_path().values
-    dx_all = _as_planes(np.diff(base, axis=0))
+    base = _as_planes(X.base_path().values)
+    dx_all = np.diff(base)
     xx_all = X.level(2).band(1).T
     p2 = p / 2
     q2 = q / 2
 
     def start(a, b, ya):
-        f_ya = F.values_along(ya[None])[0]
-        seed = ya[None, :] + _lane_sum(f_ya[None],
-                                       (base[a:b + 1] - base[a])[:, None])
-        return seed, np.repeat(f_ya[None, :, :], b - a + 1, axis=0)
+        f_ya = F.values_along(ya[:, None])
+        dbase = base[:, a:b + 1] - base[:, a, None]
+        return ya[:, None] + _expansion_lead(f_ya, dbase), f_ya
 
     def sweep(a, b, ya, state, sub_grid):
         cur, cur_p = state
         fv, wp = _davie_coefficients(F, cur)
-        incs = _expansion_lead(_as_planes(fv[:-1]), dx_all[:, a:b],
-                               _as_planes(wp[:-1]), xx_all[:, a:b])
-        nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=1).T])
+        incs = _expansion_lead(fv[..., :-1], dx_all[:, a:b],
+                               wp[..., :-1], xx_all[:, a:b])
+        nxt = np.hstack([ya[:, None], ya[:, None] + np.cumsum(incs, axis=1)])
         dp = fv - cur_p
-        diff = GridPath(sub_grid, dp.reshape(b - a + 1, -1))
+        diff = GridPath(sub_grid, dp.reshape(-1, b - a + 1).T)
         dist = besov_seminorm(diff, alpha, p, q, form="dyadic")
-        rem = _expansion_remainder(sub_grid, base[a:b + 1] - base[a],
-                                   nxt - cur, dp)
+        rem = _expansion_remainder(
+            sub_grid, base[:, a:b + 1] - base[:, a, None], nxt - cur, dp)
         dist += _dyadic_sum(rem, 2 * alpha, p2, q2)
         return (nxt, fv), nxt, dist
 
     Y, iterations, subintervals, halvings = _adaptive_picard(
         grid, y0, start, sweep, 1e-9, max_halvings
     )
-    yp = F.values_along(Y)
-    cp = ControlledPath(X, Y, yp)
+    cp = ControlledPath(X, Y.T, np.moveaxis(F.values_along(Y), -1, 0))
     t0 = subintervals[0][1] * grid.mesh if subintervals else grid.horizon
     inv_p = 1.0 / p
     report = {
@@ -335,9 +332,9 @@ def davie_residual(
     X = cp.X
     grid = X.grid
     params = X.params
-    Y = cp.Y
+    Y = _as_planes(cp.Y.reshape(grid.n, -1))
     fv, wp = _davie_coefficients(F, Y)
-    D = _expansion_remainder(grid, X.base_path().values, Y.reshape(grid.n, -1),
+    D = _expansion_remainder(grid, _as_planes(X.base_path().values), Y,
                              fv, wp, X.level(2))
     endpoint = params.endpoint(2)
     norm = _level2_norm(D, params)
@@ -377,8 +374,8 @@ def rde_stability_probe(
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
     y2 = np.atleast_1d(np.asarray(y2, dtype=float))
     cloud = _probe_cloud(s1.controlled.Y, s2.controlled.Y)
-    proxy = field_distance_proxy(F1, F2, cloud)
-    sparse = cloud[:: max(1, len(cloud) // 32)]
+    proxy = field_distance_proxy(F1, F2, cloud.T)
+    sparse = cloud[:: max(1, len(cloud) // 32)].T
     proxy += float(np.abs(F1.d2fun(sparse) - F2.d2fun(sparse)).max())
     den = float(np.linalg.norm(y1 - y2)) + rough_metric(X1, X2) + proxy
     return {

@@ -14,7 +14,6 @@ Conventions, fixed so that reported numbers are bit-stable:
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -106,8 +105,6 @@ class EndpointModulus:
 # ---------------------------------------------------------------------------
 # shared kernels
 
-_COLUMN_ROWS = 1024  # from here on `_lane_sum` multiplies per output column
-
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Outer products u[a] v[b] + 0.0 of the component planes u (p, B) and
@@ -117,27 +114,7 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(-1, out.shape[-1])
 
 
-def _lane_sum(x, y) -> np.ndarray:
-    """sum_t x[..., t] y[..., t] for x and y broadcasting to (B, ..., T), in
-    the library's lane order (`_add_lanes`).  Below `_COLUMN_ROWS` rows
-    each term is one multiply over the whole output, from there on one
-    multiply per output column (unless the output has one column); both run
-    the same adds, so a row has the same bits at every batch size and in
-    every memory layout."""
-    terms = x.shape[-1]
-    if (max(len(x), len(y)) < _COLUMN_ROWS
-            or math.prod(map(max, x.shape[1:-1], y.shape[1:-1])) == 1):
-        return _add_lanes(x[..., t] * y[..., t] for t in range(terms))
-    x, y = np.broadcast_arrays(x, y)
-    out = np.empty(x.shape[:-1])
-    for i in itertools.product(*map(range, out.shape[1:])):
-        col = (slice(None), *i)
-        _add_lanes((x[(*col, t)] * y[(*col, t)] for t in range(terms)),
-                   out=out[col])
-    return out
-
-
-def _add_lanes(products, out=None) -> np.ndarray:
+def _add_lanes(products) -> np.ndarray:
     """The products of a contraction added in lane order: the even-indexed
     ones into lane 0 and the odd-indexed ones into lane 1, each in index
     order, then lane 0 + lane 1, then + 0.0 (so a -0.0 sum comes out +0.0).
@@ -149,7 +126,7 @@ def _add_lanes(products, out=None) -> np.ndarray:
         else:
             lanes[t % 2] += product
     acc = np.add(*lanes, out=lanes[0]) if len(lanes) > 1 else lanes[0]
-    return np.add(acc, 0.0, out=acc if out is None else out)
+    return np.add(acc, 0.0, out=acc)
 
 
 def _mags(diff: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonContractionError, RegimeError
 from .grid import GridPath, TwoParamField, UniformGrid
-from .norms import (BesovParams, INF, _lane_sum, _outer, besov_seminorm,
+from .norms import (BesovParams, INF, _add_lanes, _outer, besov_seminorm,
                     lp_norm)
 from .sewing import SewingInput, SewingResult, sew
 
@@ -74,8 +74,9 @@ class YoungRegime:
 
 class VectorField:
     """Nonlinearity y -> f(y) in R^{m x n} with analytic derivatives, all
-    evaluated on a batch of states Y of shape (B, m): `fun(Y)` is (B, m, n),
-    `dfun(Y)` is (B, m, n, m) and `d2fun(Y)` is (B, m, n, m, m).
+    evaluated on a batch of B states held as component planes Y (m, B), one
+    column per state: `fun(Y)` is (m, n, B), `dfun(Y)` is (m, n, m, B) and
+    `d2fun(Y)` is (m, n, m, m, B).
 
     `order` is the number of supplied derivatives; `delta` the Hoelder
     exponent of the highest one (class C^{order,delta}).
@@ -98,14 +99,14 @@ class VectorField:
         """Max relative error of dfun against central differences of fun
         (step 1e-6) at 20 standard normal states; above 1e-5 it raises."""
         step, rtol = 1e-6, 1e-5
-        Y = rng.standard_normal((20, self.state_dim))
+        Y = rng.standard_normal((20, self.state_dim)).T
         d_exact = self.dfun(Y)
         worst = 0.0
-        for b, e in enumerate(step * np.eye(self.state_dim)):
+        for b, e in enumerate(step * np.eye(self.state_dim)[..., None]):
             fd = (self.fun(Y + e) - self.fun(Y - e)) / (2 * step)
-            exact = d_exact[..., b]
-            denom = np.maximum(1.0, np.abs(exact).max(axis=(1, 2)))
-            err = np.abs(fd - exact).max(axis=(1, 2)) / denom
+            exact = d_exact[:, :, b]
+            denom = np.maximum(1.0, np.abs(exact).max(axis=(0, 1)))
+            err = np.abs(fd - exact).max(axis=(0, 1)) / denom
             worst = max(worst, float(err.max()))
         if worst > rtol:
             raise RegimeError(
@@ -115,8 +116,9 @@ class VectorField:
         return worst
 
     def values_along(self, Y: np.ndarray) -> np.ndarray:
-        """f(Y_t) for all nodes, shape (nodes, m, n); the solvers and probes
-        evaluate f through this method."""
+        """f(Y_t) for the nodes of the planes Y (m, nodes), shape
+        (m, n, nodes); the solvers and probes evaluate f through this
+        method."""
         return self.fun(Y)
 
 
@@ -124,11 +126,11 @@ def linear_field(matrices) -> VectorField:
     """f(y)[:, j] = A_j y for a list of (m, m) matrices, one per driver channel."""
     mats = np.stack([np.asarray(a, dtype=float) for a in matrices], axis=-1)
     m, n = mats.shape[0], mats.shape[2]
-    dmat = np.transpose(mats, (0, 2, 1))
+    dmat = np.transpose(mats, (0, 2, 1))[..., None]
     return VectorField(
-        lambda Y: _lane_sum(dmat[None], Y[:, None, None]),
-        lambda Y: np.broadcast_to(dmat, (len(Y),) + dmat.shape).copy(),
-        d2fun=lambda Y: np.zeros((len(Y), m, n, m, m)),
+        lambda Y: _add_lanes(dmat[:, :, c] * Y[c] for c in range(m)),
+        lambda Y: np.broadcast_to(dmat, dmat.shape[:-1] + Y.shape[1:]).copy(),
+        d2fun=lambda Y: np.zeros((m, n, m, m) + Y.shape[1:]),
         order=3, delta=1.0, name="linear", state_dim=m,
     )
 
@@ -148,22 +150,22 @@ def scalar_linear_field() -> VectorField:
 
 def sigmoid_field(m: int = 1, n: int = 1) -> VectorField:
     """Bounded C^3 saturating field: f[a, j] = tanh(w_{aj} . y)."""
-    w = np.zeros((m, n, m))
+    w = np.zeros((m, n, m, 1))
     for a in range(m):
         for j in range(n):
             w[a, j, (a + j) % m] = 1.0
 
     def fun(Y):
-        return np.tanh(_lane_sum(w[None], Y[:, None, None]))
+        return np.tanh(_add_lanes(w[:, :, c] * Y[c] for c in range(m)))
 
     def dfun(Y):
-        return (1.0 - fun(Y) ** 2)[:, :, :, None] * w
+        return (1.0 - fun(Y) ** 2)[:, :, None] * w
 
     def d2fun(Y):
         t = fun(Y)
         s = 1.0 - t**2
-        return ((-2.0 * t * s)[:, :, :, None, None] * w[:, :, :, None]
-                * w[:, :, None, :])
+        return ((-2.0 * t * s)[:, :, None, None] * w[:, :, :, None]
+                * w[:, :, None])
 
     return VectorField(fun, dfun, d2fun=d2fun, order=3, delta=1.0,
                        name="sigmoid", state_dim=m)
@@ -230,9 +232,10 @@ class OdeSolution:
 
 
 def _solver_metric(a: np.ndarray, b: np.ndarray, grid, params: BesovParams) -> float:
-    """Cheap contraction gauge: L^p plus the dyadic-form seminorm (O(n log n));
-    equivalent, up to constants, to the full integral-form metric."""
-    d = GridPath(grid, a - b)
+    """Cheap contraction gauge of the planes a, b (m, nodes): L^p plus the
+    dyadic-form seminorm (O(n log n)); equivalent, up to constants, to the
+    full integral-form metric."""
+    d = GridPath(grid, (a - b).T)
     return lp_norm(d, params.p) + besov_seminorm(
         d, params.alpha, params.p, params.q, form="dyadic"
     )
@@ -263,18 +266,20 @@ def _adaptive_picard(grid, y0, start, sweep, tol, max_halvings):
     """Picard iteration on adaptive dyadic subintervals, shared by the Young
     ODE and the RDE solver.
 
-    Spans start at the whole grid.  On [a, b], ``start(a, b, y_a)`` gives the
+    Iterates are component planes: the solution Y is (m, nodes).  Spans
+    start at the whole grid.  On [a, b], ``start(a, b, y_a)`` gives the
     first iterate and ``sweep(a, b, y_a, state, sub_grid)`` one Picard sweep
-    as ``(state, path, gauge)``.  A subinterval converges once
-    gauge < tol * max(1, sup|path|); it is halved when the gauge ratio of
-    consecutive sweeps reaches 1/2 from the third sweep on, or when 100
-    sweeps end without convergence.  The span never grows back.  At most
-    `max_halvings` halvings are allowed since the last converged subinterval;
-    the total is returned.  An iterate that is not finite raises
-    OverflowError at once, since a shorter span does not shrink the driver.
+    as ``(state, path, gauge)``, the path (m, b - a + 1).  A subinterval
+    converges once gauge < tol * max(1, sup|path|); it is halved when the
+    gauge ratio of consecutive sweeps reaches 1/2 from the third sweep on,
+    or when 100 sweeps end without convergence.  The span never grows back.
+    At most `max_halvings` halvings are allowed since the last converged
+    subinterval; the total is returned.  An iterate that is not finite
+    raises OverflowError at once, since a shorter span does not shrink the
+    driver.
     """
-    Y = np.empty((grid.n, len(y0)))
-    Y[0] = y0
+    Y = np.empty((len(y0), grid.n))
+    Y[:, 0] = y0
     a = 0
     span = grid.n_cells
     iterations, subintervals = [], []
@@ -283,7 +288,7 @@ def _adaptive_picard(grid, y0, start, sweep, tol, max_halvings):
         span = min(span, grid.n_cells - a)
         b = a + span
         sub_grid = UniformGrid(span * grid.mesh, span.bit_length() - 1)
-        ya = Y[a]
+        ya = Y[:, a]
         state = start(a, b, ya)
         converged = False
         prev_gauge = None
@@ -308,7 +313,7 @@ def _adaptive_picard(grid, y0, start, sweep, tol, max_halvings):
                 )
             span //= 2
             continue
-        Y[a:b + 1] = path
+        Y[:, a:b + 1] = path
         iterations.append(it)
         subintervals.append((a, b))
         stretch = 0
@@ -331,22 +336,22 @@ def young_ode_solve(
     """
     _require_field(F, params, 1)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    dX = np.diff(X.values, axis=0)
+    dX = np.ascontiguousarray(np.diff(X.values, axis=0).T)
 
     def start(a, b, ya):
-        return np.repeat(ya[None, :], b - a + 1, axis=0)
+        return np.repeat(ya[:, None], b - a + 1, axis=1)
 
     def sweep(a, b, ya, cur, sub_grid):
-        fvals = F.values_along(cur)  # (span+1, m, n)
-        fsum, dx = fvals[:-1] + fvals[1:], dX[a:b]
-        incs = 0.5 * _lane_sum(fsum, dx[:, None])
-        nxt = np.vstack([ya[None, :], ya + np.cumsum(incs, axis=0)])
+        fvals = F.values_along(cur)  # (m, n, span+1)
+        fsum, dx = fvals[..., :-1] + fvals[..., 1:], dX[:, a:b]
+        incs = 0.5 * _add_lanes(fsum[:, t] * dx[t] for t in range(len(dx)))
+        nxt = np.hstack([ya[:, None], ya[:, None] + np.cumsum(incs, axis=1)])
         return nxt, nxt, _solver_metric(nxt, cur, sub_grid, params)
 
     Y, iterations, subintervals, halvings = _adaptive_picard(
         X.grid, y0, start, sweep, 1e-10, max_halvings
     )
-    path = GridPath(X.grid, Y)
+    path = GridPath(X.grid, Y.T)
     bound = {
         "sup": float(np.abs(Y).max()),
         "seminorm": besov_seminorm(path, params.alpha, params.p, params.q,
@@ -359,7 +364,8 @@ def young_ode_solve(
 
 def field_distance_proxy(F1: VectorField, F2: VectorField,
                          cloud: np.ndarray) -> float:
-    """Max value plus first-derivative gap over a sample cloud."""
+    """Max value plus first-derivative gap over a sample cloud of planes
+    (m, B)."""
     dv = np.abs(F1.values_along(cloud) - F2.values_along(cloud)).max()
     dd = np.abs(F1.dfun(cloud) - F2.dfun(cloud)).max()
     return float(dv) + float(dd)

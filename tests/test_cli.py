@@ -597,6 +597,48 @@ def test_rde_coeffs_file_matches_builtin(tmp_path, capsys):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_sigmoid_field_writes_the_library_solve(tmp_path):
+    # a 3-d state on a 3-d lift (rde) and on a 2-column driver (young-ode)
+    from besov_rough.controlled import rde_solve
+    from besov_rough.young import sigmoid_field, young_ode_solve
+
+    y0 = [1.0, 0.5, -0.25]
+    X = lyons_extend(brownian_lift(3, UniformGrid(1.0, 6), 4, "stratonovich"), 4)
+    save_rough_dir(str(tmp_path / "rp"), X)
+    g = UniformGrid(1.0, 8)
+    t = g.times()
+    driver = GridPath(g, np.column_stack([np.sin(3 * t), np.cos(2 * t)]))
+    save_path_csv(tmp_path / "drv.csv", driver)
+    runs = {
+        "rde": (["--driver", str(tmp_path / "rp")],
+                rde_solve(sigmoid_field(3, 3), load_rough_dir(
+                    str(tmp_path / "rp")), y0).path),
+        "young-ode": (["--driver", str(tmp_path / "drv.csv"), "--alpha", "0.9",
+                       "--p", "inf", "--q", "inf"],
+                      young_ode_solve(sigmoid_field(3, 2), driver, y0,
+                                      BesovParams(0.9, INF, INF)).path),
+    }
+    for cmd, (argv, path) in runs.items():
+        out, ref = tmp_path / f"{cmd}.csv", tmp_path / f"{cmd}.ref.csv"
+        assert main([cmd, "--field", "builtin:sigmoid", "--y0", "1.0,0.5,-0.25",
+                     "--out", str(out)] + argv) == 0
+        save_path_csv(ref, path)
+        assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["nosuch", "sigmoid-saturated"])
+def test_unknown_builtin_field_exit_1(tmp_path, capsys, name):
+    d = tmp_path / "rp"
+    save_rough_dir(str(d), brownian_lift(2, UniformGrid(1.0, 4), 3))
+    capsys.readouterr()
+    out = tmp_path / "sol.csv"
+    assert main(["rde", "--driver", str(d), "--field", f"builtin:{name}",
+                 "--y0", "1.0,0.5", "--out", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and name in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     "[1, 2]",
     '{"kind": "linear"}',

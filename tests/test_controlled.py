@@ -229,9 +229,9 @@ def test_compose_square_taylor_identity():
     yp = rng.standard_normal((g.n, 1, 1))
     cp = ControlledPath(X, y, yp)
     square = VectorField(
-        fun=lambda Y: Y[:, :, None] ** 2,
-        dfun=lambda Y: 2.0 * Y[:, :, None, None],
-        d2fun=lambda Y: np.full((len(Y), 1, 1, 1, 1), 2.0),
+        fun=lambda Y: Y[:, None] ** 2,
+        dfun=lambda Y: 2.0 * Y[:, None, None],
+        d2fun=lambda Y: np.full((1, 1, 1) + Y.shape, 2.0),
         order=2, delta=1.0, name="square",
     )
     out = compose_controlled(square, cp)
@@ -248,9 +248,9 @@ def test_compose_constant_field():
                       BesovParams(0.45, 32.0, INF))
     g = X.grid
     const = VectorField(
-        fun=lambda Y: np.full((len(Y), 1, 1), 1.5),
-        dfun=lambda Y: np.zeros((len(Y), 1, 1, 1)),
-        d2fun=lambda Y: np.zeros((len(Y), 1, 1, 1, 1)),
+        fun=lambda Y: np.full((1,) + Y.shape, 1.5),
+        dfun=lambda Y: np.zeros((1, 1) + Y.shape),
+        d2fun=lambda Y: np.zeros((1, 1, 1) + Y.shape),
         order=3, delta=1.0, name="const",
     )
     cp = ControlledPath(X, np.zeros((g.n, 1)), np.ones((g.n, 1, 1)))
@@ -276,9 +276,9 @@ def test_compose_report():
 def test_rde_zero_field():
     X = _scalar_lift(8)
     zero = VectorField(
-        fun=lambda Y: np.zeros((len(Y), 1, 1)),
-        dfun=lambda Y: np.zeros((len(Y), 1, 1, 1)),
-        d2fun=lambda Y: np.zeros((len(Y), 1, 1, 1, 1)),
+        fun=lambda Y: np.zeros((1,) + Y.shape),
+        dfun=lambda Y: np.zeros((1, 1) + Y.shape),
+        d2fun=lambda Y: np.zeros((1, 1, 1) + Y.shape),
         order=3, delta=1.0, name="zero",
     )
     sol = rde_solve(zero, X, 3.0)
@@ -295,8 +295,8 @@ def test_rde_exponential_oracle():
 def test_rde_field_class_checked():
     X = _scalar_lift(8)
     weak = VectorField(
-        fun=lambda Y: Y[:, :, None],
-        dfun=lambda Y: np.ones((len(Y), 1, 1, 1)),
+        fun=lambda Y: Y[:, None],
+        dfun=lambda Y: np.ones((1, 1) + Y.shape),
         order=1, delta=1.0, name="c1only",
     )
     with pytest.raises(RegimeError):
@@ -391,9 +391,9 @@ def test_rde_non_contraction_over_budget():
 def test_davie_zero_field():
     X = _scalar_lift(8)
     zero = VectorField(
-        fun=lambda Y: np.zeros((len(Y), 1, 1)),
-        dfun=lambda Y: np.zeros((len(Y), 1, 1, 1)),
-        d2fun=lambda Y: np.zeros((len(Y), 1, 1, 1, 1)),
+        fun=lambda Y: np.zeros((1,) + Y.shape),
+        dfun=lambda Y: np.zeros((1, 1) + Y.shape),
+        d2fun=lambda Y: np.zeros((1, 1, 1) + Y.shape),
         order=3, delta=1.0, name="zero",
     )
     sol = rde_solve(zero, X, 1.0)
@@ -451,14 +451,15 @@ def test_endpoint_remainder_norm_is_one_gauge():
     X = brownian_lift(2, UniformGrid(1.0, 8), rng_for(4, "gauge"), "ito",
                       params=params)
     n = X.grid.n
-    c = np.broadcast_to([[0.7, -1.3]], (n, 1, 2)).copy()
-    d = np.broadcast_to([[[0.4], [-0.9]]], (n, 1, 2, 1)).copy()
+    c = np.repeat([[[0.7], [-1.3]]], n, -1)
+    d = np.repeat([[[[0.4]], [[-0.9]]]], n, -1)
     const = VectorField(
-        fun=lambda Y: c[: len(Y)], dfun=lambda Y: d[: len(Y)],
-        d2fun=lambda Y: np.zeros((len(Y), 1, 2, 1, 1)),
+        fun=lambda Y: c[..., :Y.shape[1]], dfun=lambda Y: d[..., :Y.shape[1]],
+        d2fun=lambda Y: np.zeros((1, 2, 1, 1) + Y.shape[1:]),
         order=3, delta=1.0, name="constant")
     b = _chain(d, c)
-    z, rep = rough_integral(ControlledPath(X, c, b), report=True)
+    z, rep = rough_integral(ControlledPath(
+        X, np.moveaxis(c, -1, 0), np.moveaxis(b, -1, 0)), report=True)
     dav = davie_residual(ControlledPath(X, z.Y, z.Yp), const)
     assert rep["endpoint"] and dav["endpoint"]
     assert dav["norm"] == rep["remainder_norm"] > 1e-3

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from besov_rough.controlled import ControlledPath, _expansion_remainder
+from besov_rough.controlled import (ControlledPath, _as_planes,
+                                    _expansion_remainder)
 from besov_rough.grid import (
     GridPath,
     TwoParamField,
@@ -83,10 +84,9 @@ def _expansion(m, X=None):
     X = X or _controlled().X
     n = X.grid.n
     rng = np.random.default_rng(5 + m)
-    return _expansion_remainder(X.grid, X.base_path().values,
-                                rng.standard_normal((n, m)),
-                                rng.standard_normal((n, m, 2)),
-                                rng.standard_normal((n, m, 2, 2)), X.level(2))
+    rows = (X.base_path().values, rng.standard_normal((n, m)),
+            rng.standard_normal((n, m, 2)), rng.standard_normal((n, m, 2, 2)))
+    return _expansion_remainder(X.grid, *map(_as_planes, rows), X.level(2))
 
 
 def _csv_germ(tmp_path):

@@ -7,11 +7,11 @@ one order, defined in `norms._add_lanes`: the even-indexed products into
 lane 0 and the odd-indexed ones into lane 1, each in index order, then
 lane 0 + lane 1, then + 0.0 (magnitudes without the + 0.0).  The reference
 below writes that order out term by term over whole arrays; each kernel and
-call site is compared with it at batch sizes on both sides of
-`_COLUMN_ROWS`, in contiguous, strided and one-row-broadcast layouts, with
-signed zeros.  The level products (`_outer`) take component planes, one row
-per component and one column per batch entry; their reference is written
-out one component pair at a time.  A row gives the same bits however it is
+call site is compared with it at batch sizes from 1 to 5000, in contiguous,
+strided and one-column-broadcast layouts, with signed zeros.  The kernels
+take component planes, one row per component and one column per batch
+entry; the reference of the level products (`_outer`) is written out one
+component pair at a time.  A batch entry gives the same bits however it is
 batched.
 
 The test names keep the word "einsum": numpy's einsum adds in this lane
@@ -25,7 +25,7 @@ import pytest
 from besov_rough import controlled, norms, rough, sewing, stochlab, young
 from besov_rough._rng import rng_for
 from besov_rough.grid import GridPath, UniformGrid
-from besov_rough.norms import _COLUMN_ROWS, _lane_sum, _mags, _outer
+from besov_rough.norms import _add_lanes, _mags, _outer
 from besov_rough.rough import (
     brownian_lift,
     canonical_lift,
@@ -35,7 +35,7 @@ from besov_rough.rough import (
     rough_metric,
 )
 
-ROWS = [1, 2, 3, _COLUMN_ROWS - 1, _COLUMN_ROWS, _COLUMN_ROWS + 1, 5000]
+ROWS = [1, 2, 3, 1023, 1024, 1025, 5000]
 DIMS = list(itertools.product(range(1, 5), range(1, 5)))
 
 
@@ -79,8 +79,17 @@ def _lanes(products, plus_zero=True):
     return total + 0.0 if plus_zero else total
 
 
+def _ref_add_lanes(products):
+    return _lanes(np.stack(list(products), axis=-1))
+
+
+def _lane_sum(x, y):
+    """sum_t x[t] y[t] over the component planes x and y (T, ...)."""
+    return _add_lanes(x[t] * y[t] for t in range(len(x)))
+
+
 def _ref_lane_sum(x, y):
-    return _lanes(x * y)
+    return _lanes(np.moveaxis(x * y, 0, -1))
 
 
 def _ref_outer(u, v):
@@ -127,7 +136,16 @@ def _lead_on_rows(a, dx, b=None, xx=None):
 
 
 def _ref_chain(d, y):
-    return _lanes(d[:, :, :, None, :] * np.swapaxes(y, 1, 2)[:, None, None])
+    """sum_c d[a, j, c] y[c, k] on the planes d (m', n', m, B), y (m, n, B)."""
+    terms = d[:, :, None] * np.swapaxes(y, 0, 1)[None, None]
+    return _lanes(np.moveaxis(terms, 3, -1))
+
+
+def _on_rows(kernel):
+    """A kernel of component planes called on row-first operands, its
+    result moved back to rows."""
+    return lambda *ops: np.moveaxis(
+        kernel(*(np.moveaxis(o, 0, -1) for o in ops)), -1, 0)
 
 
 def _ref_hom(dw, xx):
@@ -172,7 +190,7 @@ def reference_only(monkeypatch):
     for mod in (rough, young):
         monkeypatch.setattr(mod, "_outer", _ref_outer)
     for mod in (young, controlled):
-        monkeypatch.setattr(mod, "_lane_sum", _ref_lane_sum)
+        monkeypatch.setattr(mod, "_add_lanes", _ref_add_lanes)
     monkeypatch.setattr(controlled, "_expansion_lead", _ref_plane_lead)
     monkeypatch.setattr(stochlab, "_window_table", _ref_window_table)
     return monkeypatch
@@ -183,16 +201,17 @@ def reference_only(monkeypatch):
 
 @pytest.mark.parametrize("terms", range(1, 10))
 def test_lane_sum_is_einsums_order(terms):
+    """`_add_lanes` of the products of two stacks of planes (terms, B)."""
     rng = np.random.default_rng(terms)
     for rows in ROWS:
-        for x, y in zip(_layouts(_rand(rng, (rows, terms))),
-                        _layouts(_rand(rng, (rows, terms)))):
+        for x, y in zip(_layouts(_rand(rng, (terms, rows))),
+                        _layouts(_rand(rng, (terms, rows)))):
             _same(_lane_sum(x, y), _ref_lane_sum(x, y), f"lane sum of {terms}")
-            _same(_lane_sum(x[:1], y), _ref_lane_sum(x[:1], y),
-                  f"one-row lane sum of {terms}")
-    neg, one = np.full((_COLUMN_ROWS, terms), -0.0), np.ones((1, terms))
-    for rows in (1, _COLUMN_ROWS):
-        _same(_lane_sum(neg[:rows], one), np.zeros(rows), "a -0.0 sum")
+            _same(_lane_sum(x[:, :1], y), _ref_lane_sum(x[:, :1], y),
+                  f"one-column lane sum of {terms}")
+    neg, one = np.full((terms, 1024), -0.0), np.ones((terms, 1))
+    for rows in (1, 1024):
+        _same(_lane_sum(neg[:, :rows], one), np.zeros(rows), "a -0.0 sum")
 
 
 @pytest.mark.parametrize("p, q", DIMS + [(4, 8), (8, 4), (16, 2)])
@@ -242,7 +261,7 @@ def test_chain_equals_einsum(m, n):
     rng = np.random.default_rng(10 * m + n)
     for rows in ROWS:
         for mp, n_out in [(m, n), (n, 1)]:  # Df f, and a composed pair
-            d, y = _rand(rng, (rows, mp, n_out, m)), _rand(rng, (rows, m, n))
+            d, y = _rand(rng, (mp, n_out, m, rows)), _rand(rng, (m, n, rows))
             for dl, yl in zip(_layouts(d), _layouts(y)):
                 _same(controlled._chain(dl, yl), _ref_chain(dl, yl),
                       f"Df f, m={m} n={n}")
@@ -250,8 +269,9 @@ def test_chain_equals_einsum(m, n):
 
 @pytest.mark.parametrize("m, n", DIMS)
 def test_linear_field_equals_einsum(m, n):
-    """The linear and the sigmoid field, f(Y)[k, a, j] = sum_b W[a, j, b]
-    Y[k, b] (under tanh for the sigmoid)."""
+    """The linear and the sigmoid field on planes Y (m, B),
+    f(Y)[a, j, k] = sum_b W[a, j, b] Y[b, k] (under tanh for the sigmoid),
+    and their first and second derivatives."""
     rng = np.random.default_rng(10 * m + n)
     mats = [_rand(rng, (m, m)) for _ in range(n)]
     linear, sigmoid = young.linear_field(mats), young.sigmoid_field(m, n)
@@ -260,12 +280,20 @@ def test_linear_field_equals_einsum(m, n):
     for a, j in itertools.product(range(m), range(n)):
         w_sigmoid[a, j, (a + j) % m] = 1.0
     for rows in ROWS:
-        for Y in _layouts(_rand(rng, (rows, m))):
-            _same(linear.fun(Y), _lanes(w_linear * Y[:, None, None]),
-                  f"linear field, m={m} n={n}")
-            _same(sigmoid.fun(Y),
-                  np.tanh(_lanes(w_sigmoid * Y[:, None, None])),
-                  f"sigmoid field, m={m} n={n}")
+        for Y in _layouts(_rand(rng, (m, rows))):
+            what = f"m={m} n={n} rows={rows}"
+            _same(linear.fun(Y), _lanes(np.moveaxis(
+                w_linear[..., None] * Y, 2, -1)), f"linear field, {what}")
+            _same(linear.dfun(Y), np.repeat(w_linear[..., None], rows, -1),
+                  f"linear Df, {what}")
+            _same(linear.d2fun(Y), np.zeros((m, n, m, m, rows)),
+                  f"linear D2f, {what}")
+            t = np.tanh(_lanes(np.moveaxis(w_sigmoid[..., None] * Y, 2, -1)))
+            _same(sigmoid.fun(Y), t, f"sigmoid field, {what}")
+            s, w = 1.0 - t**2, w_sigmoid[..., None]
+            _same(sigmoid.dfun(Y), s[:, :, None] * w, f"sigmoid Df, {what}")
+            _same(sigmoid.d2fun(Y), (-2.0 * t * s)[:, :, None, None]
+                  * w[:, :, :, None] * w[:, :, None], f"sigmoid D2f, {what}")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -327,9 +355,9 @@ def test_window_table_equals_einsum(monkeypatch, dim):
 # -- the plane germs: R, D and the signature levels ----------------------------
 
 GERM_NODES = 2049
-# bands of 2048, _COLUMN_ROWS + 1, _COLUMN_ROWS, _COLUMN_ROWS - 1 and 2 rows
-GERM_SHIFTS = [1, GERM_NODES - _COLUMN_ROWS - 1, GERM_NODES - _COLUMN_ROWS,
-               GERM_NODES - _COLUMN_ROWS + 1, GERM_NODES - 2]
+# bands of 2048, 1025, 1024, 1023 and 2 rows
+GERM_SHIFTS = [1, GERM_NODES - 1025, GERM_NODES - 1024, GERM_NODES - 1023,
+               GERM_NODES - 2]
 
 
 def _ref_level(X, k, ii, jj):
@@ -369,7 +397,8 @@ def _germ_fields():
                                               b[ii], xx)
 
         yield (f"D on the {name}", controlled._expansion_remainder(
-            grid, base, v, a, b, Z.level(2)), ref_d)
+            grid, *map(controlled._as_planes, (base, v, a, b)), Z.level(2)),
+            ref_d)
         for k in (1, 2):
             yield (f"level {k} of the {name}", Z.level(k),
                    lambda ii, jj, Z=Z, k=k: _ref_level(Z, k, ii, jj))
@@ -394,9 +423,8 @@ def _row_kernels():
     """(name, kernel, operand shapes with the row axis first)."""
     lin = young.linear_field([np.eye(4) + 0.5 * k for k in range(3)])
     sig = young.sigmoid_field(3, 2)
-    yield "lane sum of 3", _lane_sum, [(3,), (3,)]
-    yield "lane sum of 4", _lane_sum, [(4,), (4,)]
-    yield "lane sum of 9", _lane_sum, [(9,), (9,)]
+    for terms in (3, 4, 9):
+        yield f"lane sum of {terms}", _on_rows(_lane_sum), [(terms,), (terms,)]
     yield "outer 3x4", lambda u, v: _outer(u.T, v.T).T, [(3,), (4,)]
     for m in (3, 4, 9):
         yield f"magnitudes m={m}", _mags, [(m,)]
@@ -404,9 +432,9 @@ def _row_kernels():
                [(m,)])
     yield "a dX + b XX", _lead_on_rows, [
         (3, 3), (3,), (3, 3, 3), (3, 3)]
-    yield "Df f", controlled._chain, [(4, 3, 4), (4, 3)]
-    yield "linear field", lin.fun, [(4,)]
-    yield "sigmoid field", sig.fun, [(3,)]
+    yield "Df f", _on_rows(controlled._chain), [(4, 3, 4), (4, 3)]
+    yield "linear field", _on_rows(lin.fun), [(4,)]
+    yield "sigmoid field", _on_rows(sig.fun), [(3,)]
     yield "level-2 distance", homogeneous_distance_level2, [(3,), (3, 3)]
 
 

@@ -63,8 +63,8 @@ def test_vector_field_validation():
     for field in (scalar_linear_field(), rotation_field(), sigmoid_field(2, 2)):
         assert field.validate(rng) < 1e-5
     bad = VectorField(
-        fun=lambda Y: Y[:, :, None] ** 2,
-        dfun=lambda Y: 3.0 * Y[:, :, None, None],  # wrong derivative
+        fun=lambda Y: Y[:, None] ** 2,
+        dfun=lambda Y: 3.0 * Y[:, None, None],  # wrong derivative
         name="broken",
     )
     with pytest.raises(RegimeError):
@@ -72,17 +72,17 @@ def test_vector_field_validation():
 
 
 def _looped_validate(field, rng):
-    """The check one state at a time: 20 single draws, one-row batches."""
+    """The check one state at a time: 20 single draws, one-column batches."""
     step = 1e-6
     worst = 0.0
     for _ in range(20):
         y = rng.standard_normal(field.state_dim)
-        d_exact = field.dfun(y[None])[0]
+        d_exact = field.dfun(y[:, None])[..., 0]
         for b in range(len(y)):
             e = np.zeros_like(y)
             e[b] = step
-            fd = (field.fun((y + e)[None])[0]
-                  - field.fun((y - e)[None])[0]) / (2 * step)
+            fd = (field.fun((y + e)[:, None])[..., 0]
+                  - field.fun((y - e)[:, None])[..., 0]) / (2 * step)
             denom = max(1.0, float(np.abs(d_exact[..., b]).max()))
             worst = max(worst, float(np.abs(fd - d_exact[..., b]).max()) / denom)
     return worst
@@ -90,8 +90,8 @@ def _looped_validate(field, rng):
 
 def test_batched_validate_equals_per_state_loop():
     bad = VectorField(
-        fun=lambda Y: Y[:, :, None] ** 2,
-        dfun=lambda Y: 3.0 * Y[:, :, None, None],  # wrong derivative
+        fun=lambda Y: Y[:, None] ** 2,
+        dfun=lambda Y: 3.0 * Y[:, None, None],  # wrong derivative
         name="broken",
     )
     dense = linear_field(list(rng_for(9, "mats").standard_normal((2, 3, 3))))
@@ -116,16 +116,18 @@ def test_batched_validate_equals_per_state_loop():
     linear_field(list(rng_for(8, "mats").standard_normal((3, 3, 3)))),
 ], ids=["scalar", "rotation", "sigmoid11", "sigmoid22", "sigmoid32", "linear3"])
 def test_builtin_rows_equal_one_row_batches(field):
-    Y = rng_for(7, "rows").standard_normal((50, field.state_dim))
+    """A batch of 50 states, the columns of the planes Y (m, 50), gives
+    each state the bits of its own one-column batch."""
+    Y = rng_for(7, "rows").standard_normal((50, field.state_dim)).T
     for fn in (field.fun, field.dfun, field.d2fun):
-        rows = np.stack([fn(Y[k:k + 1])[0] for k in range(len(Y))])
-        assert np.array_equal(fn(Y), rows)
+        cols = np.stack([fn(Y[:, k:k + 1])[..., 0] for k in range(50)], -1)
+        assert np.array_equal(fn(Y), cols)
 
 
 def test_missing_second_derivative_is_a_regime_error():
     with pytest.raises(RegimeError, match="second derivative not supplied"):
-        VectorField(fun=lambda Y: Y[:, :, None],
-                    dfun=lambda Y: np.ones((len(Y), 1, 1, 1))).d2fun(np.ones((2, 1)))
+        VectorField(fun=lambda Y: Y[:, None],
+                    dfun=lambda Y: np.ones((1, 1) + Y.shape)).d2fun(np.ones((1, 2)))
 
 
 # -- integration ----------------------------------------------------------------
@@ -237,9 +239,9 @@ def test_ode_affine_exact():
     drv = GridPath(g, np.column_stack([np.sin(t), np.cos(3 * t)]))
     c = np.array([[0.3, -1.2], [0.8, 0.1]])
     const = VectorField(
-        fun=lambda Y: np.broadcast_to(c, (len(Y), 2, 2)).copy(),
-        dfun=lambda Y: np.zeros((len(Y), 2, 2, 2)),
-        d2fun=lambda Y: np.zeros((len(Y), 2, 2, 2, 2)),
+        fun=lambda Y: np.repeat(c[..., None], Y.shape[1], -1),
+        dfun=lambda Y: np.zeros((2, 2) + Y.shape),
+        d2fun=lambda Y: np.zeros((2, 2, 2) + Y.shape),
         order=3,
         delta=1.0,
         name="const",
