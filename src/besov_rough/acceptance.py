@@ -218,8 +218,8 @@ def criterion_11_ito_formula() -> dict:
     for s in range(samples):
         lift = brownian_lift(1, grid, rng_for(SEED, "ito-formula", s), "ito")
         w = lift.base_path().values
-        cp = ControlledPath(lift, w.reshape(grid.n, 1, 1),
-                            np.ones((grid.n, 1, 1, 1)))
+        cp = ControlledPath(lift, w.reshape(1, 1, grid.n),
+                            np.ones((1, 1, 1, grid.n)))
         z = rough_integral(cp)
         vals[s] = z.Y.ravel()[-1] + 0.5 - 0.5 * w[-1, 0] ** 2
     mean = float(vals.mean())

@@ -501,11 +501,8 @@ def _cmd_integrate(args):
             f" {y.dim} and {yp.dim}"
         )
     m = y.dim // n
-    cp = ControlledPath(
-        X,
-        y.values.reshape(X.grid.n, m, n),
-        yp.values.reshape(X.grid.n, m, n, n),
-    )
+    cp = ControlledPath(X, y.values.T.reshape(m, n, -1),
+                        yp.values.T.reshape(m, n, n, -1))
     z, rep = rough_integral(cp, report=True)
     return ([(args.out, z.y_path()), (args.report, rep)],
             f"remainder_norm {rep['remainder_norm']:.12g}")

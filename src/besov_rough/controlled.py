@@ -1,11 +1,12 @@
 """Level-2 controlled rough paths: rough integration, composition, the RDE
 solver, Davie residuals, and the Ito-Lyons stability probe.
 
-Index conventions: a controlled pair (Y, Y') has Y values of shape
-(nodes, *vs) and Y' of shape (nodes, *vs, n), the trailing axis contracting
-against driver increments.  Second-level entries XX[k, j] carry the inner
-(earlier) index first, matching the left-point iterated sums of the lifts, so
-the Davie expansion contracts as sum_{j,k} (Df f)[a,j,k] XX[k,j].
+Index conventions: a controlled pair (Y, Y') is held on component planes,
+Y of shape (*vs, nodes) and Y' of shape (*vs, n, nodes), the axis before the
+nodes contracting against driver increments.  Second-level entries XX[k, j]
+carry the inner (earlier) index first, matching the left-point iterated sums
+of the lifts, so the Davie expansion contracts as
+sum_{j,k} (Df f)[a,j,k] XX[k,j].
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .norms import (
     _dyadic_sum,
     _log_fit,
 )
-from .rough import RoughPath, rough_metric
+from .rough import RoughPath, rough_metric, _prefix_sums
 from .young import (
     VectorField,
     field_distance_proxy,
@@ -51,18 +52,19 @@ __all__ = [
 
 
 class ControlledPath:
-    """Pair (Y, Y') with the derived remainder field R = dY - Y' dX."""
+    """Pair (Y, Y') with the derived remainder field R = dY - Y' dX, held as
+    C-contiguous component planes Y (*vs, nodes) and Y' (*vs, n, nodes);
+    `y_path` and `yp_path` give them as (nodes, ...) rows."""
 
     def __init__(self, X: RoughPath, Y: np.ndarray, Yp: np.ndarray):
-        Y = np.asarray(Y, dtype=float)
-        Yp = np.asarray(Yp, dtype=float)
+        Y = np.ascontiguousarray(Y, dtype=float)
+        Yp = np.ascontiguousarray(Yp, dtype=float)
         nodes = X.grid.n
-        if Y.shape[0] != nodes or Yp.shape[0] != nodes:
+        if Y.shape[-1] != nodes or Yp.shape[-1] != nodes:
             raise ValueError("Y and Y' must be sampled on the driver grid")
-        if Yp.shape != Y.shape + (X.n,):
-            raise ValueError(
-                f"Y' must have shape {Y.shape + (X.n,)}, got {Yp.shape}"
-            )
+        if Yp.shape != Y.shape[:-1] + (X.n, nodes):
+            raise ValueError(f"Y' must have shape {Y.shape[:-1] + (X.n, nodes)},"
+                             f" got {Yp.shape}")
         self.X = X
         self.Y = Y
         self.Yp = Yp
@@ -70,29 +72,23 @@ class ControlledPath:
 
     @property
     def value_shape(self):
-        return self.Y.shape[1:]
+        return self.Y.shape[:-1]
 
     def y_path(self) -> GridPath:
-        return GridPath(self.X.grid, self.Y.reshape(self.X.grid.n, -1))
+        return GridPath(self.X.grid, self.Y.reshape(-1, self.X.grid.n).T)
 
     def yp_path(self) -> GridPath:
-        return GridPath(self.X.grid, self.Yp.reshape(self.X.grid.n, -1))
+        return GridPath(self.X.grid, self.Yp.reshape(-1, self.X.grid.n).T)
 
     @property
     def remainder(self) -> TwoParamField:
         """Lazy cache of R[i][j] = dY - Y'_i dX[i][j] (recomputable exactly)."""
         if self._remainder is None:
-            X, n = self.X, self.X.grid.n
+            X, nodes = self.X, self.X.grid.n
             self._remainder = _expansion_remainder(
-                X.grid, _as_planes(X.base_path().values),
-                _as_planes(self.Y.reshape(n, -1)),
-                _as_planes(self.Yp.reshape(n, -1, X.n)))
+                X.grid, X.base_planes, self.Y.reshape(-1, nodes),
+                self.Yp.reshape(-1, X.n, nodes))
         return self._remainder
-
-
-def _as_planes(x: np.ndarray) -> np.ndarray:
-    """x (nodes, ...) as C-contiguous component planes (..., nodes)."""
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
 def _expansion_lead(a, dx, b=None, xx=None) -> np.ndarray:
@@ -166,16 +162,12 @@ def _level2_norm(rem: TwoParamField, params: BesovParams) -> float:
     return two_param_norm(rem, gamma, p / 3, INF, modulus=mod.omega)
 
 
-def _integrand_arrays(cp: ControlledPath):
-    if len(cp.value_shape) < 1 or cp.value_shape[-1] != cp.X.n:
-        raise ValueError(
-            "rough integrand must have a trailing driver axis: shape"
-            f" (*, {cp.X.n}), got {cp.value_shape}"
-        )
-    grid_n = cp.X.grid.n
-    y = cp.Y.reshape(grid_n, -1, cp.X.n)
-    yp = cp.Yp.reshape(grid_n, -1, cp.X.n, cp.X.n)
-    return y, yp
+def _level2(X: RoughPath) -> TwoParamField:
+    """The level-2 field of X, which the level-2 calculus needs."""
+    if X.depth < 2:
+        raise RegimeError("the level-2 calculus needs a rough path of depth"
+                          f" >= 2; this one has depth {X.depth}")
+    return X.level(2)
 
 
 def rough_integral(
@@ -191,19 +183,22 @@ def rough_integral(
     if not params.level2_ok:
         raise RegimeError(
             f"(alpha,p,q)={params.as_tuple} outside the level-2 regime")
-    y, yp = map(_as_planes, _integrand_arrays(cp))
-    grid = X.grid
-    base = _as_planes(X.base_path().values)
-    incs = _expansion_lead(y[..., :-1], np.diff(base), yp[..., :-1],
-                           X.level(2).band(1).T)
-    z = np.hstack([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)])
-    out_shape = cp.value_shape[:-1]
-    z_out = z.T.reshape((grid.n,) + out_shape)
-    result = ControlledPath(X, z_out, cp.Y.reshape(z_out.shape + (X.n,)))
+    if cp.value_shape[-1:] != (X.n,):
+        raise ValueError(
+            "rough integrand must have a driver axis before the nodes: shape"
+            f" (*, {X.n}), got {cp.value_shape}"
+        )
+    xx = _level2(X)
+    nodes, base = X.grid.n, X.base_planes
+    y = cp.Y.reshape(-1, X.n, nodes)
+    yp = cp.Yp.reshape(-1, X.n, X.n, nodes)
+    z = _prefix_sums(_expansion_lead(y[..., :-1], np.diff(base), yp[..., :-1],
+                                     xx.band(1).T))
+    result = ControlledPath(X, z.reshape(cp.value_shape[:-1] + (nodes,)), cp.Y)
     if not report:
         return result
 
-    rem = _expansion_remainder(grid, base, z, y, yp, X.level(2))
+    rem = _expansion_remainder(X.grid, base, z, y, yp, xx)
     return result, {"remainder_norm": _level2_norm(rem, params),
                     "endpoint": params.endpoint(2)}
 
@@ -214,17 +209,15 @@ def compose_controlled(F: VectorField, cp: ControlledPath, report: bool = False)
         raise ValueError("compose_controlled expects a state-valued pair (m,)")
     if F.order < 2:
         raise RegimeError("composition requires a C^2 (or better) field")
-    values = F.values_along(cp.Y.T)  # (m', n', nodes)
-    dvals = F.dfun(cp.Y.T)           # (m', n', m, nodes)
-    yp_new = _chain(dvals, np.moveaxis(cp.Yp, 0, -1))
-    out = ControlledPath(cp.X, np.moveaxis(values, -1, 0),
-                         np.moveaxis(yp_new, -1, 0))
+    values = F.values_along(cp.Y)  # (m', n', nodes)
+    dvals = F.dfun(cp.Y)           # (m', n', m, nodes)
+    out = ControlledPath(cp.X, values, _chain(dvals, cp.Yp))
     if not report:
         return out
     params = cp.X.params
     alpha, p, q = params.as_tuple
     x_norm = besov_seminorm(cp.X.base_path(), alpha, p, q, form="integral")
-    base_norm = float(np.linalg.norm(cp.Yp[0])) + controlled_norm(cp)
+    base_norm = float(np.linalg.norm(cp.Yp[..., 0])) + controlled_norm(cp)
     sup_f = max(
         float(np.abs(values).max()),
         float(np.abs(dvals).max()),
@@ -276,9 +269,9 @@ def rde_solve(
     alpha, p, q = params.as_tuple
     grid = X.grid
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    base = _as_planes(X.base_path().values)
+    base = X.base_planes
     dx_all = np.diff(base)
-    xx_all = X.level(2).band(1).T
+    xx_all = _level2(X).band(1).T
     p2 = p / 2
     q2 = q / 2
 
@@ -304,7 +297,7 @@ def rde_solve(
     Y, iterations, subintervals, halvings = _adaptive_picard(
         grid, y0, start, sweep, 1e-9, max_halvings
     )
-    cp = ControlledPath(X, Y.T, np.moveaxis(F.values_along(Y), -1, 0))
+    cp = ControlledPath(X, Y, F.values_along(Y))
     t0 = subintervals[0][1] * grid.mesh if subintervals else grid.horizon
     inv_p = 1.0 / p
     report = {
@@ -332,10 +325,9 @@ def davie_residual(
     X = cp.X
     grid = X.grid
     params = X.params
-    Y = _as_planes(cp.Y.reshape(grid.n, -1))
+    Y = cp.Y.reshape(-1, grid.n)
     fv, wp = _davie_coefficients(F, Y)
-    D = _expansion_remainder(grid, _as_planes(X.base_path().values), Y,
-                             fv, wp, X.level(2))
+    D = _expansion_remainder(grid, X.base_planes, Y, fv, wp, _level2(X))
     endpoint = params.endpoint(2)
     norm = _level2_norm(D, params)
     profile = _osc_profile(D, params.p / 3) if endpoint else None
@@ -374,8 +366,8 @@ def rde_stability_probe(
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
     y2 = np.atleast_1d(np.asarray(y2, dtype=float))
     cloud = _probe_cloud(s1.controlled.Y, s2.controlled.Y)
-    proxy = field_distance_proxy(F1, F2, cloud.T)
-    sparse = cloud[:: max(1, len(cloud) // 32)].T
+    proxy = field_distance_proxy(F1, F2, cloud)
+    sparse = cloud[:, :: max(1, cloud.shape[1] // 32)]
     proxy += float(np.abs(F1.d2fun(sparse) - F2.d2fun(sparse)).max())
     den = float(np.linalg.norm(y1 - y2)) + rough_metric(X1, X2) + proxy
     return {

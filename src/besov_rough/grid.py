@@ -294,7 +294,7 @@ def delta(path: GridPath) -> TwoParamField:
 # csv.writer (excel dialect) writes.
 
 def load_path_csv(path, magnitudes: bool = True) -> GridPath:
-    """Read a path from CSV with header ``t,v0,...,v{m-1}``.
+    """Read a path from CSV with header ``t,v0,...,v{m-1}``, m >= 1.
 
     Times must be strictly increasing and dyadic to within 1e-12*T; every
     value and every increment of a value column must be finite.  With
@@ -309,6 +309,8 @@ def load_path_csv(path, magnitudes: bool = True) -> GridPath:
     header = _listed(records[:1])[0]
     if not header or header[0].strip() != "t":
         raise GridFormatError(f"{path}: header must start with 't'")
+    if len(header) < 2:
+        raise GridFormatError(f"{path}: no value columns after 't'")
     data = _float_rows(path, records[1:], len(header))
     if error:  # a bad line before it is named first
         raise error

@@ -202,7 +202,8 @@ class RoughPath:
     pairs: the values at some pairs (i, j), 0 < i < j, stored instead of
     computed and read back bit for bit (for example an injected Chen
     fault), as sorted keys i * nodes + j and a (len, n^k) array.  The base
-    path is level 1 of the prefixes.
+    path is level 1 of the prefixes, kept as planes `base_planes` (n, nodes)
+    starting at 0; `base_path()` is their transpose.
     """
 
     def __init__(self, grid: UniformGrid, params: BesovParams, sig, pairs=None):
@@ -214,7 +215,8 @@ class RoughPath:
         self._sig = sig
         self._siginv = None
         self._pairs = pairs or {}  # level k -> (keys, values)
-        self._base = GridPath(grid, (sig[1] - sig[1][:, :1]).T)
+        self.base_planes = sig[1] - sig[1][:, :1]
+        self._base = GridPath(grid, self.base_planes.T)
 
     def with_pairs(self, k: int, ii, jj, values) -> "RoughPath":
         """This path with the level-k values at the pairs (ii, jj) given as

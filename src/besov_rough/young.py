@@ -129,7 +129,7 @@ def linear_field(matrices) -> VectorField:
     dmat = np.transpose(mats, (0, 2, 1))[..., None]
     return VectorField(
         lambda Y: _add_lanes(dmat[:, :, c] * Y[c] for c in range(m)),
-        lambda Y: np.broadcast_to(dmat, dmat.shape[:-1] + Y.shape[1:]).copy(),
+        lambda Y: np.broadcast_to(dmat, dmat.shape[:-1] + Y.shape[1:]),
         d2fun=lambda Y: np.zeros((m, n, m, m) + Y.shape[1:]),
         order=3, delta=1.0, name="linear", state_dim=m,
     )
@@ -372,14 +372,17 @@ def field_distance_proxy(F1: VectorField, F2: VectorField,
 
 
 def _probe_cloud(*paths: np.ndarray) -> np.ndarray:
-    pts = np.vstack(paths)
-    stride = max(1, len(pts) // 128)
-    pts = pts[::stride]
+    """The states of the planes `paths` (m, nodes) at a stride that keeps
+    128-255 of them (all, if fewer), each also moved by +-radius/2 and
+    +-radius along every axis: planes (m, B), offset-major."""
+    pts = np.hstack(paths)
+    pts = pts[:, ::max(1, pts.shape[1] // 128)]
+    m = len(pts)
     radius = 2.0 * max(1e-9, float(np.abs(pts).max()))
-    offsets = [np.zeros(pts.shape[1])]
-    for j in range(pts.shape[1]):
+    offsets = [np.zeros(m)]
+    for j in range(m):
         for s in (0.5, 1.0):
-            e = np.zeros(pts.shape[1])
+            e = np.zeros(m)
             e[j] = s * radius
             offsets.extend([e, -e])
-    return np.vstack([pts + off for off in offsets])
+    return (pts[:, None] + np.transpose(offsets)[..., None]).reshape(m, -1)

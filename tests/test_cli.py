@@ -20,6 +20,7 @@ from besov_rough.cli import (
     main,
     save_rough_dir,
 )
+from besov_rough.controlled import ControlledPath, rough_integral
 from besov_rough.grid import GridPath, UniformGrid, save_path_csv
 from besov_rough.norms import BesovParams, INF
 from besov_rough.rough import brownian_lift, chen_residual, lyons_extend
@@ -794,6 +795,75 @@ def test_integrate_off_grid_integrand_exit_1(tmp_path, capsys, which, grid):
     err = _single_json_error(capsys)
     assert err["error"] == "io" and "driver's grid" in err["message"]
     assert not (tmp_path / "isol.csv").exists()
+
+
+def test_integrate_two_integrand_rows_match_the_library(tmp_path):
+    # m = 2 on an n = 2 driver: column a*n + b of --y is Y[a, b] and column
+    # a*n*n + j*n + k of --yprime is Y'[a, j, k]
+    rp = tmp_path / "rp"
+    X = brownian_lift(2, UniformGrid(1.0, 6), 13)
+    save_rough_dir(str(rp), X)
+    m, n, g = 2, 2, X.grid
+    rng = np.random.default_rng(17)
+    y = np.cumsum(rng.standard_normal((g.n, m * n)), axis=0) * 0.1
+    yp = rng.standard_normal((g.n, m * n * n))
+    save_path_csv(tmp_path / "y.csv", GridPath(g, y))
+    save_path_csv(tmp_path / "yp.csv", GridPath(g, yp))
+    out, rep = tmp_path / "z.csv", tmp_path / "z.json"
+    assert main(["integrate", "--driver", str(rp), "--y", str(tmp_path / "y.csv"),
+                 "--yprime", str(tmp_path / "yp.csv"), "--out", str(out),
+                 "--report", str(rep)]) == 0
+    Y, Yp = np.empty((m, n, g.n)), np.empty((m, n, n, g.n))
+    for a in range(m):
+        for j in range(n):
+            Y[a, j] = y[:, a * n + j]
+            for k in range(n):
+                Yp[a, j, k] = yp[:, a * n * n + j * n + k]
+    z, want = rough_integral(ControlledPath(X, Y, Yp), report=True)
+    save_path_csv(tmp_path / "lib.csv", z.y_path())
+    assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    assert json.loads(rep.read_text()) == want
+
+
+@pytest.mark.parametrize("command", ["rde", "integrate"])
+def test_level_one_driver_exit_2(tmp_path, capsys, planar_csv, command):
+    rp = tmp_path / "rp"
+    assert main(["lift", "--kind", "canonical", "--input", planar_csv,
+                 "--N", "1", "--out", str(rp)]) == 0
+    out = tmp_path / "out.csv"
+    if command == "rde":
+        argv = ["rde", "--driver", str(rp), "--field", "builtin:rotation",
+                "--y0", "1.0,0.5"]
+    else:
+        g = load_rough_dir(str(rp)).grid
+        save_path_csv(tmp_path / "yp.csv", GridPath(g, np.ones((g.n, 4))))
+        argv = ["integrate", "--driver", str(rp), "--y", planar_csv,
+                "--yprime", str(tmp_path / "yp.csv")]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = _single_json_error(capsys)
+    assert err["error"] == "regime" and "depth >= 2" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--input", "{t}", "--alpha", "0.4", "--p", "2", "--q", "inf"],
+    ["var", "--input", "{t}", "--p", "2"],
+    ["young-ode", "--driver", "{t}", "--field", "builtin:sigmoid", "--y0",
+     "1.0", "--alpha", "0.9", "--p", "inf", "--q", "inf", "--out", "{o}"],
+    ["lift", "--kind", "canonical", "--input", "{t}", "--out", "{o}"],
+    ["integrate", "--driver", "{rp}", "--y", "{t}", "--yprime", "{t}",
+     "--out", "{o}"],
+], ids=["norm", "var", "young-ode", "lift", "integrate"])
+def test_path_csv_without_value_columns_exit_1(tmp_path, capsys, argv):
+    t_only = tmp_path / "t.csv"
+    t_only.write_text("t\n0\n0.25\n0.5\n0.75\n1\n")
+    save_rough_dir(str(tmp_path / "rp"), brownian_lift(2, UniformGrid(1.0, 2), 3))
+    names = {"t": t_only, "o": tmp_path / "out", "rp": tmp_path / "rp"}
+    assert main([a.format(**names) for a in argv]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and "no value columns" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -41,15 +41,19 @@ def _scalar_lift(level=10, fn=np.sin, kind="geometric", params=SMOOTH):
     return lift(path, 2, params)
 
 
+def _planes(rows):
+    """(nodes, ...) rows as the (..., nodes) planes of `ControlledPath`."""
+    return np.moveaxis(rows, 0, -1)
+
+
 def _self_controlled(X):
-    g = X.grid
-    n = X.n
-    y = X.base_path().values.reshape(g.n, 1, n) if n == 1 else None
-    if y is None:
-        y = X.base_path().values.reshape(g.n, n)
-        yp = np.broadcast_to(np.eye(n), (g.n, n, n)).copy()
-        return ControlledPath(X, y, yp)
-    return ControlledPath(X, y, np.ones((g.n, 1, n, n)))
+    """Y = X, Y' = Id; a scalar driver gives a (1, 1)-valued integrand."""
+    g, n = X.grid, X.n
+    if n == 1:
+        return ControlledPath(X, X.base_planes.reshape(1, 1, g.n),
+                              np.ones((1, 1, 1, g.n)))
+    return ControlledPath(X, X.base_planes,
+                          np.repeat(np.eye(n)[..., None], g.n, -1))
 
 
 # -- controlled norms -----------------------------------------------------------
@@ -57,15 +61,14 @@ def _self_controlled(X):
 def test_constant_pair_zero_norm():
     X = _scalar_lift(8)
     g = X.grid
-    cp = ControlledPath(X, np.full((g.n, 1), 2.0), np.zeros((g.n, 1, 1)))
+    cp = ControlledPath(X, np.full((1, g.n), 2.0), np.zeros((1, 1, g.n)))
     assert controlled_norm(cp) == 0.0
 
 
 def test_path_controls_itself():
     X = _scalar_lift(8)
     g = X.grid
-    cp = ControlledPath(X, X.base_path().values.reshape(g.n, 1),
-                        np.ones((g.n, 1, 1)))
+    cp = ControlledPath(X, X.base_planes, np.ones((1, 1, g.n)))
     assert controlled_norm(cp) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -75,12 +78,21 @@ def test_distance_axioms():
     rng = rng_for(0, "cd")
     y1 = np.cumsum(rng.standard_normal((g.n, 1)), axis=0) * 0.1
     y2 = np.cumsum(rng.standard_normal((g.n, 1)), axis=0) * 0.1
-    cp1 = ControlledPath(X, y1, rng.standard_normal((g.n, 1, 1)))
-    cp2 = ControlledPath(X, y2, rng.standard_normal((g.n, 1, 1)))
+    cp1 = ControlledPath(X, y1.T, _planes(rng.standard_normal((g.n, 1, 1))))
+    cp2 = ControlledPath(X, y2.T, _planes(rng.standard_normal((g.n, 1, 1))))
     assert controlled_distance(cp1, cp1) == 0.0
     assert controlled_distance(cp1, cp2) == pytest.approx(
         controlled_distance(cp2, cp1)
     )
+
+
+def test_pair_must_be_planes_on_the_driver_grid():
+    X = _scalar_lift(6)
+    g = X.grid
+    with pytest.raises(ValueError, match="driver grid"):
+        ControlledPath(X, np.zeros((g.n, 1)), np.zeros((g.n, 1, 1)))
+    with pytest.raises(ValueError, match="Y' must have shape"):
+        ControlledPath(X, np.zeros((1, g.n)), np.zeros((1, 2, g.n)))
 
 
 def test_remainder_cache_recomputable():
@@ -89,7 +101,7 @@ def test_remainder_cache_recomputable():
     rng = rng_for(1, "rem")
     y = np.cumsum(rng.standard_normal((g.n, 1)), axis=0) * 0.1
     yp = rng.standard_normal((g.n, 1, 1))
-    cp = ControlledPath(X, y, yp)
+    cp = ControlledPath(X, y.T, _planes(yp))
     rem = cp.remainder
     base = X.base_path().values
     for (i, j) in [(0, 17), (5, 100), (30, 31)]:
@@ -103,11 +115,12 @@ def test_constant_integrand():
     X = _scalar_lift(8)
     g = X.grid
     c = 2.5
-    cp = ControlledPath(X, np.full((g.n, 1, 1), c), np.zeros((g.n, 1, 1, 1)))
+    cp = ControlledPath(X, np.full((1, 1, g.n), c), np.zeros((1, 1, 1, g.n)))
     z = rough_integral(cp)
-    expected = c * (X.base_path().values - X.base_path().values[0])
-    assert np.abs(z.Y.reshape(g.n, 1) - expected).max() < 1e-12
-    assert np.array_equal(z.Yp.reshape(g.n, 1, 1), cp.Y.reshape(g.n, 1, 1))
+    base = X.base_planes
+    expected = c * (base - base[:, :1])
+    assert np.abs(z.Y - expected).max() < 1e-12
+    assert np.array_equal(z.Yp, cp.Y)
 
 
 def test_calculus_oracle_geometric_lift():
@@ -139,10 +152,10 @@ def test_integral_linear_in_integrand():
                       BesovParams(0.45, 32.0, INF))
     g = X.grid
     rng = rng_for(2, "lin")
-    y1 = rng.standard_normal((g.n, 1, 1))
-    yp1 = rng.standard_normal((g.n, 1, 1, 1))
-    y2 = rng.standard_normal((g.n, 1, 1))
-    yp2 = rng.standard_normal((g.n, 1, 1, 1))
+    y1 = _planes(rng.standard_normal((g.n, 1, 1)))
+    yp1 = _planes(rng.standard_normal((g.n, 1, 1, 1)))
+    y2 = _planes(rng.standard_normal((g.n, 1, 1)))
+    yp2 = _planes(rng.standard_normal((g.n, 1, 1, 1)))
     combo = rough_integral(
         ControlledPath(X, 2.0 * y1 - 0.5 * y2, 2.0 * yp1 - 0.5 * yp2)
     )
@@ -203,7 +216,7 @@ def test_compose_linear_field_exact():
     rng = rng_for(4, "comp")
     y = rng.standard_normal((g.n, 2)) * 0.3
     yp = rng.standard_normal((g.n, 2, 2))
-    cp = ControlledPath(X, y, yp)
+    cp = ControlledPath(X, y.T, _planes(yp))
     F = rotation_field()
     out = compose_controlled(F, cp)
     # linear field: R^{F(Y)} = F(R^Y) entrywise
@@ -227,7 +240,7 @@ def test_compose_square_taylor_identity():
     rng = rng_for(5, "comp2")
     y = np.cumsum(rng.standard_normal((g.n, 1)), axis=0) * 0.05
     yp = rng.standard_normal((g.n, 1, 1))
-    cp = ControlledPath(X, y, yp)
+    cp = ControlledPath(X, y.T, _planes(yp))
     square = VectorField(
         fun=lambda Y: Y[:, None] ** 2,
         dfun=lambda Y: 2.0 * Y[:, None, None],
@@ -253,7 +266,7 @@ def test_compose_constant_field():
         d2fun=lambda Y: np.zeros((1, 1, 1) + Y.shape),
         order=3, delta=1.0, name="const",
     )
-    cp = ControlledPath(X, np.zeros((g.n, 1)), np.ones((g.n, 1, 1)))
+    cp = ControlledPath(X, np.zeros((1, g.n)), np.ones((1, 1, g.n)))
     out = compose_controlled(const, cp)
     assert np.all(out.Yp == 0.0)
 
@@ -415,7 +428,7 @@ def test_davie_detects_perturbation():
     clean = davie_residual(sol.controlled, scalar_linear_field())
     eps = 1e-2
     g = X.grid
-    wobbled = sol.controlled.Y + eps * g.times()[:, None]
+    wobbled = sol.controlled.Y + eps * g.times()
     cp = ControlledPath(X, wobbled, sol.controlled.Yp)
     bad = davie_residual(cp, scalar_linear_field())
     assert bad["norm"] - clean["norm"] >= eps / 2
@@ -458,8 +471,7 @@ def test_endpoint_remainder_norm_is_one_gauge():
         d2fun=lambda Y: np.zeros((1, 2, 1, 1) + Y.shape[1:]),
         order=3, delta=1.0, name="constant")
     b = _chain(d, c)
-    z, rep = rough_integral(ControlledPath(
-        X, np.moveaxis(c, -1, 0), np.moveaxis(b, -1, 0)), report=True)
+    z, rep = rough_integral(ControlledPath(X, c, b), report=True)
     dav = davie_residual(ControlledPath(X, z.Y, z.Yp), const)
     assert rep["endpoint"] and dav["endpoint"]
     assert dav["norm"] == rep["remainder_norm"] > 1e-3

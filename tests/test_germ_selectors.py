@@ -10,8 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from besov_rough.controlled import (ControlledPath, _as_planes,
-                                    _expansion_remainder)
+from besov_rough.controlled import ControlledPath, _expansion_remainder
 from besov_rough.grid import (
     GridPath,
     TwoParamField,
@@ -76,8 +75,8 @@ def _field_backed(depth=2):
 def _controlled():
     X = geometric_lift(_path(3), 2, BesovParams(0.5, INF, INF))
     rng = np.random.default_rng(4)
-    return ControlledPath(X, rng.standard_normal((GRID.n, 2)),
-                          rng.standard_normal((GRID.n, 2, 2)))
+    return ControlledPath(X, rng.standard_normal((GRID.n, 2)).T,
+                          np.moveaxis(rng.standard_normal((GRID.n, 2, 2)), 0, -1))
 
 
 def _expansion(m, X=None):
@@ -86,7 +85,8 @@ def _expansion(m, X=None):
     rng = np.random.default_rng(5 + m)
     rows = (X.base_path().values, rng.standard_normal((n, m)),
             rng.standard_normal((n, m, 2)), rng.standard_normal((n, m, 2, 2)))
-    return _expansion_remainder(X.grid, *map(_as_planes, rows), X.level(2))
+    return _expansion_remainder(
+        X.grid, *(np.moveaxis(r, 0, -1) for r in rows), X.level(2))
 
 
 def _csv_germ(tmp_path):

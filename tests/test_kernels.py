@@ -396,13 +396,14 @@ def _germ_fields():
             return v[jj] - v[ii] - _ref_lead(a[ii], base[jj] - base[ii],
                                               b[ii], xx)
 
+        planes = (np.moveaxis(x, 0, -1) for x in (base, v, a, b))
         yield (f"D on the {name}", controlled._expansion_remainder(
-            grid, *map(controlled._as_planes, (base, v, a, b)), Z.level(2)),
-            ref_d)
+            grid, *planes, Z.level(2)), ref_d)
         for k in (1, 2):
             yield (f"level {k} of the {name}", Z.level(k),
                    lambda ii, jj, Z=Z, k=k: _ref_level(Z, k, ii, jj))
-    yield ("R", controlled.ControlledPath(X, v, a).remainder,
+    yield ("R", controlled.ControlledPath(
+        X, v.T, np.moveaxis(a, 0, -1)).remainder,
            lambda ii, jj: v[jj] - v[ii] - _ref_lead(a[ii], base[jj] - base[ii]))
 
 
