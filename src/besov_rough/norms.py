@@ -135,15 +135,35 @@ def _mags(diff: np.ndarray) -> np.ndarray:
 
 
 def _plane_mags(planes: np.ndarray) -> np.ndarray:
-    """Magnitudes of k component planes (k, ...): the squares added in the
-    lane order of `_add_lanes`, with no + 0.0 (a square is never -0.0); one
-    component is its absolute value."""
+    """Magnitudes of k component planes (k, ...): the square root of
+    `_plane_squares`; one component is its absolute value."""
     if len(planes) == 1:
         return np.abs(planes[0])
+    return np.sqrt(_plane_squares(planes))
+
+
+def _plane_squares(planes: np.ndarray) -> np.ndarray:
+    """Squared magnitudes of k >= 2 component planes (k, ...): the squares
+    added in the lane order of `_add_lanes`, with no + 0.0 (a square is
+    never -0.0)."""
     sq = planes * planes
     for t in range(2, len(sq)):
         sq[t % 2] += sq[t]
-    return np.sqrt(sq[0] + sq[1])
+    return sq[0] + sq[1]
+
+
+def _band_norm(band: np.ndarray, mesh: float, p: float):
+    """`_band_lp` of the magnitudes of a (..., k, m) band (stacks included).
+
+    At p = inf with m >= 2 the max is taken over the squared magnitudes and
+    rooted once: sqrt is monotone and correctly rounded, so the root of the
+    max has the bits of the max of the roots."""
+    if p != INF or band.shape[-1] == 1:
+        mag = _mags(band)
+        del band  # a band made for this call is freed before the L^p sum
+        return _band_lp(mag, mesh, p)
+    root = np.sqrt(_lp_sum(_plane_squares(band.T).T, INF, mesh))
+    return root if root.ndim else float(root)
 
 
 def _band_lp(mag: np.ndarray, mesh: float, p: float):
@@ -214,7 +234,7 @@ def band_lp_norms(obj, p: float, max_shift: int) -> np.ndarray:
     a (..., max_shift) array, one row per stacked field.
     """
     mesh = obj.grid.mesh
-    return np.transpose([_band_lp(_mags(obj.band(k)), mesh, p)
+    return np.transpose([_band_norm(obj.band(k), mesh, p)
                          for k in range(1, max_shift + 1)])
 
 
@@ -223,14 +243,14 @@ def _dyadic_band_norms(obj, p: float) -> np.ndarray:
     (|f(. + 2^-n T) - f|_{L^p} for a path)."""
     grid = obj.grid
     return np.array([
-        _band_lp(_mags(obj.band(1 << (grid.level - n))), grid.mesh, p)
+        _band_norm(obj.band(1 << (grid.level - n)), grid.mesh, p)
         for n in range(1, grid.level + 1)
     ])
 
 
 def lp_norm(f: GridPath, p: float) -> float:
     """L^p norm of the path itself (same Riemann-weight convention)."""
-    return _band_lp(_mags(f.values), f.grid.mesh, p)
+    return _band_norm(f.values, f.grid.mesh, p)
 
 
 def _q_sum(ratios: np.ndarray, q: float, log_weight: bool):
@@ -402,7 +422,7 @@ def delta2_norm(A: TwoParamField, gamma: float, p: float, q: float) -> float:
         offs = offs[(offs > 0) & (offs < k)]
         best = 0.0
         for u in offs:
-            best = max(best, _band_lp(_mags(A.delta2_bands(u, k)), grid.mesh, p))
+            best = max(best, _band_norm(A.delta2_bands(u, k), grid.mesh, p))
         s[k - 1] = best
     return _q_sum(_ratios_from_norms(s, grid, denom), q, log_weight=True)
 

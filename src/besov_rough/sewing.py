@@ -18,11 +18,10 @@ from .grid import GridPath, TwoParamField, _indices
 from .norms import (
     INF,
     EndpointModulus,
-    _band_lp,
+    _band_norm,
     _dyadic_band_norms,
     _dyadic_ratio_profile,
     _log_fit,
-    _mags,
     _q_sum,
     _ratios_from_norms,
     two_param_norm,
@@ -51,8 +50,19 @@ def _suffix(field: TwoParamField, w: int) -> np.ndarray:
     rows = -(-n // w)  # ceil: cover indices 0..n-1 plus padding
     padded = np.zeros((rows * w + w, m))
     padded[: n - w] = band
-    arr = padded.reshape(rows + 1, w, m)
-    return np.flip(np.cumsum(np.flip(arr, 0), 0), 0).reshape(-1, m)
+    blocks = padded.reshape(rows + 1, w, m)
+    # running sums up from the zero last row, in place: whole rows while
+    # there are fewer rows than columns (an accumulate down the rows runs
+    # one inner loop per column), else one accumulate.  Both add the
+    # running sum first, as cumsum does, so every entry keeps its bits; a
+    # NaN sum meeting a NaN entry may give either NaN (numpy's add loop
+    # swaps its operands on a row's last entries)
+    if rows < w:
+        for r in range(rows - 1, -1, -1):
+            np.add(blocks[r + 1], blocks[r], out=blocks[r])
+    else:
+        np.cumsum(blocks[::-1], axis=0, out=blocks[::-1])
+    return padded
 
 
 @dataclass(frozen=True)
@@ -175,7 +185,7 @@ def _diff_level_norms(A: TwoParamField, p2, q2, denom) -> list:
                     break
                 d = ((lo[: n_nodes - h] - lo[h:n_nodes])
                      - (hi[: n_nodes - h] - hi[h:n_nodes]))
-                profile[n, h - 1] = _band_lp(_mags(d), grid.mesh, p2)
+                profile[n, h - 1] = _band_norm(d, grid.mesh, p2)
             w *= 2
     return [_q_sum(_ratios_from_norms(s, grid, denom)[: grid.level - n - 1],
                    q2, log_weight=True) for n, s in enumerate(profile)]

@@ -102,6 +102,10 @@ def _ref_mags(d):
     return np.sqrt(_lanes(d * d, plus_zero=False))
 
 
+def _ref_band_norm(band, mesh, p):
+    return norms._band_lp(_ref_mags(band), mesh, p)
+
+
 def _ref_lead(a, dx, b=None, xx=None):
     lead = _lanes(a * dx[:, None])
     if b is None:
@@ -183,8 +187,9 @@ def _ref_window_table(paths, ns, level, p, hurst, level2):
 @pytest.fixture
 def reference_only(monkeypatch):
     """Route every call site through the reference forms above."""
+    monkeypatch.setattr(norms, "_mags", _ref_mags)
     for mod in (norms, sewing):
-        monkeypatch.setattr(mod, "_mags", _ref_mags)
+        monkeypatch.setattr(mod, "_band_norm", _ref_band_norm)
     for mod in (rough, stochlab):
         monkeypatch.setattr(mod, "_plane_mags", lambda d: _ref_mags(d.T))
     for mod in (rough, young):

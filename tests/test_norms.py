@@ -427,6 +427,47 @@ def test_stacked_band_lp_norms_equal_rows(S, dim):
                 assert got.tolist() == want
 
 
+def _same_norms(got, want):
+    """Bitwise on finite values, and the same inf or nan elsewhere."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    fin = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), fin)
+    assert got[fin].tobytes() == want[fin].tobytes()
+    assert np.array_equal(got[~fin], want[~fin], equal_nan=True)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_band_norm_equals_band_lp_of_magnitudes(m):
+    # p = inf with m >= 2 roots the max squared magnitude once; every other
+    # case is the magnitudes' L^p
+    from besov_rough.norms import _band_lp, _band_norm, _mags
+
+    rng = np.random.default_rng(m)
+    mesh = 2.0**-9
+    bands = []
+    for shape in ((1, m), (3, m), (500, m), (4, 300, m), (2, 1, m)):
+        x = rng.standard_normal(shape)
+        bands += [x, np.asfortranarray(x)]
+        bands.append(x * 10.0 ** rng.uniform(-200, 200, shape))
+        bands.append(x * 10.0 ** rng.choice([-200.0, 200.0], shape[:-1] + (1,)))
+        bands.append(np.zeros(shape))
+        bands.append(-np.zeros(shape))
+    special = rng.standard_normal((6, 40, m))
+    special[0, 3, 0] = INF
+    special[1, 5, -1] = -INF
+    special[2, 7, 0] = np.nan
+    bands += [special, special[2], np.zeros((0, m)), np.zeros((3, 0, m)),
+              np.zeros((0, 5, m))]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for band in bands:
+            for p in (0.5, 2.0, 32.0, INF):
+                got = _band_norm(band, mesh, p)
+                want = _band_lp(_mags(band), mesh, p)
+                assert type(got) is type(want)
+                _same_norms(got, want)
+
+
 def test_q_sum_is_bit_equal_on_any_memory_order():
     # the per-level ratios come out of fancy indexing, which may hand back an
     # F-ordered array; its row sums must still be the 1-D sums

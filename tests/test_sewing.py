@@ -17,6 +17,7 @@ from besov_rough.norms import (
 )
 from besov_rough.sewing import (
     SewingInput,
+    _suffix,
     dyadic_riemann,
     rate_certificate,
     sew,
@@ -61,6 +62,58 @@ def test_dyadic_riemann_telescopes_on_increments():
                            atol=1e-14)
     with pytest.raises(IndexError):
         dyadic_riemann(A, 2).pairs(np.array([0]), np.array([3]))
+
+
+def _suffix_reference(field: TwoParamField, w: int) -> np.ndarray:
+    """`_suffix` as one cumsum down the flipped rows of the padded band."""
+    n, m = field.grid.n, field.dim
+    rows = -(-n // w)
+    padded = np.zeros((rows * w + w, m))
+    padded[: n - w] = field.band(w)
+    arr = padded.reshape(rows + 1, w, m)
+    return np.flip(np.cumsum(np.flip(arr, 0), 0), 0).reshape(-1, m)
+
+
+def _suffix_germs(rng, n, m):
+    """(values, nan entries) pairs: small integers, signed zeros, entries
+    scaled by 1e300 and 1e-300, normals with +-inf entries, and normals with
+    +-inf and nan entries."""
+    shape = (n, n, m)
+    zeros = rng.integers(-1, 2, shape).astype(float)
+    zeros[(zeros == 0) & (rng.random(shape) < 0.5)] = -0.0
+    scaled = rng.standard_normal(shape) * np.where(
+        rng.random(shape) < 0.5, 1e300, 1e-300)
+    infs = rng.standard_normal(shape)
+    u = rng.random(shape)
+    infs[u < 0.05] = INF
+    infs[(u >= 0.05) & (u < 0.1)] = -INF
+    nans = infs.copy()
+    nans[(u >= 0.1) & (u < 0.15)] = np.nan
+    return ((rng.integers(-8, 9, shape).astype(float), False),
+            (zeros, False), (scaled, False), (infs, False), (nans, True))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_suffix_equals_flipped_cumsum(m):
+    # fewer rows than columns adds whole rows, else one accumulate runs down
+    # the rows: every width of levels 1-9 meets one of the two.  A NaN
+    # running sum meeting a NaN entry may keep either NaN (numpy's add loop
+    # swaps its operands on the last few entries of a row), so a germ with
+    # nan entries is compared bit for bit off its NaNs only
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(1, 10):
+            grid = UniformGrid(1.0, level)
+            rng = rng_for(level * 10 + m, "suffix")
+            for values, nan_entries in _suffix_germs(rng, grid.n, m):
+                field = TwoParamField(grid, m, dense=values)
+                for w in range(1, grid.n):
+                    got, want = _suffix(field, w), _suffix_reference(field, w)
+                    assert got.shape == want.shape
+                    if nan_entries:
+                        nan = np.isnan(want)
+                        assert np.array_equal(np.isnan(got), nan)
+                        got, want = got[~nan], want[~nan]
+                    assert got.tobytes() == want.tobytes(), (level, w)
 
 
 def _diff_norms_oracle(inp: SewingInput) -> list:
