@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -73,7 +74,6 @@ from .controlled import (
 )
 from .stochlab import (_KINDS, bm_besov_statistic, fbm_besov_statistic,
                        pprod_bdg_experiment)
-from .acceptance import CRITERIA, run_suite
 
 
 # The largest grid the CLI builds, set by memory: `lift --level`, the MC
@@ -289,8 +289,8 @@ def save_rough_dir(path: str, X: RoughPath) -> None:
     nn = X.grid.n
     prefix = X.pairs_levels(np.zeros(nn - 1, dtype=np.intp), np.arange(1, nn))
     for k in range(1, X.depth + 1):
-        rows = np.vstack([np.zeros((1, X.n**k)), prefix[k]])
-        save_path_csv(os.path.join(path, f"{k}.csv"), GridPath(X.grid, rows))
+        save_path_csv(os.path.join(path, f"{k}.csv"), GridPath._from_planes(
+            X.grid, np.hstack([np.zeros((X.n**k, 1)), prefix[k].T])))
         fname = os.path.join(path, f"{k}.pairs.csv")
         if k in X._pairs:
             keys, values = X._pairs[k]
@@ -364,10 +364,10 @@ def load_rough_dir(path: str) -> RoughPath:
         prefix = load_path_csv(fname, magnitudes=(k == 1))
         if prefix.grid != grid or prefix.dim != n**k:
             raise GridFormatError(f"{fname}: level shape mismatch")
-        if np.any(prefix.values[0] != 0.0):
+        if np.any(prefix.planes[:, 0] != 0.0):
             raise GridFormatError(
                 f"{fname}: first row must be zero (X_00 is the identity)")
-        sig.append(np.ascontiguousarray(prefix.values.T))
+        sig.append(prefix.planes)
         fname = os.path.join(path, f"{k}.pairs.csv")
         if os.path.exists(fname):
             pairs[k] = fname, *_pair_rows(fname, grid.n, n**k)[1:]
@@ -427,8 +427,7 @@ def _cmd_sew(args):
     except ValueError:  # fewer than two diagnostic levels carry a rate
         slope = None
     out = {
-        "integral_path": [list(map(float, row))
-                          for row in result.integral.values],
+        "integral_path": result.integral.values.tolist(),
         "remainder_norm": result.remainder_norm,
         "levels": result.levels,
         "slope": None if slope == -INF else slope,
@@ -460,7 +459,7 @@ def _cmd_lift(args):
     elif args.kind == "fbm":
         rng = rng_for(args.seed, "fbm-lift")
         z = rng.standard_normal((args.n, grid.n_cells))  # one path per row
-        path = GridPath(grid, _fbm_rows(args.H, grid, z).T)
+        path = GridPath._from_planes(grid, _fbm_rows(args.H, grid, z))
         X = canonical_lift(path, args.N, params)
     elif args.kind == "canonical":
         if not args.input:
@@ -501,8 +500,8 @@ def _cmd_integrate(args):
             f" {y.dim} and {yp.dim}"
         )
     m = y.dim // n
-    cp = ControlledPath(X, y.values.T.reshape(m, n, -1),
-                        yp.values.T.reshape(m, n, n, -1))
+    cp = ControlledPath(X, y.planes.reshape(m, n, -1),
+                        yp.planes.reshape(m, n, n, -1))
     z, rep = rough_integral(cp, report=True)
     return ([(args.out, z.y_path()), (args.report, rep)],
             f"remainder_norm {rep['remainder_norm']:.12g}")
@@ -571,6 +570,8 @@ def _mc_rows(cfg: ExperimentConfig) -> list:
 
 
 def _cmd_accept(args) -> int:
+    from .acceptance import CRITERIA, run_suite  # only `accept` pays its import
+
     ids = set(args.ids.split(",")) if args.ids else None
     valid = [cid for cid, _, _ in CRITERIA]
     if ids and not ids <= set(valid):
@@ -587,6 +588,7 @@ def _cmd_accept(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="besov-rough", description=__doc__)
     parser.add_argument("--version", action="version",
@@ -691,7 +693,7 @@ def _check_finite(name: str, value) -> None:
     a key path within a JSON object, else the file and index.  A rough path
     is checked through the chen_residual its command returns beside it."""
     if isinstance(value, GridPath):
-        if np.isfinite(value.values).all():
+        if np.isfinite(value.planes).all():
             return
         value = value.values.tolist()
     if isinstance(value, dict):

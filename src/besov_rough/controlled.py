@@ -30,6 +30,7 @@ from .norms import (
     _log_fit,
 )
 from .rough import RoughPath, rough_metric, _prefix_sums
+from .sewing import small_oscillation_check
 from .young import (
     VectorField,
     field_distance_proxy,
@@ -53,8 +54,8 @@ __all__ = [
 
 class ControlledPath:
     """Pair (Y, Y') with the derived remainder field R = dY - Y' dX, held as
-    C-contiguous component planes Y (*vs, nodes) and Y' (*vs, n, nodes);
-    `y_path` and `yp_path` give them as (nodes, ...) rows."""
+    C-contiguous component planes Y (*vs, nodes) and Y' (*vs, n, nodes),
+    frozen in place; `y_path` and `yp_path` hold them as paths, uncopied."""
 
     def __init__(self, X: RoughPath, Y: np.ndarray, Yp: np.ndarray):
         Y = np.ascontiguousarray(Y, dtype=float)
@@ -65,6 +66,8 @@ class ControlledPath:
         if Yp.shape != Y.shape[:-1] + (X.n, nodes):
             raise ValueError(f"Y' must have shape {Y.shape[:-1] + (X.n, nodes)},"
                              f" got {Yp.shape}")
+        Y.setflags(write=False)
+        Yp.setflags(write=False)
         self.X = X
         self.Y = Y
         self.Yp = Yp
@@ -75,10 +78,12 @@ class ControlledPath:
         return self.Y.shape[:-1]
 
     def y_path(self) -> GridPath:
-        return GridPath(self.X.grid, self.Y.reshape(-1, self.X.grid.n).T)
+        return GridPath._from_planes(self.X.grid,
+                                     self.Y.reshape(-1, self.X.grid.n))
 
     def yp_path(self) -> GridPath:
-        return GridPath(self.X.grid, self.Yp.reshape(-1, self.X.grid.n).T)
+        return GridPath._from_planes(self.X.grid,
+                                     self.Yp.reshape(-1, self.X.grid.n))
 
     @property
     def remainder(self) -> TwoParamField:
@@ -287,7 +292,7 @@ def rde_solve(
                                wp[..., :-1], xx_all[:, a:b])
         nxt = np.hstack([ya[:, None], ya[:, None] + np.cumsum(incs, axis=1)])
         dp = fv - cur_p
-        diff = GridPath(sub_grid, dp.reshape(-1, b - a + 1).T)
+        diff = GridPath._from_planes(sub_grid, dp.reshape(-1, b - a + 1))
         dist = besov_seminorm(diff, alpha, p, q, form="dyadic")
         rem = _expansion_remainder(
             sub_grid, base[:, a:b + 1] - base[:, a, None], nxt - cur, dp)
@@ -330,7 +335,8 @@ def davie_residual(
     D = _expansion_remainder(grid, X.base_planes, Y, fv, wp, _level2(X))
     endpoint = params.endpoint(2)
     norm = _level2_norm(D, params)
-    profile = _osc_profile(D, params.p / 3) if endpoint else None
+    profile = (small_oscillation_check(D, params.p / 3)["profile"]
+               if endpoint else None)
     if h_range is None:
         h_range = (grid.mesh * 4, grid.horizon / 8)
     hs, sups = [], []
@@ -345,12 +351,6 @@ def davie_residual(
         slope, r2 = INF, 1.0
     return {"field": D, "norm": norm, "slope": slope, "r2": r2,
             "endpoint": endpoint, "profile": profile}
-
-
-def _osc_profile(D: TwoParamField, p: float) -> list:
-    from .sewing import small_oscillation_check
-
-    return small_oscillation_check(D, p)["profile"]
 
 
 def rde_stability_probe(

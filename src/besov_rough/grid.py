@@ -65,10 +65,10 @@ class UniformGrid:
 
 
 class GridPath:
-    """A path sampled on a uniform dyadic grid, values in R^m.
-
-    ``values`` has shape (grid.n, m); it is copied and frozen at construction.
-    """
+    """A path sampled on a uniform dyadic grid, values in R^m, held as one
+    frozen C-contiguous (m, grid.n) array `planes`.  The constructor copies
+    rows (grid.n, m) or a 1-D array; `values` is the read-only (grid.n, m)
+    transposed view, and `_from_planes` takes over fresh planes uncopied."""
 
     def __init__(self, grid: UniformGrid, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
@@ -78,28 +78,39 @@ class GridPath:
             raise ValueError(
                 f"values must have shape ({grid.n}, m), got {values.shape}"
             )
-        values = values.copy()
-        values.setflags(write=False)
-        self.grid = grid
-        self.values = values
+        self.grid, self.planes = grid, values.T.copy()
+        self.planes.setflags(write=False)
+
+    @classmethod
+    def _from_planes(cls, grid: UniformGrid, planes: np.ndarray) -> "GridPath":
+        """The path of (m, grid.n) planes built for it, frozen in place, not
+        copied (unless they are not C-contiguous floats)."""
+        path = cls.__new__(cls)
+        path.grid, path.planes = grid, np.ascontiguousarray(planes, float)
+        path.planes.setflags(write=False)
+        return path
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.planes.T
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return len(self.planes)
 
     def band(self, k: int) -> np.ndarray:
         """Increments f[i+k] - f[i] for i = 0..n-1-k, shape (n-k, m): band k
-        of the increment field delta(f), as in `TwoParamField.band`."""
+        of the increment field delta(f), as in `TwoParamField.band`, the
+        transpose of its (m, n-k) planes."""
         n = self.grid.n
         if not 0 <= k < n:
             raise IndexError(f"band offset {k} out of range for n={n}")
-        return self.values[k:] - self.values[: n - k]
+        return (self.planes[:, k:] - self.planes[:, : n - k]).T
 
     def subsample(self, k: int) -> "GridPath":
         """Pointwise evaluation on the k-times-coarser grid."""
-        if k == 0:
-            return self
-        return GridPath(self.grid.coarsen(k), self.values[:: 1 << k])
+        return GridPath._from_planes(self.grid.coarsen(k),
+                                     self.planes[:, :: 1 << k])
 
     def restrict(self, i0: int, i1: int) -> "GridPath":
         """Restriction to nodes [i0, i1]; i1 - i0 must be a power of two."""
@@ -107,18 +118,18 @@ class GridPath:
         if span <= 0 or span & (span - 1):
             raise ValueError(f"restriction span {span} is not a power of two")
         sub = UniformGrid(span * self.grid.mesh, span.bit_length() - 1)
-        return GridPath(sub, self.values[i0 : i1 + 1])
+        return GridPath._from_planes(sub, self.planes[:, i0 : i1 + 1])
 
     def __add__(self, other: "GridPath") -> "GridPath":
         _check_same(self, other)
-        return GridPath(self.grid, self.values + other.values)
+        return GridPath._from_planes(self.grid, self.planes + other.planes)
 
     def __sub__(self, other: "GridPath") -> "GridPath":
         _check_same(self, other)
-        return GridPath(self.grid, self.values - other.values)
+        return GridPath._from_planes(self.grid, self.planes - other.planes)
 
     def __mul__(self, scalar: float) -> "GridPath":
-        return GridPath(self.grid, self.values * float(scalar))
+        return GridPath._from_planes(self.grid, self.planes * float(scalar))
 
     __rmul__ = __mul__
 
@@ -140,10 +151,11 @@ class TwoParamField:
     component plane per row, evaluated on demand, so fine grids keep O(n)
     memory; ii, jj are two slices (bands: views) or two intp arrays
     (`pairs`), used only to index (`_indices` converts).  `band` and `pairs`
-    return the transpose, (len, m), as a view.  Array data enters through
-    ``dense=``, an (n, n, m) array copied, frozen and read at the requested
-    pairs (never below the diagonal); an array built for the field is
-    handed over, frozen in place, through the germ `_frozen_germ(arr)`.  The
+    return the transpose, (len, m), as a view (a band's planes, `band(k).T`,
+    are C-contiguous).  Array data enters through ``dense=``, an (n, n, m)
+    array copied into (m, n, n) planes, frozen and read at the requested
+    pairs (never below the diagonal); planes built for the field are handed
+    over, frozen in place, through the germ `_frozen_germ(planes)`.  The
     diagonal is whatever the germ gives there: zero for increment-type
     germs, the stored diagonal for array data.  Band access (all entries
     A[i, i+k]) is the workhorse for every norm.
@@ -159,7 +171,7 @@ class TwoParamField:
         if (dense is None) == (germ is None):
             raise ValueError("exactly one of dense/germ must be given")
         if dense is not None:
-            dense = np.array(dense, dtype=np.float64)
+            dense = np.asarray(dense, dtype=np.float64)
             if dense.ndim == 2:
                 dense = dense[:, :, None]
             if dense.shape != (grid.n, grid.n, dim):
@@ -167,7 +179,7 @@ class TwoParamField:
                     f"dense must have shape ({grid.n}, {grid.n}, {dim}),"
                     f" got {dense.shape}"
                 )
-            germ = _frozen_germ(dense)
+            germ = _frozen_germ(np.moveaxis(dense, -1, 0).copy())
         self.grid = grid
         self.dim = dim
         self._germ = germ
@@ -175,7 +187,7 @@ class TwoParamField:
     def materialize(self) -> "TwoParamField":
         """Array-backed copy; agrees entrywise with this field."""
         return TwoParamField(self.grid, self.dim,
-                             germ=_frozen_germ(self.to_dense()))
+                             germ=_frozen_germ(self._dense_planes()))
 
     # -- access ------------------------------------------------------------
     def _planes(self, ii, jj, rows: int = -1) -> np.ndarray:
@@ -187,7 +199,8 @@ class TwoParamField:
         n = self.grid.n
         if not 0 <= k < n:
             raise IndexError(f"band offset {k} out of range for n={n}")
-        return self._planes(slice(0, n - k), slice(k, n), n - k).T
+        return np.ascontiguousarray(
+            self._planes(slice(0, n - k), slice(k, n), n - k)).T
 
     def pairs(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """Entries A[ii, jj] for index arrays with ii <= jj, shape (len, m)."""
@@ -219,15 +232,20 @@ class TwoParamField:
 
     def to_dense(self) -> np.ndarray:
         """(n, n, m) array of the entries on and above the diagonal, zero
-        below it; filled by one `pairs` call per block of 64 rows, so the
+        below it: the view of `_dense_planes` with the components last."""
+        return np.moveaxis(self._dense_planes(), 0, -1)
+
+    def _dense_planes(self) -> np.ndarray:
+        """(m, n, n) planes of the entries on and above the diagonal, zero
+        below it; filled by one germ call per block of 64 rows, so the
         germ's temporaries stay small next to the output."""
         n = self.grid.n
-        dense = np.zeros((n, n, self.dim))
+        planes = np.zeros((self.dim, n, n))
         for r0 in range(0, n, _DENSE_ROWS):
             ii, jj = np.triu_indices(min(_DENSE_ROWS, n - r0), m=n - r0)
             ii, jj = ii + r0, jj + r0
-            dense[ii, jj] = self.pairs(ii, jj)
-        return dense
+            planes[:, ii, jj] = self._planes(ii, jj, len(ii))
+        return planes
 
     # -- linear structure ----------------------------------------------------
     def _combine(self, other, f):
@@ -260,13 +278,15 @@ class TwoParamField:
 _DENSE_ROWS = 64
 
 
-def _frozen_germ(dense: np.ndarray):
-    """Germ reading an (n, n, m) float array the caller hands over: the
-    array is frozen in place, not copied as ``dense=`` does."""
-    dense.setflags(write=False)
+def _frozen_germ(planes: np.ndarray):
+    """Germ reading (m, n, n) float planes the caller hands over: they are
+    frozen in place, not copied as ``dense=`` does."""
+    planes.setflags(write=False)
+    m, n = planes.shape[:2]
+    flat = planes.reshape(m, n * n)
 
     def germ(ii, jj):
-        return dense[_indices(ii), _indices(jj)].T
+        return flat.take(_indices(ii) * n + _indices(jj), axis=1)
 
     return germ
 
@@ -278,9 +298,9 @@ def _indices(sel) -> np.ndarray:
 
 def delta(path: GridPath) -> TwoParamField:
     """Increment field of a path: result[i][j] = f_j - f_i."""
-    values = path.values
+    planes = path.planes
     return TwoParamField(
-        path.grid, path.dim, germ=lambda ii, jj: (values[jj] - values[ii]).T
+        path.grid, path.dim, germ=lambda ii, jj: planes[:, jj] - planes[:, ii]
     )
 
 
@@ -420,7 +440,7 @@ def _float_rows(path, lines, width: int) -> np.ndarray:
 
 def save_path_csv(path, grid_path: GridPath) -> None:
     _write_columns(path, ["t"] + [f"v{j}" for j in range(grid_path.dim)],
-                   [grid_path.grid.times(), *grid_path.values.T])
+                   [grid_path.grid.times(), *grid_path.planes])
 
 
 def _write_columns(path, header, columns) -> None:
@@ -455,11 +475,13 @@ def load_germ_csv(path) -> TwoParamField:
             f"{path}: max index {n - 1} needs at least {n - 1} rows,"
             f" got {len(flat)}")
 
+    planes = np.ascontiguousarray(values.T)
+
     def germ(ii, jj):
         pos, hit = _find(flat, _indices(ii) * n + _indices(jj))
-        return np.where(hit[:, None], values[pos], 0.0).T
+        return np.where(hit, planes.take(pos, axis=1), 0.0)
 
-    return TwoParamField(UniformGrid(1.0, level), values.shape[1], germ=germ)
+    return TwoParamField(UniformGrid(1.0, level), len(planes), germ=germ)
 
 
 # Node indices of a pair CSV stay below this, so keys i * n + j fit int64.

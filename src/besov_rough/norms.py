@@ -129,11 +129,6 @@ def _add_lanes(products) -> np.ndarray:
     return np.add(acc, 0.0, out=acc)
 
 
-def _mags(diff: np.ndarray) -> np.ndarray:
-    """Euclidean magnitudes of a (..., k, m) increment block, shape (..., k)."""
-    return _plane_mags(diff.T).T
-
-
 def _plane_mags(planes: np.ndarray) -> np.ndarray:
     """Magnitudes of k component planes (k, ...): the square root of
     `_plane_squares`; one component is its absolute value."""
@@ -152,17 +147,18 @@ def _plane_squares(planes: np.ndarray) -> np.ndarray:
     return sq[0] + sq[1]
 
 
-def _band_norm(band: np.ndarray, mesh: float, p: float):
-    """`_band_lp` of the magnitudes of a (..., k, m) band (stacks included).
+def _band_norm(planes: np.ndarray, mesh: float, p: float):
+    """`_band_lp` of the magnitudes of a band's planes (m, ..., k), stacks
+    (m, S, k) of S fields included.
 
     At p = inf with m >= 2 the max is taken over the squared magnitudes and
     rooted once: sqrt is monotone and correctly rounded, so the root of the
     max has the bits of the max of the roots."""
-    if p != INF or band.shape[-1] == 1:
-        mag = _mags(band)
-        del band  # a band made for this call is freed before the L^p sum
+    if p != INF or len(planes) == 1:
+        mag = _plane_mags(planes)
+        del planes  # a band made for this call is freed before the L^p sum
         return _band_lp(mag, mesh, p)
-    root = np.sqrt(_lp_sum(_plane_squares(band.T).T, INF, mesh))
+    root = np.sqrt(_lp_sum(_plane_squares(planes), INF, mesh))
     return root if root.ndim else float(root)
 
 
@@ -229,12 +225,13 @@ def _rescale_lost_rows(x: np.ndarray, p: float, weight: float, out):
 
 def band_lp_norms(obj, p: float, max_shift: int) -> np.ndarray:
     """Per-shift L^p increment norms s_k, k = 1..max_shift, of the bands
-    `obj.band(k)`: the increments f_{i+k} - f_i of a GridPath, or the entries
-    A[i, i+k] of a TwoParamField.  A band stack of shape (..., n-k, m) gives
-    a (..., max_shift) array, one row per stacked field.
+    `obj.band(k)`, read as their planes `obj.band(k).T`: the increments
+    f_{i+k} - f_i of a GridPath, or the entries A[i, i+k] of a TwoParamField.
+    A stack of S fields, bands (n-k, S, m) of planes (m, S, n-k), gives an
+    (S, max_shift) array, one row per stacked field.
     """
     mesh = obj.grid.mesh
-    return np.transpose([_band_norm(obj.band(k), mesh, p)
+    return np.transpose([_band_norm(obj.band(k).T, mesh, p)
                          for k in range(1, max_shift + 1)])
 
 
@@ -243,14 +240,14 @@ def _dyadic_band_norms(obj, p: float) -> np.ndarray:
     (|f(. + 2^-n T) - f|_{L^p} for a path)."""
     grid = obj.grid
     return np.array([
-        _band_norm(obj.band(1 << (grid.level - n)), grid.mesh, p)
+        _band_norm(obj.band(1 << (grid.level - n)).T, grid.mesh, p)
         for n in range(1, grid.level + 1)
     ])
 
 
 def lp_norm(f: GridPath, p: float) -> float:
     """L^p norm of the path itself (same Riemann-weight convention)."""
-    return _band_norm(f.values, f.grid.mesh, p)
+    return _band_norm(f.planes, f.grid.mesh, p)
 
 
 def _q_sum(ratios: np.ndarray, q: float, log_weight: bool):
@@ -285,7 +282,7 @@ def _dyadic_ratio_profile(obj, p, denom):
 def _integral_norm(obj, p: float, q: float, denom):
     """Log-weighted ell^q sum over tau_n of Omega_p(obj, tau_n)/denom(tau_n),
     behind `two_param_norm` and the integral `besov_seminorm`.  For a stack
-    of S fields (obj.band(k) of shape (S, n-k, m)) it gives, bit for bit,
+    of S fields (obj.band(k) of shape (n-k, S, m)) it gives, bit for bit,
     the S values of S unstacked calls."""
     return _q_sum(_dyadic_ratio_profile(obj, p, denom), q, log_weight=True)
 
@@ -422,7 +419,7 @@ def delta2_norm(A: TwoParamField, gamma: float, p: float, q: float) -> float:
         offs = offs[(offs > 0) & (offs < k)]
         best = 0.0
         for u in offs:
-            best = max(best, _band_norm(A.delta2_bands(u, k), grid.mesh, p))
+            best = max(best, _band_norm(A.delta2_bands(u, k).T, grid.mesh, p))
         s[k - 1] = best
     return _q_sum(_ratios_from_norms(s, grid, denom), q, log_weight=True)
 
@@ -461,9 +458,9 @@ def pvariation(f: GridPath, p: float, return_partition: bool = False):
     programming; ties break toward the earlier partition point."""
     if p < 1:
         raise RegimeError(f"pvariation needs p >= 1, got {p}")
-    v = f.values
-    n = len(v)
-    value, prev = _variation_dp(lambda j: _mags(v[j] - v[:j]), n, p)
+    v, n = f.planes, f.grid.n
+    value, prev = _variation_dp(
+        lambda j: _plane_mags(v[:, j, None] - v[:, :j]), n, p)
     if not return_partition:
         return value
     points = [n - 1]
@@ -478,7 +475,7 @@ def oscillation_variation(f: GridPath, p: float) -> float:
         raise RegimeError(f"oscillation_variation needs p >= 1, got {p}")
     if f.dim != 1:
         raise ValueError("oscillation_variation is defined for scalar paths")
-    v = f.values[:, 0]
+    v = f.planes[0]
 
     def sizes(j):
         seg = v[j::-1]

@@ -202,8 +202,8 @@ class RoughPath:
     pairs: the values at some pairs (i, j), 0 < i < j, stored instead of
     computed and read back bit for bit (for example an injected Chen
     fault), as sorted keys i * nodes + j and a (len, n^k) array.  The base
-    path is level 1 of the prefixes, kept as planes `base_planes` (n, nodes)
-    starting at 0; `base_path()` is their transpose.
+    path is level 1 of the prefixes, kept as frozen planes `base_planes`
+    (n, nodes) starting at 0, which `base_path()` holds uncopied.
     """
 
     def __init__(self, grid: UniformGrid, params: BesovParams, sig, pairs=None):
@@ -216,7 +216,7 @@ class RoughPath:
         self._siginv = None
         self._pairs = pairs or {}  # level k -> (keys, values)
         self.base_planes = sig[1] - sig[1][:, :1]
-        self._base = GridPath(grid, self.base_planes.T)
+        self._base = GridPath._from_planes(grid, self.base_planes)
 
     def with_pairs(self, k: int, ii, jj, values) -> "RoughPath":
         """This path with the level-k values at the pairs (ii, jj) given as
@@ -319,7 +319,7 @@ class RoughPath:
 def _level_one(x: GridPath):
     """The prefixes S^(0), S^(1) of a path's lift and its increments, as
     component planes."""
-    v = np.ascontiguousarray(x.values.T)
+    v = x.planes
     return [np.ones((1, x.grid.n)), v - v[:, :1]], np.diff(v, axis=1)
 
 
@@ -453,7 +453,7 @@ def fbm_path(H: float, grid: UniformGrid, seed) -> GridPath:
     """Scalar fractional Brownian motion by exact-covariance factorization."""
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, "fbm")
     z = rng.standard_normal((1, grid.n_cells))
-    return GridPath(grid, _fbm_rows(H, grid, z).T)
+    return GridPath._from_planes(grid, _fbm_rows(H, grid, z))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ from .norms import (
     _dyadic_band_norms,
     _dyadic_ratio_profile,
     _log_fit,
+    _power_denominator,
     _q_sum,
     _ratios_from_norms,
     two_param_norm,
 )
+from .rough import _prefix_sums
 
 __all__ = [
     "SewingInput",
@@ -38,19 +40,18 @@ __all__ = [
 
 
 def _suffix(field: TwoParamField, w: int) -> np.ndarray:
-    """Strided suffix sums of a germ field's band w.
+    """Strided suffix sums of a germ field's band w, (m, L >= n) planes.
 
-    out[i] = sum of band_w entries at i, i+w, i+2w, ...; the compensated
+    out[:, i] = sum of band_w entries at i, i+w, i+2w, ...; the compensated
     Riemann sum over cells of width w is then O(1) per pair:
-    I_{P}A_{i,i+h} = out[i] - out[i+h].
+    I_{P}A_{i,i+h} = out[:, i] - out[:, i+h].  Only i = 0..n-1 are read.
     """
     n = field.grid.n
-    band = field.band(w)  # length n - w
-    m = band.shape[1]
-    rows = -(-n // w)  # ceil: cover indices 0..n-1 plus padding
-    padded = np.zeros((rows * w + w, m))
-    padded[: n - w] = band
-    blocks = padded.reshape(rows + 1, w, m)
+    band = field.band(w).T  # (m, n - w)
+    rows = -(-(n - w) // w)  # ceil: the rows of w band entries
+    padded = np.zeros((len(band), rows * w + w))
+    padded[:, : n - w] = band
+    blocks = padded.reshape(len(band), rows + 1, w)
     # running sums up from the zero last row, in place: whole rows while
     # there are fewer rows than columns (an accumulate down the rows runs
     # one inner loop per column), else one accumulate.  Both add the
@@ -59,9 +60,9 @@ def _suffix(field: TwoParamField, w: int) -> np.ndarray:
     # swaps its operands on a row's last entries)
     if rows < w:
         for r in range(rows - 1, -1, -1):
-            np.add(blocks[r + 1], blocks[r], out=blocks[r])
+            np.add(blocks[:, r + 1], blocks[:, r], out=blocks[:, r])
     else:
-        np.cumsum(blocks[::-1], axis=0, out=blocks[::-1])
+        np.cumsum(blocks[:, ::-1], axis=1, out=blocks[:, ::-1])
     return padded
 
 
@@ -123,11 +124,8 @@ class SewingResult:
     def remainder_norm(self) -> float:
         inp = self.input
         mod = inp.modulus()
-        if mod is None:
-            return two_param_norm(self.remainder, inp.gamma, inp.p2, inp.q2)
-        return two_param_norm(
-            self.remainder, inp.gamma, inp.p2, inp.q2, modulus=mod.omega
-        )
+        return two_param_norm(self.remainder, inp.gamma, inp.p2, inp.q2,
+                              modulus=mod and mod.omega)
 
 
 def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
@@ -151,14 +149,14 @@ def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
                 f"pair not admissible for P_{n}: index difference must be"
                 f" divisible by {step}"
             )
-        out = np.zeros((len(ii), A.dim))
+        out = np.zeros((A.dim, len(ii)))
         for diff in np.unique(span[span > 0]):
             sel = span == diff
             w = int(diff) // step
             if w not in suffixes:
                 suffixes[w] = _suffix(A, w)
-            out[sel] = suffixes[w][ii[sel]] - suffixes[w][jj[sel]]
-        return out.T
+            out[:, sel] = suffixes[w][:, ii[sel]] - suffixes[w][:, jj[sel]]
+        return out
 
     return TwoParamField(A.grid, A.dim, germ=germ)
 
@@ -167,25 +165,28 @@ def _diff_level_norms(A: TwoParamField, p2, q2, denom) -> list:
     """Norms of I_{P_{n+1}}A - I_{P_n}A, n = 0..level-2, over the admissible
     shifts h = j*2^{n+1}, which need the suffix sums of widths j and 2j
     only: the widths are visited along the chains m, 2m, 4m, ... (m odd),
-    two suffix arrays at a time.  The other shifts enter a level's profile
-    as 0, which leaves its running sup unchanged; levels finer than 2^{n+1}
-    cells see no admissible shift and are dropped.
+    two suffix arrays at a time; a step keeps its differences of the wider
+    sums, which the next step reads at the same shifts.  The other shifts
+    enter a level's profile as 0, which leaves its running sup unchanged;
+    levels finer than 2^{n+1} cells see no admissible shift and are dropped.
     """
     grid = A.grid
     n_nodes, half = grid.n, grid.n_cells // 2
     profile = np.zeros((max(grid.level - 1, 0), half))
     for m in range(1, half // 2 + 1, 2):
-        hi = _suffix(A, m)
+        hi, diffs = _suffix(A, m), None
         w = m
         while 2 * w <= half:
             lo, hi = hi, _suffix(A, 2 * w)
+            lo_diffs, diffs = diffs, {}
             for n in range(grid.level - 1):
                 h = w << (n + 1)
                 if h > half:
                     break
-                d = ((lo[: n_nodes - h] - lo[h:n_nodes])
-                     - (hi[: n_nodes - h] - hi[h:n_nodes]))
-                profile[n, h - 1] = _band_norm(d, grid.mesh, p2)
+                lo_d = (lo[:, : n_nodes - h] - lo[:, h:n_nodes]
+                        if lo_diffs is None else lo_diffs[h])
+                diffs[h] = hi[:, : n_nodes - h] - hi[:, h:n_nodes]
+                profile[n, h - 1] = _band_norm(lo_d - diffs[h], grid.mesh, p2)
             w *= 2
     return [_q_sum(_ratios_from_norms(s, grid, denom)[: grid.level - n - 1],
                    q2, log_weight=True) for n, s in enumerate(profile)]
@@ -201,23 +202,21 @@ def sew(input: SewingInput, diagnostics: bool = True) -> SewingResult:
     """
     A = input.germ
     grid = A.grid
-    consec = A.band(1)
+    consec = A.band(1).T
     if not np.all(np.isfinite(consec)):
         raise RegimeError("germ is not finite on consecutive grid pairs")
-    ia = np.vstack([np.zeros((1, A.dim)), np.cumsum(consec, axis=0)])
-    integral = GridPath(grid, ia)
+    ia = _prefix_sums(consec)
+    integral = GridPath._from_planes(grid, ia)
 
     def rem_germ(ii, jj):
-        return (ia[jj] - ia[ii]).T - A._planes(ii, jj)
+        return ia[:, jj] - ia[:, ii] - A._planes(ii, jj)
 
     remainder = TwoParamField(grid, A.dim, germ=rem_germ)
 
     levels = []
     if diagnostics:
         mod = input.modulus()
-        denom = (
-            (lambda tau: tau**input.gamma) if mod is None else mod.omega
-        )
+        denom = _power_denominator(input.gamma, mod and mod.omega)
         norms = _diff_level_norms(A, input.p2, input.q2, denom)
         levels = [{"n": n, "diff_norm": v} for n, v in enumerate(norms)]
     return SewingResult(input=input, integral=integral, remainder=remainder,
@@ -250,7 +249,7 @@ def rate_certificate(
     # already-additive germ: remainder identically zero up to roundoff, all
     # successive differences are float noise -> -inf sentinel
     rem_scale = float(_dyadic_band_norms(result.remainder, INF).max())
-    ia_scale = float(np.abs(result.integral.values).max())
+    ia_scale = float(np.abs(result.integral.planes).max())
     if rem_scale <= 1e-12 * max(1.0, ia_scale):
         return {"slope": -INF, "expected": expected, "r2": 1.0, "levels": rows,
                 "bounded": True}

@@ -101,4 +101,4 @@ def dyadic_time_change(
     x = grid.times() / grid.horizon
     phi = np.interp(x, knots_from, knots_to)
     idx = np.clip(np.rint(phi * grid.n_cells).astype(int), 0, grid.n_cells)
-    return GridPath(grid, path.values[idx])
+    return GridPath._from_planes(grid, path.planes[:, idx])

@@ -17,10 +17,11 @@ import numpy as np
 
 from ._rng import rng_for
 from .errors import RegimeError
-from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ
+from .grid import GridPath, TwoParamField, UniformGrid, _frozen_germ, delta
 from .norms import (INF, _check_nontrivial, _integral_norm, _log_fit,
                     _plane_mags, _power_denominator)
-from .rough import _fbm_rows, _plane_distance, homogeneous_distance_level2
+from .rough import (_fbm_rows, _plane_distance, _prefix_sums,
+                    homogeneous_distance_level2)
 from .signals import brownian_path
 
 __all__ = [
@@ -90,36 +91,14 @@ def paraproduct(F, g: DiscreteMartingale) -> TwoParamField:
     grid = g.grid()
     if F.grid != grid:
         raise ValueError("F must live on the martingale's embedded grid")
-    if isinstance(F, GridPath):
-        stack = _increment_stack(F.values.T)
-    else:  # (m, n, n): one component per stacked field, zero below the diagonal
-        stack = np.moveaxis(F.to_dense(), -1, 0)
-    pi = _paraproduct_stack(stack, g.increments)
-    return TwoParamField(grid, len(stack), germ=_frozen_germ(
-        np.ascontiguousarray(np.moveaxis(pi, 0, -1))))
-
-
-def _increment_stack(f: np.ndarray) -> np.ndarray:
-    """F[..., s, j] = f_j - f_s on and above the diagonal, +0.0 below it:
-    `delta(path).to_dense()` for a stack of scalar paths f (..., n)."""
-    n = f.shape[-1]
-    F = f[..., None, :] - f[..., :, None]
-    np.copyto(F, 0.0, where=np.tri(n, n, -1, dtype=bool))  # in place: no copy
-    return F
-
-
-def _paraproduct_stack(F: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Pi[..., s, t] = sum_{j < t} F[..., s, j] dg[..., j] for a stack of
-    (n, n) arrays F, zero below the diagonal, and increments dg (..., n-1).
-
-    The sum is a cumulative sum along the last axis of a new C-ordered
-    (..., n, n) array, so each stacked field gets the bits of its own call.
-    """
-    pi = np.empty(F.shape)
+    field = delta(F) if isinstance(F, GridPath) else F
+    # Pi[:, s, t] = sum_{j < t} F[:, s, j] dg_j: a cumulative sum along the
+    # last axis, in place, of F's (m, n, n) planes, zero below the diagonal
+    pi = field._dense_planes()
+    np.multiply(pi[..., :-1], g.increments, out=pi[..., 1:])
     pi[..., 0] = 0.0
-    np.multiply(F[..., :-1], dg[..., None, :], out=pi[..., 1:])
     np.cumsum(pi[..., 1:], axis=-1, out=pi[..., 1:])
-    return pi
+    return TwoParamField(grid, field.dim, germ=_frozen_germ(pi))
 
 
 def square_function(g: DiscreteMartingale) -> TwoParamField:
@@ -128,12 +107,12 @@ def square_function(g: DiscreteMartingale) -> TwoParamField:
 
 
 def _square_germ(dg: np.ndarray):
-    """Germ (ii, jj) -> S_{ii, jj} of shape (..., len, 1) of the square
+    """Germ (ii, jj) -> S_{ii, jj}, one plane (1, ..., len), of the square
     function of one martingale, or of a stack, with increments dg (..., J)."""
     sums = np.cumsum(dg**2, axis=-1)
     quad = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
     return lambda ii, jj: np.sqrt(
-        np.maximum(quad[..., jj] - quad[..., ii], 0.0))[..., None]
+        np.maximum(quad[..., jj] - quad[..., ii], 0.0))[None]
 
 
 def gaussian_abs_moment(p: float, dim: int = 1) -> float:
@@ -161,9 +140,8 @@ def _window_table(paths, ns, level: int, p: float, hurst: float, level2: bool
     table = {n: [] for n in ns}
     for w in paths:
         if level2:
-            q = np.zeros((len(w) ** 2, w.shape[1]))
-            np.cumsum((w[:, None, :-1] * np.diff(w)).reshape(len(q), -1),
-                      axis=1, out=q[:, 1:])
+            q = _prefix_sums((w[:, None, :-1] * np.diff(w)).reshape(
+                len(w) ** 2, -1))
         for n, k in zip(ns, ks):
             dw = w[:, k:] - w[:, :-k]
             if level2:
@@ -211,7 +189,7 @@ def bm_besov_statistic(
     """
     ns = _window_exponents(ns, level)
     grid = UniformGrid(1.0, level)
-    paths = (brownian_path(grid, rng_for(seed, "bm-ynp", s), dim).values.T.copy()
+    paths = (brownian_path(grid, rng_for(seed, "bm-ynp", s), dim).planes
              for s in range(samples))
     table = _window_table(paths, ns, level, p, 0.5, level2=True)
     oracle_samples = oracle_samples or max(2000, samples)
@@ -319,23 +297,24 @@ def _pprod_norms(grid, f, g, specs):
     n = f.shape[-1]
     dg = np.diff(g, axis=-1)
     sg = _square_germ(dg)
-    bands = (_paraproduct_bands(f, dg),
-             lambda k: (f[:, k:] - f[:, : n - k])[..., None],
-             lambda k: sg(slice(0, n - k), slice(k, n)),
-             lambda k: (g[:, k:] - g[:, : n - k])[..., None])
-    # the norms read a field through `grid` and `band(k)`: here the
-    # (S, n-k, 1) stack of the S fields' bands
-    return [_integral_norm(SimpleNamespace(grid=grid, band=band), p, q, denom)
-            for band, (p, q, denom) in zip(bands, specs)]
+    planes = (_paraproduct_planes(f, dg),
+              lambda k: (f[:, k:] - f[:, : n - k])[None],
+              lambda k: sg(slice(0, n - k), slice(k, n)),
+              lambda k: (g[:, k:] - g[:, : n - k])[None])
+    # the norms read a field through `grid` and the planes `band(k).T`:
+    # here the (1, S, n-k) planes of the S fields' band k
+    return [_integral_norm(SimpleNamespace(grid=grid, band=lambda k, pl=pl:
+                                           pl(k).T), p, q, denom)
+            for pl, (p, q, denom) in zip(planes, specs)]
 
 
-def _paraproduct_bands(f, dg):
-    """band(k) -> Pi[:, s, s+k] of Pi(delta f, g) as an (S, n-k, 1) stack,
-    for sample rows f (S, n) and increments dg (S, n-1); the bands must be
+def _paraproduct_planes(f, dg):
+    """k -> Pi[:, s, s+k] of Pi(delta f, g) as (1, S, n-k) planes, for
+    sample rows f (S, n) and increments dg (S, n-1); the bands must be
     read in order k = 1, 2, ..., and each is valid until the next read.
 
     Band k is band k-1 plus (f_{s+k-1} - f_s) dg_{s+k-1}, added in place
-    into one (S, n-1) buffer: the adds of `_paraproduct_stack`'s cumulative
+    into one (S, n-1) buffer: the adds of `paraproduct`'s cumulative
     sum, so every entry has its bits up to the sign of a zero."""
     n = f.shape[-1]
     pi = np.zeros(dg.shape)
@@ -350,7 +329,7 @@ def _paraproduct_bands(f, dg):
         read = k
         pi_k = pi[:, : n - k]
         pi_k += (f[:, k - 1 : n - 1] - f[:, : n - k]) * dg[:, k - 1 :]
-        return pi_k[..., None]
+        return pi_k[None]
 
     return band
 

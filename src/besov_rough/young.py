@@ -197,7 +197,7 @@ def product_germ(f: GridPath, g: GridPath) -> TwoParamField:
     coordinates of f and g."""
     if f.grid != g.grid:
         raise ValueError("paths must share a grid")
-    fv, gv = (np.ascontiguousarray(h.values.T) for h in (f, g))
+    fv, gv = f.planes, g.planes
     dim = f.dim * g.dim
 
     def germ(ii, jj):
@@ -235,7 +235,7 @@ def _solver_metric(a: np.ndarray, b: np.ndarray, grid, params: BesovParams) -> f
     """Cheap contraction gauge of the planes a, b (m, nodes): L^p plus the
     dyadic-form seminorm (O(n log n)); equivalent, up to constants, to the
     full integral-form metric."""
-    d = GridPath(grid, (a - b).T)
+    d = GridPath._from_planes(grid, a - b)
     return lp_norm(d, params.p) + besov_seminorm(
         d, params.alpha, params.p, params.q, form="dyadic"
     )
@@ -336,7 +336,7 @@ def young_ode_solve(
     """
     _require_field(F, params, 1)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    dX = np.ascontiguousarray(np.diff(X.values, axis=0).T)
+    dX = np.diff(X.planes, axis=1)
 
     def start(a, b, ya):
         return np.repeat(ya[:, None], b - a + 1, axis=1)
@@ -351,7 +351,7 @@ def young_ode_solve(
     Y, iterations, subintervals, halvings = _adaptive_picard(
         X.grid, y0, start, sweep, 1e-10, max_halvings
     )
-    path = GridPath(X.grid, Y.T)
+    path = GridPath._from_planes(X.grid, Y)
     bound = {
         "sup": float(np.abs(Y).max()),
         "seminorm": besov_seminorm(path, params.alpha, params.p, params.q,

@@ -1108,3 +1108,37 @@ def test_accept_failing_criterion_exit_4(monkeypatch, capsys):
                         [("01", "always fails", lambda: {"passed": False})])
     assert main(["accept", "--ids", "01"]) == 4
     assert "[FAIL] 01" in capsys.readouterr().out
+
+
+def test_main_calls_in_one_process_run_as_fresh(tmp_path, capsys):
+    # the parser is built once and reused; each call still parses alone
+    from besov_rough.cli import _build_parser
+
+    def files(d):
+        return {f: (d / f).read_bytes() for f in sorted(os.listdir(d))}
+
+    lift = ["lift", "--kind", "bm", "--n", "2", "--level", "5", "--seed", "3"]
+    assert main(lift + ["--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out.startswith("chen_residual ")
+    assert main(["lift", "--kind", "bm"]) == 1  # --out missing
+    assert _single_json_error(capsys)["error"] == "io"
+    assert main(["extend", "--input", str(tmp_path / "a"), "--N", "3",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.startswith("extended to level 3;")
+    assert json.loads((tmp_path / "b" / "meta.json").read_text())["N"] == 3
+    assert main(lift + ["--out", str(tmp_path / "c")]) == 0
+    assert files(tmp_path / "a") == files(tmp_path / "c")
+    assert _build_parser() is _build_parser()
+
+
+def test_cli_import_leaves_acceptance_out():
+    # only `accept` imports the acceptance suite; an unknown id still
+    # exits 1 and lists the valid ones
+    code = ("import sys; import besov_rough.cli as cli;"
+            " print('besov_rough.acceptance' in sys.modules);"
+            " print(cli.main(['accept', '--ids', '99']))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == ["False", "1"]
+    err = json.loads(run.stderr)
+    assert err["error"] == "io" and "valid ids: 01,02," in err["message"]

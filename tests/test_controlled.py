@@ -72,6 +72,20 @@ def test_path_controls_itself():
     assert controlled_norm(cp) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_pair_paths_share_the_frozen_planes():
+    # y_path and yp_path hold the pair's planes uncopied, so the pair keeps
+    # them read-only: a path once returned cannot change under its caller
+    X = _scalar_lift(6)
+    Y, Yp = np.sin(X.grid.times())[None], np.ones((1, 1, X.grid.n))
+    cp = ControlledPath(X, Y, Yp)
+    y, yp = cp.y_path(), cp.yp_path()
+    assert np.shares_memory(y.planes, Y) and np.shares_memory(yp.planes, Yp)
+    for arr in (cp.Y, cp.Yp, Y, Yp):
+        with pytest.raises(ValueError):
+            arr[..., 0] = 1.0
+    assert y.values[0, 0] == 0.0 and yp.values[0, 0] == 1.0
+
+
 def test_distance_axioms():
     X = brownian_lift(1, UniformGrid(1.0, 7), 3, "ito")
     g = X.grid

@@ -172,11 +172,11 @@ def test_to_dense_peak_memory_near_its_output():
 
 
 def test_frozen_germ_takes_over_its_array():
-    arr = np.random.default_rng(3).standard_normal((GRID.n, GRID.n, 2))
+    arr = np.random.default_rng(3).standard_normal((2, GRID.n, GRID.n))
     F = TwoParamField(GRID, 2, germ=_frozen_germ(arr))
     assert not arr.flags.writeable
     idx = np.arange(GRID.n - 2)
-    assert _same(F.band(2), arr[idx, idx + 2])
+    assert _same(F.band(2), arr[:, idx, idx + 2].T)
 
 
 def test_dyadic_riemann_bands_match_pairs():

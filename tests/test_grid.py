@@ -23,6 +23,67 @@ from besov_rough.cli import save_rough_dir
 from besov_rough.rough import brownian_lift
 
 
+@pytest.mark.parametrize("shape", [(17,), (17, 1), (17, 3)])
+def test_values_are_a_read_only_rows_view_of_the_planes(shape):
+    raw = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    f = GridPath(UniformGrid(1.0, 4), raw)
+    rows = raw.reshape(17, -1)
+    assert f.planes.shape == (rows.shape[1], 17)
+    assert f.planes.flags.c_contiguous and not f.planes.flags.writeable
+    assert f.values.shape == rows.shape and np.array_equal(f.values, rows)
+    assert np.shares_memory(f.values, f.planes)
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(17,), (17, 1), (17, 3)])
+def test_path_keeps_its_values_when_the_input_changes(shape):
+    raw = np.random.default_rng(0).standard_normal(shape)
+    f = GridPath(UniformGrid(1.0, 4), raw)
+    before = f.values.copy()
+    raw[3] = 99.0
+    assert np.array_equal(f.values, before)
+    assert not np.shares_memory(f.planes, raw)
+
+
+def test_solver_sweeps_copy_no_path(monkeypatch):
+    # the Picard gauges hand their fresh difference planes to a path; the
+    # copying constructor is never called, not even for the results
+    from besov_rough.controlled import rde_solve
+    from besov_rough.norms import INF, BesovParams
+    from besov_rough.rough import geometric_lift
+    from besov_rough.young import (rotation_field, scalar_linear_field,
+                                   young_ode_solve)
+
+    def drivers():
+        t = UniformGrid(1.0, 10).times()
+        yield "young", GridPath(UniformGrid(1.0, 10), np.sin(t))
+        g = UniformGrid(1.0, 8)
+        rough = GridPath(g, np.column_stack([np.sin(g.times()),
+                                             np.cos(2 * g.times())]))
+        yield "rde", geometric_lift(rough, 2, BesovParams(0.5, INF, INF))
+
+    copied, handed = [], []
+    init, from_planes = GridPath.__init__, GridPath._from_planes.__func__
+    for kind, driver in drivers():
+        copied.clear()
+        handed.clear()
+        with monkeypatch.context() as m:
+            m.setattr(GridPath, "__init__", lambda self, *a: (
+                copied.append(a), init(self, *a))[1])
+            m.setattr(GridPath, "_from_planes", classmethod(lambda cls, *a: (
+                handed.append(a), from_planes(cls, *a))[1]))
+            if kind == "young":
+                sol = young_ode_solve(scalar_linear_field(), driver, 1.0,
+                                      BesovParams(0.9, INF, INF))
+            else:
+                sol = rde_solve(rotation_field(), driver, [1.0, 0.5])
+            sol.path
+        assert copied == [], kind
+        assert len(handed) >= sum(sol.iterations) > 0, kind
+
+
 def test_grid_nodes_exact():
     g = UniformGrid(2.0, 5)
     assert g.n == 33

@@ -25,7 +25,7 @@ import pytest
 from besov_rough import controlled, norms, rough, sewing, stochlab, young
 from besov_rough._rng import rng_for
 from besov_rough.grid import GridPath, UniformGrid
-from besov_rough.norms import _add_lanes, _mags, _outer
+from besov_rough.norms import _add_lanes, _outer
 from besov_rough.rough import (
     brownian_lift,
     canonical_lift,
@@ -102,8 +102,13 @@ def _ref_mags(d):
     return np.sqrt(_lanes(d * d, plus_zero=False))
 
 
-def _ref_band_norm(band, mesh, p):
-    return norms._band_lp(_ref_mags(band), mesh, p)
+def _ref_plane_mags(planes):
+    """`_ref_mags` of component planes (m, ...)."""
+    return _ref_mags(np.moveaxis(planes, 0, -1))
+
+
+def _ref_band_norm(planes, mesh, p):
+    return norms._band_lp(_ref_plane_mags(planes), mesh, p)
 
 
 def _ref_lead(a, dx, b=None, xx=None):
@@ -187,11 +192,10 @@ def _ref_window_table(paths, ns, level, p, hurst, level2):
 @pytest.fixture
 def reference_only(monkeypatch):
     """Route every call site through the reference forms above."""
-    monkeypatch.setattr(norms, "_mags", _ref_mags)
     for mod in (norms, sewing):
         monkeypatch.setattr(mod, "_band_norm", _ref_band_norm)
-    for mod in (rough, stochlab):
-        monkeypatch.setattr(mod, "_plane_mags", lambda d: _ref_mags(d.T))
+    for mod in (norms, rough, stochlab):
+        monkeypatch.setattr(mod, "_plane_mags", _ref_plane_mags)
     for mod in (rough, young):
         monkeypatch.setattr(mod, "_outer", _ref_outer)
     for mod in (young, controlled):
@@ -236,12 +240,15 @@ def test_outer_equals_einsum(p, q):
 def test_mags_equal_einsum(m):
     rng = np.random.default_rng(m)
     for shape in [(rows, m) for rows in ROWS] + [(2, 100, m), (3, 300, m), (40, 40, m)]:
+        # the magnitudes of a band or band stack (..., k, m), taken on its
+        # planes (m, ..., k), the view `band(k).T` the norms read
         for d in _layouts(_rand(rng, shape)):
             # at m = 1 |x| is taken, which is sqrt(x * x) for every x whose
             # square neither overflows nor underflows
-            _same(_mags(d), _ref_mags(d), f"magnitudes m={m}")
+            _same(norms._plane_mags(np.moveaxis(d, -1, 0)), _ref_mags(d),
+                  f"magnitudes m={m}")
         if len(shape) == 2:
-            _same(_mags(np.asfortranarray(d)), _ref_mags(d),
+            _same(norms._plane_mags(np.asfortranarray(d).T), _ref_mags(d),
                   f"F-ordered magnitudes m={m}")
 
 
@@ -433,7 +440,6 @@ def _row_kernels():
         yield f"lane sum of {terms}", _on_rows(_lane_sum), [(terms,), (terms,)]
     yield "outer 3x4", lambda u, v: _outer(u.T, v.T).T, [(3,), (4,)]
     for m in (3, 4, 9):
-        yield f"magnitudes m={m}", _mags, [(m,)]
         yield (f"plane magnitudes m={m}", lambda d: norms._plane_mags(d.T),
                [(m,)])
     yield "a dX + b XX", _lead_on_rows, [

@@ -388,15 +388,16 @@ def test_pvariation_superadditive_over_halves():
 # C-ordered arrays and take their roots one scalar at a time.
 
 class _Stack:
-    """S paths on one grid, read by the kernels through `grid` and `band`."""
+    """S paths on one grid, read by the kernels through `grid` and `band`:
+    band k is the transpose of the (m, S, n-k) planes of the S bands."""
 
     def __init__(self, paths):
         self.grid = paths[0].grid
-        self.values = np.stack([f.values for f in paths])
+        self.planes = np.stack([f.planes for f in paths], axis=1)
 
     def band(self, k):
         n = self.grid.n
-        return self.values[:, k:] - self.values[:, : n - k]
+        return (self.planes[..., k:] - self.planes[..., : n - k]).T
 
 
 def _paths(S, level, dim, seed=0):
@@ -441,7 +442,7 @@ def _same_norms(got, want):
 def test_band_norm_equals_band_lp_of_magnitudes(m):
     # p = inf with m >= 2 roots the max squared magnitude once; every other
     # case is the magnitudes' L^p
-    from besov_rough.norms import _band_lp, _band_norm, _mags
+    from besov_rough.norms import _band_lp, _band_norm, _plane_mags
 
     rng = np.random.default_rng(m)
     mesh = 2.0**-9
@@ -461,9 +462,10 @@ def test_band_norm_equals_band_lp_of_magnitudes(m):
               np.zeros((0, 5, m))]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for band in bands:
+            planes = np.moveaxis(band, -1, 0)  # what the norms read
             for p in (0.5, 2.0, 32.0, INF):
-                got = _band_norm(band, mesh, p)
-                want = _band_lp(_mags(band), mesh, p)
+                got = _band_norm(planes, mesh, p)
+                want = _band_lp(_plane_mags(planes), mesh, p)
                 assert type(got) is type(want)
                 _same_norms(got, want)
 

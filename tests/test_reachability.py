@@ -31,6 +31,8 @@ KEPT = {
     "grid.TwoParamField.delta2": "the second difference of the sewing lemma",
     "grid.TwoParamField.delta2_bands": "band form of delta2, for delta2_norm",
     "grid.TwoParamField.materialize": "a perfbench/spans.py trace target",
+    "grid.TwoParamField.to_dense": "public (n, n, m) view of a field, the "
+                                   "oracle of the band access tests",
     "norms.delta2_norm": "the sewing lemma's hypothesis, in the remainder "
                          "bound test",
     "rough.RoughPath.restrict": "input of the RDE concatenation test",

@@ -324,24 +324,24 @@ def test_streamed_paraproduct_bands_equal_dense(kind, coupled):
         g_marts = f_marts if coupled else [
             _mart(kind, length, seed=40 + i, index=s) for s in range(S)]
         f = np.stack([m.values for m in f_marts])
-        band = stochlab._paraproduct_bands(
+        planes = stochlab._paraproduct_planes(
             f, np.diff(np.stack([m.values for m in g_marts]), axis=-1))
         dense = [paraproduct(fm.as_path(), gm).to_dense()[..., 0]
                  for fm, gm in zip(f_marts, g_marts)]
         for k in range(1, length + 1):
-            got = np.abs(band(k))
-            assert got.shape == (S, length + 1 - k, 1)
+            got = np.abs(planes(k))
+            assert got.shape == (1, S, length + 1 - k)
             for s in range(S):
                 want = np.abs(np.diagonal(dense[s], k))
-                assert got[s, :, 0].tobytes() == want.tobytes()
+                assert got[0, s].tobytes() == want.tobytes()
 
 
 def test_streamed_paraproduct_bands_read_in_order():
     f = np.stack([_mart(seed=50, length=16).values])
     dg = np.diff(f, axis=-1)
     with pytest.raises(ValueError):
-        stochlab._paraproduct_bands(f, dg)(2)
-    band = stochlab._paraproduct_bands(f, dg)
+        stochlab._paraproduct_planes(f, dg)(2)
+    band = stochlab._paraproduct_planes(f, dg)
     band(1)
     band(2)
     for k in (2, 1, 4):
