@@ -261,14 +261,10 @@ def _field_from_spec(spec: str, m: int, n: int) -> VectorField:
 # ---------------------------------------------------------------------------
 # rough path directory format
 #
-# meta.json and, per level k = 1..N, a path CSV k.csv whose row t holds
-# X^(k)_{0,t} (the "signature" layout; Chen's relation gives the rest), plus
-# a k.pairs.csv of rows i,j,c0,... for a level's explicit pairs.  The
-# "pairwise" layout of earlier versions (k.csv holds the pairs i < j) is
-# read, not written: rows (0, j) are the signature.  A pair read is kept
-# when its value differs in any bit from its Chen value.
-
-_FORMATS = ("signature", "pairwise")
+# meta.json with "format": "signature" and, per level k = 1..N, a path CSV
+# k.csv whose row t holds X^(k)_{0,t} (Chen's relation gives the rest), plus
+# a k.pairs.csv of rows i,j,c0,... for a level's explicit pairs.  A pair read
+# is kept when its value differs in any bit from its Chen value.
 
 
 def save_rough_dir(path: str, X: RoughPath) -> None:
@@ -311,6 +307,9 @@ def _read_meta(path: str) -> dict:
     if not isinstance(meta, dict):
         raise GridFormatError(f"{fname}: expected a JSON object")
     checks = {
+        "format": (lambda v: v == "signature",
+                   '"signature" (the only layout read; run `lift` again to'
+                   " rewrite a directory in an older one)"),
         "n": (lambda v: _has_type(v, int) and 1 <= v <= MAX_DIM,
               f"an integer in 1..{MAX_DIM}"),
         "N": (lambda v: _has_type(v, int) and 1 <= v <= MAX_LEVEL,
@@ -327,15 +326,9 @@ def _read_meta(path: str) -> dict:
               "a finite number or null"),
     }
     for key, (ok, what) in checks.items():
-        if key not in meta:
-            raise GridFormatError(f"{fname}: missing key {key!r}")
-        if not ok(meta[key]):
-            raise GridFormatError(
-                f"{fname}: {key!r} must be {what}, got {meta[key]!r}")
-    meta.setdefault("format", "pairwise")
-    if meta["format"] not in _FORMATS:
-        raise GridFormatError(
-            f"{fname}: unknown format {meta['format']!r}; known: {_FORMATS}")
+        if key not in meta or not ok(meta[key]):
+            got = f"got {meta[key]!r}" if key in meta else "it is missing"
+            raise GridFormatError(f"{fname}: {key!r} must be {what}; {got}")
     return meta
 
 
@@ -351,16 +344,6 @@ def load_rough_dir(path: str) -> RoughPath:
     sig, pairs = [], {}  # level 0 is sized once the files confirm the grid
     for k in range(1, depth + 1):
         fname = os.path.join(path, f"{k}.csv")
-        if meta["format"] == "pairwise":
-            _, keys, values = _pair_rows(fname, grid.n, n**k)
-            head = grid.n - 1  # the rows (0, j): the signature
-            if len(keys) < head or not np.array_equal(keys[:head],
-                                                      np.arange(1, grid.n)):
-                raise GridFormatError(
-                    f"{fname}: need the rows (0, j) for j = 1..{head}")
-            sig.append(np.hstack([np.zeros((n**k, 1)), values[:head].T]))
-            pairs[k] = fname, keys[head:], values[head:]
-            continue
         prefix = load_path_csv(fname, magnitudes=(k == 1))
         if prefix.grid != grid or prefix.dim != n**k:
             raise GridFormatError(f"{fname}: level shape mismatch")
@@ -445,15 +428,20 @@ def _cmd_young_ode(args):
                                     f" over {len(sol.subintervals)} subintervals")
 
 
+# the --flavor values each lift kind uses; "ito" is the default for all
+_FLAVORS = {"bm": ("ito", "stratonovich"), "fbm": ("ito",),
+            "canonical": ("ito", "geometric")}
+
+
 def _cmd_lift(args):
     params = BesovParams(args.alpha, args.p, args.q)
     grid = UniformGrid(args.horizon, args.level)
+    if args.flavor not in _FLAVORS[args.kind]:
+        raise GridFormatError(f"--kind {args.kind} takes --flavor"
+                              f" {' or '.join(_FLAVORS[args.kind])}")
     if args.kind == "bm":
         if args.N < 2:
             raise GridFormatError("Brownian lifts start at level 2")
-        if args.flavor == "geometric":
-            raise GridFormatError(
-                "Brownian lifts take --flavor ito or stratonovich")
         X = brownian_lift(args.n, grid, args.seed, flavor=args.flavor,
                           params=params)
     elif args.kind == "fbm":
@@ -461,7 +449,7 @@ def _cmd_lift(args):
         z = rng.standard_normal((args.n, grid.n_cells))  # one path per row
         path = GridPath._from_planes(grid, _fbm_rows(args.H, grid, z))
         X = canonical_lift(path, args.N, params)
-    elif args.kind == "canonical":
+    else:  # canonical
         if not args.input:
             raise GridFormatError("--kind canonical requires --input path.csv")
         path = load_path_csv(args.input)
@@ -470,8 +458,6 @@ def _cmd_lift(args):
                 f"lifts take at most {MAX_DIM} path columns; got {path.dim}")
         lift = geometric_lift if args.flavor == "geometric" else canonical_lift
         X = lift(path, args.N, params)
-    else:
-        raise GridFormatError(f"unknown lift kind {args.kind!r}")
     if args.kind == "bm" and args.N != 2:
         X = lyons_extend(X, args.N)
     residual = chen_residual(X)
@@ -480,7 +466,11 @@ def _cmd_lift(args):
 
 
 def _cmd_extend(args):
-    Y = lyons_extend(load_rough_dir(args.input), args.N)
+    X = load_rough_dir(args.input)
+    if args.N < X.depth:
+        raise GridFormatError(
+            f"--N {args.N} is below the input's depth {X.depth}")
+    Y = lyons_extend(X, args.N)
     residual = chen_residual(Y)
     return ([(args.out, Y), (None, {"chen_residual": residual})],
             f"extended to level {Y.depth}; chen_residual {residual:.3e}")
@@ -632,7 +622,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_young_ode)
 
     sp = sub.add_parser("lift", help="construct a rough path lift")
-    sp.add_argument("--kind", choices=("bm", "fbm", "canonical"), required=True)
+    sp.add_argument("--kind", choices=tuple(_FLAVORS), required=True)
     sp.add_argument("--H", type=_finite, default=0.4)
     sp.add_argument("--n", type=int, default=2, choices=range(1, MAX_DIM + 1))
     sp.add_argument("--N", type=int, default=2,

@@ -304,49 +304,6 @@ def test_rough_dir_roundtrip(tmp_path):
                                   lift.level(k).pairs(ii, jj))
 
 
-def _write_pairwise_dir(path, X, defect=None):
-    """The pairwise layout as earlier versions wrote it (no "format" key);
-    level 2 gets 1e-3 added at the pairs of the mask `defect(ii, jj)`."""
-    path.mkdir()
-    alpha, p, _ = X.params.as_tuple
-    meta = {"n": X.n, "N": X.depth, "level": X.grid.level,
-            "horizon": X.grid.horizon, "alpha": alpha, "p": p, "q": None}
-    (path / "meta.json").write_text(json.dumps(meta))
-    ii, jj = np.triu_indices(X.grid.n, k=1)
-    for k in range(1, X.depth + 1):
-        rows = X.level(k).pairs(ii, jj)
-        if defect and k == 2:
-            rows[defect(ii, jj)] += 1e-3
-        lines = ["i,j," + ",".join(f"c{c}" for c in range(X.n**k))]
-        for i, j, row in zip(ii, jj, rows):
-            lines.append(f"{i},{j}," + ",".join(repr(float(v)) for v in row))
-        (path / f"{k}.csv").write_text("\n".join(lines) + "\n")
-
-
-def test_pairwise_dir_matches_signature_pipeline(tmp_path):
-    g = UniformGrid(1.0, 6)
-    lift = brownian_lift(2, g, 11, "ito", BesovParams(0.45, 32.0, INF))
-    _write_pairwise_dir(tmp_path / "old", lift)
-    save_rough_dir(str(tmp_path / "new"), lift)
-    assert load_rough_dir(str(tmp_path / "old"))._pairs == {}
-    for name in ("old", "new"):
-        d = tmp_path / name
-        assert main(["extend", "--input", str(d), "--N", "3",
-                     "--out", str(tmp_path / f"{name}3")]) == 0
-        assert main(["rde", "--driver", str(d), "--field", "builtin:rotation",
-                     "--y0", "1.0,0.5", "--out", str(d / "sol.csv"),
-                     "--report", str(d / "rep.json")]) == 0
-    for out in ("sol.csv", "rep.json"):
-        assert ((tmp_path / "old" / out).read_bytes()
-                == (tmp_path / "new" / out).read_bytes())
-    # the extension of a legacy directory is written in the signature layout
-    assert sorted(os.listdir(tmp_path / "old3")) == [
-        "1.csv", "2.csv", "3.csv", "meta.json"]
-    for f in os.listdir(tmp_path / "new3"):
-        assert ((tmp_path / "old3" / f).read_bytes()
-                == (tmp_path / "new3" / f).read_bytes())
-
-
 def _faulty(g, pairs=((3, 11),)):
     lift = brownian_lift(2, g, 3, "ito", BesovParams(0.45, 32.0, INF))
     ii, jj = np.array(pairs).T
@@ -382,25 +339,33 @@ def test_field_backed_dir_keeps_chen_defect(tmp_path):
                  "--out", str(tmp_path / "rp3")]) == 2
 
 
-def test_pairwise_dir_defects_become_explicit_pairs(tmp_path, capsys):
+def test_pairs_file_rows_equal_to_chen_are_dropped(tmp_path, capsys):
     g = UniformGrid(1.0, 5)
     lift, faulty = _faulty(g, [(3, 11), (4, 5)])
-    _write_pairwise_dir(tmp_path / "old", lift, lambda ii, jj: (
-        (ii == 3) & (jj == 11)) | ((ii == 4) & (jj == 5)))
-    back = load_rough_dir(str(tmp_path / "old"))
-    keys, values = back._pairs[2]
+    # the row (6, 20) holds its Chen value in every bit: no defect
+    ii, jj = np.array([(3, 11), (4, 5), (6, 20)]).T
+    values = lift.level(2).pairs(ii, jj)
+    values[:2] += 1e-3
+    d = tmp_path / "rp"
+    save_rough_dir(str(d), lift.with_pairs(2, ii, jj, values))
+    assert (d / "2.pairs.csv").read_text().count("\n") == 4
+    back = load_rough_dir(str(d))
+    keys, stored = back._pairs[2]
     assert keys.tolist() == [3 * g.n + 11, 4 * g.n + 5]
-    assert values.tobytes() == faulty._pairs[2][1].tobytes()
+    assert stored.tobytes() == faulty._pairs[2][1].tobytes()
     assert chen_residual(back) == chen_residual(faulty)
     # more than grid.n pairs off Chen's relation: not held, exit 1
-    _write_pairwise_dir(tmp_path / "dense", lift,
-                        lambda ii, jj: (ii > 0) & (jj - ii <= 2))
+    ii, jj = np.triu_indices(g.n, k=1)
+    ii, jj = ii[ii > 0][:g.n + 1], jj[ii > 0][:g.n + 1]
+    rows = (lift.level(2).pairs(ii, jj) + 1e-3).tolist()
+    (d / "2.pairs.csv").write_text("i,j,c0,c1,c2,c3\n" + "".join(
+        f"{i},{j}," + ",".join(map(repr, row)) + "\n"
+        for i, j, row in zip(ii, jj, rows)))
     capsys.readouterr()
-    assert main(["rde", "--driver", str(tmp_path / "dense"), "--field",
-                 "builtin:rotation", "--y0", "1.0,0.5",
-                 "--out", str(tmp_path / "sol.csv")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "at most grid.n" in json.loads(err[0])["message"]
+    assert main(["rde", "--driver", str(d), "--field", "builtin:rotation",
+                 "--y0", "1.0,0.5", "--out", str(tmp_path / "sol.csv")]) == 1
+    err = _single_json_error(capsys)
+    assert "at most grid.n" in err["message"]
     assert not (tmp_path / "sol.csv").exists()
 
 
@@ -435,24 +400,30 @@ def _drop_last_column(r, row):
     row.pop()
 
 
-@pytest.mark.parametrize("corrupt", [
-    _edit_level2(_nonzero_first_row),
-    _edit_level2(_drop_last_column),
-    _edit_meta(level=4),
-    _edit_meta(horizon=2.0),
-    _edit_meta(format="dense"),
-    _edit_meta(horizon=KeyError),
-    _edit_meta(alpha=KeyError),
-    _edit_meta(alpha=float("nan")),
-    _edit_meta(p=float("inf")),
-    _edit_meta(n="2"),
-    _edit_meta(N=2.0),
-    _edit_meta(level=True),
-    _edit_meta(level=64),
+# a directory in any layout but the signature one is named and sent to `lift`
+LAYOUT = ["'format'", '"signature"', "`lift` again"]
+
+
+@pytest.mark.parametrize("corrupt, words", [
+    (_edit_level2(_nonzero_first_row), []),
+    (_edit_level2(_drop_last_column), []),
+    (_edit_meta(level=4), []),
+    (_edit_meta(horizon=2.0), []),
+    (_edit_meta(format="dense"), LAYOUT + ["'dense'"]),
+    (_edit_meta(horizon=KeyError), []),
+    (_edit_meta(alpha=KeyError), []),
+    (_edit_meta(alpha=float("nan")), []),
+    (_edit_meta(p=float("inf")), []),
+    (_edit_meta(n="2"), []),
+    (_edit_meta(N=2.0), []),
+    (_edit_meta(level=True), []),
+    (_edit_meta(level=64), []),
+    (_edit_meta(format="pairwise"), LAYOUT + ["'pairwise'"]),
+    (_edit_meta(format=KeyError), LAYOUT + ["missing"]),
 ], ids=["first-row", "width", "level", "grid", "format", "no-horizon",
         "no-alpha", "nan-alpha", "inf-p", "str-n", "float-N", "bool-level",
-        "huge-level"])
-def test_malformed_signature_dir_exit_1(tmp_path, capsys, corrupt):
+        "huge-level", "pairwise-format", "no-format"])
+def test_malformed_signature_dir_exit_1(tmp_path, capsys, corrupt, words):
     g = UniformGrid(1.0, 5)
     d = tmp_path / "rp"
     save_rough_dir(str(d), brownian_lift(2, g, 3, "ito",
@@ -461,19 +432,20 @@ def test_malformed_signature_dir_exit_1(tmp_path, capsys, corrupt):
     code = main(["rde", "--driver", str(d), "--field", "builtin:rotation",
                  "--y0", "1.0,0.5", "--out", str(tmp_path / "sol.csv")])
     assert code == 1
-    assert _single_json_error(capsys)["error"] == "io"
+    err = _single_json_error(capsys)
+    assert err["error"] == "io"
+    assert all(w in err["message"] for w in words), err["message"]
 
 
-@pytest.mark.parametrize("layout", ["signature", "pairwise"])
+@pytest.mark.parametrize("layout", ["signature", "pairs"])
 def test_meta_level_is_checked_against_the_files_first(tmp_path, capsys,
                                                         layout):
     # a level-5 directory whose meta claims level 20: nothing is sized by
     # the claimed 2^20 + 1 nodes (8 MB an array) before the files refute it
     d, lift = tmp_path / "rp", brownian_lift(2, UniformGrid(1.0, 5), 3)
-    if layout == "signature":
-        save_rough_dir(str(d), lift)
-    else:
-        _write_pairwise_dir(d, lift)
+    if layout == "pairs":
+        lift = _faulty(UniformGrid(1.0, 5))[1]
+    save_rough_dir(str(d), lift)
     _edit_meta(level=20)(d)
     for argv in (["rde", "--driver", str(d), "--field", "builtin:rotation",
                   "--y0", "1.0,0.5", "--out", str(tmp_path / "sol.csv")],
@@ -532,6 +504,42 @@ def test_lift_argument_errors_exit_1(tmp_path, capsys, argv):
     assert code == 1
     assert _single_json_error(capsys)["error"] == "io"
     assert not (tmp_path / "rp").exists()
+
+
+@pytest.mark.parametrize("kind, flavor", [
+    ("fbm", "stratonovich"), ("fbm", "geometric"),
+    ("canonical", "stratonovich")])
+def test_lift_flavor_the_kind_does_not_use_exit_1(tmp_path, capsys, kind,
+                                                  flavor):
+    drv = tmp_path / "drv.csv"
+    drv.write_text("t,v0,v1\n0,0,1\n0.5,0.5,0.75\n1,0.25,0.5\n")
+    argv = ["lift", "--kind", kind, "--level", "3", "--input", str(drv),
+            "--out", str(tmp_path / "rp")]
+    assert main(argv + ["--flavor", flavor]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io"
+    assert f"--kind {kind} takes --flavor" in err["message"]
+    assert not (tmp_path / "rp").exists()
+    assert main(argv) == 0  # the default ito suits every kind
+
+
+def test_extend_below_the_input_depth_exit_1(tmp_path, capsys):
+    rp, out = tmp_path / "rp", tmp_path / "out"
+    assert main(["lift", "--kind", "bm", "--level", "3", "--N", "3",
+                 "--out", str(rp)]) == 0
+    capsys.readouterr()
+    assert main(["extend", "--input", str(rp), "--N", "2",
+                 "--out", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io"
+    assert "--N 2" in err["message"] and "depth 3" in err["message"]
+    assert not out.exists()
+    # --N equal to the depth writes a copy
+    assert main(["extend", "--input", str(rp), "--N", "3",
+                 "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(os.listdir(rp))
+    for f in os.listdir(rp):
+        assert (out / f).read_bytes() == (rp / f).read_bytes()
 
 
 def test_extend_overflow_exit_1(tmp_path, capsys):

@@ -1,12 +1,11 @@
 """Fuzz the CLI input boundary.
 
-Path CSVs, germ CSVs, rough-path directories (the signature layout, its
-explicit-pair files and the legacy pairwise layout) and Monte Carlo configs
-start from a valid input and get one edit
-that makes them malformed; the CLI must then exit with code 1 or 2 and print
-exactly one JSON line on stderr, never a traceback.  A second test writes
-arbitrary bytes where a loader reads, for which only the absence of a
-traceback and the one-line error rule are asserted.
+Path CSVs, germ CSVs, rough-path directories (the signature layout and its
+explicit-pair files) and Monte Carlo configs start from a valid input and
+get one edit that makes them malformed; the CLI must then exit with code 1
+or 2 and print exactly one JSON line on stderr, never a traceback.  A
+second test writes arbitrary bytes where a loader reads, for which only the
+absence of a traceback and the one-line error rule are asserted.
 """
 import contextlib
 import io
@@ -164,46 +163,26 @@ def _rde(d, tmp):
                  "--y0", "1.0,0.5", "--out", os.path.join(tmp, "sol.csv")])
 
 
-def _save_pairwise(d, X):
-    """The legacy pairwise layout, read but no longer written: k.csv holds
-    rows i,j,c0,... for every pair i < j, and meta.json has no "format"."""
-    save_rough_dir(d, X)
-    ii, jj = np.triu_indices(GRID.n, k=1)
-    for k in range(1, X.depth + 1):
-        header = ["i", "j"] + [f"c{c}" for c in range(X.n**k)]
-        _write_rows(os.path.join(d, f"{k}.csv"), [header] + [
-            [str(i), str(j), *map(repr, row)]
-            for i, j, row in zip(ii, jj, X.level(k).pairs(ii, jj).tolist())])
-
-
-@given(layout=st.sampled_from(["signature", "pairs", "legacy"]),
-       data=st.data())
+@given(layout=st.sampled_from(["signature", "pairs"]), data=st.data())
 @FUZZ
 def test_fuzz_rough_dir(layout, data):
     with tempfile.TemporaryDirectory() as tmp:
         d = os.path.join(tmp, "rp")
-        if layout == "legacy":
-            _save_pairwise(d, LIFT)
-        else:
-            save_rough_dir(d, LIFT if layout == "signature" else FIELDS)
+        save_rough_dir(d, LIFT if layout == "signature" else FIELDS)
         meta_file = os.path.join(d, "meta.json")
         with open(meta_file) as fh:
             meta = json.load(fh)
-        if layout == "legacy":
-            del meta["format"]
         files = ["meta", "1.csv", "2.csv"] + ["2.pairs.csv"] * (layout == "pairs")
         target = data.draw(st.sampled_from(files))
         if target == "meta":
             key = data.draw(st.sampled_from(META_KEYS))
-            # without "format" a pairwise directory is still valid
-            if key in meta and key != "format" and data.draw(st.booleans()):
+            if data.draw(st.booleans()):
                 del meta[key]
             else:
                 meta[key] = data.draw(st.sampled_from(BAD_JSON))
         else:
             fname = os.path.join(d, target)
             edits = (PAIR_EDITS if target == "2.pairs.csv"
-                     else GERM_EDITS if layout == "legacy"
                      else PATH_EDITS + ["first_row"])
             _write_rows(fname, data.draw(_edited(_read_rows(fname), edits)))
         with open(meta_file, "w") as fh:
