@@ -402,8 +402,7 @@ def _cmd_var(args):
 
 def _cmd_sew(args):
     germ = load_germ_csv(args.germ)
-    inp = SewingInput(germ=germ, gamma=args.gamma, p2=args.p2, q2=args.q2,
-                      endpoint=args.endpoint)
+    inp = SewingInput(germ, args.gamma, args.p2, args.q2)
     result = sew(inp, diagnostics=True)
     try:
         slope = rate_certificate(result)["slope"]
@@ -428,28 +427,33 @@ def _cmd_young_ode(args):
                                     f" over {len(sol.subintervals)} subintervals")
 
 
-# the --flavor values each lift kind uses; "ito" is the default for all
-_FLAVORS = {"bm": ("ito", "stratonovich"), "fbm": ("ito",),
-            "canonical": ("ito", "geometric")}
+# The options each lift kind reads besides --N, --alpha, --p and --q, with
+# the values it takes (None: any).  A kind given any other option exits 1.
+# bm and fbm draw --n paths from --seed on the grid of --level and --horizon.
+_DRAW_OPTIONS = {"n": None, "level": None, "horizon": None, "seed": None}
+_LIFT_OPTIONS = {
+    "bm": {"flavor": ("ito", "stratonovich"), **_DRAW_OPTIONS},
+    "fbm": {"flavor": ("ito",), **_DRAW_OPTIONS, "H": None},
+    "canonical": {"flavor": ("ito", "geometric"), "input": None},
+}
+# what a kind's option is when it is not given
+_LIFT_DEFAULTS = {"flavor": "ito", "n": 2, "level": 10, "horizon": 1.0,
+                  "seed": 42, "H": 0.4, "input": None}
 
 
 def _cmd_lift(args):
     params = BesovParams(args.alpha, args.p, args.q)
-    grid = UniformGrid(args.horizon, args.level)
-    if args.flavor not in _FLAVORS[args.kind]:
-        raise GridFormatError(f"--kind {args.kind} takes --flavor"
-                              f" {' or '.join(_FLAVORS[args.kind])}")
-    if args.kind == "bm":
-        if args.N < 2:
-            raise GridFormatError("Brownian lifts start at level 2")
-        X = brownian_lift(args.n, grid, args.seed, flavor=args.flavor,
-                          params=params)
-    elif args.kind == "fbm":
-        rng = rng_for(args.seed, "fbm-lift")
-        z = rng.standard_normal((args.n, grid.n_cells))  # one path per row
-        path = GridPath._from_planes(grid, _fbm_rows(args.H, grid, z))
-        X = canonical_lift(path, args.N, params)
-    else:  # canonical
+    reads = _LIFT_OPTIONS[args.kind]
+    for name, default in _LIFT_DEFAULTS.items():
+        value = getattr(args, name)
+        if value is None:
+            setattr(args, name, default)
+        elif name not in reads:
+            raise GridFormatError(f"--kind {args.kind} does not read --{name}")
+        elif reads[name] is not None and value not in reads[name]:
+            raise GridFormatError(f"--kind {args.kind} takes --{name}"
+                                  f" {' or '.join(reads[name])}")
+    if args.kind == "canonical":
         if not args.input:
             raise GridFormatError("--kind canonical requires --input path.csv")
         path = load_path_csv(args.input)
@@ -458,6 +462,17 @@ def _cmd_lift(args):
                 f"lifts take at most {MAX_DIM} path columns; got {path.dim}")
         lift = geometric_lift if args.flavor == "geometric" else canonical_lift
         X = lift(path, args.N, params)
+    elif args.kind == "bm":
+        if args.N < 2:
+            raise GridFormatError("Brownian lifts start at level 2")
+        X = brownian_lift(args.n, UniformGrid(args.horizon, args.level),
+                          args.seed, flavor=args.flavor, params=params)
+    else:  # fbm
+        grid = UniformGrid(args.horizon, args.level)
+        rng = rng_for(args.seed, "fbm-lift")
+        z = rng.standard_normal((args.n, grid.n_cells))  # one path per row
+        path = GridPath._from_planes(grid, _fbm_rows(args.H, grid, z))
+        X = canonical_lift(path, args.N, params)
     if args.kind == "bm" and args.N != 2:
         X = lyons_extend(X, args.N)
     residual = chen_residual(X)
@@ -606,7 +621,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--gamma", type=_finite, required=True)
     sp.add_argument("--p2", type=_fnum, required=True)
     sp.add_argument("--q2", type=_fnum, default=INF)
-    sp.add_argument("--endpoint", action="store_true")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_sew)
 
@@ -622,16 +636,16 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_young_ode)
 
     sp = sub.add_parser("lift", help="construct a rough path lift")
-    sp.add_argument("--kind", choices=tuple(_FLAVORS), required=True)
-    sp.add_argument("--H", type=_finite, default=0.4)
-    sp.add_argument("--n", type=int, default=2, choices=range(1, MAX_DIM + 1))
+    # the kind-specific options default to None: `_cmd_lift` fills them in
+    sp.add_argument("--kind", choices=tuple(_LIFT_OPTIONS), required=True)
+    sp.add_argument("--H", type=_finite)
+    sp.add_argument("--n", type=int, choices=range(1, MAX_DIM + 1))
     sp.add_argument("--N", type=int, default=2,
                     choices=range(1, MAX_LEVEL + 1))
-    sp.add_argument("--level", type=_grid_level, default=10)
-    sp.add_argument("--horizon", type=_positive_float, default=1.0)
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--flavor", choices=("ito", "stratonovich", "geometric"),
-                    default="ito")
+    sp.add_argument("--level", type=_grid_level)
+    sp.add_argument("--horizon", type=_positive_float)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--flavor", choices=("ito", "stratonovich", "geometric"))
     sp.add_argument("--alpha", type=_finite, default=0.45)
     sp.add_argument("--p", type=_fnum, default=32.0)
     sp.add_argument("--q", type=_fnum, default=INF)

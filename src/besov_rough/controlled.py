@@ -30,7 +30,6 @@ from .norms import (
     _log_fit,
 )
 from .rough import RoughPath, rough_metric, _prefix_sums
-from .sewing import small_oscillation_check
 from .young import (
     VectorField,
     field_distance_proxy,
@@ -150,21 +149,14 @@ def controlled_distance(cp1: ControlledPath, cp2: ControlledPath) -> float:
 # rough integral
 
 
-def _level2_modulus(params: BesovParams):
-    """(gamma, modulus) for the sewing target at level 3 alpha."""
-    if not params.endpoint(2):
-        return 3 * params.alpha, None
-    return 1.0, EndpointModulus(r=params.q / 3, exponent=1.0)
-
-
 def _level2_norm(rem: TwoParamField, params: BesovParams) -> float:
     """Two-parameter norm of a level-2 remainder at (3a, p/3, q/3); at the
-    endpoint, (1, p/3, inf) against the omega modulus."""
-    gamma, mod = _level2_modulus(params)
-    p, q = params.p, params.q
-    if mod is None:
-        return two_param_norm(rem, gamma, p / 3, q / 3)
-    return two_param_norm(rem, gamma, p / 3, INF, modulus=mod.omega)
+    endpoint, (1, p/3, inf) against the omega_{q/3} modulus."""
+    alpha, p, q = params.as_tuple
+    if params.endpoint(2):
+        omega = EndpointModulus(r=q / 3, exponent=1.0).omega
+        return two_param_norm(rem, 1.0, p / 3, INF, modulus=omega)
+    return two_param_norm(rem, 3 * alpha, p / 3, q / 3)
 
 
 def _level2(X: RoughPath) -> TwoParamField:
@@ -302,16 +294,9 @@ def rde_solve(
     Y, iterations, subintervals, halvings = _adaptive_picard(
         grid, y0, start, sweep, 1e-9, max_halvings
     )
-    cp = ControlledPath(X, Y, F.values_along(Y))
-    t0 = subintervals[0][1] * grid.mesh if subintervals else grid.horizon
-    inv_p = 1.0 / p
-    report = {
-        "halvings": halvings,
-        "smallness_monitor": t0 ** (alpha - inv_p),
-        "sup": float(np.abs(Y).max()),
-    }
-    return RdeResult(controlled=cp, iterations=iterations,
-                     subintervals=subintervals, report=report)
+    return RdeResult(controlled=ControlledPath(X, Y, F.values_along(Y)),
+                     iterations=iterations, subintervals=subintervals,
+                     report={"halvings": halvings})
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +308,16 @@ def davie_residual(
     F: VectorField,
     h_range: tuple[float, float] | None = None,
 ) -> dict:
-    """Residual D = dY - f(Y_s) dX - Df(Y_s) f(Y_s) XX on the driver cp.X,
+    """Residual D = dY - f(Y_s) dX - Df(Y_s) f(Y_s) XX on the driver cp.X:
     its level-2 remainder norm (`_level2_norm`, as in the rough integral's
-    report; at the endpoint also the small-oscillation profile), and the
-    log-log slope of sup_{|t-s|=h} |D| over dyadic h."""
+    report) and the log-log slope of sup_{|t-s|=h} |D| over dyadic h."""
     X = cp.X
     grid = X.grid
     params = X.params
     Y = cp.Y.reshape(-1, grid.n)
     fv, wp = _davie_coefficients(F, Y)
     D = _expansion_remainder(grid, X.base_planes, Y, fv, wp, _level2(X))
-    endpoint = params.endpoint(2)
     norm = _level2_norm(D, params)
-    profile = (small_oscillation_check(D, params.p / 3)["profile"]
-               if endpoint else None)
     if h_range is None:
         h_range = (grid.mesh * 4, grid.horizon / 8)
     hs, sups = [], []
@@ -349,8 +330,8 @@ def davie_residual(
         slope, r2 = _log_fit(np.log(hs), np.log(sups))
     else:
         slope, r2 = INF, 1.0
-    return {"field": D, "norm": norm, "slope": slope, "r2": r2,
-            "endpoint": endpoint, "profile": profile}
+    return {"norm": norm, "slope": slope, "r2": r2,
+            "endpoint": params.endpoint(2)}
 
 
 def rde_stability_probe(
@@ -374,5 +355,4 @@ def rde_stability_probe(
         "output_dist": num,
         "input_dist": den,
         "ratio": 0.0 if den == 0 else num / den,
-        "solution_sup": (s1.report["sup"], s2.report["sup"]),
     }

@@ -9,7 +9,6 @@ differences, whose decay rate certifies the regularity hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -70,45 +69,49 @@ def _suffix(field: TwoParamField, w: int) -> np.ndarray:
 class SewingInput:
     """Germ plus the regularity/integrability parameters of the sewing target.
 
-    Non-endpoint: gamma > max(1, 1/p2).  Endpoint (gamma = max(1, 1/p2)):
-    requires q2 <= min(1, p2) and measures the remainder against the
-    log-corrected modulus omega_{q2}.
+    The exponents fix the case.  Regular: gamma > max(1, 1/p2).  Endpoint:
+    gamma = max(1, 1/p2) to within 1e-12, taken as exactly that critical
+    exponent; it needs q2 <= min(1, p2) and measures the remainder against
+    the log-corrected modulus omega_{q2}.
     """
 
     germ: TwoParamField
     gamma: float
     p2: float
     q2: float = INF
-    endpoint: bool = False
 
     def __post_init__(self):
         if not self.p2 > 0 or not self.q2 > 0:
             raise RegimeError(
                 f"p2, q2 must be positive (or inf), got {self.p2}, {self.q2}")
-        crit = max(1.0, 1.0 / self.p2)
+        crit = self.critical_exponent
         if self.endpoint:
             if self.q2 > min(1.0, self.p2):
                 raise RegimeError(
-                    f"endpoint sewing needs q2 <= min(1, p2); got q2={self.q2}"
-                )
-            if abs(self.gamma - crit) > 1e-12:
-                raise RegimeError(
-                    f"endpoint sewing needs gamma = max(1, 1/p2) = {crit},"
-                    f" got {self.gamma}"
-                )
+                    f"endpoint sewing (gamma = max(1, 1/p2) = {crit}) needs"
+                    f" q2 <= min(1, p2); got q2={self.q2}")
+            object.__setattr__(self, "gamma", crit)
         elif not self.gamma > crit:
             raise RegimeError(
-                f"sewing needs gamma > max(1, 1/p2) = {crit}, got {self.gamma}"
-            )
+                f"sewing needs gamma > max(1, 1/p2) = {crit}, or gamma ="
+                f" {crit} with q2 <= min(1, p2); got gamma={self.gamma}")
 
     @property
     def critical_exponent(self) -> float:
         return max(1.0, 1.0 / self.p2)
 
-    def modulus(self) -> Optional[EndpointModulus]:
-        if not self.endpoint:
-            return None
-        return EndpointModulus(r=self.q2, exponent=self.critical_exponent)
+    @property
+    def endpoint(self) -> bool:
+        return abs(self.gamma - self.critical_exponent) <= 1e-12
+
+    @property
+    def denominator(self):
+        """tau -> tau^gamma, or omega_{q2} at the endpoint: what the
+        remainder norm and the diagnostics divide Omega_{p2} by."""
+        if self.endpoint:
+            return EndpointModulus(r=self.q2,
+                                   exponent=self.critical_exponent).omega
+        return _power_denominator(self.gamma)
 
 
 @dataclass
@@ -123,9 +126,8 @@ class SewingResult:
     @property
     def remainder_norm(self) -> float:
         inp = self.input
-        mod = inp.modulus()
         return two_param_norm(self.remainder, inp.gamma, inp.p2, inp.q2,
-                              modulus=mod and mod.omega)
+                              modulus=inp.denominator)
 
 
 def dyadic_riemann(A: TwoParamField, n: int) -> TwoParamField:
@@ -215,9 +217,7 @@ def sew(input: SewingInput, diagnostics: bool = True) -> SewingResult:
 
     levels = []
     if diagnostics:
-        mod = input.modulus()
-        denom = _power_denominator(input.gamma, mod and mod.omega)
-        norms = _diff_level_norms(A, input.p2, input.q2, denom)
+        norms = _diff_level_norms(A, input.p2, input.q2, input.denominator)
         levels = [{"n": n, "diff_norm": v} for n, v in enumerate(norms)]
     return SewingResult(input=input, integral=integral, remainder=remainder,
                         levels=levels)

@@ -31,7 +31,6 @@ __all__ = [
     "bm_besov_statistic",
     "fbm_besov_statistic",
     "pprod_bdg_experiment",
-    "gaussian_abs_moment",
 ]
 
 _KINDS = ("gaussian", "random-sign", "stopped-random-walk")
@@ -113,17 +112,6 @@ def _square_germ(dg: np.ndarray):
     quad = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
     return lambda ii, jj: np.sqrt(
         np.maximum(quad[..., jj] - quad[..., ii], 0.0))[None]
-
-
-def gaussian_abs_moment(p: float, dim: int = 1) -> float:
-    """E |Z|^p for a standard normal vector in R^dim."""
-    # scipy's gammaln, not math.lgamma: the two differ in the last bits
-    from scipy.special import gammaln
-
-    return float(
-        2.0 ** (p / 2)
-        * math.exp(gammaln((p + dim) / 2.0) - gammaln(dim / 2.0))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +260,6 @@ def fbm_besov_statistic(
     table = _window_table(_fbm_planes(H, grid, samples, seed, dim), ns, level,
                           p, H, use_level2)
     per_n = {n: _moments(table[n]) for n in ns}
-    if not use_level2:
-        for row in per_n.values():
-            row["moment_oracle"] = gaussian_abs_moment(p, dim)
     slope, r2 = _variance_slope(per_n)
     return {"H": H, "p": p, "level": level, "per_n": per_n,
             "variance_slope": slope, "variance_r2": r2, "level2": use_level2}

@@ -42,10 +42,8 @@ def _harmonic(a: float, b: float) -> float:
 class YoungRegime:
     """Parameter bookkeeping for the product germ f_s * dg.
 
-    gamma = alpha0 + alpha1 and the Hoelder-conjugate p2, q2.  The sewing
-    input is regular for gamma > max(1, 1/p2) and at the endpoint for the
-    critical gamma = max(1, 1/p2), to within 1e-12, which needs
-    q2 <= min(1, p2).
+    gamma = alpha0 + alpha1 and the Hoelder-conjugate p2, q2; which sewing
+    case they make, regular or endpoint, `SewingInput` decides.
     """
 
     f_params: BesovParams
@@ -66,10 +64,7 @@ class YoungRegime:
     def sewing_input(self, germ: TwoParamField) -> SewingInput:
         """The sewing target; `SewingInput` rejects a triple outside both
         cases."""
-        crit = max(1.0, 1.0 / self.p2)
-        endpoint = abs(self.gamma - crit) <= 1e-12
-        return SewingInput(germ=germ, gamma=crit if endpoint else self.gamma,
-                           p2=self.p2, q2=self.q2, endpoint=endpoint)
+        return SewingInput(germ, self.gamma, self.p2, self.q2)
 
 
 class VectorField:
@@ -351,15 +346,9 @@ def young_ode_solve(
     Y, iterations, subintervals, halvings = _adaptive_picard(
         X.grid, y0, start, sweep, 1e-10, max_halvings
     )
-    path = GridPath._from_planes(X.grid, Y)
-    bound = {
-        "sup": float(np.abs(Y).max()),
-        "seminorm": besov_seminorm(path, params.alpha, params.p, params.q,
-                                   form="dyadic"),
-        "halvings": halvings,
-    }
-    return OdeSolution(path=path, iterations=iterations,
-                       subintervals=subintervals, bound=bound)
+    return OdeSolution(path=GridPath._from_planes(X.grid, Y),
+                       iterations=iterations, subintervals=subintervals,
+                       bound={"halvings": halvings})
 
 
 def field_distance_proxy(F1: VectorField, F2: VectorField,

@@ -21,9 +21,11 @@ from besov_rough.cli import (
     save_rough_dir,
 )
 from besov_rough.controlled import ControlledPath, rough_integral
-from besov_rough.grid import GridPath, UniformGrid, save_path_csv
+from besov_rough.grid import (GridPath, UniformGrid, load_germ_csv,
+                              save_path_csv)
 from besov_rough.norms import BesovParams, INF
 from besov_rough.rough import brownian_lift, chen_residual, lyons_extend
+from besov_rough.sewing import SewingInput, sew
 
 
 @pytest.fixture
@@ -52,6 +54,24 @@ def test_cli_import_leaves_scipy_out():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert run.stdout.strip() == "[]"
+
+
+def test_mc_fbm_level1_leaves_scipy_out(tmp_path):
+    # the H > 1/2 statistic computes no moment oracle, so no scipy.special
+    src = os.path.dirname(os.path.dirname(besov_rough.__file__))
+    cfg, out = tmp_path / "fbm.json", tmp_path / "fbm.csv"
+    cfg.write_text(json.dumps({"experiment": "fbm-ynp", "samples": 3,
+                               "level": 6, "ns": [2, 3], "H": 0.7}))
+    code = ("import sys; from besov_rough.cli import main;"
+            " assert main(sys.argv[1:]) == 0;"
+            " print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "mc", "--config", str(cfg),
+         "--out", str(out)], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert out.exists()
 
 
 def test_version(capsys):
@@ -201,6 +221,41 @@ def test_sew_command(tmp_path, capsys):
     assert data["slope"] is None
     assert data["remainder_norm"] <= 1e-12
     assert len(data["integral_path"]) == g.n
+
+
+def _endpoint_germ(tmp_path, level=5):
+    """Heaviside x sin 2t product germ, a critical-case sewing input at
+    (gamma, p2, q2) = (1, 2, 1)."""
+    from besov_rough.signals import heaviside
+
+    g = UniformGrid(1.0, level)
+    h, f = heaviside(g).values[:, 0], np.sin(2 * g.times())
+    germ = tmp_path / "endpoint.csv"
+    germ.write_text("i,j,v0\n" + "".join(
+        f"{i},{j},{float(h[i] * (f[j] - f[i]))!r}\n"
+        for i in range(g.n) for j in range(i + 1, g.n)))
+    return germ
+
+
+def test_sew_endpoint_needs_no_flag(tmp_path, capsys):
+    # gamma = max(1, 1/p2) makes the endpoint case by itself
+    germ, out = _endpoint_germ(tmp_path), tmp_path / "e.json"
+    assert main(["sew", "--germ", str(germ), "--gamma", "1", "--p2", "2",
+                 "--q2", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    inp = SewingInput(load_germ_csv(str(germ)), 1.0, 2.0, 1.0)
+    assert inp.endpoint
+    assert data["remainder_norm"] == sew(inp).remainder_norm
+    assert data["expected_slope"] == 0.0
+
+
+def test_sew_endpoint_flag_removed_exit_1(tmp_path, capsys):
+    germ, out = _endpoint_germ(tmp_path), tmp_path / "e.json"
+    assert main(["sew", "--germ", str(germ), "--gamma", "1", "--p2", "2",
+                 "--q2", "1", "--endpoint", "--out", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and "--endpoint" in err["message"]
+    assert not out.exists()
 
 
 def _no_nan(token):
@@ -513,14 +568,36 @@ def test_lift_flavor_the_kind_does_not_use_exit_1(tmp_path, capsys, kind,
                                                   flavor):
     drv = tmp_path / "drv.csv"
     drv.write_text("t,v0,v1\n0,0,1\n0.5,0.5,0.75\n1,0.25,0.5\n")
-    argv = ["lift", "--kind", kind, "--level", "3", "--input", str(drv),
-            "--out", str(tmp_path / "rp")]
+    own = {"fbm": ["--level", "3"], "canonical": ["--input", str(drv)]}[kind]
+    argv = ["lift", "--kind", kind, *own, "--out", str(tmp_path / "rp")]
     assert main(argv + ["--flavor", flavor]) == 1
     err = _single_json_error(capsys)
     assert err["error"] == "io"
     assert f"--kind {kind} takes --flavor" in err["message"]
     assert not (tmp_path / "rp").exists()
     assert main(argv) == 0  # the default ito suits every kind
+
+
+@pytest.mark.parametrize("kind, option", [
+    ("bm", ["--H", "0.9"]), ("bm", ["--input", "drv.csv"]),
+    ("fbm", ["--input", "drv.csv"]),
+    ("canonical", ["--n", "2"]), ("canonical", ["--level", "9"]),
+    ("canonical", ["--horizon", "5"]), ("canonical", ["--seed", "1"]),
+    ("canonical", ["--H", "0.9"])])
+def test_lift_option_the_kind_does_not_read_exit_1(tmp_path, capsys, kind,
+                                                   option):
+    # a given option that the kind ignores would leave the bytes unchanged
+    drv = tmp_path / "drv.csv"
+    drv.write_text("t,v0,v1\n0,0,1\n0.5,0.5,0.75\n1,0.25,0.5\n")
+    own = {"bm": ["--level", "3"], "fbm": ["--level", "3"],
+           "canonical": ["--input", str(drv)]}[kind]
+    argv = ["lift", "--kind", kind, *own, "--out", str(tmp_path / "rp")]
+    assert main(argv + option) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io"
+    assert err["message"] == f"--kind {kind} does not read {option[0]}"
+    assert not (tmp_path / "rp").exists()
+    assert main(argv) == 0
 
 
 def test_extend_below_the_input_depth_exit_1(tmp_path, capsys):

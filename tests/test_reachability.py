@@ -46,6 +46,8 @@ KEPT = {
     "rough.tensor_inv": "tensor algebra, the signature oracle",
     "rough.tensor_mul": "tensor algebra, the signature oracle",
     "sewing.dyadic_riemann": "oracle of the sewn integral",
+    "sewing.small_oscillation_check": "little-space profile of an endpoint "
+                                      "remainder, in the endpoint sewing tests",
     "signals.dyadic_time_change": "input of the critical-case norm tests",
     "signals.loglog_signal": "input of the critical-case norm tests",
     "stochlab.DiscreteMartingale.as_path": "public view of a martingale",

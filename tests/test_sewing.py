@@ -39,10 +39,26 @@ def test_input_validation():
     with pytest.raises(RegimeError):
         SewingInput(germ=germ, gamma=0.9, p2=INF, q2=INF)  # gamma <= 1
     with pytest.raises(RegimeError):
-        SewingInput(germ=germ, gamma=1.0, p2=2.0, q2=2.0, endpoint=True)  # q2 > 1
-    with pytest.raises(RegimeError):
-        SewingInput(germ=germ, gamma=1.5, p2=2.0, q2=0.5, endpoint=True)
-    SewingInput(germ=germ, gamma=1.0, p2=2.0, q2=0.5, endpoint=True)
+        SewingInput(germ=germ, gamma=1.0, p2=2.0, q2=2.0)  # endpoint, q2 > 1
+    SewingInput(germ=germ, gamma=1.0, p2=2.0, q2=0.5)
+
+
+@pytest.mark.parametrize("p2", [0.5, 2.0, INF])
+def test_endpoint_is_decided_by_gamma_and_p2(p2):
+    # gamma within 1e-12 of max(1, 1/p2) is the endpoint, taken as exactly
+    # the critical exponent; just outside the band is the regular case
+    crit = max(1.0, 1.0 / p2)
+    q2 = min(1.0, p2)
+    for gamma in (crit - 4e-13, crit, crit + 4e-13):
+        inp = SewingInput(germ=None, gamma=gamma, p2=p2, q2=q2)
+        assert inp.endpoint and inp.gamma == crit
+        assert inp.denominator(0.25) == pytest.approx(
+            0.25**crit * math.log(4.0) ** (1.0 / q2 + 0.1), rel=1e-14)
+    above = SewingInput(germ=None, gamma=crit + 2e-12, p2=p2, q2=2.0)
+    assert not above.endpoint and above.gamma == crit + 2e-12
+    assert above.denominator(0.25) == 0.25 ** (crit + 2e-12)
+    with pytest.raises(RegimeError):  # below the band: neither case
+        SewingInput(germ=None, gamma=crit - 2e-12, p2=p2, q2=q2)
 
 
 def test_dyadic_riemann_trivial_partition():
@@ -123,8 +139,6 @@ def _diff_norms_oracle(inp: SewingInput) -> list:
     """Each level's norm of I_{P_{n+1}}A - I_{P_n}A, built pair by pair from
     two `dyadic_riemann` fields on the admissible shifts h = j*2^{n+1}."""
     A, grid = inp.germ, inp.germ.grid
-    mod = inp.modulus()
-    denom = (lambda tau: tau**inp.gamma) if mod is None else mod.omega
     half = grid.n_cells // 2
     norms = []
     for n in range(grid.level - 1):
@@ -134,7 +148,8 @@ def _diff_norms_oracle(inp: SewingInput) -> list:
             ii = np.arange(grid.n - h)
             d = fine.pairs(ii, ii + h) - coarse.pairs(ii, ii + h)
             s[h - 1] = _band_lp(_plane_mags(d.T), grid.mesh, inp.p2)
-        ratios = _ratios_from_norms(s, grid, denom)[: grid.level - n - 1]
+        ratios = _ratios_from_norms(s, grid, inp.denominator)[
+            : grid.level - n - 1]
         norms.append(_q_sum(ratios, inp.q2, log_weight=True))
     return norms
 
@@ -145,7 +160,7 @@ def _diff_norms_oracle(inp: SewingInput) -> list:
 def test_sew_diagnostics_match_dyadic_riemann_oracle(dim, p2, endpoint):
     crit = max(1.0, 1.0 / p2)
     if endpoint:
-        params = dict(gamma=crit, p2=p2, q2=min(1.0, p2), endpoint=True)
+        params = dict(gamma=crit, p2=p2, q2=min(1.0, p2))
     else:
         params = dict(gamma=crit + 0.5, p2=p2, q2=2.0)
     for level in range(1, 9):
@@ -322,7 +337,7 @@ def test_endpoint_sew_bounded():
     h = heaviside(GRID)
     g = GridPath(GRID, np.sin(2 * t))
     germ = product_germ(h, g)
-    inp = SewingInput(germ=germ, gamma=1.0, p2=2.0, q2=1.0, endpoint=True)
+    inp = SewingInput(germ=germ, gamma=1.0, p2=2.0, q2=1.0)
     result = sew(inp)
     assert result.remainder_norm < math.inf
     cert = rate_certificate(result)
