@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,11 +143,22 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+# The keys each Monte Carlo experiment reads besides `experiment`.  A config
+# sets `experiment` and only these; any other key exits 1.
+_MC_READS = {
+    "bm-ynp": ("seed", "samples", "level", "p", "ns", "dim"),
+    "fbm-ynp": ("seed", "samples", "level", "p", "ns", "dim", "H"),
+    "pprod-bdg": ("seed", "samples", "gamma0", "gamma1", "p_tuple", "q_tuple",
+                  "r_tuple", "lengths", "kind", "coupled"),
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Monte Carlo experiment configuration; JSON round-trips losslessly.
-    Unknown keys, wrongly typed values and non-finite numbers are rejected;
-    `check_values` rejects values no experiment can run with."""
+    """Monte Carlo experiment configuration.  `from_json` rejects an unknown
+    experiment, a key it does not read (`_MC_READS`), wrongly typed values
+    and non-finite numbers; `check_values` rejects values it cannot run
+    with."""
 
     experiment: str
     seed: int = 2024
@@ -171,26 +182,29 @@ class ExperimentConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise GridFormatError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise GridFormatError(f"unknown config keys: {sorted(unknown)}")
-        if "experiment" not in data:
-            raise GridFormatError("config must name an 'experiment'")
+        experiment = data.get("experiment")
+        if not (isinstance(experiment, str) and experiment in _MC_READS):
+            got = (f"got {experiment!r}" if "experiment" in data
+                   else "it is missing")
+            raise GridFormatError(f"config key 'experiment' must be one of"
+                                  f" {', '.join(_MC_READS)}; {got}")
+        reads = _MC_READS[experiment]
         hints = typing.get_type_hints(cls)
         for key, value in data.items():
+            if key != "experiment" and key not in reads:
+                raise GridFormatError(
+                    f"experiment {experiment} does not read config key {key!r};"
+                    f" it reads {', '.join(reads)}")
             if not _has_type(value, hints[key]):
                 raise GridFormatError(
                     f"config key {key!r} must be a finite {hints[key]},"
                     f" got {value!r}")
         return cls(**data)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
     def check_values(self) -> None:
-        """Every key, used by the experiment or not, must hold a value that
-        gives finite rows (not a traceback or a silent nan)."""
+        """Every key the experiment reads must hold a value that gives finite
+        rows (not a traceback or a silent nan)."""
+        reads = _MC_READS[self.experiment]
         for key, ok, need in [
             ("samples", self.samples >= 2, "an integer >= 2"),
             ("p", self.p > 0, "a number > 0"),
@@ -209,10 +223,10 @@ class ExperimentConfig:
                              ("q_tuple", self.q_tuple),
                              ("r_tuple", self.r_tuple)]),
             ("kind", self.kind in _KINDS, f"one of {', '.join(_KINDS)}")]:
-            if not ok:
+            if key in reads and not ok:
                 raise GridFormatError(f"config key {key!r} must be {need},"
                                       f" got {getattr(self, key)!r}")
-        if self.p * max(self.ns) * max(self.H, 0.5) >= 1024:
+        if "ns" in reads and self.p * max(self.ns) * max(self.H, 0.5) >= 1024:
             raise GridFormatError(
                 "config key 'p' must keep p * max(ns) * max(H, 0.5) below"
                 f" 1024, where the window scale 2^(n p H) overflows; got"
@@ -283,10 +297,9 @@ def save_rough_dir(path: str, X: RoughPath) -> None:
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     nn = X.grid.n
-    prefix = X.pairs_levels(np.zeros(nn - 1, dtype=np.intp), np.arange(1, nn))
-    for k in range(1, X.depth + 1):
-        save_path_csv(os.path.join(path, f"{k}.csv"), GridPath._from_planes(
-            X.grid, np.hstack([np.zeros((X.n**k, 1)), prefix[k].T])))
+    for k in range(1, X.depth + 1):  # + 0.0 writes a -0.0 entry as 0.0
+        save_path_csv(os.path.join(path, f"{k}.csv"),
+                      GridPath._from_planes(X.grid, X._sig[k] + 0.0))
         fname = os.path.join(path, f"{k}.pairs.csv")
         if k in X._pairs:
             keys, values = X._pairs[k]
@@ -413,7 +426,7 @@ def _cmd_sew(args):
         "remainder_norm": result.remainder_norm,
         "levels": result.levels,
         "slope": None if slope == -INF else slope,
-        "expected_slope": -(inp.gamma - inp.critical_exponent),
+        "expected_slope": inp.expected_slope,
     }
     return [(args.out, out)], f"remainder_norm {result.remainder_norm:.12g}"
 
@@ -531,8 +544,6 @@ def _cmd_rde(args):
 def _cmd_mc(args):
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
-    if args.experiment:
-        cfg.experiment = args.experiment
     cfg.check_values()
     rows = _mc_rows(cfg)
     return [(args.out, rows)], f"wrote {len(rows)} rows to {args.out}"
@@ -558,7 +569,7 @@ def _mc_rows(cfg: ExperimentConfig) -> list:
         for n, row in sorted(rep["per_n"].items()):
             rows.append([n, "mean", row["mean"], row["stderr"], row["samples"]])
             rows.append([n, "variance", row["variance"], None, row["samples"]])
-    elif cfg.experiment == "pprod-bdg":
+    else:  # pprod-bdg
         rep = pprod_bdg_experiment(
             cfg.gamma0, cfg.gamma1,
             tuple(cfg.p_tuple), tuple(cfg.q_tuple), tuple(cfg.r_tuple),
@@ -569,8 +580,6 @@ def _mc_rows(cfg: ExperimentConfig) -> list:
             for key in ("ratio_p50", "ratio_p90", "ratio_p99", "ratio_mean",
                         "bdg_p50", "bdg_p99", "lr_ratio"):
                 rows.append([length, key, row[key], None, row["samples"]])
-    else:
-        raise GridFormatError(f"unknown experiment {cfg.experiment!r}")
     return rows
 
 
@@ -677,9 +686,6 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_rde)
 
     sp = sub.add_parser("mc", help="Monte Carlo experiments")
-    sp.add_argument("--experiment",
-                    choices=("bm-ynp", "fbm-ynp", "pprod-bdg"),
-                    help="optional override of the config's experiment")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_mc)

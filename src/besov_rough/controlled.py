@@ -177,7 +177,7 @@ def rough_integral(
     """
     X = cp.X
     params = X.params
-    if not params.level2_ok:
+    if not params.levelN_ok(2):
         raise RegimeError(
             f"(alpha,p,q)={params.as_tuple} outside the level-2 regime")
     if cp.value_shape[-1:] != (X.n,):
@@ -200,29 +200,14 @@ def rough_integral(
                     "endpoint": params.endpoint(2)}
 
 
-def compose_controlled(F: VectorField, cp: ControlledPath, report: bool = False):
-    """(f(Y), Df(Y) Y') as a controlled pair; optional norm-bound report."""
+def compose_controlled(F: VectorField, cp: ControlledPath) -> ControlledPath:
+    """(f(Y), Df(Y) Y') as a controlled pair."""
     if len(cp.value_shape) != 1:
         raise ValueError("compose_controlled expects a state-valued pair (m,)")
     if F.order < 2:
         raise RegimeError("composition requires a C^2 (or better) field")
-    values = F.values_along(cp.Y)  # (m', n', nodes)
-    dvals = F.dfun(cp.Y)           # (m', n', m, nodes)
-    out = ControlledPath(cp.X, values, _chain(dvals, cp.Yp))
-    if not report:
-        return out
-    params = cp.X.params
-    alpha, p, q = params.as_tuple
-    x_norm = besov_seminorm(cp.X.base_path(), alpha, p, q, form="integral")
-    base_norm = float(np.linalg.norm(cp.Yp[..., 0])) + controlled_norm(cp)
-    sup_f = max(
-        float(np.abs(values).max()),
-        float(np.abs(dvals).max()),
-    )
-    rhs = sup_f * (1 + x_norm) * max(base_norm, base_norm**2)
-    lhs = controlled_norm(out)
-    return out, {"lhs": lhs, "rhs": rhs,
-                 "ratio": 0.0 if rhs == 0 else lhs / rhs}
+    return ControlledPath(cp.X, F.values_along(cp.Y),  # (m', n', nodes)
+                          _chain(F.dfun(cp.Y), cp.Yp))
 
 
 # ---------------------------------------------------------------------------

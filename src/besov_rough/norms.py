@@ -61,10 +61,6 @@ class BesovParams:
     def as_tuple(self):
         return (self.alpha, self.p, self.q)
 
-    @property
-    def level2_ok(self) -> bool:
-        return self.levelN_ok(2)
-
     def endpoint(self, n_level: int) -> bool:
         """alpha at (or below) the level-N endpoint 1/(N+1), to within 1e-12:
         the one endpoint test of the Young, rough and extension code."""

@@ -197,8 +197,10 @@ class RoughPath:
 
     Stored as its node-wise signature prefixes S_t = X_{0,t}, one component
     plane array sig[k] (n^k, nodes) per level k = 0..N; every increment is
-    X_st = S_s^{-1} (x) S_t.  The inverse prefixes, in the same layout,
-    are built once, when first needed.  A level may also hold explicit
+    X_st = S_s^{-1} (x) S_t.  S_0 is exactly the identity: sig[0] is all 1
+    and sig[k][:, 0] is exactly 0 for k >= 1 (checked here), so the
+    prefixes are the increments from node 0 themselves.  The inverse prefixes, in the same
+    layout, are built once, when first needed.  A level may also hold explicit
     pairs: the values at some pairs (i, j), 0 < i < j, stored instead of
     computed and read back bit for bit (for example an injected Chen
     fault), as sorted keys i * nodes + j and a (len, n^k) array.  The base
@@ -210,6 +212,9 @@ class RoughPath:
         self.n = len(sig[1])
         self.depth = len(sig) - 1
         _check_caps(self.n, self.depth)
+        if any(lv[:, 0].any() for lv in sig[1:]):
+            raise ValueError("S_0 must be the identity: sig[k][:, 0] must be"
+                             " exactly 0 for k >= 1")
         self.grid = grid
         self.params = params
         self._sig = sig
@@ -312,8 +317,11 @@ class RoughPath:
             raise ValueError("restriction span must be a power of two")
         sub = UniformGrid(span * self.grid.mesh, span.bit_length() - 1)
         inv_a = [lv[:, a : a + 1] for lv in self._inv_planes()]
-        seg = [lv[:, a : b + 1] for lv in self._sig]
-        return RoughPath(sub, self.params, _mul_levels(inv_a, seg, self.depth))
+        seg = _mul_levels(inv_a, [lv[:, a : b + 1] for lv in self._sig],
+                          self.depth)
+        for lv in seg[1:]:
+            lv[:, 0] = 0.0  # S_a^{-1} (x) S_a is the identity up to roundoff
+        return RoughPath(sub, self.params, seg)
 
 
 def _level_one(x: GridPath):
@@ -551,14 +559,11 @@ def lyons_extend(X: RoughPath, target_depth: int) -> RoughPath:
                 " the endpoint case carries a logarithmic loss and is not"
                 " constructed here"
             )
-        nodes = cur.grid.n
-        from_zero = [lv.T for lv in cur.pairs_levels(
-            np.zeros(nodes, dtype=np.intp), np.arange(nodes))]  # X^{(j)}_{0, s}
-        ii = np.arange(nodes - 1)
+        ii = np.arange(cur.grid.n - 1)
         inc = [lv.T for lv in cur.pairs_levels(ii, ii + 1)]
         consec = 0.0
-        for k in range(1, m_lev + 1):
-            consec = consec + _outer(from_zero[m_lev - k + 1][:, :-1], inc[k])
+        for k in range(1, m_lev + 1):  # the prefixes are X^{(j)}_{0, s}
+            consec = consec + _outer(cur._sig[m_lev - k + 1][:, :-1], inc[k])
         cur = RoughPath(cur.grid, cur.params,
                         list(cur._sig) + [_prefix_sums(consec)])
     return cur

@@ -105,6 +105,12 @@ class SewingInput:
         return abs(self.gamma - self.critical_exponent) <= 1e-12
 
     @property
+    def expected_slope(self) -> float:
+        """The log2 rate of the successive-difference norms, 0.0 at the
+        endpoint: -(gamma - max(1, 1/p2))."""
+        return self.critical_exponent - self.gamma
+
+    @property
     def denominator(self):
         """tau -> tau^gamma, or omega_{q2} at the endpoint: what the
         remainder norm and the diagnostics divide Omega_{p2} by."""
@@ -231,14 +237,13 @@ def rate_certificate(
 ) -> dict:
     """log2-regression of successive-difference norms against the level.
 
-    Expected slope is -(gamma - max(1, 1/p2)) at the sewing input's gamma
-    and p2; a germ that is already an increment has all-zero differences
-    and reports slope -inf.  In the endpoint case the expected slope is 0
-    and the report carries a boundedness flag instead.  Any other germ with fewer than two levels of
+    The expected slope is the input's `expected_slope`; a germ that is
+    already an increment has all-zero differences and reports slope -inf.
+    In the endpoint case the expected slope is 0 and the report carries a
+    boundedness flag instead.  Any other germ with fewer than two levels of
     positive norm has no slope and raises ValueError.
     """
-    inp = result.input
-    expected = -(inp.gamma - inp.critical_exponent)
+    expected = result.input.expected_slope
     rows = result.levels
     if n_range is not None:
         rows = [r for r in rows if n_range[0] <= r["n"] <= n_range[1]]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 import besov_rough
 from besov_rough import acceptance
 from besov_rough.cli import (
+    _MC_READS,
     MAX_GRID_LEVEL,
     ExperimentConfig,
     load_rough_dir,
@@ -22,9 +24,11 @@ from besov_rough.cli import (
 )
 from besov_rough.controlled import ControlledPath, rough_integral
 from besov_rough.grid import (GridPath, UniformGrid, load_germ_csv,
-                              save_path_csv)
+                              load_path_csv, save_path_csv)
 from besov_rough.norms import BesovParams, INF
-from besov_rough.rough import brownian_lift, chen_residual, lyons_extend
+from besov_rough.rough import (brownian_lift, canonical_lift, chen_residual,
+                               dilate, fbm_path, geometric_lift,
+                               lyons_extend)
 from besov_rough.sewing import SewingInput, sew
 
 
@@ -246,7 +250,8 @@ def test_sew_endpoint_needs_no_flag(tmp_path, capsys):
     inp = SewingInput(load_germ_csv(str(germ)), 1.0, 2.0, 1.0)
     assert inp.endpoint
     assert data["remainder_norm"] == sew(inp).remainder_norm
-    assert data["expected_slope"] == 0.0
+    assert math.copysign(1.0, data["expected_slope"]) == 1.0  # 0.0, not -0.0
+    assert data["expected_slope"] == inp.expected_slope == 0.0
 
 
 def test_sew_endpoint_flag_removed_exit_1(tmp_path, capsys):
@@ -334,6 +339,55 @@ def test_lift_rde_extend_pipeline(planar_csv, tmp_path, capsys):
     back = load_rough_dir(str(rp3))
     assert back.depth == 3
     assert chen_residual(back) < 1e-10
+
+
+def _prefix_reference(X, k):
+    """Level k of the group products X_{0,t} = S_0^{-1} (x) S_t, row 0 as
+    exact zeros: what save_rough_dir wrote before it read the prefixes."""
+    nodes = X.grid.n
+    prefix = X.pairs_levels(np.zeros(nodes - 1, dtype=np.intp),
+                            np.arange(1, nodes))
+    return np.hstack([np.zeros((X.n**k, 1)), prefix[k].T])
+
+
+def test_saved_prefixes_equal_the_group_products(tmp_path):
+    # k.csv holds the stored prefixes, bit for bit the products from node 0
+    g = UniformGrid(1.0, 5)
+    t = g.times()
+    planar = GridPath(g, np.column_stack([np.sin(3 * t), np.cos(2 * t)]))
+    signed = np.column_stack([np.round(np.sin(5 * t), 1), t])
+    signed[signed == 0.0] = -0.0  # a -0.0 path entry after node 0
+    signed[0, 0] = 0.0
+    ito = brownian_lift(2, g, 3)
+    cases = {
+        "ito": ito,
+        "stratonovich": brownian_lift(3, g, 3, "stratonovich"),
+        "fbm": canonical_lift(fbm_path(0.6, g, 3), 3),
+        "canonical": canonical_lift(planar, 3),
+        "geometric": geometric_lift(planar, 4),
+        "extended": lyons_extend(ito, 4),
+        "signed-zero": canonical_lift(GridPath(g, signed), 2),
+        "dilated": dilate(ito, -1.5),
+    }
+    level1 = cases["signed-zero"]._sig[1]
+    assert (np.signbit(level1) & (level1 == 0.0)).any()
+    for name, X in cases.items():
+        save_rough_dir(str(tmp_path / name), X)
+        for k in range(1, X.depth + 1):
+            saved = load_path_csv(str(tmp_path / name / f"{k}.csv"))
+            assert saved.planes.tobytes() == _prefix_reference(X, k).tobytes()
+
+
+def test_restriction_saves_and_loads(tmp_path):
+    # a restriction's node 0 is exactly the identity, which the loader needs
+    X = lyons_extend(brownian_lift(2, UniformGrid(1.0, 8), 3), 3)
+    sub = X.restrict(64, 128)
+    save_rough_dir(str(tmp_path / "sub"), sub)
+    back = load_rough_dir(str(tmp_path / "sub"))
+    ii, jj = np.triu_indices(sub.grid.n, k=1)
+    for k in range(1, 4):
+        assert np.array_equal(back.level(k).pairs(ii, jj),
+                              sub.level(k).pairs(ii, jj))
 
 
 def test_rough_dir_roundtrip(tmp_path):
@@ -1070,7 +1124,9 @@ def test_workers_flag_removed(sin_csv, capsys):
 @pytest.mark.parametrize("text", [
     '{"experiment": "bm-ynp", "p": NaN}',
     '{"experiment": "bm-ynp", "H": Infinity}',
+    '{"experiment": "fbm-ynp", "H": Infinity}',
     '{"experiment": "bm-ynp", "p_tuple": [8.0, -Infinity, 4.0]}',
+    '{"experiment": "pprod-bdg", "p_tuple": [8.0, -Infinity, 4.0]}',
     '{"experiment": "bm-ynp", "samples": "30"}',
     '{"experiment": "bm-ynp", "seed": true}',
     '{"experiment": "bm-ynp", "level": 7.0}',
@@ -1163,11 +1219,72 @@ def test_mc_p_just_under_the_scale_bound_runs(tmp_path):
     assert all(math.isfinite(float(r["estimate"])) for r in rows)
 
 
-def test_config_roundtrip():
-    cfg = ExperimentConfig(experiment="pprod-bdg", samples=11,
-                           lengths=[64, 128])
-    back = ExperimentConfig.from_json(cfg.to_json())
-    assert back == cfg
+def test_mc_reads_table_covers_the_config():
+    # every key an experiment reads is a config key, and every config key
+    # but `experiment` is read by some experiment
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set().union(*_MC_READS.values()) == names - {"experiment"}
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("bm-ynp", "H", 0.9),
+    ("fbm-ynp", "lengths", [64]),
+    ("pprod-bdg", "level", 13),
+])
+def test_mc_unread_key_exit_1(tmp_path, capsys, experiment, key, value):
+    # a key the experiment does not read is refused, whatever its value
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"experiment": experiment, "samples": 2,
+                               key: value}))
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and repr(key) in err["message"]
+    assert experiment in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, got", [
+    ('{"experiment": "cauchy-ynp"}', "got 'cauchy-ynp'"),
+    ('{"samples": 3}', "it is missing"),
+    ('{"experiment": ["bm-ynp"]}', "got ['bm-ynp']"),
+])
+def test_mc_unknown_experiment_lists_the_three(tmp_path, capsys, text, got):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["mc", "--config", str(cfg), "--out",
+                 str(tmp_path / "o.csv")]) == 1
+    message = _single_json_error(capsys)["message"]
+    assert "bm-ynp, fbm-ynp, pprod-bdg" in message and got in message
+
+
+def test_mc_experiment_option_removed(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"experiment": "fbm-ynp", "samples": 2,
+                               "level": 4, "ns": [2]}))
+    assert main(["mc", "--experiment", "bm-ynp", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "io" and "--experiment" in err["message"]
+    assert not out.exists()
+
+
+def test_mc_pprod_config_of_its_own_keys_runs(tmp_path):
+    # every key pprod-bdg reads, set to its default: the bytes of the
+    # config that sets none of them
+    full = {"experiment": "pprod-bdg", "seed": 2024, "samples": 2,
+            "gamma0": 0.45, "gamma1": 0.6, "p_tuple": [8.0, 8.0, 4.0],
+            "q_tuple": [8.0, 8.0, 4.0], "r_tuple": [8.0, 8.0, 4.0],
+            "lengths": [16, 32], "kind": "gaussian", "coupled": False}
+    assert set(full) == {"experiment", *_MC_READS["pprod-bdg"]}
+    outputs = []
+    for name, cfg in [("full", full), ("short", {
+            "experiment": "pprod-bdg", "samples": 2, "lengths": [16, 32]})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        out = tmp_path / f"{name}.csv"
+        assert main(["mc", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_usage_error_exit_code(capsys):

@@ -47,9 +47,9 @@ def test_besov_params_regimes():
     assert BesovParams(0.5, 4.0, 2.0).levelN_ok(1)
     assert not BesovParams(0.5, 4.0, 3.0).levelN_ok(1)  # q <= 2 at alpha = 1/2
     assert not BesovParams(0.6, 1.5, INF).levelN_ok(1)  # p <= 1/alpha
-    assert BesovParams(0.4, 4.0, INF).level2_ok
-    assert BesovParams(1.0 / 3.0, 4.0, 3.0).level2_ok
-    assert not BesovParams(1.0 / 3.0, 4.0, 4.0).level2_ok
+    assert BesovParams(0.4, 4.0, INF).levelN_ok(2)
+    assert BesovParams(1.0 / 3.0, 4.0, 3.0).levelN_ok(2)
+    assert not BesovParams(1.0 / 3.0, 4.0, 4.0).levelN_ok(2)
     assert BesovParams(0.3, 5.0, 4.0).levelN_ok(3)
 
 

@@ -24,7 +24,6 @@ BENCH = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
 # compare against, the inputs of tests of reachable code, and documented
 # API.  `module.qualname` -> why it stays.
 KEPT = {
-    "cli.ExperimentConfig.to_json": "public config serialization",
     "controlled.compose_controlled":
         "oracle of the composition in the RDE's Picard sweep",
     "grid.GridPath.restrict": "input of the p-variation superadditivity test",

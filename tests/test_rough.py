@@ -160,6 +160,16 @@ def test_chen_residual_keeps_a_nan():
     assert math.isnan(chen_residual(RoughPath(lift.grid, lift.params, sig)))
 
 
+def test_prefixes_must_start_at_the_identity():
+    # the stored prefixes are read as X_{0,t}, so node 0 must be exact
+    lift = brownian_lift(2, UniformGrid(1.0, 4), 3)
+    for k, value in [(1, 1.0), (2, 6.9e-18), (2, np.nan)]:
+        sig = [lv.copy() for lv in lift._sig]
+        sig[k][0, 0] = value
+        with pytest.raises(ValueError, match="S_0 must be the identity"):
+            RoughPath(lift.grid, lift.params, sig)
+
+
 def test_chen_residual_chunks_keep_the_bits(monkeypatch):
     # chunks of 7 triples give the default's residual bits: random and
     # skeleton triples (128 cells), all triples (16 cells) and a nan
